@@ -455,19 +455,6 @@ void BM_GtMultiPow(benchmark::State& state) {
 }
 BENCHMARK(BM_GtMultiPow)->Arg(2)->Arg(8)->Arg(64);
 
-/// The unsigned-window Straus engine on the same inputs: full-size tables,
-/// no conjugate trick. The delta against BM_GtMultiPow is what the
-/// signed-digit recoding buys.
-void BM_GtMultiPowUnsigned(benchmark::State& state) {
-  const std::size_t n = static_cast<std::size_t>(state.range(0));
-  auto [bases, exps] = gt_multipow_inputs(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ff::Fp12::multi_pow_unsigned(bases, exps));
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_GtMultiPowUnsigned)->Arg(2)->Arg(8)->Arg(64);
-
 /// The naive baseline for the same shape: n independent 128-bit ladders
 /// (what verify_settlement paid per round before the multi-exp reroute).
 void BM_GtMultiPowNaive(benchmark::State& state) {

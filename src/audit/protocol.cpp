@@ -411,13 +411,11 @@ struct SettleTerms {
   const Verifier* v = nullptr;
 };
 
-/// rho_i = low `width` bytes of Keccak(seed || 'w' || i). The default 16
-/// bytes (128 bits) halve the full-scalar weighting work at a residual
-/// forgery probability of ~2^-128 per batch; the opt-in 8-byte mode
-/// (SettlementOptions::reduced_soundness_weights) halves it again at
-/// ~2^-64.
-Fr weight_at(const std::array<std::uint8_t, 32>& seed, std::uint64_t index,
-             std::size_t width) {
+/// rho_i = low 16 bytes of Keccak(seed || 'w' || i). 128-bit weights halve
+/// the full-scalar weighting work at a residual forgery probability of
+/// ~2^-128 per batch.
+Fr weight_at(const std::array<std::uint8_t, 32>& seed, std::uint64_t index) {
+  constexpr std::size_t kWidth = 16;
   std::array<std::uint8_t, 41> buf;
   std::memcpy(buf.data(), seed.data(), 32);
   buf[32] = 'w';
@@ -427,7 +425,7 @@ Fr weight_at(const std::array<std::uint8_t, 32>& seed, std::uint64_t index,
   auto h = primitives::Keccak256::hash(
       std::span<const std::uint8_t>(buf.data(), buf.size()));
   std::array<std::uint8_t, 32> wide{};
-  std::copy(h.begin(), h.begin() + width, wide.end() - width);
+  std::copy(h.begin(), h.begin() + kWidth, wide.end() - kWidth);
   return Fr::from_be_bytes_mod(std::span<const std::uint8_t, 32>(wide));
 }
 
@@ -439,7 +437,6 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   SettlementOutcome out;
   out.ok.assign(instances.size(), false);
   if (instances.empty()) return out;
-  const std::size_t weight_width = options.reduced_soundness_weights ? 8 : 16;
 
   // A single-instance batch settles by its exact check alone — skip the
   // random-weight material entirely (this makes deferred settlement of a
@@ -490,7 +487,7 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
             t.zeta = hash_gt_to_fr(p.big_r);
             t.gt = p.big_r;
           }
-          if (need_weights) t.rho = weight_at(weight_seed, i, weight_width);
+          if (need_weights) t.rho = weight_at(weight_seed, i);
           t.valid = true;
         }
       });

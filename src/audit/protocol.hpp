@@ -218,14 +218,6 @@ struct SettlementOutcome {
 
 /// Engine knobs for verify_settlement.
 struct SettlementOptions {
-  /// Soundness-budget gate: the default random weights are 128 bits, leaving
-  /// a residual forgery probability of ~2^-128 per batch. Setting this flag
-  /// truncates them to 64 bits — halving the weighting MSM scalar lengths
-  /// and the GT multi-exponentiation chain — at ~2^-64 per batch. That is
-  /// still far below any economic attack threshold for per-round escrow
-  /// stakes, but it is a protocol-level soundness decision, so it must be
-  /// opted into explicitly rather than defaulted.
-  bool reduced_soundness_weights = false;
   /// Also compute SettlementOutcome::aggregated_opening (one extra G1 MSM
   /// over the batch). Off by default so legacy settlement paths stay
   /// bit-and-cost identical; BatchSettlement turns it on when it posts
@@ -235,7 +227,7 @@ struct SettlementOptions {
 
 /// Settles any mix of Eq. 1 / Eq. 2 rounds spanning files, keys and
 /// contracts in (nearly) one verification: every instance's pairing equation
-/// is scaled by a random weight (128-bit by default; see SettlementOptions)
+/// is scaled by a random weight (128 bits)
 /// derived from `weight_seed` and the instance position, and all terms
 /// aggregate per fixed G2 point — the generator term is shared globally,
 /// epsilon/delta per distinct key, so a clean batch costs exactly

@@ -16,18 +16,16 @@ namespace {
 /// generic Fp12 multiply ~ 2 cyclotomic squarings): per base, building the
 /// table costs `tsize - 1` multiplies and the scan multiplies once per
 /// (worst case, every) window position; the shared chain pays w squarings
-/// per position regardless of n. `signed_digits` halves the table size
-/// (powers 1..2^{w-1}; negatives are free conjugates). Depends only on
-/// (n, bits, signedness), so the chosen width — and therefore the exact
-/// multiplication sequence — is identical at every thread count and on
-/// every platform.
-unsigned pick_window(std::size_t n, unsigned bits, bool signed_digits) {
+/// per position regardless of n. Signed digits keep the table at powers
+/// 1..2^{w-1} (negatives are free conjugates). Depends only on (n, bits),
+/// so the chosen width — and therefore the exact multiplication sequence —
+/// is identical at every thread count and on every platform.
+unsigned pick_window(std::size_t n, unsigned bits) {
   unsigned best_w = 1;
   std::uint64_t best_cost = ~std::uint64_t{0};
   for (unsigned w = 1; w <= 7; ++w) {
     const std::uint64_t positions = (bits + w - 1) / w;
-    const std::uint64_t table = signed_digits ? (std::uint64_t{1} << (w - 1)) - 1
-                                              : (std::uint64_t{1} << w) - 2;
+    const std::uint64_t table = (std::uint64_t{1} << (w - 1)) - 1;
     const std::uint64_t mults = n * (table + positions);
     const std::uint64_t cost = 2 * mults + positions * w;
     if (cost < best_cost) {
@@ -51,7 +49,7 @@ Fp12 Fp12::multi_pow(std::span<const Fp12> bases, std::span<const U256> exps) {
   if (bits == 0) return one();
   if (n == 1) return bases[0].cyclotomic_pow_compressed(exps[0]);
 
-  const unsigned w = pick_window(n, bits, /*signed_digits=*/true);
+  const unsigned w = pick_window(n, bits);
   const std::uint64_t half = std::uint64_t{1} << (w - 1);
   const std::size_t tsize = half;
   // table[i * tsize + (d - 1)] = bases[i]^d for d = 1..2^{w-1}: half the
@@ -99,45 +97,6 @@ Fp12 Fp12::multi_pow(std::span<const Fp12> bases, std::span<const U256> exps) {
       } else if (d < 0) {
         acc *= table[i * tsize + (-d) - 1].conjugate();
       }
-    }
-  }
-  return acc;
-}
-
-Fp12 Fp12::multi_pow_unsigned(std::span<const Fp12> bases,
-                              std::span<const U256> exps) {
-  if (bases.size() != exps.size()) {
-    throw std::invalid_argument("Fp12::multi_pow_unsigned: bases/exps size mismatch");
-  }
-  const std::size_t n = bases.size();
-  if (n == 0) return one();
-  unsigned bits = 0;
-  for (const U256& e : exps) bits = std::max(bits, e.bit_length());
-  if (bits == 0) return one();
-  if (n == 1) return bases[0].cyclotomic_pow_compressed(exps[0]);
-
-  const unsigned w = pick_window(n, bits, /*signed_digits=*/false);
-  const std::size_t tsize = (std::size_t{1} << w) - 1;
-  // table[i * tsize + (d - 1)] = bases[i]^d for digits d = 1..2^w - 1. The
-  // d = 2 entry comes from a cyclotomic squaring, the rest from one multiply
-  // each off the previous power.
-  std::vector<Fp12> table(n * tsize);
-  for (std::size_t i = 0; i < n; ++i) {
-    Fp12* row = table.data() + i * tsize;
-    row[0] = bases[i];
-    if (tsize >= 2) row[1] = bases[i].cyclotomic_square();
-    for (std::size_t d = 3; d <= tsize; ++d) row[d - 1] = row[d - 2] * bases[i];
-  }
-
-  const unsigned positions = (bits + w - 1) / w;
-  Fp12 acc = one();
-  for (unsigned pos = positions; pos-- > 0;) {
-    if (pos + 1 != positions) {
-      for (unsigned s = 0; s < w; ++s) acc = acc.cyclotomic_square();
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      const u64 d = exps[i].extract_window(pos * w, w);
-      if (d != 0) acc *= table[i * tsize + d - 1];
     }
   }
   return acc;

@@ -250,11 +250,8 @@ class Fp12 {
   /// with a carry, so each base stores only the powers 1..2^{w-1} — half the
   /// unsigned table and its cache pressure — and negative digits multiply by
   /// the conjugate, which inverts for free on the unit-norm cyclotomic
-  /// subgroup. multi_pow_unsigned keeps the full-table variant as the
-  /// differential/bench reference.
+  /// subgroup.
   static Fp12 multi_pow(std::span<const Fp12> bases, std::span<const U256> exps);
-  static Fp12 multi_pow_unsigned(std::span<const Fp12> bases,
-                                 std::span<const U256> exps);
 
   /// p^6-power Frobenius; for elements of the cyclotomic subgroup (unit
   /// norm) this equals the inverse.

@@ -52,11 +52,6 @@ NetworkSim::NetworkSim(NetworkConfig config)
   adversary_.assign(config_.num_providers, nullptr);
 }
 
-void NetworkSim::set_behavior(const std::string& provider, ProviderBehavior b) {
-  if (deployed_) throw std::logic_error("NetworkSim: set_behavior before deploy");
-  behavior_[provider] = b;
-}
-
 void NetworkSim::set_fault_schedule(FaultSchedule schedule) {
   if (deployed_) {
     throw std::logic_error("NetworkSim: set_fault_schedule before deploy");
@@ -87,21 +82,6 @@ void NetworkSim::set_adversaries(const attack::AdversaryRoster& roster) {
   }
 }
 
-ProviderBehavior NetworkSim::behavior_of(const std::string& provider) const {
-  if (auto it = behavior_.find(provider); it != behavior_.end()) {
-    return it->second;
-  }
-  return ProviderBehavior::Honest;
-}
-
-const audit::Verifier* NetworkSim::shared_verifier_for(std::size_t owner) const {
-  if (config_.key_pool) return pool_verifiers_[owner % config_.key_pool].get();
-  if (config_.retention == chain::Retention::Streaming) {
-    return owner_verifiers_[owner].get();
-  }
-  return nullptr;  // legacy layout: every contract owns a prepared verifier
-}
-
 std::vector<std::uint8_t> NetworkSim::owner_data_of(std::size_t owner) const {
   if (config_.retention == chain::Retention::Full) return owner_data_[owner];
   std::vector<std::uint8_t> data(config_.file_bytes);
@@ -121,7 +101,6 @@ std::vector<std::vector<std::uint8_t>> NetworkSim::owner_shards_of(
 void NetworkSim::push_hot(std::uint32_t provider_index) {
   hot_provider_.push_back(provider_index);
   hot_flags_.push_back(kShardOk);
-  hot_corruption_.push_back(static_cast<std::uint8_t>(Corruption::None));
   hot_next_due_.push_back(0);
   hot_rounds_done_.push_back(0);
 }
@@ -157,7 +136,6 @@ void NetworkSim::deploy() {
   // thousands of contracts on one provider. Owners' demand is known now;
   // providers are topped up after placement below. Both top-ups are zero
   // whenever the flat mint suffices, keeping every pinned ledger constant.
-  std::vector<ProviderBehavior> behaviors;
   for (std::size_t o = 0; o < config_.num_owners; ++o) {
     std::string owner = "owner-" + std::to_string(o);
     // Premium-tier owners (premium_owner_stride) lock twice the rewards.
@@ -182,7 +160,11 @@ void NetworkSim::deploy() {
       auto dep = std::make_unique<Deployment>();
       dep->placement = {o, sh, provider};
       dep->name = audit::Fr::random(rng_);
-      behaviors.push_back(behavior_of(provider));
+      // Private-proof masking randomness: its own stream per deployment.
+      dep->prover_rng = std::make_unique<primitives::SecureRng>(
+          primitives::SecureRng::deterministic(
+              config_.rng_seed ^
+              (0x9E3779B97F4A7C15ULL * (deployments_.size() + 1))));
       current_dep_[o][sh] = deployments_.size();
       push_hot(static_cast<std::uint32_t>(provider_index_.at(provider)));
       deployments_.push_back(std::move(dep));
@@ -208,104 +190,44 @@ void NetworkSim::deploy() {
     }
   }
 
-  // Phase 2 (parallel): key generation. Each keypair comes from an RNG
-  // derived from the network seed and its slot index (the same scheme as the
-  // per-deployment prover RNGs), so concurrently generated keys never share
-  // an RNG stream and the output is byte-identical at every DSAUDIT_THREADS
-  // setting. With a key pool, owners share config_.key_pool keypairs and
-  // every contract borrows one of as many shared prepared Verifiers — the
-  // per-contract verifier tables are what dominate memory at 10^5+ owners.
-  // Keys are sized up front: provers, verifiers and contracts borrow them
-  // for their whole lifetime, so nothing may reallocate underneath.
-  if (config_.key_pool > 0) {
-    pool_keys_.resize(config_.key_pool);
-    parallel::parallel_for(config_.key_pool, [&](std::size_t k) {
-      auto key_rng = primitives::SecureRng::deterministic(
-          config_.rng_seed ^ (0xC2B2AE3D27D4EB4FULL * (k + 1)));
-      pool_keys_[k] = audit::keygen(config_.s, key_rng);
-    });
-    pool_verifiers_.resize(config_.key_pool);
-    parallel::parallel_for(config_.key_pool, [&](std::size_t k) {
-      pool_verifiers_[k] = std::make_unique<audit::Verifier>(pool_keys_[k].pk);
-    });
-  } else {
-    owner_keys_.resize(config_.num_owners);
-    parallel::parallel_for(config_.num_owners, [&](std::size_t o) {
-      auto key_rng = primitives::SecureRng::deterministic(
-          config_.rng_seed ^ (0xC2B2AE3D27D4EB4FULL * (o + 1)));
-      owner_keys_[o] = audit::keygen(config_.s, key_rng);
-    });
-    if (streaming) {
-      // No pool, but contracts still must not each own a verifier: share one
-      // prepared verifier per owner across its shard contracts.
-      owner_verifiers_.resize(config_.num_owners);
-      parallel::parallel_for(config_.num_owners, [&](std::size_t o) {
-        owner_verifiers_[o] =
-            std::make_unique<audit::Verifier>(owner_keys_[o].pk);
-      });
-    }
-  }
+  // Phase 2 (parallel): one keypair and one prepared Verifier per key slot
+  // (per owner, or per pool slot with key_pool). Each keypair comes from an
+  // RNG derived from the network seed and its slot index (the same scheme as
+  // the per-deployment prover RNGs), so concurrently generated keys never
+  // share an RNG stream and the output is byte-identical at every
+  // DSAUDIT_THREADS setting. Every contract borrows its slot's verifier: the
+  // verifier tables are what dominate memory at 10^5+ owners. Keys are sized
+  // up front: provers, verifiers and contracts borrow them for their whole
+  // lifetime, so nothing may reallocate underneath.
+  const std::size_t num_keys =
+      config_.key_pool > 0 ? config_.key_pool : config_.num_owners;
+  keys_.resize(num_keys);
+  verifiers_.resize(num_keys);
+  parallel::parallel_for(num_keys, [&](std::size_t k) {
+    auto key_rng = primitives::SecureRng::deterministic(
+        config_.rng_seed ^ (0xC2B2AE3D27D4EB4FULL * (k + 1)));
+    keys_[k] = audit::keygen(config_.s, key_rng);
+    verifiers_[k] = std::make_unique<audit::Verifier>(keys_[k].pk);
+  });
 
   // Phase 3 (parallel): the heavy per-deployment crypto. Full retention
-  // materializes everything — file encoding, failure injection on the held
-  // copy, tag generation, the prover's prepared MSM tables and the
-  // verifier-side per-file context — exactly as the original simulator did.
-  // Streaming computes the same tags over the same Fr values but keeps only
-  // the tag and the chunk count: data is regenerated and a transient prover
-  // built per challenge (streaming_prove), and contracts verify through the
-  // cold per-round path. Whole deployments shard across the pool; the
+  // materializes everything — the held file, tag generation, the prover's
+  // prepared MSM tables and the verifier-side per-file context. Streaming
+  // computes the same tags over the same Fr values but keeps only the tag
+  // and the chunk count: data is regenerated and a transient prover built
+  // per challenge (streaming_prove), and contracts verify through the cold
+  // per-round path. Whole deployments shard across the pool; the
   // primitives' own inner sharding collapses inline on workers.
-  std::vector<audit::PreparedFile> file_ctxs;
-  if (!streaming) file_ctxs.resize(deployments_.size());
   parallel::parallel_for(deployments_.size(), [&](std::size_t i) {
-    Deployment& dep = *deployments_[i];
-    const std::size_t o = dep.placement.owner;
-    const audit::KeyPair& kp = key_of(o);
-    if (streaming) {
-      auto shards = owner_shards_of(o);
-      auto file = storage::encode_file(shards[dep.placement.shard], config_.s);
-      dep.num_chunks = file.num_chunks();
-      dep.tag = audit::generate_tags(kp.sk, kp.pk, file, dep.name,
-                                     parallel::thread_count());
-      if (behaviors[i] == ProviderBehavior::DropsData) {
-        hot_corruption_[i] = static_cast<std::uint8_t>(Corruption::DropChunk);
-      }
-    } else {
-      dep.file = storage::encode_file(owner_shards_[o][dep.placement.shard],
-                                      config_.s);
-      dep.held = dep.file;
-      dep.num_chunks = dep.file.num_chunks();
-      dep.tag = audit::generate_tags(kp.sk, kp.pk, dep.file, dep.name,
-                                     parallel::thread_count());
-      if (behaviors[i] == ProviderBehavior::DropsData) {
-        for (auto& b : dep.held.chunks[0]) b = audit::Fr::zero();
-        hot_corruption_[i] = static_cast<std::uint8_t>(Corruption::DropChunk);
-      }
-      // Contract-serving provers answer num_audits rounds: build both
-      // prepared MSM tables (psi over the SRS powers, sigma over the tags).
-      dep.prover = std::make_unique<audit::Prover>(
-          kp.pk, dep.held, dep.tag, /*prepare_psi=*/true,
-          /*prepare_sigma=*/true);
-      file_ctxs[i] = audit::prepare_file(dep.name, dep.num_chunks);
-    }
+    materialize(*deployments_[i], regenerate_held(i));
   });
 
   // Phase 4 (sequential): contracts and their chain transactions, in
   // deployment order — addresses, tx ordering and escrow flows are chain
   // state and stay single-threaded.
   for (std::size_t i = 0; i < deployments_.size(); ++i) {
-    Deployment& dep = *deployments_[i];
-    if (behaviors[i] != ProviderBehavior::Unresponsive ||
-        adversary_of(i) != nullptr) {
-      dep.prover_rng = std::make_unique<primitives::SecureRng>(
-          primitives::SecureRng::deterministic(
-              config_.rng_seed ^ (0x9E3779B97F4A7C15ULL * (i + 1))));
-    }
-    install_contract(dep, i, config_.num_audits,
-                     streaming ? std::optional<audit::PreparedFile>{}
-                               : std::optional<audit::PreparedFile>(
-                                     std::move(file_ctxs[i])));
-    placements_.push_back(dep.placement);
+    install_contract(*deployments_[i], i, config_.num_audits);
+    placements_.push_back(deployments_[i]->placement);
   }
 
   // Fault events become sequential chain actions at their instants; every
@@ -320,37 +242,56 @@ void NetworkSim::deploy() {
   initial_money_ = total_money();
 }
 
-std::optional<std::vector<std::uint8_t>> NetworkSim::streaming_prove(
-    std::size_t dep_index, const audit::Challenge& chal,
-    primitives::SecureRng& rng) const {
-  const Deployment& dep = *deployments_[dep_index];
-  const std::size_t o = dep.placement.owner;
-  // Regenerate this deployment's chunks from the owner seed (repaired shards
-  // carry byte-identical content to the originals — reconstruction equality
-  // is checked before any repair proceeds), apply the provider's corruption
-  // state, and prove through a transient table-less prover. Same Fr values
-  // as the materialized path; nothing retained afterwards.
-  auto shards = owner_shards_of(o);
+void NetworkSim::materialize(Deployment& dep, storage::EncodedFile file) const {
+  const audit::KeyPair& kp = key_of(dep.placement.owner);
+  dep.num_chunks = file.num_chunks();
+  dep.tag = audit::generate_tags(kp.sk, kp.pk, file, dep.name,
+                                 parallel::thread_count());
+  if (config_.retention == chain::Retention::Streaming) return;
+  dep.held = std::move(file);
+  // Contract-serving provers answer num_audits rounds: build both prepared
+  // MSM tables (psi over the SRS powers, sigma over the tags).
+  dep.prover = std::make_unique<audit::Prover>(kp.pk, dep.held, dep.tag,
+                                               /*prepare_psi=*/true,
+                                               /*prepare_sigma=*/true);
+  dep.file_ctx = std::make_unique<audit::PreparedFile>(
+      audit::prepare_file(dep.name, dep.num_chunks));
+}
+
+storage::EncodedFile NetworkSim::regenerate_held(std::size_t dep_index) const {
+  // Regenerate this deployment's chunks from the owner's shards (repaired
+  // shards carry byte-identical content to the originals — reconstruction
+  // equality is checked before any repair proceeds) and apply the shard-loss
+  // state. Same Fr values as the materialized path.
+  const Placement& pl = deployments_[dep_index]->placement;
   storage::EncodedFile held =
-      storage::encode_file(shards[dep.placement.shard], config_.s);
-  switch (static_cast<Corruption>(hot_corruption_[dep_index])) {
-    case Corruption::DropChunk:
-      for (auto& b : held.chunks[0]) b = audit::Fr::zero();
-      break;
-    case Corruption::AllZero:
-      for (auto& chunk : held.chunks) {
-        for (auto& b : chunk) b = audit::Fr::zero();
-      }
-      break;
-    case Corruption::None:
-      break;
+      storage::encode_file(owner_shards_of(pl.owner)[pl.shard], config_.s);
+  if (flag(dep_index, kZeroed)) {
+    for (auto& chunk : held.chunks) {
+      for (auto& b : chunk) b = audit::Fr::zero();
+    }
   }
-  audit::Prover prover(key_of(o).pk, held, dep.tag, /*prepare_psi=*/false,
-                       /*prepare_sigma=*/false);
+  return held;
+}
+
+std::vector<std::uint8_t> NetworkSim::prove_bytes(
+    const audit::Prover& prover, const audit::Challenge& chal,
+    primitives::SecureRng& rng) const {
   if (config_.private_proofs) {
     return audit::serialize(prover.prove_private(chal, rng));
   }
   return audit::serialize(prover.prove(chal));
+}
+
+std::vector<std::uint8_t> NetworkSim::streaming_prove(
+    std::size_t dep_index, const audit::Challenge& chal,
+    primitives::SecureRng& rng) const {
+  // A transient table-less prover; nothing retained afterwards.
+  const Deployment& dep = *deployments_[dep_index];
+  const storage::EncodedFile held = regenerate_held(dep_index);
+  audit::Prover prover(key_of(dep.placement.owner).pk, held, dep.tag,
+                       /*prepare_psi=*/false, /*prepare_sigma=*/false);
+  return prove_bytes(prover, chal, rng);
 }
 
 attack::AdversaryContext NetworkSim::adversary_context(
@@ -376,27 +317,13 @@ std::optional<std::vector<std::uint8_t>> NetworkSim::adversarial_prove(
   const auto action = adv.decide(ctx, chal);
   if (action == attack::AdversaryAction::NoAnswer) return std::nullopt;
 
-  // Regenerate the held chunks exactly as streaming_prove does (identical Fr
-  // values in both retention modes), apply any fault corruption, then — for
-  // a cheating answer — zero every chunk the strategy does not actually
-  // hold: the proof fails exactly when the challenge touches one.
+  // Regenerate the held chunks (identical Fr values in both retention
+  // modes, fault corruption applied), then — for a cheating answer — zero
+  // every chunk the strategy does not actually hold: the proof fails exactly
+  // when the challenge touches one.
   const Deployment& dep = *deployments_[dep_index];
   const std::size_t o = dep.placement.owner;
-  auto shards = owner_shards_of(o);
-  storage::EncodedFile held =
-      storage::encode_file(shards[dep.placement.shard], config_.s);
-  switch (static_cast<Corruption>(hot_corruption_[dep_index])) {
-    case Corruption::DropChunk:
-      for (auto& b : held.chunks[0]) b = audit::Fr::zero();
-      break;
-    case Corruption::AllZero:
-      for (auto& chunk : held.chunks) {
-        for (auto& b : chunk) b = audit::Fr::zero();
-      }
-      break;
-    case Corruption::None:
-      break;
-  }
+  storage::EncodedFile held = regenerate_held(dep_index);
   if (action == attack::AdversaryAction::CorruptProof) {
     for (std::size_t i = 0; i < held.chunks.size(); ++i) {
       if (!adv.holds_chunk(ctx, i)) {
@@ -407,24 +334,20 @@ std::optional<std::vector<std::uint8_t>> NetworkSim::adversarial_prove(
   audit::Prover prover(key_of(o).pk, held, dep.tag, /*prepare_psi=*/false,
                        /*prepare_sigma=*/false);
   std::vector<std::uint8_t> bytes;
-  if (config_.private_proofs) {
-    if (action == attack::AdversaryAction::GrindProof) {
-      // Grind the masking randomness: several VALID proofs, submit the
-      // lexicographically smallest serialization (a bid to bias the batch
-      // transcript and, through it, the Fiat–Shamir weight seed). The
-      // grinder pays candidates-1 extra provings for it.
-      const std::size_t g = std::max<std::size_t>(1, adv.grind_candidates());
-      for (std::size_t c = 0; c < g; ++c) {
-        auto candidate = audit::serialize(prover.prove_private(chal, rng));
-        if (bytes.empty() || candidate < bytes) bytes = std::move(candidate);
-      }
-    } else {
-      bytes = audit::serialize(prover.prove_private(chal, rng));
+  if (action == attack::AdversaryAction::GrindProof && config_.private_proofs) {
+    // Grind the masking randomness: several VALID proofs, submit the
+    // lexicographically smallest serialization (a bid to bias the batch
+    // transcript and, through it, the Fiat–Shamir weight seed). The grinder
+    // pays candidates-1 extra provings for it. Basic proofs are
+    // deterministic — nothing to grind; the strategy degenerates to an
+    // honest (valid) answer.
+    const std::size_t g = std::max<std::size_t>(1, adv.grind_candidates());
+    for (std::size_t c = 0; c < g; ++c) {
+      auto candidate = audit::serialize(prover.prove_private(chal, rng));
+      if (bytes.empty() || candidate < bytes) bytes = std::move(candidate);
     }
   } else {
-    // Basic proofs are deterministic — nothing to grind; the strategy
-    // degenerates to an honest (valid) answer.
-    bytes = audit::serialize(prover.prove(chal));
+    bytes = prove_bytes(prover, chal, rng);
   }
   if (action == attack::AdversaryAction::MalformedProof) {
     bytes = attack::corpus::corrupt_proof(
@@ -434,8 +357,7 @@ std::optional<std::vector<std::uint8_t>> NetworkSim::adversarial_prove(
 }
 
 void NetworkSim::install_contract(Deployment& dep, std::size_t dep_index,
-                                  std::uint64_t num_audits,
-                                  std::optional<audit::PreparedFile> prepared) {
+                                  std::uint64_t num_audits) {
   const std::size_t o = dep.placement.owner;
   const bool streaming = config_.retention == chain::Retention::Streaming;
   contract::ContractTerms terms;
@@ -460,73 +382,46 @@ void NetworkSim::install_contract(Deployment& dep, std::size_t dep_index,
     terms.retained_events = 4;
   }
 
-  const audit::Verifier* shared = shared_verifier_for(o);
-  if (shared) {
-    if (prepared) {
-      dep.file_ctx =
-          std::make_unique<audit::PreparedFile>(std::move(*prepared));
-    }
-    dep.contract = std::make_unique<contract::AuditContract>(
-        chain_, *beacon_, terms, *shared, dep.name, dep.num_chunks,
-        dep.file_ctx.get());
-  } else {
-    dep.contract = std::make_unique<contract::AuditContract>(
-        chain_, *beacon_, terms, key_of(o).pk, dep.name, dep.num_chunks,
-        std::move(prepared));
-  }
+  dep.contract = std::make_unique<contract::AuditContract>(
+      chain_, *beacon_, terms, *verifiers_[key_slot(o)], dep.name,
+      dep.num_chunks, dep.file_ctx.get());
   if (batch_) dep.contract->enable_deferred_settlement(*batch_);
+  // A challenge issued while the provider is crashed, exited or inside an
+  // offline/proof-fault gap goes unanswered — adversaries included; the
+  // round times out (and retries, if the terms allow).
+  const FaultView* faults = have_faults_ ? &fault_view_ : nullptr;
+  primitives::SecureRng* rng = dep.prover_rng.get();
+  const std::size_t pidx = hot_provider_[dep_index];
   const attack::AdversaryStrategy* adv = adversary_of(dep_index);
   if (adv != nullptr) {
     // Byzantine responder: the strategy decides, the sim executes. Decisions
     // are pure functions of (ctx, challenge), so the concurrent prepare
     // stages here, the sequential classification in on_round below and the
     // stats_by_walk() oracle always agree on what this round was.
-    const FaultView* faults = have_faults_ ? &fault_view_ : nullptr;
-    primitives::SecureRng* rng = dep.prover_rng.get();
-    const std::size_t pidx = hot_provider_[dep_index];
     const attack::AdversaryContext ctx = adversary_context(dep_index);
     dep.contract->set_responder(
         [this, dep_index, ctx, adv, rng, faults, pidx](
             const audit::Challenge& chal)
             -> std::optional<std::vector<std::uint8_t>> {
           if (faults && !faults->available(pidx, chain_.now())) {
-            return std::nullopt;  // even adversaries sit out fault gaps
+            return std::nullopt;
           }
           return adversarial_prove(dep_index, ctx, *adv, chal, *rng);
         });
-  } else if (behavior_of(dep.placement.provider) !=
-             ProviderBehavior::Unresponsive) {
-    const FaultView* faults = have_faults_ ? &fault_view_ : nullptr;
-    if (streaming) {
-      primitives::SecureRng* rng = dep.prover_rng.get();
-      const std::size_t pidx = hot_provider_[dep_index];
-      dep.contract->set_responder(
-          [this, dep_index, rng, faults, pidx](const audit::Challenge& chal)
-              -> std::optional<std::vector<std::uint8_t>> {
-            if (faults && !faults->available(pidx, chain_.now())) {
-              return std::nullopt;
-            }
-            return streaming_prove(dep_index, chal, *rng);
-          });
-    } else {
-      audit::Prover* prover = dep.prover.get();
-      bool priv = config_.private_proofs;
-      primitives::SecureRng* rng = dep.prover_rng.get();
-      const std::size_t pidx = hot_provider_[dep_index];
-      const chain::Blockchain* chain = &chain_;
-      dep.contract->set_responder(
-          [prover, priv, rng, faults, pidx, chain](const audit::Challenge& chal)
-              -> std::optional<std::vector<std::uint8_t>> {
-            // A challenge issued while the provider is crashed, exited or
-            // inside an offline/proof-fault gap goes unanswered; the round
-            // times out (and retries, if the terms allow).
-            if (faults && !faults->available(pidx, chain->now())) {
-              return std::nullopt;
-            }
-            if (priv) return audit::serialize(prover->prove_private(chal, *rng));
-            return audit::serialize(prover->prove(chal));
-          });
-    }
+  } else {
+    // Full retention answers from the prepared prover; streaming (null
+    // prover) regenerates per challenge.
+    const audit::Prover* prover = dep.prover.get();
+    dep.contract->set_responder(
+        [this, dep_index, prover, rng, faults, pidx](
+            const audit::Challenge& chal)
+            -> std::optional<std::vector<std::uint8_t>> {
+          if (faults && !faults->available(pidx, chain_.now())) {
+            return std::nullopt;
+          }
+          if (prover == nullptr) return streaming_prove(dep_index, chal, *rng);
+          return prove_bytes(*prover, chal, *rng);
+        });
   }
   // Incremental population aggregates: every terminal round folds in here,
   // so stats() never walks history (which streaming mode trims anyway).
@@ -542,11 +437,7 @@ void NetworkSim::install_contract(Deployment& dep, std::size_t dep_index,
           // Adversary bookkeeping, in the sequential action phase. The
           // strategy's decision is re-derived from the settled challenge —
           // pure, so it matches what the responder actually did.
-          const bool corrupted =
-              hot_corruption_[dep_index] !=
-                  static_cast<std::uint8_t>(Corruption::None) ||
-              behavior_of(deployments_[dep_index]->placement.provider) !=
-                  ProviderBehavior::Honest;
+          const bool corrupted = flag(dep_index, kZeroed);
           const attack::AdversaryAction action =
               adv ? adv->decide(adversary_context(dep_index), r.challenge)
                   : attack::AdversaryAction::Honest;
@@ -667,7 +558,7 @@ void NetworkSim::apply_fault(const FaultEvent& ev, chain::Timestamp now) {
         // proof must fail verification. Full retention zeroes the
         // materialized held copy (the prepared prover references it);
         // streaming records the corruption and applies it at regeneration.
-        hot_corruption_[i] = static_cast<std::uint8_t>(Corruption::AllZero);
+        set_flag(i, kZeroed);
         if (config_.retention == chain::Retention::Full) {
           for (auto& chunk : d.held.chunks) {
             for (auto& b : chunk) b = audit::Fr::zero();
@@ -737,10 +628,6 @@ void NetworkSim::run_repair(std::size_t dep_index, chain::Timestamp now) {
   for (std::size_t j = 0; j < shards_per_owner; ++j) {
     const std::size_t di = current_dep_[o][j];
     if (flag(di, kRetired) || !flag(di, kShardOk)) continue;
-    if (behavior_of(deployments_[di]->placement.provider) !=
-        ProviderBehavior::Honest) {
-      continue;
-    }
     survivors.emplace_back(j, oshards[j]);
   }
   storage::ReedSolomon rs(config_.erasure_data, config_.erasure_parity);
@@ -780,7 +667,6 @@ void NetworkSim::run_repair(std::size_t dep_index, chain::Timestamp now) {
   }
 
   ++churn_.repairs;
-  const bool streaming = config_.retention == chain::Retention::Streaming;
   auto nd = std::make_unique<Deployment>();
   nd->placement = {o, sh, "provider-" + std::to_string(*target)};
   // One fresh RNG per repair, derived from the network seed and the repair
@@ -798,19 +684,7 @@ void NetworkSim::run_repair(std::size_t dep_index, chain::Timestamp now) {
   // the tag and chunk count; the shard bytes themselves are reproducible
   // from the owner seed (reconstruction equality was just checked), so
   // streaming_prove serves repair deployments through the same regeneration.
-  auto nd_file = storage::encode_file(shards[sh], config_.s);
-  nd->num_chunks = nd_file.num_chunks();
-  nd->tag = audit::generate_tags(key_of(o).sk, key_of(o).pk, nd_file, nd->name,
-                                 parallel::thread_count());
-  std::optional<audit::PreparedFile> file_ctx;
-  if (!streaming) {
-    nd->file = std::move(nd_file);
-    nd->held = nd->file;
-    nd->prover = std::make_unique<audit::Prover>(key_of(o).pk, nd->held,
-                                                 nd->tag, /*prepare_psi=*/true,
-                                                 /*prepare_sigma=*/true);
-    file_ctx = audit::prepare_file(nd->name, nd->num_chunks);
-  }
+  materialize(*nd, storage::encode_file(shards[sh], config_.s));
 
   // The repair tx: the replacement shard's tag set plus the placement record
   // go on chain, priced by the econ repair row (kept out of the round-based
@@ -838,8 +712,7 @@ void NetworkSim::run_repair(std::size_t dep_index, chain::Timestamp now) {
   push_hot(static_cast<std::uint32_t>(*target));
   deployments_.push_back(std::move(nd));
   if (remaining > 0) {
-    install_contract(*deployments_[new_index], new_index, remaining,
-                     std::move(file_ctx));
+    install_contract(*deployments_[new_index], new_index, remaining);
   }
   (void)now;
 }
@@ -1029,10 +902,6 @@ bool NetworkSim::owner_can_recover(std::size_t owner) const {
   for (std::size_t j = 0; j < shards_per_owner; ++j) {
     const std::size_t di = current_dep_[owner][j];
     if (flag(di, kRetired) || !flag(di, kShardOk)) continue;
-    if (behavior_of(deployments_[di]->placement.provider) !=
-        ProviderBehavior::Honest) {
-      continue;
-    }
     available[j] = oshards[j];
   }
   auto rec = rs.reconstruct(available, odata.size());
@@ -1147,18 +1016,10 @@ void NetworkSim::check_invariants() const {
   if (advc_.replays_accepted != 0) {
     fail("settlement accepted a replayed weight seed");
   }
-  // Recoverability or declared loss, per owner. Legacy behavior injection
-  // (set_behavior) breaks recoverability outside the fault engine's books,
-  // so the check applies only to fault-schedule-driven runs.
-  bool legacy_faulty = false;
-  for (const auto& [name, b] : behavior_) {
-    legacy_faulty |= b != ProviderBehavior::Honest;
-  }
-  if (!legacy_faulty) {
-    for (std::size_t o = 0; o < config_.num_owners; ++o) {
-      if (!owner_can_recover(o) && !data_lost_[o]) {
-        fail("owner " + std::to_string(o) + " lost data without declaration");
-      }
+  // Recoverability or declared loss, per owner.
+  for (std::size_t o = 0; o < config_.num_owners; ++o) {
+    if (!owner_can_recover(o) && !data_lost_[o]) {
+      fail("owner " + std::to_string(o) + " lost data without declaration");
     }
   }
   // Terminal disposition: every fault-invalidated shard was either repaired

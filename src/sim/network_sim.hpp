@@ -4,20 +4,33 @@
 //
 // This is the harness behind the system-wide results (§VII-D / Fig. 10):
 // tests and examples use it to measure chain growth, audit pass rates,
-// escrow conservation and provider-side proving load at population scale,
-// with per-provider failure injection (drop data / go offline) and — via
-// set_fault_schedule — the deterministic fault engine (src/sim/fault.hpp):
-// timed crash / offline / shard-loss / proof-fault / early-exit events whose
-// consequences flow through slashing, timeout retries and Reed–Solomon
-// repair onto Chord successors.
+// escrow conservation and provider-side proving load at population scale.
+//
+// Misbehaviour has one model: faults plus adversaries.
+//   - set_fault_schedule installs the deterministic fault engine
+//     (src/sim/fault.hpp): timed crash / offline / shard-loss / proof-fault /
+//     early-exit events whose consequences flow through slashing, timeout
+//     retries and Reed–Solomon repair onto Chord successors.
+//   - set_adversary runs a Byzantine strategy (src/attack/adversary.hpp) in
+//     place of a provider's honest responder.
+// The pre-fault-engine per-provider behaviours map onto these exactly (same
+// passes/fails/timeouts, gas, chain bytes and ledger):
+//
+//   retired behaviour   replacement
+//   DropsData           attack::ColludingStrategy(seed, 1000) — holds every
+//                       chunk but chunk 0, sends a CorruptProof every round
+//   Unresponsive        attack::PartialStorageStrategy(seed, 0, false) —
+//                       holds nothing, stays silent on every challenge
+//   (data loss)         FaultKind::ShardLoss — zeroes the held shard, which
+//                       the repair path then re-deploys or declares lost
 //
 // Memory model (NetworkConfig::retention):
 //
 //   chain::Retention::Full      (default) — every byte materialized: owner
-//     data and shards, per-deployment EncodedFiles (intended + actually-held
-//     copies), prepared Provers, per-contract round history, the full tx /
-//     block vectors. Bit-identical to the historical simulator; the oracle
-//     mode for every exact-constant test.
+//     data and shards, each deployment's held EncodedFile, prepared Provers
+//     and per-file verifier contexts, per-contract round history, the full
+//     tx / block vectors. Bit-identical to the historical simulator; the
+//     oracle mode for every exact-constant test.
 //
 //   chain::Retention::Streaming — O(1) memory per user/round. Owner data and
 //     shard chunks are regenerated on demand from per-owner deterministic
@@ -30,6 +43,9 @@
 //     balances, chain bytes/gas/digest, fault counters — is identical
 //     between the two, because every byte/gas figure derives from sizes and
 //     every outcome from behavior, never from the (different) data bytes.
+//
+// Verifier layout: one prepared Verifier per key (per owner, or per pool
+// slot with key_pool), borrowed by every contract of that key.
 //
 // Hot per-deployment lifecycle state (provider index, shard/corruption
 // flags, next-due instant, settled-round count) lives in struct-of-arrays
@@ -94,26 +110,18 @@ struct NetworkConfig {
   /// for 10^5–10^6-owner runs; Full (default) keeps the historical,
   /// fully-materialized behavior.
   chain::Retention retention = chain::Retention::Full;
-  /// 0 (default): one keypair per owner, and — under full retention — one
-  /// prepared Verifier inside every contract, exactly as before. N >= 1:
-  /// owners share a pool of N keypairs (owner o uses key o % N) and every
-  /// contract borrows one of N shared prepared Verifiers. The per-contract
-  /// verifier tables are what dominate memory at 10^5+ owners; a pool makes
-  /// that cost O(N) instead of O(owners) while keeping per-owner RNG
-  /// streams and all observable statistics unchanged.
+  /// 0 (default): one keypair, and one shared prepared Verifier, per owner.
+  /// N >= 1: owners share a pool of N keypairs (owner o uses key o % N) and
+  /// every contract borrows one of N prepared Verifiers. The verifier tables
+  /// are what dominate memory at 10^5+ owners; a pool makes that cost O(N)
+  /// instead of O(owners) while keeping per-owner RNG streams and all
+  /// observable statistics unchanged.
   std::size_t key_pool = 0;
   /// Contract-value tiers for the selective-responder adversary: 0 (default)
   /// keeps uniform terms; N >= 1 gives owners with o % N == 0 "premium"
   /// contracts at twice the reward AND penalty (funding scales to match).
   /// Zero preserves every pinned ledger constant bit-identically.
   std::size_t premium_owner_stride = 0;
-};
-
-/// Provider misbehaviour knobs for failure injection.
-enum class ProviderBehavior {
-  Honest,       // stores and answers everything
-  DropsData,    // silently zeroes one chunk of every shard it holds
-  Unresponsive  // never answers challenges
 };
 
 struct Placement {
@@ -173,9 +181,6 @@ class NetworkSim {
  public:
   explicit NetworkSim(NetworkConfig config);
 
-  /// Override one provider's behaviour before deploy() (default Honest).
-  void set_behavior(const std::string& provider, ProviderBehavior b);
-
   /// Install a fault schedule before deploy(). Events are applied as
   /// sequential chain actions at their timestamps; availability is served
   /// from an immutable FaultView so concurrently-running prepare stages
@@ -188,8 +193,7 @@ class NetworkSim {
   /// decide() is pure, so concurrent prepare stages, the sequential
   /// classification in on_round and the stats_by_walk() oracle all see the
   /// same action for the same challenge. Composes with set_fault_schedule —
-  /// a fault gap silences the adversary like anyone else. Takes precedence
-  /// over set_behavior for the same provider.
+  /// a fault gap silences the adversary like anyone else.
   void set_adversary(std::size_t provider,
                      std::shared_ptr<const attack::AdversaryStrategy> strategy);
   /// Install a whole roster (index = provider; null entries stay honest).
@@ -231,15 +235,18 @@ class NetworkSim {
   // Deployment introspection for the cross-thread-count differential tests
   // (deploy() shards whole deployments over the pool; keys, tags and the
   // ledger must come out byte-identical at every width).
-  /// Per-owner keypairs; empty when key_pool > 0 (owners share pool keys).
-  const std::vector<audit::KeyPair>& owner_keys() const { return owner_keys_; }
+  /// The keypairs: one per owner, or the key_pool shared pool keys.
+  const std::vector<audit::KeyPair>& keys() const { return keys_; }
   std::size_t num_deployments() const { return deployments_.size(); }
   const audit::FileTag& deployment_tag(std::size_t i) const {
     return deployments_.at(i)->tag;
   }
 
   /// True iff `owner` can still reconstruct its file from live, intact
-  /// shards (original or repaired) held by honest providers.
+  /// shards (original or repaired). Trusts the fault engine's books only: a
+  /// shard counts unless a fault cleared kShardOk or a repair retired it.
+  /// Adversaries keep their shards' flags — what a strategy withholds from
+  /// proofs is a soundness matter, not a recoverability one.
   bool owner_can_recover(std::size_t owner) const;
 
   /// True iff this owner's data was declared lost: fewer than k live shards
@@ -273,8 +280,7 @@ class NetworkSim {
   /// Hot lifecycle state lives in the struct-of-arrays vectors below.
   struct Deployment {
     Placement placement;
-    storage::EncodedFile file;   // full retention: what S *should* hold
-    storage::EncodedFile held;   // full retention: what it actually holds
+    storage::EncodedFile held;   // full retention: what S actually holds
     audit::FileTag tag;
     audit::Fr name;
     std::size_t num_chunks = 0;  // chunks in this shard's encoded file
@@ -284,46 +290,53 @@ class NetworkSim {
     // never share an RNG stream: results stay deterministic at every
     // DSAUDIT_THREADS setting.
     std::unique_ptr<primitives::SecureRng> prover_rng;
-    // Shared-verifier mode: the per-file context the contract borrows (null
-    // under streaming — contracts use the cold verification path).
+    // The per-file verifier context the contract borrows (null under
+    // streaming — contracts use the cold verification path).
     std::unique_ptr<audit::PreparedFile> file_ctx;
     std::unique_ptr<contract::AuditContract> contract;  // null iff a repair
                                                         // had no rounds left
   };
-
-  /// What the provider actually serves for this deployment, relative to the
-  /// intended shard. Full retention applies these to the materialized
-  /// `held` copy at injection time; streaming applies them to the
-  /// regenerated chunks at prove time. Same Fr values either way.
-  enum class Corruption : std::uint8_t { None = 0, DropChunk, AllZero };
 
   // hot_flags_ bits.
   static constexpr std::uint8_t kShardOk = 1;      // shard data still intact
   static constexpr std::uint8_t kNeedsRepair = 2;  // a fault invalidated it
   static constexpr std::uint8_t kRepairDone = 4;   // terminal disposition
   static constexpr std::uint8_t kRetired = 8;      // superseded by a repair
+  // A shard-loss fault zeroed what the provider serves. Full retention
+  // zeroes the materialized `held` copy when the fault lands; streaming
+  // zeroes the regenerated chunks at prove time. Same Fr values either way.
+  static constexpr std::uint8_t kZeroed = 16;
 
-  ProviderBehavior behavior_of(const std::string& provider) const;
-  /// Key serving this owner: its own keypair, or its pool slot.
-  const audit::KeyPair& key_of(std::size_t owner) const {
-    return config_.key_pool ? pool_keys_[owner % config_.key_pool]
-                            : owner_keys_[owner];
+  /// Index into keys_/verifiers_ serving this owner: its own, or its pool
+  /// slot.
+  std::size_t key_slot(std::size_t owner) const {
+    return config_.key_pool ? owner % config_.key_pool : owner;
   }
-  /// Shared prepared verifier for this owner's contracts, or null when each
-  /// contract owns its verifier (full retention without a key pool — the
-  /// historical layout).
-  const audit::Verifier* shared_verifier_for(std::size_t owner) const;
+  const audit::KeyPair& key_of(std::size_t owner) const {
+    return keys_[key_slot(owner)];
+  }
   /// Owner file bytes: the stored copy under full retention, regenerated
   /// from the owner's deterministic seed under streaming.
   std::vector<std::uint8_t> owner_data_of(std::size_t owner) const;
   /// The owner's erasure-coded shards (same sourcing rule).
   std::vector<std::vector<std::uint8_t>> owner_shards_of(std::size_t owner) const;
-  /// Streaming responder backend: regenerate this deployment's encoded
-  /// chunks (applying its corruption state), build a transient table-less
-  /// prover, and serialize the proof.
-  std::optional<std::vector<std::uint8_t>> streaming_prove(
-      std::size_t dep_index, const audit::Challenge& chal,
-      primitives::SecureRng& rng) const;
+  /// Tag `file` (this deployment's shard, encoded) under dep's name and
+  /// owner key; under full retention also keep it as dep.held and build the
+  /// prepared prover and per-file verifier context. Shared by deploy (in
+  /// parallel: it writes only to `dep`) and the repair path.
+  void materialize(Deployment& dep, storage::EncodedFile file) const;
+  /// What this deployment's provider actually holds, regenerated from the
+  /// owner seed (or the stored shards) with the kZeroed state applied.
+  storage::EncodedFile regenerate_held(std::size_t dep_index) const;
+  /// Serialize a basic or private proof, as config_.private_proofs says.
+  std::vector<std::uint8_t> prove_bytes(const audit::Prover& prover,
+                                        const audit::Challenge& chal,
+                                        primitives::SecureRng& rng) const;
+  /// Streaming responder backend: regenerate the held chunks, build a
+  /// transient table-less prover, and serialize the proof.
+  std::vector<std::uint8_t> streaming_prove(std::size_t dep_index,
+                                            const audit::Challenge& chal,
+                                            primitives::SecureRng& rng) const;
   /// The contract-value multiplier of this owner's tier (1, or 2 for
   /// premium owners under premium_owner_stride).
   std::uint64_t tier_multiplier(std::size_t owner) const {
@@ -343,19 +356,19 @@ class NetworkSim {
   /// Adversarial responder backend: evaluate the strategy for this
   /// challenge and produce its answer — honest proof, proof over data with
   /// the strategy's unheld chunks zeroed, ground candidate set, corrupted
-  /// wire bytes, or silence. Regenerates held data like streaming_prove
-  /// (identical Fr values in both retention modes).
+  /// wire bytes, or silence. Proves over regenerate_held (identical Fr
+  /// values in both retention modes).
   std::optional<std::vector<std::uint8_t>> adversarial_prove(
       std::size_t dep_index, const attack::AdversaryContext& ctx,
       const attack::AdversaryStrategy& adv, const audit::Challenge& chal,
       primitives::SecureRng& rng) const;
   /// Shared by deploy() and the repair path: terms from config (with
-  /// `num_audits` rounds), deferred settlement, the fault-aware responder,
-  /// the on-closed/on-round hooks, then negotiated/acked/freeze.
-  /// dep.prover_rng must be set first for any provider that answers.
+  /// `num_audits` rounds), the contract on its owner's shared verifier and
+  /// dep.file_ctx, deferred settlement, the fault-aware responder, the
+  /// on-closed/on-round hooks, then negotiated/acked/freeze. dep.prover_rng
+  /// must be set first.
   void install_contract(Deployment& dep, std::size_t dep_index,
-                        std::uint64_t num_audits,
-                        std::optional<audit::PreparedFile> prepared);
+                        std::uint64_t num_audits);
   void apply_fault(const FaultEvent& ev, chain::Timestamp now);
   void schedule_repair(std::size_t dep_index);
   void run_repair(std::size_t dep_index, chain::Timestamp now);
@@ -377,12 +390,10 @@ class NetworkSim {
   std::unique_ptr<chain::TrustedBeacon> beacon_;
   std::unique_ptr<contract::BatchSettlement> batch_;
   storage::ChordRing ring_;
-  std::map<std::string, ProviderBehavior> behavior_;
-  std::vector<audit::KeyPair> owner_keys_;
-  // Key-pool / shared-verifier state (see NetworkConfig::key_pool).
-  std::vector<audit::KeyPair> pool_keys_;
-  std::vector<std::unique_ptr<audit::Verifier>> pool_verifiers_;
-  std::vector<std::unique_ptr<audit::Verifier>> owner_verifiers_;  // streaming
+  // One keypair and one prepared Verifier per key slot (see key_slot and
+  // NetworkConfig::key_pool); every contract borrows its slot's verifier.
+  std::vector<audit::KeyPair> keys_;
+  std::vector<std::unique_ptr<audit::Verifier>> verifiers_;
   // Full retention only; streaming regenerates via owner_data_of/_shards_of.
   std::vector<std::vector<std::uint8_t>> owner_data_;
   std::vector<std::vector<std::vector<std::uint8_t>>> owner_shards_;
@@ -392,7 +403,6 @@ class NetworkSim {
   // Hot per-deployment state, struct-of-arrays (indexed like deployments_).
   std::vector<std::uint32_t> hot_provider_;      // provider-N namespace index
   std::vector<std::uint8_t> hot_flags_;          // kShardOk | kNeedsRepair...
-  std::vector<std::uint8_t> hot_corruption_;     // Corruption
   std::vector<chain::Timestamp> hot_next_due_;   // next challenge instant
   std::vector<std::uint32_t> hot_rounds_done_;   // settled/aborted rounds
 

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <stdexcept>
 
+#include "attack/adversary.hpp"
 #include "audit/protocol.hpp"
 #include "audit/serialize.hpp"
 #include "pairing/pairing.hpp"
@@ -25,6 +27,11 @@ using audit::Fr;
 using curve::G1;
 using curve::G2;
 using primitives::SecureRng;
+
+// Holds every chunk but chunk 0 and sends a corrupt proof on every challenge.
+std::shared_ptr<const attack::AdversaryStrategy> drops_data() {
+  return std::make_shared<attack::ColludingStrategy>(7, 1000);
+}
 
 /// Runs `body` under each thread count and hands every run's result to
 /// `equal` against the single-thread baseline. Restores the environment
@@ -271,7 +278,7 @@ TEST(ParallelDifferential, BatchedSettlementIdenticalAcrossThreadCounts) {
         c.batched_settlement = true;
         c.batch_gas_discount = true;
         sim::NetworkSim net(c);
-        net.set_behavior("provider-1", sim::ProviderBehavior::DropsData);
+        net.set_adversary(1, drops_data());
         net.deploy();
         net.run_to_completion();
         Results r;
@@ -325,7 +332,7 @@ TEST(ParallelDifferential, DeployKeysTagsAndLedgerByteIdentical) {
         net.deploy();
         net.run_to_completion();
         Results r;
-        for (const auto& kp : net.owner_keys()) {
+        for (const auto& kp : net.keys()) {
           r.pk_bytes.push_back(audit::serialize(kp.pk, true));
         }
         for (std::size_t i = 0; i < net.num_deployments(); ++i) {
@@ -375,7 +382,7 @@ TEST(ParallelDifferential, WindowedSettlementIdenticalAcrossThreadCounts) {
     c.batched_settlement = batched;
     c.settlement_window_s = window;
     sim::NetworkSim net(c);
-    net.set_behavior("provider-1", sim::ProviderBehavior::DropsData);
+    net.set_adversary(1, drops_data());
     net.deploy();
     net.run_to_completion();
     Snapshot s;
@@ -438,7 +445,7 @@ TEST(ParallelDifferential, NetworkSimStatsAndLedgerIdentical) {
         c.challenged_chunks = 999;
         c.private_proofs = true;
         sim::NetworkSim net(c);
-        net.set_behavior("provider-1", sim::ProviderBehavior::DropsData);
+        net.set_adversary(1, drops_data());
         net.deploy();
         net.run_to_completion();
         Results r;

@@ -11,11 +11,12 @@
 // trimmed under streaming).
 #include <gtest/gtest.h>
 
-#include <map>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "attack/adversary.hpp"
 #include "parallel/thread_pool.hpp"
 #include "sim/network_sim.hpp"
 
@@ -191,10 +192,10 @@ std::string sim_fingerprint(const NetworkSim& net, const NetworkConfig& c) {
 
 std::string run_mode(NetworkConfig c, chain::Retention retention,
                      std::optional<std::uint64_t> fault_seed = std::nullopt,
-                     std::map<std::string, sim::ProviderBehavior> behaviors = {}) {
+                     const attack::AdversaryRoster& adversaries = {}) {
   c.retention = retention;
   NetworkSim net(c);
-  for (const auto& [who, b] : behaviors) net.set_behavior(who, b);
+  net.set_adversaries(adversaries);
   if (fault_seed) {
     net.set_fault_schedule(sim::FaultSchedule::random(
         *fault_seed, c.num_providers,
@@ -235,13 +236,17 @@ TEST(ScaleSim, PrivateProofsMatchFullRetention) {
 }
 
 TEST(ScaleSim, MisbehavingProvidersMatchFullRetention) {
+  // provider-0 drops chunk 0 of everything it holds (a corrupt proof every
+  // round); provider-2 holds nothing and never answers.
   const NetworkConfig c = scale_config();
-  const std::map<std::string, sim::ProviderBehavior> behaviors = {
-      {"provider-0", sim::ProviderBehavior::DropsData},
-      {"provider-2", sim::ProviderBehavior::Unresponsive},
-  };
-  EXPECT_EQ(run_mode(c, chain::Retention::Full, std::nullopt, behaviors),
-            run_mode(c, chain::Retention::Streaming, std::nullopt, behaviors));
+  attack::AdversaryRoster adversaries;
+  adversaries.by_provider = {
+      std::make_shared<attack::ColludingStrategy>(7, 1000), nullptr,
+      std::make_shared<attack::PartialStorageStrategy>(
+          7, 0, /*answer_uncovered=*/false)};
+  EXPECT_EQ(
+      run_mode(c, chain::Retention::Full, std::nullopt, adversaries),
+      run_mode(c, chain::Retention::Streaming, std::nullopt, adversaries));
 }
 
 TEST(ScaleSim, ChaosSchedulesMatchFullRetention) {

@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 
+#include "attack/adversary.hpp"
 #include "audit/protocol.hpp"
 #include "audit/serialize.hpp"
 #include "contract/batch_settlement.hpp"
@@ -376,37 +378,6 @@ TEST(Settlement, MixedShapeWindowPairingCountAcrossKeys) {
   }
 }
 
-TEST(Settlement, ReducedSoundnessWeightsAreGatedAndWork) {
-  // The 64-bit-weight mode: explicit opt-in, settles honest windows, still
-  // catches tampering (residual soundness ~2^-64 per batch).
-  auto rng = SecureRng::deterministic(912);
-  Scenario sc = make_scenario(3000, 5, rng);
-  Verifier verifier(sc.kp.pk);
-  PreparedFile ctx = audit::prepare_file(sc.name, sc.file.num_chunks());
-  Prover prover(sc.kp.pk, sc.file, sc.tag);
-
-  std::vector<SettlementInstance> instances(6);
-  for (auto& inst : instances) {
-    inst.verifier = &verifier;
-    inst.file = &ctx;
-    inst.challenge = make_challenge(rng, 4);
-    inst.priv = prover.prove_private(inst.challenge, rng);
-  }
-  audit::SettlementOptions reduced;
-  reduced.reduced_soundness_weights = true;
-  auto seed = seed_of(rng);
-  EXPECT_TRUE(audit::verify_settlement(instances, seed, reduced).all_ok());
-  // Same batch, same seed, default soundness: also clean (the width only
-  // changes the weights, not the verdicts).
-  EXPECT_TRUE(audit::verify_settlement(instances, seed).all_ok());
-
-  instances[4].priv->psi = -instances[4].priv->psi;
-  SettlementOutcome out = audit::verify_settlement(instances, seed_of(rng), reduced);
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    EXPECT_EQ(out.ok[i], i != 4) << i;
-  }
-}
-
 TEST(Settlement, AggregateSettlementTxVerifiesAndBindsItsSeed) {
   // The one-tx-per-window object: seed + nonce + one aggregated KZG opening
   // + the outcome bitmap. An honest tx — whose seed IS
@@ -752,8 +723,10 @@ struct SimSnapshot {
   std::uint64_t window_txs = 0, window_bytes = 0, window_gas = 0;
 };
 
+// `cheater`: provider-1 drops chunk 0 of every shard it holds and sends a
+// corrupt proof on every challenge.
 SimSnapshot run_sim(bool batched, bool discount, std::size_t num_owners = 2,
-                    sim::ProviderBehavior bad = sim::ProviderBehavior::DropsData,
+                    bool cheater = true,
                     chain::Timestamp settlement_window_s = 0,
                     bool aggregate = false) {
   sim::NetworkConfig c;
@@ -771,7 +744,9 @@ SimSnapshot run_sim(bool batched, bool discount, std::size_t num_owners = 2,
   c.settlement_window_s = settlement_window_s;
   c.aggregate_settlement = aggregate;
   sim::NetworkSim net(c);
-  net.set_behavior("provider-1", bad);
+  if (cheater) {
+    net.set_adversary(1, std::make_shared<attack::ColludingStrategy>(7, 1000));
+  }
   net.deploy();
   net.run_to_completion();
   SimSnapshot snap;
@@ -827,8 +802,7 @@ TEST(WindowedSettlementSim, Window1BitIdenticalToPerInstantAndInline) {
   // settlement — chain bytes, gas totals, ledger, block and tx counts.
   SimSnapshot inline_run = run_sim(false, false);
   SimSnapshot per_instant = run_sim(true, false);
-  SimSnapshot window1 = run_sim(true, false, 2,
-                                sim::ProviderBehavior::DropsData, 1);
+  SimSnapshot window1 = run_sim(true, false, 2, /*cheater=*/true, 1);
   for (const SimSnapshot* other : {&per_instant, &window1}) {
     EXPECT_EQ(inline_run.stats.total_rounds, other->stats.total_rounds);
     EXPECT_EQ(inline_run.stats.passes, other->stats.passes);
@@ -849,8 +823,7 @@ TEST(WindowedSettlementSim, WideWindowSettlesEveryRoundAndMatchesOutcomes) {
   // per-instant run exactly — the cheater loses every round, honest
   // providers never pay for sharing its window.
   SimSnapshot per_instant = run_sim(true, false);
-  SimSnapshot windowed = run_sim(true, false, 2,
-                                 sim::ProviderBehavior::DropsData, 7200);
+  SimSnapshot windowed = run_sim(true, false, 2, /*cheater=*/true, 7200);
   EXPECT_EQ(per_instant.stats.total_rounds, windowed.stats.total_rounds);
   EXPECT_EQ(per_instant.stats.passes, windowed.stats.passes);
   EXPECT_EQ(per_instant.stats.fails, windowed.stats.fails);
@@ -865,9 +838,8 @@ TEST(AggregateSettlementSim, CleanWindowsPostOneTxAndCutBytesAndGasFivefold) {
   // clean window with ONE settle-window tx (seed + aggregated opening +
   // bitmap). Outcomes and the ledger match the legacy windowed run exactly;
   // settlement bytes and gas per audited round drop by >= 5x.
-  SimSnapshot legacy = run_sim(true, false, 2, sim::ProviderBehavior::Honest,
-                               7200);
-  SimSnapshot agg = run_sim(true, false, 2, sim::ProviderBehavior::Honest,
+  SimSnapshot legacy = run_sim(true, false, 2, /*cheater=*/false, 7200);
+  SimSnapshot agg = run_sim(true, false, 2, /*cheater=*/false,
                             7200, /*aggregate=*/true);
 
   // Outcomes, payouts: identical.
@@ -904,9 +876,8 @@ TEST(AggregateSettlementSim, DirtyWindowFallsBackToPerRoundProofs) {
   // so the whole window re-posts its individual prove txs (fallback), and
   // the ledger still matches the legacy windowed run — honest providers in
   // the cheater's window are paid identically.
-  SimSnapshot legacy = run_sim(true, false, 2, sim::ProviderBehavior::DropsData,
-                               7200);
-  SimSnapshot agg = run_sim(true, false, 2, sim::ProviderBehavior::DropsData,
+  SimSnapshot legacy = run_sim(true, false, 2, /*cheater=*/true, 7200);
+  SimSnapshot agg = run_sim(true, false, 2, /*cheater=*/true,
                             7200, /*aggregate=*/true);
 
   EXPECT_GT(agg.stats.fails, 0u);  // the cheater was caught
@@ -964,7 +935,7 @@ TEST(BatchedSettlementSim, GasDiscountRowIsExactAndCheaper) {
   // In the sim: 2 owners x 3 shards = 6 deployments, all audited at the
   // same instants, so every round settles in a batch of 6 and pays the
   // exact calibrated batch-of-6 constant.
-  SimSnapshot bat = run_sim(true, true, 2, sim::ProviderBehavior::Honest);
+  SimSnapshot bat = run_sim(true, true, 2, /*cheater=*/false);
   const std::uint64_t expected = model.gas_per_audit_batched(6);
   EXPECT_EQ(bat.stats.total_gas, bat.stats.total_rounds * expected);
   EXPECT_LT(bat.stats.total_gas, bat.stats.total_rounds * 589'000u);

@@ -4,9 +4,11 @@
 // schedules (the randomized sweep lives in test_chaos.cpp).
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "attack/adversary.hpp"
 #include "econ/cost_model.hpp"
 #include "sim/network_sim.hpp"
 #include "storage/codec.hpp"
@@ -14,6 +16,23 @@
 
 namespace dsaudit::sim {
 namespace {
+
+// A data-dropping provider: holds every chunk but chunk 0 and sends a
+// corrupt proof on every challenge.
+std::shared_ptr<const attack::AdversaryStrategy> drops_data() {
+  return std::make_shared<attack::ColludingStrategy>(7, 1000);
+}
+
+// An unresponsive provider: holds nothing, never answers.
+std::shared_ptr<const attack::AdversaryStrategy> unresponsive() {
+  return std::make_shared<attack::PartialStorageStrategy>(
+      7, 0, /*answer_uncovered=*/false);
+}
+
+// Every shard provider p holds is lost before the first challenge.
+FaultEvent shard_loss(std::size_t p) {
+  return {1, p, FaultKind::ShardLoss, 0};
+}
 
 NetworkConfig small_config() {
   NetworkConfig c;
@@ -58,7 +77,7 @@ TEST(NetworkSim, MoneyIsConserved) {
 TEST(NetworkSim, DataDroppingProviderIsCaughtAndSlashed) {
   NetworkConfig c = small_config();
   NetworkSim net(c);
-  net.set_behavior("provider-0", ProviderBehavior::DropsData);
+  net.set_adversary(0, drops_data());
   net.deploy();
   // Balance snapshot is post-freeze: the collateral is already escrowed.
   std::uint64_t post_freeze = net.balance("provider-0");
@@ -84,11 +103,14 @@ TEST(NetworkSim, DataDroppingProviderIsCaughtAndSlashed) {
     EXPECT_LT(net.balance("provider-0"), if_honest);
   }
   EXPECT_EQ(st.passes + st.fails, st.total_rounds);
+  // Money, liveness, no honest round charged, and recoverability (the
+  // cheater's shards still count: its flags are the fault engine's books).
+  net.check_invariants();
 }
 
 TEST(NetworkSim, UnresponsiveProviderTimesOutEverywhere) {
   NetworkSim net(small_config());
-  net.set_behavior("provider-1", ProviderBehavior::Unresponsive);
+  net.set_adversary(1, unresponsive());
   net.deploy();
   net.run_to_completion();
   for (const auto* ctr : net.contracts_of("provider-1")) {
@@ -99,24 +121,29 @@ TEST(NetworkSim, UnresponsiveProviderTimesOutEverywhere) {
 TEST(NetworkSim, ErasureCodingSurvivesOneBadProvider) {
   // 2-of-3 coding: losing any single provider's shards must not lose data.
   NetworkSim net(small_config());
-  net.set_behavior("provider-2", ProviderBehavior::DropsData);
+  net.set_fault_schedule(FaultSchedule{{shard_loss(2)}});
   net.deploy();
   net.run_to_completion();
+  net.check_invariants();
   for (std::size_t o = 0; o < 4; ++o) {
     EXPECT_TRUE(net.owner_can_recover(o)) << "owner " << o;
+    EXPECT_FALSE(net.data_lost(o)) << "owner " << o;
   }
 }
 
 TEST(NetworkSim, TooManyBadProvidersLosesSomeone) {
-  // With every provider dropping data, recovery must fail.
+  // With every provider losing its shards, recovery must fail — and the
+  // loss is declared, not silent.
   NetworkSim net(small_config());
-  for (int p = 0; p < 5; ++p) {
-    net.set_behavior("provider-" + std::to_string(p), ProviderBehavior::DropsData);
-  }
+  FaultSchedule all;
+  for (std::size_t p = 0; p < 5; ++p) all.events.push_back(shard_loss(p));
+  net.set_fault_schedule(all);
   net.deploy();
   net.run_to_completion();
+  net.check_invariants();
   for (std::size_t o = 0; o < 4; ++o) {
     EXPECT_FALSE(net.owner_can_recover(o));
+    EXPECT_TRUE(net.data_lost(o));
   }
 }
 
@@ -144,7 +171,7 @@ TEST(NetworkSim, Validation) {
   EXPECT_THROW(ok.run_to_completion(), std::logic_error);  // before deploy
   ok.deploy();
   EXPECT_THROW(ok.deploy(), std::logic_error);  // double deploy
-  EXPECT_THROW(ok.set_behavior("provider-0", ProviderBehavior::Honest),
+  EXPECT_THROW(ok.set_adversary(0, drops_data()),
                std::logic_error);  // after deploy
 }
 
