@@ -53,22 +53,26 @@ int main() {
   {
     Scenario sc = make_scenario(64 * 31 * 20, 20, rng);
     audit::Prover prover(sc.kp.pk, sc.file, sc.tag);
-    std::vector<audit::BasicInstance> instances;
+    audit::Verifier verifier(sc.kp.pk);
+    std::vector<audit::SettlementInstance> instances;
     for (int i = 0; i < 8; ++i) {
-      audit::BasicInstance inst;
+      audit::SettlementInstance inst;
+      inst.verifier = &verifier;
       inst.name = sc.name;
       inst.num_chunks = sc.file.num_chunks();
       inst.challenge = make_challenge(rng, 10);
-      inst.proof = prover.prove(inst.challenge);
+      inst.basic = prover.prove(inst.challenge);
       instances.push_back(inst);
     }
     double t_batch = time_best_ms([&] {
-      if (!audit::verify_batch(sc.kp.pk, instances, rng)) std::abort();
+      if (!audit::verify_settlement(instances, rng.bytes32()).all_ok()) {
+        std::abort();
+      }
     }, 2);
     double t_each = time_best_ms([&] {
       for (const auto& inst : instances) {
-        if (!audit::verify(sc.kp.pk, inst.name, inst.num_chunks, inst.challenge,
-                           inst.proof)) {
+        if (!verifier.verify(inst.name, inst.num_chunks, inst.challenge,
+                             *inst.basic)) {
           std::abort();
         }
       }
@@ -100,7 +104,7 @@ int main() {
     double t_comp = time_best_ms([&] { (void)audit::gt_compress(proof.big_r); });
     auto bytes = audit::gt_compress(proof.big_r);
     double t_decomp = time_best_ms([&] {
-      if (!audit::gt_decompress(bytes)) std::abort();
+      if (!audit::gt_decode(bytes)) std::abort();
     });
     std::printf("proof: %zu B compressed vs %zu B raw (-%zu B calldata "
                 "= %llu gas/audit saved)\n",

@@ -405,10 +405,10 @@ BENCHMARK(BM_VerifyPrivatePreparedThreads)
     ->UseRealTime();
 
 // ---------------------------------------------------------------------------
-// Batched settlement + the cyclotomic exponentiation flavours behind it.
+// Batched settlement + the cyclotomic exponentiations behind it.
 // ---------------------------------------------------------------------------
 
-/// GT exponentiation by a random 254-bit scalar, plain cyclotomic ladder.
+/// GT exponentiation by a random 254-bit scalar (the cyclotomic ladder).
 void BM_GtPowCyclotomic(benchmark::State& state) {
   ff::Fp12 g = pairing::pairing(curve::g1_random(rng()), curve::g2_random(rng()));
   auto e = ff::Fr::random(rng()).to_u256();
@@ -417,16 +417,6 @@ void BM_GtPowCyclotomic(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_GtPowCyclotomic);
-
-/// Same exponent through the Karabina compressed squaring chain.
-void BM_GtPowKarabina(benchmark::State& state) {
-  ff::Fp12 g = pairing::pairing(curve::g1_random(rng()), curve::g2_random(rng()));
-  auto e = ff::Fr::random(rng()).to_u256();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(g.cyclotomic_pow_compressed(e));
-  }
-}
-BENCHMARK(BM_GtPowKarabina);
 
 /// The settlement weights' shape, shared by both multi-exp benchmarks so
 /// their ratio (the README speedup table) always compares like for like:
@@ -511,7 +501,7 @@ void BM_GtDecompress(benchmark::State& state) {
   ff::Fp12 g = pairing::pairing(curve::g1_random(rng()), curve::g2_random(rng()));
   auto bytes = audit::gt_compress(g);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(audit::gt_decompress(bytes));
+    benchmark::DoNotOptimize(audit::gt_decode(bytes));
   }
 }
 BENCHMARK(BM_GtDecompress);

@@ -4,7 +4,7 @@
 // each round; authenticators are per-owner-key, so proofs cannot be merged
 // across owners. This example measures the provider's aggregate proving time
 // as its tenant count grows, and shows the contract side settling a round of
-// audits for all of them with batch verification.
+// audits for all of them with one verify_settlement batch.
 //
 // Build & run:  ./build/examples/multi_user_provider
 #include <chrono>
@@ -51,29 +51,33 @@ int main() {
     chal.r = audit::Fr::random(rng);
     chal.k = k;
 
+    // One prepared verifier per owner key, built outside the timed region.
+    std::vector<audit::Verifier> verifiers;
+    verifiers.reserve(tenants.size());
+    for (const auto& t : tenants) verifiers.emplace_back(t.kp.pk);
+
     auto t0 = Clock::now();
-    std::vector<audit::BasicInstance> round;
-    for (const auto& t : tenants) {
+    std::vector<audit::SettlementInstance> round;
+    for (std::size_t i = 0; i < tenants.size(); ++i) {
+      const Tenant& t = tenants[i];
       audit::Prover prover(t.kp.pk, t.file, t.tag);
-      audit::BasicInstance inst;
+      audit::SettlementInstance inst;
+      inst.verifier = &verifiers[i];
       inst.name = t.name;
       inst.num_chunks = t.file.num_chunks();
       inst.challenge = chal;
-      inst.proof = prover.prove(chal);
+      inst.basic = prover.prove(chal);
       round.push_back(inst);
     }
     double ms = std::chrono::duration<double, std::milli>(Clock::now() - t0).count();
     std::printf("%8zu %14.1f %14.2f\n", tenants.size(), ms, ms / tenants.size());
 
-    // The owners' contracts verify; per-owner keys, so verification runs per
-    // tenant (batching applies within one owner's instances).
-    for (const auto& inst : round) {
-      const auto& t = tenants[&inst - round.data()];
-      std::vector<audit::BasicInstance> own{inst};
-      if (!audit::verify_batch(t.kp.pk, own, rng)) {
-        std::printf("verification failed for a tenant (BUG)\n");
-        return 1;
-      }
+    // The owners' contracts settle the round together. Keys are per owner,
+    // so the batch shares only the generator pairing: 1 + 2 * tenants
+    // pairings for a clean round.
+    if (!audit::verify_settlement(round, rng.bytes32()).all_ok()) {
+      std::printf("verification failed for a tenant (BUG)\n");
+      return 1;
     }
   }
 

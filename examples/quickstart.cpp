@@ -57,9 +57,13 @@ int main() {
               wire.size(), t.zp_ms, t.ecc_ms, t.gt_ms);
 
   // --- Contract: constant-cost verification (Eq. 2). ----------------------
-  auto received = audit::deserialize_private(wire);
-  bool ok = received && audit::verify_private(kp.pk, name, file.num_chunks(),
-                                              chal, *received);
+  auto received = audit::decode_private(wire);
+  if (!received) {
+    std::printf("contract: proof refused (%s)\n",
+                audit::to_string(received.error));
+    return 1;
+  }
+  bool ok = audit::verify_private(kp.pk, name, file.num_chunks(), chal, *received);
   std::printf("contract: verification %s -> micro-payment to %s\n",
               ok ? "PASS" : "FAIL", ok ? "provider" : "owner");
   return ok ? 0 : 1;

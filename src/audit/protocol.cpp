@@ -6,6 +6,7 @@
 #include <map>
 #include <mutex>
 #include <stdexcept>
+#include <type_traits>
 
 #include "pairing/pairing.hpp"
 #include "parallel/thread_pool.hpp"
@@ -183,9 +184,8 @@ ProofPrivate Prover::prove_private(const Challenge& chal,
   // Sigma-protocol hiding (§V-D step 1): commit R = e(g1, eps)^z, derive the
   // challenge-independent mask zeta = H'(R), publish y' = zeta*y + z.
   Fr z = Fr::random(rng);
-  // e(g1, eps) is a GT element, so the Karabina compressed squaring chain
-  // applies (same value as the plain cyclotomic ladder).
-  Fp12 big_r = pk_.e_g1_epsilon.cyclotomic_pow_compressed(z.to_u256());
+  // e(g1, eps) is a GT element, so the cyclotomic ladder applies.
+  Fp12 big_r = pk_.e_g1_epsilon.cyclotomic_pow_u256(z.to_u256());
   Fr zeta = hash_gt_to_fr(big_r);
   Fr y_prime = zeta * c.y + z;
   if (timings) timings->gt_ms = ms_since(t0);
@@ -226,6 +226,29 @@ std::array<std::uint8_t, 32> key_id_of(const G2& epsilon, const G2& delta) {
   put(delta, 129);
   return primitives::Keccak256::hash(
       std::span<const std::uint8_t>(buf.data(), buf.size()));
+}
+
+/// Settles one round through verify_settlement, the one implementation of
+/// the Eq. 1 / Eq. 2 checks: a one-instance batch draws no weights (the
+/// all-zero seed is never read) and reaches the exact unweighted check.
+/// `file` may be null (the engine then hashes chunks from name/num_chunks).
+template <typename Proof>
+bool settle_one(const Verifier* verifier, const PreparedFile* file,
+                const Fr& name, std::size_t num_chunks, const Challenge& chal,
+                const Proof& proof) {
+  SettlementInstance inst;
+  inst.verifier = verifier;
+  inst.file = file;
+  inst.name = name;
+  inst.num_chunks = num_chunks;
+  inst.challenge = chal;
+  if constexpr (std::is_same_v<Proof, ProofBasic>) {
+    inst.basic = proof;
+  } else {
+    inst.priv = proof;
+  }
+  return verify_settlement(std::span<const SettlementInstance>(&inst, 1), {})
+      .ok[0];
 }
 
 }  // namespace
@@ -288,71 +311,25 @@ bool Verifier::verify_tags(const storage::EncodedFile& file,
   return pairing::pairing_product_is_one(pairs);
 }
 
-bool Verifier::check_basic(const G1& chi, const Challenge& chal,
-                           const ProofBasic& proof) const {
-  // Eq. 1 rearranged to a product-of-pairings == 1 over the fixed key
-  // points, with e(-psi, delta * eps^{-r}) = e(-psi, delta) * e([r]psi, eps):
-  //   e(sigma, g2) * e([r]psi - y g1 - chi, eps) * e(-psi, delta) == 1.
-  std::array<pairing::PreparedPair, 3> pairs{
-      pairing::PreparedPair{proof.sigma, &g2_},
-      pairing::PreparedPair{
-          proof.psi.mul(chal.r) - curve::g1_mul_generator(proof.y) - chi,
-          &epsilon_},
-      pairing::PreparedPair{-proof.psi, &delta_},
-  };
-  return pairing::pairing_product_is_one(pairs);
-}
-
-bool Verifier::check_private(const G1& chi, const Challenge& chal,
-                             const ProofPrivate& proof) const {
-  Fr zeta = hash_gt_to_fr(proof.big_r);
-  // Eq. 2 rearranged the same way (all scalars on G1, fixed G2 points):
-  //   e(sigma^zeta, g2) * e([zeta r]psi - y' g1 - zeta chi, eps)
-  //     * e(-zeta psi, delta) == R^{-1}
-  G1 zeta_psi = proof.psi.mul(zeta);
-  std::array<pairing::PreparedPair, 3> pairs{
-      pairing::PreparedPair{proof.sigma.mul(zeta), &g2_},
-      pairing::PreparedPair{zeta_psi.mul(chal.r) -
-                                curve::g1_mul_generator(proof.y_prime) -
-                                chi.mul(zeta),
-                            &epsilon_},
-      pairing::PreparedPair{-zeta_psi, &delta_},
-  };
-  Fp12 lhs = pairing::multi_pairing(std::span<const pairing::PreparedPair>(pairs));
-  return (lhs * proof.big_r).is_one();
-}
-
 bool Verifier::verify(const Fr& name, std::size_t num_chunks,
                       const Challenge& chal, const ProofBasic& proof) const {
-  if (num_chunks == 0 || chal.k == 0) return false;
-  ExpandedChallenge ex = expand_challenge(chal, num_chunks);
-  return check_basic(compute_chi(name, ex), chal, proof);
+  return settle_one(this, nullptr, name, num_chunks, chal, proof);
 }
 
 bool Verifier::verify(const PreparedFile& file, const Challenge& chal,
                       const ProofBasic& proof) const {
-  if (file.num_chunks == 0 || chal.k == 0) return false;
-  ExpandedChallenge ex = expand_challenge(chal, file.num_chunks);
-  G1 chi = curve::msm_precomputed(file.hashes, ex.indices, ex.coefficients);
-  return check_basic(chi, chal, proof);
+  return settle_one(this, &file, file.name, file.num_chunks, chal, proof);
 }
 
 bool Verifier::verify_private(const Fr& name, std::size_t num_chunks,
                               const Challenge& chal,
                               const ProofPrivate& proof) const {
-  if (num_chunks == 0 || chal.k == 0) return false;
-  if (proof.big_r.is_zero()) return false;
-  ExpandedChallenge ex = expand_challenge(chal, num_chunks);
-  return check_private(compute_chi(name, ex), chal, proof);
+  return settle_one(this, nullptr, name, num_chunks, chal, proof);
 }
 
 bool Verifier::verify_private(const PreparedFile& file, const Challenge& chal,
                               const ProofPrivate& proof) const {
-  if (file.num_chunks == 0 || chal.k == 0) return false;
-  if (proof.big_r.is_zero()) return false;
-  ExpandedChallenge ex = expand_challenge(chal, file.num_chunks);
-  G1 chi = curve::msm_precomputed(file.hashes, ex.indices, ex.coefficients);
-  return check_private(chi, chal, proof);
+  return settle_one(this, &file, file.name, file.num_chunks, chal, proof);
 }
 
 PreparedFile prepare_file(const Fr& name, std::size_t num_chunks) {
@@ -368,20 +345,6 @@ PreparedFile prepare_file(const Fr& name, std::size_t num_chunks) {
                                 });
   pf.hashes = curve::msm_precompute<G1>(hashes);
   return pf;
-}
-
-bool Verifier::verify_batch(std::span<const BasicInstance> instances,
-                            primitives::SecureRng& rng) const {
-  if (instances.empty()) return true;
-  std::vector<SettlementInstance> sis(instances.size());
-  for (std::size_t i = 0; i < instances.size(); ++i) {
-    sis[i].verifier = this;
-    sis[i].name = instances[i].name;
-    sis[i].num_chunks = instances[i].num_chunks;
-    sis[i].challenge = instances[i].challenge;
-    sis[i].basic = instances[i].proof;
-  }
-  return verify_settlement(sis, rng.bytes32()).all_ok();
 }
 
 namespace {
@@ -439,8 +402,8 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   if (instances.empty()) return out;
 
   // A single-instance batch settles by its exact check alone — skip the
-  // random-weight material entirely (this makes deferred settlement of a
-  // lone due round cost the same as the inline path).
+  // random-weight material entirely. This is the path Verifier::verify* and
+  // the contract's per-round settlement take.
   std::size_t plausible = 0;
   for (const SettlementInstance& inst : instances) {
     plausible += inst.verifier != nullptr &&
@@ -696,11 +659,6 @@ bool verify(const PublicKey& pk, const Fr& name, std::size_t num_chunks,
 bool verify_private(const PublicKey& pk, const Fr& name, std::size_t num_chunks,
                     const Challenge& chal, const ProofPrivate& proof) {
   return Verifier(pk).verify_private(name, num_chunks, chal, proof);
-}
-
-bool verify_batch(const PublicKey& pk, std::span<const BasicInstance> instances,
-                  primitives::SecureRng& rng) {
-  return Verifier(pk).verify_batch(instances, rng);
 }
 
 }  // namespace dsaudit::audit

@@ -80,15 +80,6 @@ class Prover {
   std::shared_ptr<const curve::MsmBasesTable<G1>> sigma_key_;
 };
 
-/// One audit instance for batch verification (same pk, e.g. one provider
-/// holding many files of one owner, or sequential rounds settled together).
-struct BasicInstance {
-  Fr name;
-  std::size_t num_chunks = 0;
-  Challenge challenge;
-  ProofBasic proof;
-};
-
 /// Per-file verification context: the d chunk hash points H(name||i) with a
 /// shifted-base MSM table over them. Each round's chi = prod H(name||i)^{c_i}
 /// becomes a table-driven subset MSM instead of d hash-to-curve evaluations
@@ -127,27 +118,19 @@ class Verifier {
   /// S's tag-acceptance check (see free verify_tags below).
   bool verify_tags(const storage::EncodedFile& file, const FileTag& tag) const;
 
-  /// The smart contract's Eq. 1 check (3 prepared pairings, shared
-  /// squarings, one final exp).
+  /// The smart contract's Eq. 1 check: a one-instance verify_settlement
+  /// (3 prepared pairings, shared squarings, one final exp).
   bool verify(const Fr& name, std::size_t num_chunks, const Challenge& chal,
               const ProofBasic& proof) const;
   /// Same check against a prepared per-file context (cached hash table).
   bool verify(const PreparedFile& file, const Challenge& chal,
               const ProofBasic& proof) const;
 
-  /// The smart contract's Eq. 2 check (§V-D step 2).
+  /// The smart contract's Eq. 2 check (§V-D step 2), same route.
   bool verify_private(const Fr& name, std::size_t num_chunks,
                       const Challenge& chal, const ProofPrivate& proof) const;
   bool verify_private(const PreparedFile& file, const Challenge& chal,
                       const ProofPrivate& proof) const;
-
-  /// Batch Eq. 1 verification; with the challenge scalars folded into G1,
-  /// ALL terms aggregate per fixed G2 point — 3 pairings total for any
-  /// number of instances (the old path needed N + 2). Routed through the
-  /// cross-key settlement engine (verify_settlement below); true iff every
-  /// instance verifies.
-  bool verify_batch(std::span<const BasicInstance> instances,
-                    primitives::SecureRng& rng) const;
 
   /// The prepared fixed-G2 line tables, exposed for the settlement engine
   /// (it aggregates many verifiers' terms into one multi-pairing).
@@ -160,12 +143,6 @@ class Verifier {
   const std::array<std::uint8_t, 32>& key_id() const { return key_id_; }
 
  private:
-  /// Eq. 1 / Eq. 2 pairing checks with chi already aggregated.
-  bool check_basic(const G1& chi, const Challenge& chal,
-                   const ProofBasic& proof) const;
-  bool check_private(const G1& chi, const Challenge& chal,
-                     const ProofPrivate& proof) const;
-
   const PublicKey& pk_;
   pairing::G2Prepared g2_;       // generator
   pairing::G2Prepared epsilon_;  // g2^x
@@ -289,7 +266,5 @@ bool verify(const PublicKey& pk, const Fr& name, std::size_t num_chunks,
             const Challenge& chal, const ProofBasic& proof);
 bool verify_private(const PublicKey& pk, const Fr& name, std::size_t num_chunks,
                     const Challenge& chal, const ProofPrivate& proof);
-bool verify_batch(const PublicKey& pk, std::span<const BasicInstance> instances,
-                  primitives::SecureRng& rng);
 
 }  // namespace dsaudit::audit

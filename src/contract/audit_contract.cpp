@@ -269,43 +269,31 @@ void AuditContract::prepare_verify(Timestamp /*now*/) {
   if (state_ != State::Prove || !pending_proof_) return;
   auto t0 = std::chrono::steady_clock::now();
   StagedVerify staged;
-  if (batch_) {
-    // Deferred settlement: deserialize here (cheap, concurrent) and hand the
-    // round to the shared block batch; the expensive verification happens
-    // once per instant, for every due round together. A malformed proof
-    // never reaches the batch — it fails this round immediately.
-    audit::SettlementInstance inst;
-    inst.verifier = verifier_;
-    inst.file = file_ctx_;  // null => the engine recomputes chunk hashes
-    inst.name = file_name_;
-    inst.num_chunks = num_chunks_;
-    inst.challenge = rounds_.back().challenge;
-    if (terms_.private_proofs) {
-      inst.priv = audit::deserialize_private(*pending_proof_);
-    } else {
-      inst.basic = audit::deserialize_basic(*pending_proof_);
-    }
-    if (inst.basic || inst.priv) {
+  // Decode here (cheap, concurrent); a malformed proof never reaches the
+  // settlement engine — it fails this round immediately.
+  audit::SettlementInstance inst;
+  inst.verifier = verifier_;
+  inst.file = file_ctx_;  // null => the engine recomputes chunk hashes
+  inst.name = file_name_;
+  inst.num_chunks = num_chunks_;
+  inst.challenge = rounds_.back().challenge;
+  if (terms_.private_proofs) {
+    inst.priv = audit::decode_private(*pending_proof_).value;
+  } else {
+    inst.basic = audit::decode_basic(*pending_proof_).value;
+  }
+  if (inst.basic || inst.priv) {
+    if (batch_) {
+      // Deferred settlement: hand the round to the shared block batch; the
+      // expensive verification happens once per instant (or window), for
+      // every due round together.
       staged.ticket =
           batch_->enqueue(chain_, std::move(inst), round_transcript());
+    } else {
+      staged.ok = audit::verify_settlement(
+                      std::span<const audit::SettlementInstance>(&inst, 1), {})
+                      .ok[0];
     }
-  } else if (terms_.private_proofs) {
-    auto proof = audit::deserialize_private(*pending_proof_);
-    staged.ok = proof &&
-                (file_ctx_
-                     ? verifier_->verify_private(*file_ctx_,
-                                                 rounds_.back().challenge, *proof)
-                     : verifier_->verify_private(file_name_, num_chunks_,
-                                                 rounds_.back().challenge,
-                                                 *proof));
-  } else {
-    auto proof = audit::deserialize_basic(*pending_proof_);
-    staged.ok =
-        proof &&
-        (file_ctx_
-             ? verifier_->verify(*file_ctx_, rounds_.back().challenge, *proof)
-             : verifier_->verify(file_name_, num_chunks_,
-                                 rounds_.back().challenge, *proof));
   }
   staged.verify_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - t0)

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <stdexcept>
+#include <vector>
 
 namespace dsaudit::ff {
 
@@ -47,7 +48,6 @@ Fp12 Fp12::multi_pow(std::span<const Fp12> bases, std::span<const U256> exps) {
   unsigned bits = 0;
   for (const U256& e : exps) bits = std::max(bits, e.bit_length());
   if (bits == 0) return one();
-  if (n == 1) return bases[0].cyclotomic_pow_compressed(exps[0]);
 
   const unsigned w = pick_window(n, bits);
   const std::uint64_t half = std::uint64_t{1} << (w - 1);

@@ -6,9 +6,7 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
-#include "field/batch_inverse.hpp"
 #include "field/fp6.hpp"
 
 namespace dsaudit::ff {
@@ -114,11 +112,10 @@ class Fp12 {
   }
 
   /// GT exponentiation by an arbitrary 256-bit integer: LSB-first
-  /// square-and-multiply with cyclotomic squarings. The one shared ladder —
-  /// the u64 overload delegates here — and the differential oracle for
-  /// every fancier GT exponentiation (Karabina chains, multi_pow). Only
-  /// valid on elements of the cyclotomic subgroup (every GT element
-  /// qualifies).
+  /// square-and-multiply with cyclotomic squarings. The one single-base GT
+  /// ladder (final exponentiation, subgroup check, the prover's R) and the
+  /// differential oracle for multi_pow. Only valid on elements of the
+  /// cyclotomic subgroup (every GT element qualifies).
   Fp12 cyclotomic_pow_u256(const U256& e) const {
     Fp12 result = one();
     Fp12 base = *this;
@@ -130,118 +127,14 @@ class Fp12 {
     return result;
   }
 
-  /// Same ladder, u64 exponent (the final-exponentiation t-power chains).
-  Fp12 cyclotomic_pow_u64(u64 e) const { return cyclotomic_pow_u256(U256{e}); }
-
-  /// Karabina compressed form of a cyclotomic-subgroup element: in the
-  /// Fp2[w]/(w^6 - xi) view of the tower (x = sum h_i w^i with h_i =
-  /// (c0.c0, c1.c0, c0.c1, c1.c1, c0.c2, c1.c2)), the four coefficients
-  /// {h1, h2, h4, h5} are closed under cyclotomic squaring — restricting the
-  /// Granger–Scott formulas to them drops h0/h4-side work from every step.
-  /// The missing h0, h3 are recovered algebraically (one Fp2 inversion,
-  /// batchable) only where a full product is needed. eprint 2010/542.
-  struct CompressedCyclo {
-    Fp2 h1, h2, h4, h5;
-  };
-
-  /// Only valid on cyclotomic-subgroup elements (like every cyclotomic_*).
-  CompressedCyclo cyclotomic_compress() const {
-    return {c1.c0, c0.c1, c0.c2, c1.c2};
-  }
-
-  /// One squaring in compressed form: 6 Fp2 squarings (the cross products
-  /// 2 h2 h5 and 2 h1 h4 fall out of the sum squarings), vs. the 9 squarings
-  /// of the full Granger–Scott step.
-  ///   h1' = 2 h1 + 6 xi h2 h5        h2' = 3 (h1^2 + xi h4^2) - 2 h2
-  ///   h4' = 3 (h2^2 + xi h5^2) - 2 h4    h5' = 2 h5 + 6 h1 h4
-  static CompressedCyclo compressed_cyclotomic_square(const CompressedCyclo& a) {
-    Fp2 s1 = a.h1.square();
-    Fp2 s2 = a.h2.square();
-    Fp2 s4 = a.h4.square();
-    Fp2 s5 = a.h5.square();
-    Fp2 c25 = (a.h2 + a.h5).square() - s2 - s5;  // 2 h2 h5
-    Fp2 c14 = (a.h1 + a.h4).square() - s1 - s4;  // 2 h1 h4
-    return {a.h1.dbl() + c25.mul_by_xi().triple(),
-            (s1 + s4.mul_by_xi()).triple() - a.h2.dbl(),
-            (s2 + s5.mul_by_xi()).triple() - a.h4.dbl(),
-            a.h5.dbl() + c14.triple()};
-  }
-
-  /// Recover the full elements of a whole squaring chain with ONE field
-  /// inversion (Montgomery's trick over the per-element denominators):
-  ///   h3 = (3 h2^2 + xi h5^2 - 2 h4) / (4 h1)          [h1 != 0]
-  ///   h3 = (h1^2 + 3 xi h4^2 - 2 h2) / (4 xi h5)       [h1 == 0, h5 != 0]
-  ///   h0 = xi (h1 h5 - 3 h2 h4 + 2 h3^2) + 1
-  /// h1 == h5 == 0 forces h3 = 0 (only the identity arises in practice).
-  static std::vector<Fp12> cyclotomic_decompress_batch(
-      std::span<const CompressedCyclo> cs) {
-    std::vector<Fp2> dens(cs.size());
-    for (std::size_t i = 0; i < cs.size(); ++i) {
-      const CompressedCyclo& a = cs[i];
-      dens[i] = (!a.h1.is_zero() ? a.h1 : a.h5.mul_by_xi()).dbl().dbl();
-    }
-    batch_inverse(std::span<Fp2>(dens));
-    std::vector<Fp12> out(cs.size());
-    for (std::size_t i = 0; i < cs.size(); ++i) {
-      const CompressedCyclo& a = cs[i];
-      Fp2 h3;
-      if (!a.h1.is_zero()) {
-        h3 = (a.h2.square().triple() + a.h5.square().mul_by_xi() - a.h4.dbl()) *
-             dens[i];
-      } else if (!a.h5.is_zero()) {
-        h3 = (a.h1.square() + a.h4.square().mul_by_xi().triple() - a.h2.dbl()) *
-             dens[i];
-      }
-      Fp2 h0 = (a.h1 * a.h5 - (a.h2 * a.h4).triple() + h3.square().dbl())
-                   .mul_by_xi() +
-               Fp2::one();
-      out[i] = Fp12{Fp6{h0, a.h2, a.h4}, Fp6{a.h1, h3, a.h5}};
-    }
-    return out;
-  }
-
-  static Fp12 cyclotomic_decompress(const CompressedCyclo& c) {
-    return cyclotomic_decompress_batch(std::span<const CompressedCyclo>(&c, 1))[0];
-  }
-
-  /// Square-and-multiply with Karabina compressed squarings: the whole
-  /// doubling chain runs compressed, the values needed at set bits are
-  /// recorded and decompressed together with a single inversion. ~35% less
-  /// squaring work than cyclotomic_pow_u256 for the same (bit-identical)
-  /// result; same cyclotomic-subgroup-only contract.
-  Fp12 cyclotomic_pow_compressed(const U256& e) const {
-    unsigned n = e.bit_length();
-    if (n == 0) return one();
-    if (n == 1) return *this;
-    std::vector<CompressedCyclo> snaps;
-    CompressedCyclo acc = cyclotomic_compress();
-    for (unsigned i = 1; i < n; ++i) {
-      acc = compressed_cyclotomic_square(acc);
-      if (e.bit(i)) snaps.push_back(acc);
-    }
-    std::vector<Fp12> factors = cyclotomic_decompress_batch(snaps);
-    Fp12 result = e.bit(0) ? *this : one();
-    for (const Fp12& f : factors) result *= f;
-    return result;
-  }
-
-  Fp12 cyclotomic_pow_compressed(u64 e) const {
-    return cyclotomic_pow_compressed(U256{e});
-  }
-
   /// GT multi-exponentiation: prod_i bases[i]^{exps[i]} with ONE shared
   /// cyclotomic squaring chain for the whole batch (Straus interleaving —
   /// the same shared-doubling idea as the Pippenger MSM, in multiplicative
   /// notation). Per base: a small table of window powers plus one table
   /// multiply per nonzero digit; per batch: max_bits squarings total,
   /// instead of max_bits *per element*. The window width is chosen at
-  /// runtime from (n, max_bits) by a deterministic cost model. n == 1
-  /// delegates to the Karabina compressed chain (the one shape where
-  /// compressed squarings win: no interleaved multiplies, so the whole
-  /// chain stays compressed and decompresses with one batched inversion);
-  /// for n >= 2 the interleaved table multiplies would force a per-window
-  /// decompression, so the shared chain uses plain Granger–Scott squarings.
-  /// Same contract as every cyclotomic_*: inputs must lie in the cyclotomic
+  /// runtime from (n, max_bits) by a deterministic cost model; the shared
+  /// chain uses Granger–Scott cyclotomic squarings. Same contract as every cyclotomic_*: inputs must lie in the cyclotomic
   /// subgroup (every GT element qualifies). The per-element
   /// cyclotomic_pow_u256 ladder is retained as the differential oracle.
   /// Throws std::invalid_argument on bases/exps length mismatch.

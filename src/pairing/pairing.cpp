@@ -341,15 +341,14 @@ Fp12 final_exponentiation(const Fp12& f) {
   // (the same structure as go-ethereum's bn256 finalExponentiation). All
   // values here live in the cyclotomic subgroup — the easy part put elt
   // there, and Frobenius maps, conjugates and products stay inside — so the
-  // three exponentiations by the BN parameter run their squaring chains in
-  // Karabina compressed form (one batched decompression inversion each).
-  const ff::u64 u = ff::kBnParamT;
+  // three exponentiations by the BN parameter use cyclotomic squarings.
+  const ff::U256 u{ff::kBnParamT};
   Fp12 fp = elt.frobenius();
   Fp12 fp2 = elt.frobenius2();
   Fp12 fp3 = fp2.frobenius();
-  Fp12 fu = elt.cyclotomic_pow_compressed(u);
-  Fp12 fu2 = fu.cyclotomic_pow_compressed(u);
-  Fp12 fu3 = fu2.cyclotomic_pow_compressed(u);
+  Fp12 fu = elt.cyclotomic_pow_u256(u);
+  Fp12 fu2 = fu.cyclotomic_pow_u256(u);
+  Fp12 fu3 = fu2.cyclotomic_pow_u256(u);
   Fp12 y3 = fu.frobenius().conjugate();
   Fp12 fu2p = fu2.frobenius();
   Fp12 fu3p = fu3.frobenius();
@@ -433,9 +432,9 @@ bool gt_in_subgroup(const Fp12& g) {
   Fp12 gp2 = g.frobenius2();
   Fp12 gp4 = gp2.frobenius2();
   if (!(gp4 * g == gp2)) return false;
-  // Inside the cyclotomic subgroup the compressed squaring chain is valid,
-  // so the order-r check costs ~254 Karabina compressed squarings.
-  return g.cyclotomic_pow_compressed(ff::Fr::modulus()).is_one();
+  // Inside the cyclotomic subgroup cyclotomic squarings are valid, so the
+  // order-r check costs ~254 of them.
+  return g.cyclotomic_pow_u256(ff::Fr::modulus()).is_one();
 }
 
 PairingCounters pairing_counters() {

@@ -45,6 +45,24 @@ Challenge make_challenge(SecureRng& rng, std::size_t k) {
   return c;
 }
 
+/// `count` honest Eq. 1 rounds of one file, each under a fresh challenge.
+std::vector<SettlementInstance> basic_rounds(const Verifier& verifier,
+                                             const Scenario& sc,
+                                             const Prover& prover, int count,
+                                             SecureRng& rng) {
+  std::vector<SettlementInstance> instances;
+  for (int i = 0; i < count; ++i) {
+    SettlementInstance inst;
+    inst.verifier = &verifier;
+    inst.name = sc.name;
+    inst.num_chunks = sc.file.num_chunks();
+    inst.challenge = make_challenge(rng, 4);
+    inst.basic = prover.prove(inst.challenge);
+    instances.push_back(inst);
+  }
+  return instances;
+}
+
 // ---------------------------------------------------------------------------
 // Completeness, parameterized over (file size, s, k).
 // ---------------------------------------------------------------------------
@@ -274,18 +292,28 @@ TEST(AuditVerifier, PreparedVerifierMatchesFreeFunctions) {
     EXPECT_FALSE(verifier.verify_private(file_ctx, chal, badp));
   }
 
-  std::vector<BasicInstance> instances;
-  for (int i = 0; i < 3; ++i) {
-    BasicInstance inst;
-    inst.name = sc.name;
-    inst.num_chunks = sc.file.num_chunks();
-    inst.challenge = make_challenge(rng, 4);
-    inst.proof = prover.prove(inst.challenge);
-    instances.push_back(inst);
+  // Each single-round check is a one-instance verify_settlement: exactly the
+  // paper's 3 pairings and one final exponentiation, never the weighted
+  // batch path.
+  {
+    Challenge chal = make_challenge(rng, 5);
+    ProofBasic proof = prover.prove(chal);
+    ProofPrivate priv = prover.prove_private(chal, rng);
+    const auto before = pairing::pairing_counters();
+    EXPECT_TRUE(verifier.verify(file_ctx, chal, proof));
+    const auto mid = pairing::pairing_counters();
+    EXPECT_TRUE(verifier.verify_private(sc.name, sc.file.num_chunks(), chal, priv));
+    const auto after = pairing::pairing_counters();
+    EXPECT_EQ(mid.chains - before.chains, 3u);
+    EXPECT_EQ(mid.final_exps - before.final_exps, 1u);
+    EXPECT_EQ(after.chains - mid.chains, 3u);
+    EXPECT_EQ(after.final_exps - mid.final_exps, 1u);
   }
-  EXPECT_TRUE(verifier.verify_batch(instances, rng));
-  instances[1].proof.y = instances[1].proof.y + Fr::one();
-  EXPECT_FALSE(verifier.verify_batch(instances, rng));
+
+  auto instances = basic_rounds(verifier, sc, prover, 3, rng);
+  EXPECT_TRUE(verify_settlement(instances, rng.bytes32()).all_ok());
+  instances[1].basic->y = instances[1].basic->y + Fr::one();
+  EXPECT_FALSE(verify_settlement(instances, rng.bytes32()).all_ok());
 }
 
 TEST(AuditProver, PreparedSigmaTableMatchesColdPath) {
@@ -344,35 +372,27 @@ TEST(AuditTags, ParallelMatchesSerial) {
 TEST(AuditBatch, ManyRoundsVerifyTogether) {
   auto rng = SecureRng::deterministic(403);
   Scenario sc = make_scenario(3000, 6, rng);
+  Verifier verifier(sc.kp.pk);
   Prover prover(sc.kp.pk, sc.file, sc.tag);
-  std::vector<BasicInstance> instances;
-  for (int i = 0; i < 8; ++i) {
-    BasicInstance inst;
-    inst.name = sc.name;
-    inst.num_chunks = sc.file.num_chunks();
-    inst.challenge = make_challenge(rng, 4);
-    inst.proof = prover.prove(inst.challenge);
-    instances.push_back(inst);
-  }
-  EXPECT_TRUE(verify_batch(sc.kp.pk, instances, rng));
+  auto instances = basic_rounds(verifier, sc, prover, 8, rng);
+  EXPECT_TRUE(verify_settlement(instances, rng.bytes32()).all_ok());
 }
 
 TEST(AuditBatch, SingleBadProofPoisonsBatch) {
   auto rng = SecureRng::deterministic(404);
   Scenario sc = make_scenario(3000, 6, rng);
+  Verifier verifier(sc.kp.pk);
   Prover prover(sc.kp.pk, sc.file, sc.tag);
-  std::vector<BasicInstance> instances;
-  for (int i = 0; i < 5; ++i) {
-    BasicInstance inst;
-    inst.name = sc.name;
-    inst.num_chunks = sc.file.num_chunks();
-    inst.challenge = make_challenge(rng, 4);
-    inst.proof = prover.prove(inst.challenge);
-    instances.push_back(inst);
+  auto instances = basic_rounds(verifier, sc, prover, 5, rng);
+  instances[3].basic->y += Fr::one();
+  SettlementOutcome out = verify_settlement(instances, rng.bytes32());
+  EXPECT_FALSE(out.all_ok());
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    EXPECT_EQ(out.ok[i], i != 3) << i;
   }
-  instances[3].proof.y += Fr::one();
-  EXPECT_FALSE(verify_batch(sc.kp.pk, instances, rng));
-  EXPECT_TRUE(verify_batch(sc.kp.pk, std::span<const BasicInstance>{}, rng));
+  EXPECT_TRUE(
+      verify_settlement(std::span<const SettlementInstance>{}, rng.bytes32())
+          .all_ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -452,6 +472,18 @@ TEST(AuditWire, GtDecompressRejectsUnitNormNonSubgroupElements) {
     ASSERT_FALSE(::dsaudit::pairing::gt_in_subgroup(u));
     auto bytes = gt_compress(u);  // unit-norm: compression accepts
     EXPECT_FALSE(gt_decompress(bytes).has_value());
+  }
+  // The easy part of the final exponentiation, f^{(p^6-1)(p^2+1)}, lands in
+  // the cyclotomic subgroup: such an element passes the Phi_12 identity
+  // g^{p^4} * g == g^{p^2}, so only the order-r exponentiation can refuse it.
+  for (int i = 0; i < 3; ++i) {
+    Fp12 f = Fp12::random(rng);
+    Fp12 t = f.conjugate() * f.inverse();
+    Fp12 cyclo = t.frobenius2() * t;
+    ASSERT_TRUE(cyclo.frobenius2().frobenius2() * cyclo == cyclo.frobenius2());
+    EXPECT_FALSE(::dsaudit::pairing::gt_in_subgroup(cyclo));
+    auto bytes = gt_compress(cyclo);
+    EXPECT_EQ(gt_decode(bytes).error, DecodeError::BadGtElement);
   }
   // -1 is unit-norm with order 2; r is odd, so it is not a pairing value.
   Fp12 minus_one{-ff::Fp6::one(), ff::Fp6::zero()};

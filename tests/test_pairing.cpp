@@ -214,7 +214,7 @@ TEST(Fp12Ops, CyclotomicSquareMatchesGenericOnCyclotomicElements) {
   }
   ff::Fr e = ff::Fr::random(rng);
   EXPECT_EQ(g.cyclotomic_pow_u256(e.to_u256()), g.pow_u256(e.to_u256()));
-  EXPECT_EQ(g.cyclotomic_pow_u64(ff::kBnParamT), g.pow_u64(ff::kBnParamT));
+  EXPECT_EQ(g.cyclotomic_pow_u256(ff::U256{ff::kBnParamT}), g.pow_u64(ff::kBnParamT));
 }
 
 TEST(Fp12Ops, DirectFrobeniusPowersMatchIterated) {
@@ -236,65 +236,6 @@ TEST(Pairing, KnownExponentPairingIdentity) {
               pairing(G1::generator(), G2::generator().mul(Fr::from_u64(a))))
         << "a=" << a;
   }
-}
-
-// ---------------------------------------------------------------------------
-// Karabina compressed cyclotomic arithmetic, pinned to the Granger–Scott
-// ladder (which itself is pinned to generic squaring above).
-// ---------------------------------------------------------------------------
-
-TEST(Karabina, CompressedSquareMatchesCyclotomicSquare) {
-  auto rng = SecureRng::deterministic(80);
-  Fp12 g = pairing(curve::g1_random(rng), curve::g2_random(rng));
-  // Walk a chain of compressed squarings and decompress at every step: each
-  // must equal the plain cyclotomic square of the previous full element.
-  Fp12 full = g;
-  Fp12::CompressedCyclo c = g.cyclotomic_compress();
-  for (int i = 0; i < 50; ++i) {
-    c = Fp12::compressed_cyclotomic_square(c);
-    full = full.cyclotomic_square();
-    EXPECT_TRUE(Fp12::cyclotomic_decompress(c) == full) << "step " << i;
-    EXPECT_TRUE(full.cyclotomic_compress().h1 == c.h1);
-  }
-}
-
-TEST(Karabina, BatchDecompressionMatchesSingle) {
-  auto rng = SecureRng::deterministic(81);
-  std::vector<Fp12::CompressedCyclo> cs;
-  std::vector<Fp12> expected;
-  Fp12 g = pairing(curve::g1_random(rng), curve::g2_random(rng));
-  Fp12 cur = g;
-  for (int i = 0; i < 9; ++i) {
-    cur = cur.cyclotomic_square();
-    cs.push_back(cur.cyclotomic_compress());
-    expected.push_back(cur);
-  }
-  auto got = Fp12::cyclotomic_decompress_batch(cs);
-  ASSERT_EQ(got.size(), expected.size());
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_TRUE(got[i] == expected[i]) << i;
-  }
-  // The identity element (all compressed coordinates zero) round-trips.
-  EXPECT_TRUE(Fp12::cyclotomic_decompress(Fp12::one().cyclotomic_compress())
-                  .is_one());
-}
-
-TEST(Karabina, CompressedPowMatchesCyclotomicPow) {
-  auto rng = SecureRng::deterministic(82);
-  Fp12 g = pairing(curve::g1_random(rng), curve::g2_random(rng));
-  // The BN parameter (the final exponentiation's chain), a random 254-bit
-  // scalar (the sigma layer's GT exponent), and edge exponents.
-  EXPECT_TRUE(g.cyclotomic_pow_compressed(ff::kBnParamT) ==
-              g.cyclotomic_pow_u64(ff::kBnParamT));
-  ff::Fr e = ff::Fr::random(rng);
-  EXPECT_TRUE(g.cyclotomic_pow_compressed(e.to_u256()) ==
-              g.cyclotomic_pow_u256(e.to_u256()));
-  EXPECT_TRUE(g.cyclotomic_pow_compressed(ff::Fr::modulus()) ==
-              g.cyclotomic_pow_u256(ff::Fr::modulus()));
-  EXPECT_TRUE(g.cyclotomic_pow_compressed(std::uint64_t{0}).is_one());
-  EXPECT_TRUE(g.cyclotomic_pow_compressed(std::uint64_t{1}) == g);
-  EXPECT_TRUE(g.cyclotomic_pow_compressed(std::uint64_t{2}) ==
-              g.cyclotomic_square());
 }
 
 TEST(PairingCountersHook, CountsChainsAndFinalExps) {

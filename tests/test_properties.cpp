@@ -342,17 +342,6 @@ TEST(GtMultiExp, SignedDigitsMatchPerElementLadder) {
   }
 }
 
-TEST(GtMultiExp, PowU64DelegatesToU256) {
-  // Satellite check for the folded ladders: the u64 entry point is the u256
-  // ladder on a one-limb exponent, bit for bit.
-  auto rng = SecureRng::deterministic(1104);
-  ff::Fp12 g = pairing::pairing(curve::g1_random(rng), curve::g2_random(rng));
-  for (std::uint64_t e : {std::uint64_t{0}, std::uint64_t{1}, std::uint64_t{2},
-                          ~std::uint64_t{0}, rng.next_u64()}) {
-    EXPECT_TRUE(g.cyclotomic_pow_u64(e) == g.cyclotomic_pow_u256(ff::U256{e}));
-  }
-}
-
 TEST(GtMultiExp, SubgroupClosure) {
   // multi_pow over GT inputs stays in GT: the order-r subgroup membership
   // test (cyclotomic identity + order check) accepts every output.

@@ -20,7 +20,6 @@
 namespace dsaudit {
 namespace {
 
-using audit::BasicInstance;
 using audit::Challenge;
 using audit::Fr;
 using audit::KeyPair;

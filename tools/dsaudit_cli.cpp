@@ -91,31 +91,35 @@ Args parse(int argc, char** argv, int first) {
 }
 
 audit::PublicKey load_pk(const std::string& path) {
-  auto pk = audit::deserialize_public_key(read_file(path));
-  if (!pk) {
-    std::fprintf(stderr, "dsaudit: malformed public key %s\n", path.c_str());
+  auto decoded = audit::decode_public_key(read_file(path));
+  if (!decoded) {
+    std::fprintf(stderr, "dsaudit: malformed public key %s (%s)\n", path.c_str(),
+                 audit::to_string(decoded.error));
     std::exit(1);
   }
-  if (pk->e_g1_epsilon.is_zero()) {
+  audit::PublicKey pk = *decoded;
+  if (pk.e_g1_epsilon.is_zero()) {
     // Key was stored without the privacy extras; recompute the GT base.
-    pk->e_g1_epsilon = dsaudit::pairing::pairing(curve::G1::generator(), pk->epsilon);
+    pk.e_g1_epsilon = dsaudit::pairing::pairing(curve::G1::generator(), pk.epsilon);
   }
-  return *pk;
+  return pk;
 }
 
 audit::FileTag load_tag(const std::string& path) {
-  auto tag = audit::deserialize_file_tag(read_file(path));
+  auto tag = audit::decode_file_tag(read_file(path));
   if (!tag) {
-    std::fprintf(stderr, "dsaudit: malformed tag %s\n", path.c_str());
+    std::fprintf(stderr, "dsaudit: malformed tag %s (%s)\n", path.c_str(),
+                 audit::to_string(tag.error));
     std::exit(1);
   }
   return *tag;
 }
 
 audit::Challenge load_challenge(const std::string& path) {
-  auto chal = audit::deserialize_challenge(read_file(path));
+  auto chal = audit::decode_challenge(read_file(path));
   if (!chal) {
-    std::fprintf(stderr, "dsaudit: malformed challenge %s\n", path.c_str());
+    std::fprintf(stderr, "dsaudit: malformed challenge %s (%s)\n", path.c_str(),
+                 audit::to_string(chal.error));
     std::exit(1);
   }
   return *chal;
@@ -133,9 +137,10 @@ int cmd_keygen(const Args& args) {
 }
 
 int cmd_tag(const Args& args) {
-  auto sk = audit::deserialize_secret_key(read_file(args.get("sk")));
+  auto sk = audit::decode_secret_key(read_file(args.get("sk")));
   if (!sk) {
-    std::fprintf(stderr, "dsaudit: malformed secret key\n");
+    std::fprintf(stderr, "dsaudit: malformed secret key (%s)\n",
+                 audit::to_string(sk.error));
     return 1;
   }
   audit::PublicKey pk = load_pk(args.get("pk"));
@@ -197,14 +202,21 @@ int cmd_verify(const Args& args) {
   audit::Challenge chal = load_challenge(args.get("challenge"));
   auto proof_bytes = read_file(args.get("proof"));
   bool ok = false;
+  audit::DecodeError error = audit::DecodeError::None;
   if (args.basic) {
-    auto proof = audit::deserialize_basic(proof_bytes);
+    auto proof = audit::decode_basic(proof_bytes);
+    error = proof.error;
     ok = proof && audit::verify(pk, tag.name, tag.num_chunks, chal, *proof);
   } else {
-    auto proof = audit::deserialize_private(proof_bytes);
+    auto proof = audit::decode_private(proof_bytes);
+    error = proof.error;
     ok = proof && audit::verify_private(pk, tag.name, tag.num_chunks, chal, *proof);
   }
-  std::printf("verify: %s\n", ok ? "PASS" : "FAIL");
+  if (error != audit::DecodeError::None) {
+    std::printf("verify: FAIL (%s)\n", audit::to_string(error));
+  } else {
+    std::printf("verify: %s\n", ok ? "PASS" : "FAIL");
+  }
   return ok ? 0 : 1;
 }
 
