@@ -110,8 +110,9 @@ int main() {
                 "= %llu gas/audit saved)\n",
                 wire.size(), uncompressed, uncompressed - wire.size(),
                 static_cast<unsigned long long>((uncompressed - wire.size()) * 16));
-    std::printf("cost: compress %.3f ms (prover), decompress %.2f ms "
-                "(Fp6 Tonelli-Shanks, verifier side)\n", t_comp, t_decomp);
+    std::printf("cost: compress %.3f ms (prover), decode %.2f ms "
+                "(torus decode + GT membership, verifier side)\n", t_comp,
+                t_decomp);
   }
   return 0;
 }

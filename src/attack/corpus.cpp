@@ -70,20 +70,20 @@ std::vector<Mutation> proof_mutations(std::span<const std::uint8_t> valid) {
   if (priv) {
     {
       auto b = copy_of(valid);
-      saturate(b, 96, 192);  // every GT coordinate >= p (flags masked to 0x3F
-                             // still leave the first one non-canonical)
+      saturate(b, 96, 192);  // every torus coordinate of R >= p
       out.push_back(make("gt-noncanonical-coords", std::move(b)));
     }
     {
       auto b = copy_of(valid);
-      b[96] |= 0xC0;  // b==0 flag AND lex-sign flag: contradictory
-      out.push_back(make("gt-contradictory-flags", std::move(b)));
+      b[96] |= 0xC0;  // R's first coordinate gains bits 255 and 254: >= p
+      out.push_back(make("gt-top-two-bits-set", std::move(b)));
     }
     {
       auto b = copy_of(valid);
-      // Claim b == 0 over coordinates whose a^2 != 1: no such GT element.
+      // Bit 255 set, bit 254 cleared: still >= 2^255 > p. The torus encoding
+      // has no flag bits, so no top bit is ever canonical.
       b[96] = static_cast<std::uint8_t>((b[96] & 0x3F) | 0x80);
-      out.push_back(make("gt-false-b-zero-flag", std::move(b)));
+      out.push_back(make("gt-top-bit-set", std::move(b)));
     }
     {
       // A basic-sized prefix of a private proof (and vice versa below):

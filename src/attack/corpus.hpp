@@ -8,7 +8,7 @@
 //   - tests/test_fuzz_decode.cpp: the *_mutations() generators enumerate
 //     every guaranteed-invalid class per wire format (truncation, extension,
 //     non-canonical field elements, off-range points, inconsistent length
-//     fields — including the 32*count overflow probes — bad GT flag bits),
+//     fields — including the 32*count overflow probes — GT coordinates >= p),
 //     plus seeded random byte flips that only assert crash-freedom.
 //
 // Everything is a pure function of its inputs: the same (bytes, seed) always

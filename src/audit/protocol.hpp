@@ -160,7 +160,7 @@ class Verifier {
 /// must outlive the call. `file == nullptr` falls back to recomputing the
 /// chunk hashes from `name` / `num_chunks` (the cold path of Verifier::
 /// verify). A ProofPrivate's big_r must be a genuine GT element — the wire
-/// decoder guarantees this (gt_decompress subgroup-checks); hand-built
+/// decoder guarantees this (gt_decode subgroup-checks); hand-built
 /// structs are the caller's responsibility.
 struct SettlementInstance {
   const Verifier* verifier = nullptr;

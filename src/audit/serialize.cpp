@@ -4,7 +4,6 @@
 #include <cstring>
 #include <stdexcept>
 
-#include "field/sqrt.hpp"
 #include "pairing/pairing.hpp"
 
 namespace dsaudit::audit {
@@ -42,19 +41,6 @@ std::optional<Fp6> read_fp6(const std::uint8_t* in) {
              Fp2{coords[4], coords[5]}};
 }
 
-/// Deterministic sign: lexicographic comparison of canonical encodings.
-bool fp6_lex_greater(const Fp6& a, const Fp6& b) {
-  std::uint8_t ab[192], bb[192];
-  write_fp6(a, ab);
-  write_fp6(b, bb);
-  return std::lexicographical_compare(bb, bb + 192, ab, ab + 192);
-}
-
-const Fp6& v_element() {
-  static const Fp6 v{Fp2::zero(), Fp2::one(), Fp2::zero()};
-  return v;
-}
-
 Fr read_fr(const std::uint8_t* in) {
   // Scalars are transmitted canonically; out-of-range values are rejected by
   // the caller via the NonCanonicalScalar path before this is reached.
@@ -88,48 +74,31 @@ std::array<std::uint8_t, 192> gt_compress(const Fp12& g) {
   if (!norm.is_one()) {
     throw std::invalid_argument("gt_compress: element is not unit-norm GT");
   }
-  std::array<std::uint8_t, 192> out{};
-  write_fp6(g.c0, out.data());
-  // Flags in the spare top bits of the first coordinate (Fp < 2^254).
-  if (g.c1.is_zero()) {
-    out[0] |= 0x80;  // b == 0: g = a with a^2 = 1
-  } else if (fp6_lex_greater(g.c1, -g.c1)) {
-    out[0] |= 0x40;
+  // 1 + a == 0 only at g = -1 (a = -1 forces v b^2 = 0, so b = 0): order 2,
+  // never a pairing value, and the one unit-norm element T2 cannot encode.
+  Fp6 one_plus_a = Fp6::one() + g.c0;
+  if (one_plus_a.is_zero()) {
+    throw std::invalid_argument("gt_compress: -1 has no torus encoding");
   }
+  std::array<std::uint8_t, 192> out{};
+  write_fp6(g.c1 * one_plus_a.inverse(), out.data());
   return out;
 }
 
 DecodeResult<Fp12> gt_decode(std::span<const std::uint8_t, 192> bytes) {
   using R = DecodeResult<Fp12>;
-  std::array<std::uint8_t, 192> buf;
-  std::copy(bytes.begin(), bytes.end(), buf.begin());
-  bool b_zero = (buf[0] & 0x80) != 0;
-  bool b_greater = (buf[0] & 0x40) != 0;
-  buf[0] &= 0x3f;
-  auto a = read_fp6(buf.data());
-  if (!a) return R::failure(DecodeError::BadGtElement);
-  Fp12 g;
-  if (b_zero) {
-    if (b_greater) return R::failure(DecodeError::BadGtElement);
-    if (!a->square().is_one()) return R::failure(DecodeError::BadGtElement);
-    g = Fp12{*a, Fp6::zero()};
-  } else {
-    // b^2 = (a^2 - 1) / v
-    Fp6 b2 = (a->square() - Fp6::one()) * v_element().inverse();
-    auto b = ff::sqrt(b2);
-    if (!b || b->is_zero()) return R::failure(DecodeError::BadGtElement);
-    Fp6 chosen = (fp6_lex_greater(*b, -*b) == b_greater) ? *b : -*b;
-    g = Fp12{*a, chosen};
-  }
-  // Unit norm (established above) is necessary but not sufficient: it admits
-  // the whole order-(p^6+1) subgroup. Only genuine pairing outputs — the
-  // order-r subgroup — deserialize.
+  auto c = read_fp6(bytes.data());
+  if (!c) return R::failure(DecodeError::BadGtElement);
+  // g = (1 + c w) / (1 - c w) = ((1 + v c^2) + 2c w) / D with D = 1 - v c^2.
+  // D != 0: v c^2 = 1 would make v a square in Fp6, and it is not.
+  Fp6 vc2 = c->square().mul_by_v();
+  Fp6 d_inv = (Fp6::one() - vc2).inverse();
+  Fp12 g{(Fp6::one() + vc2) * d_inv, c->dbl() * d_inv};
+  // Every canonical c decodes to a unit-norm element, which admits the whole
+  // order-(p^6+1) subgroup. Only genuine pairing outputs — the order-r
+  // subgroup — deserialize.
   if (!pairing::gt_in_subgroup(g)) return R::failure(DecodeError::BadGtElement);
   return R::success(g);
-}
-
-std::optional<Fp12> gt_decompress(std::span<const std::uint8_t, 192> bytes) {
-  return gt_decode(bytes).value;
 }
 
 std::vector<std::uint8_t> serialize(const ProofBasic& proof) {

@@ -3,10 +3,15 @@
 //   ProofBasic   -> 96 bytes  (sigma 32 | y 32 | psi 32)      — Fig. 5 "w/o"
 //   ProofPrivate -> 288 bytes (sigma 32 | y' 32 | psi 32 | R 192) — Table II
 //
-// GT compression: after the final exponentiation every GT element g = a + bw
-// (a, b in Fp6) satisfies g * conj(g) = 1, i.e. a^2 - v b^2 = 1. We ship
-// only a (6 Fp = 192 bytes = the paper's "|GT| = 1536 bits") plus a sign bit
-// for b, recovered on decode by b = sqrt((a^2 - 1)/v) in Fp6.
+// GT compression (T2 torus; Naehrig–Barreto–Schwabe, "On compressible
+// pairings and their computation", AFRICACRYPT 2008): after the final
+// exponentiation every GT element g = a + bw (a, b in Fp6) satisfies
+// g * conj(g) = 1, i.e. a^2 - v b^2 = 1. Every such g except -1 is
+// (1 + cw)/(1 - cw) for exactly one c = b/(1 + a) in Fp6, so we ship c as six
+// canonical Fp coordinates (192 bytes = the paper's "|GT| = 1536 bits") and
+// decode with one Fp6 inversion: D = 1 - v c^2, a = (1 + v c^2)/D,
+// b = 2c/D. The identity is c = 0 (all-zero bytes). There are no flag bits:
+// a set top bit makes its coordinate >= p, i.e. non-canonical.
 //
 // Untrusted-bytes boundary: every decode_* function treats its input as
 // adversary-controlled. Buffers are bounds-checked BEFORE any length field is
@@ -35,7 +40,7 @@ inline constexpr std::size_t kFrWireBytes = 32;   // canonical big-endian Fr
 inline constexpr std::size_t kU64WireBytes = 8;   // big-endian length/count
 inline constexpr std::size_t kG1WireBytes = 32;   // compressed G1 point
 inline constexpr std::size_t kG2WireBytes = 64;   // compressed G2 point
-inline constexpr std::size_t kGtWireBytes = 192;  // Fp6-compressed GT element
+inline constexpr std::size_t kGtWireBytes = 192;  // torus-compressed GT element
 
 /// Why a decode refused its input. One enumerator per distinct boundary
 /// check, so tests can pin the exact rejection path.
@@ -52,9 +57,9 @@ enum class DecodeError {
   /// A curve point failed to decode: non-canonical x coordinate, x not on
   /// the curve, or malformed infinity/sign flag bits.
   BadPoint,
-  /// A compressed GT element failed to decode: non-canonical Fp6
-  /// coordinates, (a^2-1)/v not a square, inconsistent flag bits, or the
-  /// recovered element outside the order-r pairing subgroup.
+  /// A compressed GT element failed to decode: a non-canonical Fp
+  /// coordinate, or the decoded unit-norm element outside the order-r
+  /// pairing subgroup.
   BadGtElement,
   /// A field that the protocol requires to be nonzero (s, k, secret-key
   /// components, the key's G2 points) decoded to zero/identity.
@@ -79,15 +84,13 @@ struct DecodeResult {
   static DecodeResult failure(DecodeError e) { return {std::nullopt, e}; }
 };
 
-/// 192-byte encoding of a unit-norm (cyclotomic-subgroup) GT element.
-/// Throws std::invalid_argument if the element is not unit-norm.
+/// 192-byte torus encoding c = b/(1 + a) of a unit-norm GT element.
+/// Throws std::invalid_argument if the element is not unit-norm, or is -1
+/// (the one unit-norm element without an encoding; it is not in GT).
 std::array<std::uint8_t, 192> gt_compress(const Fp12& g);
-/// Typed decode; BadGtElement on any malformed input (non-canonical
-/// coordinates, (a^2-1)/v not a square, bad flag bits, outside the order-r
-/// subgroup).
+/// Typed decode; BadGtElement on a non-canonical coordinate or an element
+/// outside the order-r subgroup. Accepted bytes re-encode to themselves.
 DecodeResult<Fp12> gt_decode(std::span<const std::uint8_t, 192> bytes);
-/// nullopt-shaped wrapper over gt_decode.
-std::optional<Fp12> gt_decompress(std::span<const std::uint8_t, 192> bytes);
 
 std::vector<std::uint8_t> serialize(const ProofBasic& proof);
 DecodeResult<ProofBasic> decode_basic(std::span<const std::uint8_t> bytes);

@@ -81,20 +81,4 @@ std::optional<Fp2> sqrt(const Fp2& a) {
   return tonelli_shanks(a, ctx);
 }
 
-std::optional<Fp6> sqrt(const Fp6& a) {
-  static const TsContext<Fp6> ctx = [] {
-    VarUInt p{Fp::modulus()};
-    VarUInt q = VarUInt::pow(p, 6);
-    // A quadratic non-residue of Fp2 stays a non-residue in Fp6 (the
-    // extension degree 3 is odd: (p^6-1)/2 = (p^2-1)/2 * (p^4+p^2+1) with an
-    // odd second factor), so candidates are Fp2 elements with a non-zero
-    // u-part — never pure base-field elements, which are always squares and
-    // would make the search crawl through hundreds of 1500-bit Euler tests.
-    return make_ts_context<Fp6>(q, [](u64 n) {
-      return Fp6(Fp2::from_u64(n & 0xff, 1 + (n >> 8)), Fp2::zero(), Fp2::zero());
-    });
-  }();
-  return tonelli_shanks(a, ctx);
-}
-
 }  // namespace dsaudit::ff

@@ -1,21 +1,14 @@
-// Square roots in the tower fields via generic Tonelli–Shanks.
-//
-//   sqrt(Fp2) — decompressing 64-byte G2 points.
-//   sqrt(Fp6) — decompressing 192-byte GT elements: a cyclotomic-subgroup
-//               element g = a + b w satisfies g * conj(g) = 1, i.e.
-//               a^2 - v b^2 = 1, so b is recoverable from a up to sign via
-//               b = sqrt((a^2 - 1)/v). This is what lets the private proof
-//               carry R in 192 bytes (1536 bits), matching the paper's
-//               288-byte total.
+// Square root in Fp2 via generic Tonelli–Shanks, for decompressing 64-byte
+// G2 points. (GT elements need no root: their 192-byte torus encoding
+// decodes with one Fp6 inversion, see audit/serialize.hpp.)
 #pragma once
 
 #include <optional>
 
-#include "field/fp6.hpp"
+#include "field/fp2.hpp"
 
 namespace dsaudit::ff {
 
 std::optional<Fp2> sqrt(const Fp2& a);
-std::optional<Fp6> sqrt(const Fp6& a);
 
 }  // namespace dsaudit::ff

@@ -93,8 +93,9 @@ bool pairing_product_is_one(std::span<const PreparedPair> pairs);
 
 /// True iff g lies in GT, the order-r subgroup of Fp12^* hit by the pairing:
 /// first the cyclotomic-subgroup identity g^{p^4+1} == g^{p^2} (cheap, two
-/// Frobenius maps), then g^r == 1 with cyclotomic squarings. Deserializers
-/// use this to reject unit-norm Fp12 values that are not pairing outputs.
+/// Frobenius maps), then g^p == g^{6u^2}, which equals g^r == 1 because
+/// p - 6u^2 = r (a 127-bit cyclotomic ladder). Deserializers use this to
+/// reject unit-norm Fp12 values that are not pairing outputs.
 bool gt_in_subgroup(const Fp12& g);
 
 /// Textbook affine-coordinates Miller loop and pairing (the original

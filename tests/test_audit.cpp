@@ -441,24 +441,75 @@ TEST(AuditWire, MalformedProofRejected) {
   EXPECT_FALSE(deserialize_private(junk288).has_value());
 }
 
+// The six canonical Fp coordinates of c, in gt_compress's byte order.
+std::array<std::uint8_t, 192> torus_bytes(const ff::Fp6& c) {
+  std::array<std::uint8_t, 192> out{};
+  const ff::Fp* coords[6] = {&c.c0.c0, &c.c0.c1, &c.c1.c0,
+                             &c.c1.c1, &c.c2.c0, &c.c2.c1};
+  for (int i = 0; i < 6; ++i) {
+    coords[i]->to_be_bytes(std::span<std::uint8_t, 32>(out.data() + 32 * i, 32));
+  }
+  return out;
+}
+
+// The defining quotient (1 + cw)/(1 - cw), computed with a generic Fp12
+// inverse rather than the decoder's closed form.
+Fp12 torus_quotient(const ff::Fp6& c) {
+  return Fp12{ff::Fp6::one(), c} * Fp12{ff::Fp6::one(), -c}.inverse();
+}
+
 TEST(AuditWire, GtCompressionRoundTrip) {
   auto rng = SecureRng::deterministic(407);
   for (int i = 0; i < 3; ++i) {
     // Any pairing output is unit-norm.
     Fp12 g = ::dsaudit::pairing::pairing(curve::g1_random(rng), curve::g2_random(rng));
     auto bytes = gt_compress(g);
-    auto back = gt_decompress(bytes);
-    ASSERT_TRUE(back.has_value());
+    auto back = gt_decode(bytes);
+    ASSERT_TRUE(back.ok()) << to_string(back.error);
     EXPECT_EQ(*back, g);
+    EXPECT_EQ(gt_compress(*back), bytes);
+    // c = b / (1 + a) is the element's torus coordinate.
+    ff::Fp6 c = g.c1 * (ff::Fp6::one() + g.c0).inverse();
+    EXPECT_EQ(bytes, torus_bytes(c));
+    EXPECT_EQ(torus_quotient(c), g);
   }
-  // Identity (b = 0 path).
-  auto one_bytes = gt_compress(Fp12::one());
-  auto one_back = gt_decompress(one_bytes);
-  ASSERT_TRUE(one_back.has_value());
+  // The identity is c = 0: the all-zero string, both ways.
+  const std::array<std::uint8_t, 192> zeros{};
+  EXPECT_EQ(gt_compress(Fp12::one()), zeros);
+  auto one_back = gt_decode(zeros);
+  ASSERT_TRUE(one_back.ok());
   EXPECT_TRUE(one_back->is_one());
   // Non-unit-norm elements are rejected at compression time.
   Fp12 not_gt = Fp12::random(rng);
   EXPECT_THROW(gt_compress(not_gt), std::invalid_argument);
+}
+
+TEST(AuditWire, EveryCanonicalTorusCoordinateDecodesToOneUnitNormElement) {
+  auto rng = SecureRng::deterministic(411);
+  for (int i = 0; i < 4; ++i) {
+    // A random canonical c names a unit-norm element with exactly this
+    // encoding; it is (overwhelmingly) outside GT, so the decoder refuses it
+    // at the subgroup check, with the typed reason.
+    ff::Fp6 c = ff::Fp6::random(rng);
+    auto bytes = torus_bytes(c);
+    Fp12 g = torus_quotient(c);
+    EXPECT_TRUE((g * g.conjugate()).is_one());
+    EXPECT_EQ(gt_compress(g), bytes);
+    ASSERT_FALSE(::dsaudit::pairing::gt_in_subgroup(g));
+    EXPECT_EQ(gt_decode(bytes).error, DecodeError::BadGtElement);
+  }
+  // No flag bits: a set top bit in any coordinate makes it >= p.
+  Fp12 g = ::dsaudit::pairing::pairing(curve::g1_random(rng), curve::g2_random(rng));
+  const auto good = gt_compress(g);
+  for (int i = 0; i < 6; ++i) {
+    auto bytes = good;
+    bytes[32 * i] |= 0x80;
+    EXPECT_EQ(gt_decode(bytes).error, DecodeError::BadGtElement) << i;
+    bytes = good;
+    ff::Fp::modulus().to_be_bytes(
+        std::span<std::uint8_t, 32>(bytes.data() + 32 * i, 32));
+    EXPECT_EQ(gt_decode(bytes).error, DecodeError::BadGtElement) << i;
+  }
 }
 
 TEST(AuditWire, GtDecompressRejectsUnitNormNonSubgroupElements) {
@@ -471,11 +522,11 @@ TEST(AuditWire, GtDecompressRejectsUnitNormNonSubgroupElements) {
     Fp12 u = f.conjugate() * f.inverse();
     ASSERT_FALSE(::dsaudit::pairing::gt_in_subgroup(u));
     auto bytes = gt_compress(u);  // unit-norm: compression accepts
-    EXPECT_FALSE(gt_decompress(bytes).has_value());
+    EXPECT_EQ(gt_decode(bytes).error, DecodeError::BadGtElement);
   }
   // The easy part of the final exponentiation, f^{(p^6-1)(p^2+1)}, lands in
   // the cyclotomic subgroup: such an element passes the Phi_12 identity
-  // g^{p^4} * g == g^{p^2}, so only the order-r exponentiation can refuse it.
+  // g^{p^4} * g == g^{p^2}, so only the order-r test can refuse it.
   for (int i = 0; i < 3; ++i) {
     Fp12 f = Fp12::random(rng);
     Fp12 t = f.conjugate() * f.inverse();
@@ -485,9 +536,12 @@ TEST(AuditWire, GtDecompressRejectsUnitNormNonSubgroupElements) {
     auto bytes = gt_compress(cyclo);
     EXPECT_EQ(gt_decode(bytes).error, DecodeError::BadGtElement);
   }
-  // -1 is unit-norm with order 2; r is odd, so it is not a pairing value.
+  // -1 is unit-norm with order 2; r is odd, so it is not a pairing value. It
+  // is also the one unit-norm element without a torus encoding (1 + a = 0),
+  // so no byte string decodes to it and compressing it throws.
   Fp12 minus_one{-ff::Fp6::one(), ff::Fp6::zero()};
-  EXPECT_FALSE(gt_decompress(gt_compress(minus_one)).has_value());
+  EXPECT_FALSE(::dsaudit::pairing::gt_in_subgroup(minus_one));
+  EXPECT_THROW(gt_compress(minus_one), std::invalid_argument);
   // Sanity: genuine pairing outputs do pass the subgroup check.
   Fp12 g = ::dsaudit::pairing::pairing(curve::g1_random(rng), curve::g2_random(rng));
   EXPECT_TRUE(::dsaudit::pairing::gt_in_subgroup(g));

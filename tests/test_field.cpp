@@ -213,7 +213,7 @@ TEST(Fp12Tower, PowHomomorphism) {
 }
 
 // ---------------------------------------------------------------------------
-// Square roots in extensions.
+// Square root in Fp2 (G2 decompression).
 // ---------------------------------------------------------------------------
 
 TEST(Sqrt, Fp2RoundTrip) {
@@ -230,18 +230,6 @@ TEST(Sqrt, Fp2RoundTrip) {
   // Roughly half of random elements are squares; just ensure both kinds occur.
   EXPECT_GT(residues, 0);
   EXPECT_LT(residues, 10);
-}
-
-TEST(Sqrt, Fp6RoundTrip) {
-  auto rng = SecureRng::deterministic(36);
-  for (int i = 0; i < 4; ++i) {
-    Fp6 a = Fp6::random(rng);
-    Fp6 sq = a.square();
-    auto root = sqrt(sq);
-    ASSERT_TRUE(root.has_value());
-    EXPECT_TRUE(*root == a || *root == -a);
-  }
-  EXPECT_EQ(sqrt(Fp6::zero()).value(), Fp6::zero());
 }
 
 // ---------------------------------------------------------------------------

@@ -231,7 +231,7 @@ TEST_F(FuzzDecode, RejectionReasonsAreTyped) {
   }
   {
     auto b = valid_private_;
-    b[96] |= 0xC0;  // contradictory GT flag bits
+    b[96] |= 0xC0;  // R's first torus coordinate >= 2^255 > p
     EXPECT_EQ(decode_private(b).error, DecodeError::BadGtElement);
   }
   {
@@ -290,6 +290,37 @@ TEST_F(FuzzDecode, ValidEncodingsRoundTripBitExactly) {
             valid_challenge_);
   EXPECT_EQ(serialize(*decode_aggregate_settlement(valid_aggregate_)),
             valid_aggregate_);
+}
+
+// GT codec canonicality: the torus encoding has exactly one string per
+// element, so every private proof or key the decoder accepts — valid bytes,
+// random flips, and R = identity (all-zero coordinates) — re-encodes to the
+// very bytes it came from.
+TEST_F(FuzzDecode, AcceptedGtEncodingsReEncodeToThemselves) {
+  const std::size_t flips = flip_seeds(30);
+  auto proofs = attack::corpus::proof_mutations(valid_private_);
+  auto more = attack::corpus::random_flips(valid_private_, 0xC1, flips);
+  proofs.insert(proofs.end(), more.begin(), more.end());
+  {
+    auto b = valid_private_;
+    std::fill(b.begin() + 96, b.end(), std::uint8_t{0});
+    proofs.push_back({"r-identity", std::move(b), false});
+  }
+  std::size_t accepted = 0;
+  for (const auto& m : proofs) {
+    const auto r = decode_private(m.bytes);
+    if (!r) continue;
+    ++accepted;
+    EXPECT_EQ(serialize(*r), m.bytes) << m.label;
+  }
+  EXPECT_GE(accepted, 1u);  // r-identity at least
+  auto keys = attack::corpus::random_flips(valid_pk_, 0xC2, flips);
+  keys.push_back({"valid", valid_pk_, false});
+  for (const auto& m : keys) {
+    const auto r = decode_public_key(m.bytes);
+    if (!r) continue;
+    EXPECT_EQ(serialize(*r, /*with_privacy=*/true), m.bytes) << m.label;
+  }
 }
 
 }  // namespace

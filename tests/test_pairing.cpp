@@ -228,6 +228,58 @@ TEST(Fp12Ops, DirectFrobeniusPowersMatchIterated) {
   }
 }
 
+// The one differential oracle for gt_in_subgroup: the order-r ladder it
+// replaced. Same zero and Phi_12 guards (cyclotomic squarings are only valid
+// past the latter), then g^r == 1 over all 254 bits of r.
+bool in_gt_by_order_ladder(const Fp12& g) {
+  if (g.is_zero()) return false;
+  if (!(g.frobenius2().frobenius2() * g == g.frobenius2())) return false;
+  return g.cyclotomic_pow_u256(Fr::modulus()).is_one();
+}
+
+TEST(GtSubgroup, FrobeniusExponentIsPMinusR) {
+  // gt_in_subgroup tests g^p == g^{6u^2}; that is g^r == 1 exactly because
+  // p - 6u^2 = r for the BN254 polynomials.
+  const bigint::VarUInt u{ff::kBnParamT};
+  EXPECT_EQ(bigint::VarUInt{ff::Fp::modulus()} - bigint::VarUInt{6} * u * u,
+            bigint::VarUInt{Fr::modulus()});
+}
+
+TEST(GtSubgroup, GenuinePairingOutputsPass) {
+  auto rng = SecureRng::deterministic(84);
+  Fp12 g = pairing(curve::g1_random(rng), curve::g2_random(rng));
+  for (const Fp12& x : {Fp12::one(), g, g.conjugate(),
+                        g.cyclotomic_pow_u256(Fr::random(rng).to_u256())}) {
+    EXPECT_TRUE(gt_in_subgroup(x));
+    EXPECT_TRUE(in_gt_by_order_ladder(x));
+  }
+}
+
+TEST(GtSubgroup, NaturalForgeriesAreRefusedByBothTests) {
+  auto rng = SecureRng::deterministic(85);
+  Fp12 g = pairing(curve::g1_random(rng), curve::g2_random(rng));
+  std::vector<std::pair<const char*, Fp12>> forgeries;
+  for (int i = 0; i < 2; ++i) {
+    // t: the easy part f^{(p^6-1)(p^2+1)} of a random f, a cyclotomic
+    // element. t^r has order dividing the cofactor (p^4-p^2+1)/r, so it
+    // passes the Phi_12 guard and only the order test can refuse it.
+    Fp12 f = Fp12::random(rng);
+    Fp12 t0 = f.conjugate() * f.inverse();
+    Fp12 t = t0.frobenius2() * t0;
+    Fp12 cofactor = t.cyclotomic_pow_u256(Fr::modulus());
+    ASSERT_FALSE(cofactor.is_one());
+    forgeries.emplace_back("t^r", cofactor);
+    forgeries.emplace_back("t^r * e(P,Q)", cofactor * g);
+    forgeries.emplace_back("f^(p^6-1)", t0);  // unit-norm, not cyclotomic
+  }
+  forgeries.emplace_back("-1", -Fp12::one());
+  forgeries.emplace_back("zero", Fp12::zero());
+  for (const auto& [what, x] : forgeries) {
+    EXPECT_FALSE(gt_in_subgroup(x)) << what;
+    EXPECT_FALSE(in_gt_by_order_ladder(x)) << what;
+  }
+}
+
 TEST(Pairing, KnownExponentPairingIdentity) {
   // e(aG1, G2) == e(G1, aG2) for several small a — catches scalar/loop-count
   // mixups that bilinearity with random scalars might mask.
