@@ -53,18 +53,6 @@ void BM_G1ScalarMul(benchmark::State& state) {
 }
 BENCHMARK(BM_G1ScalarMul);
 
-/// The pre-GLV generic route: 5-bit signed wNAF over the whole 254-bit
-/// scalar. BM_G1ScalarMul (above) takes the GLV half-length interleaved
-/// route; the gap between the two rows is the endomorphism dividend.
-void BM_G1ScalarMulWnaf(benchmark::State& state) {
-  curve::G1 p = curve::g1_random(rng());
-  ff::Fr k = ff::Fr::random(rng());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(p.mul_wnaf(k.to_u256()));
-  }
-}
-BENCHMARK(BM_G1ScalarMulWnaf);
-
 void BM_G1ScalarMulNaive(benchmark::State& state) {
   curve::G1 p = curve::g1_random(rng());
   ff::Fr k = ff::Fr::random(rng());

@@ -248,10 +248,6 @@ DecodeResult<PublicKey> decode_public_key(std::span<const std::uint8_t> bytes) {
   return R::success(std::move(pk));
 }
 
-std::optional<PublicKey> deserialize_public_key(std::span<const std::uint8_t> bytes) {
-  return decode_public_key(bytes).value;
-}
-
 namespace {
 
 void write_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
@@ -292,10 +288,6 @@ DecodeResult<SecretKey> decode_secret_key(std::span<const std::uint8_t> bytes) {
     return R::failure(DecodeError::ZeroForbidden);
   }
   return R::success(sk);
-}
-
-std::optional<SecretKey> deserialize_secret_key(std::span<const std::uint8_t> bytes) {
-  return decode_secret_key(bytes).value;
 }
 
 std::vector<std::uint8_t> serialize(const FileTag& tag) {
@@ -340,10 +332,6 @@ DecodeResult<FileTag> decode_file_tag(std::span<const std::uint8_t> bytes) {
   return R::success(std::move(tag));
 }
 
-std::optional<FileTag> deserialize_file_tag(std::span<const std::uint8_t> bytes) {
-  return decode_file_tag(bytes).value;
-}
-
 std::vector<std::uint8_t> serialize(const Challenge& chal) {
   std::vector<std::uint8_t> out;
   out.reserve(104);
@@ -367,10 +355,6 @@ DecodeResult<Challenge> decode_challenge(std::span<const std::uint8_t> bytes) {
   chal.k = read_u64(bytes.data() + 96);
   if (chal.k == 0) return R::failure(DecodeError::ZeroForbidden);
   return R::success(chal);
-}
-
-std::optional<Challenge> deserialize_challenge(std::span<const std::uint8_t> bytes) {
-  return decode_challenge(bytes).value;
 }
 
 std::vector<std::uint8_t> serialize(const AggregateSettlement& agg) {
@@ -424,11 +408,6 @@ DecodeResult<AggregateSettlement> decode_aggregate_settlement(
     }
   }
   return R::success(std::move(agg));
-}
-
-std::optional<AggregateSettlement> deserialize_aggregate_settlement(
-    std::span<const std::uint8_t> bytes) {
-  return decode_aggregate_settlement(bytes).value;
 }
 
 }  // namespace dsaudit::audit

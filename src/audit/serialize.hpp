@@ -20,8 +20,8 @@
 // element must be canonical, every point on-curve, every GT element in the
 // order-r subgroup — and the reason for a rejection comes back as a typed
 // DecodeError instead of a bare nullopt, so callers (and the fuzz corpus)
-// can assert WHY bytes were refused. The legacy deserialize_* wrappers keep
-// their std::optional shape and delegate.
+// can assert WHY bytes were refused. The two proof decoders keep a legacy
+// deserialize_* wrapper of std::optional shape that delegates.
 #pragma once
 
 #include <optional>
@@ -103,23 +103,19 @@ std::optional<ProofPrivate> deserialize_private(std::span<const std::uint8_t> by
 /// Public key serialization (the Initialize-phase on-chain record, Fig. 4).
 std::vector<std::uint8_t> serialize(const PublicKey& pk, bool with_privacy);
 DecodeResult<PublicKey> decode_public_key(std::span<const std::uint8_t> bytes);
-std::optional<PublicKey> deserialize_public_key(std::span<const std::uint8_t> bytes);
 
 /// Secret key (64 bytes: x || alpha) — off-chain, for the owner's keystore.
 std::vector<std::uint8_t> serialize(const SecretKey& sk);
 DecodeResult<SecretKey> decode_secret_key(std::span<const std::uint8_t> bytes);
-std::optional<SecretKey> deserialize_secret_key(std::span<const std::uint8_t> bytes);
 
 /// File tag: name (32) || s (8) || num_chunks (8) || compressed sigmas.
 std::vector<std::uint8_t> serialize(const FileTag& tag);
 DecodeResult<FileTag> decode_file_tag(std::span<const std::uint8_t> bytes);
-std::optional<FileTag> deserialize_file_tag(std::span<const std::uint8_t> bytes);
 
 /// Challenge: c1 (32) || c2 (32) || r (32) || k (8) — what the contract posts
 /// plus the agreed k.
 std::vector<std::uint8_t> serialize(const Challenge& chal);
 DecodeResult<Challenge> decode_challenge(std::span<const std::uint8_t> bytes);
-std::optional<Challenge> deserialize_challenge(std::span<const std::uint8_t> bytes);
 
 /// Aggregate settlement tx: seed (32) || boundary (8) || rounds (8) ||
 /// opening (32, compressed G1) || outcome bitmap (ceil(rounds/8)).
@@ -129,8 +125,6 @@ std::optional<Challenge> deserialize_challenge(std::span<const std::uint8_t> byt
 /// are canonical and round-trip bit-exactly).
 std::vector<std::uint8_t> serialize(const AggregateSettlement& agg);
 DecodeResult<AggregateSettlement> decode_aggregate_settlement(
-    std::span<const std::uint8_t> bytes);
-std::optional<AggregateSettlement> deserialize_aggregate_settlement(
     std::span<const std::uint8_t> bytes);
 
 }  // namespace dsaudit::audit

@@ -119,18 +119,7 @@ std::optional<BatchSettlement::Outcome> BatchSettlement::try_outcome(
     // everything due by the deadline has been enqueued by now.
     flush(lock);
   }
-  wait_for_flush_locked(lock, ticket.batch);
-  auto it = results_.find(ticket.batch);
-  if (it == results_.end()) {
-    if (ticket.batch >= current_batch_) return std::nullopt;  // window open
-    throw std::logic_error("BatchSettlement: unknown ticket");
-  }
-  if (ticket.index >= it->second.ok.size()) {
-    throw std::logic_error("BatchSettlement: unknown ticket");
-  }
-  return Outcome{it->second.ok[ticket.index], it->second.ok.size(),
-                 it->second.flush_ms, it->second.aggregated,
-                 it->second.fallback};
+  return redeem_locked(lock, ticket);
 }
 
 BatchSettlement::Outcome BatchSettlement::outcome(const Ticket& ticket) {
@@ -138,14 +127,25 @@ BatchSettlement::Outcome BatchSettlement::outcome(const Ticket& ticket) {
   if (ticket.batch == current_batch_ && !pending_.empty()) {
     flush(lock);
   }
+  auto out = redeem_locked(lock, ticket);
+  if (!out) throw std::logic_error("BatchSettlement: unknown ticket");
+  return *out;
+}
+
+std::optional<BatchSettlement::Outcome> BatchSettlement::redeem_locked(
+    std::unique_lock<std::mutex>& lock, const Ticket& ticket) {
   wait_for_flush_locked(lock, ticket.batch);
   auto it = results_.find(ticket.batch);
-  if (it == results_.end() || ticket.index >= it->second.ok.size()) {
+  if (it == results_.end()) {
+    if (ticket.batch >= current_batch_) return std::nullopt;  // window open
     throw std::logic_error("BatchSettlement: unknown ticket");
   }
-  return Outcome{it->second.ok[ticket.index], it->second.ok.size(),
-                 it->second.flush_ms, it->second.aggregated,
-                 it->second.fallback};
+  const BatchResult& res = it->second;
+  if (ticket.index >= res.ok.size()) {
+    throw std::logic_error("BatchSettlement: unknown ticket");
+  }
+  return Outcome{res.ok[ticket.index], res.ok.size(), res.flush_ms,
+                 res.aggregated, res.fallback};
 }
 
 void BatchSettlement::wait_for_flush_locked(std::unique_lock<std::mutex>& lock,

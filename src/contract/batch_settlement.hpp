@@ -175,6 +175,13 @@ class BatchSettlement {
   void wait_for_flush_locked(std::unique_lock<std::mutex>& lock,
                              std::uint64_t batch);
 
+  /// The redemption both try_outcome and outcome share, called with `lock`
+  /// held: waits out an in-flight flush of the ticket's batch, then returns
+  /// its outcome, or nullopt while that batch is still open. Throws on a
+  /// ticket that references a flushed batch it was never part of.
+  std::optional<Outcome> redeem_locked(std::unique_lock<std::mutex>& lock,
+                                       const Ticket& ticket);
+
   mutable std::mutex mutex_;
   std::condition_variable flush_cv_;
   bool flush_in_progress_ = false;

@@ -10,8 +10,9 @@
 //     11M+5S for the general add) — the workhorse of every fast path;
 //   - batch_to_affine: Jacobian -> affine for whole point sets with a single
 //     field inversion (Montgomery's trick);
-//   - Point::mul: signed-digit wNAF with a batch-normalized table of odd
-//     multiples (Point::mul_naive keeps the double-and-add reference);
+//   - Point::mul: GLV-split interleaved wNAF on G1, plain signed-digit wNAF
+//     on G2, each over a batch-normalized table of odd multiples
+//     (Point::mul_naive keeps the double-and-add reference);
 //   - msm: Pippenger bucketing over affine bases with signed windows (half
 //     the buckets), limb-wise digit extraction, and batched affine bucket
 //     accumulation that amortizes one inversion over thousands of additions;
@@ -213,37 +214,6 @@ class Point {
   }
   Point mul(const Fr& k) const { return mul(k.to_u256()); }
 
-  /// Width-5 wNAF over a batch-normalized table of odd multiples:
-  /// ~bit_length doublings plus one mixed addition every ~6 bits. The
-  /// generic path for groups without an endomorphism tag, retained on G1 as
-  /// the GLV differential/bench reference.
-  Point mul_wnaf(const U256& k) const {
-    if (is_infinity() || k.is_zero()) return infinity();
-
-    constexpr unsigned w = kWnafWidth;
-    std::vector<std::int8_t> naf = wnaf_digits(k, w);
-
-    // Odd multiples 1P, 3P, ..., (2^{w-1}-1)P, normalized in one inversion.
-    constexpr std::size_t table_size = std::size_t{1} << (w - 2);
-    std::vector<Point> tbl(table_size);
-    tbl[0] = *this;
-    Point twice = dbl();
-    for (std::size_t i = 1; i < table_size; ++i) tbl[i] = tbl[i - 1] + twice;
-    std::vector<Affine> atbl = batch_to_affine(tbl);
-
-    Point acc = infinity();
-    for (std::size_t i = naf.size(); i-- > 0;) {
-      acc = acc.dbl();
-      int d = naf[i];
-      if (d > 0) {
-        acc = acc.mixed_add(atbl[d >> 1]);
-      } else if (d < 0) {
-        acc = acc.mixed_add(-atbl[(-d) >> 1]);
-      }
-    }
-    return acc;
-  }
-
   /// phi(X, Y, Z) = (beta * X, Y, Z): the GLV endomorphism, acting as
   /// multiplication by lambda. Only instantiated for endomorphism-tagged
   /// groups.
@@ -308,8 +278,8 @@ class Point {
     return acc;
   }
 
-  /// Reference double-and-add ladder (MSB-first). Retained as the
-  /// differential-test oracle for the wNAF path.
+  /// Reference double-and-add ladder (MSB-first). Retained as the one
+  /// differential-test oracle for both `mul` routes.
   Point mul_naive(const U256& k) const {
     Point acc = infinity();
     unsigned n = k.bit_length();
@@ -378,6 +348,37 @@ class Point {
       }
     }
     return naf;
+  }
+
+  /// Width-5 wNAF over a batch-normalized table of odd multiples:
+  /// ~bit_length doublings plus one mixed addition every ~6 bits. `mul`'s
+  /// route for groups without an endomorphism tag (G2); its oracle is
+  /// mul_naive.
+  Point mul_wnaf(const U256& k) const {
+    if (is_infinity() || k.is_zero()) return infinity();
+
+    constexpr unsigned w = kWnafWidth;
+    std::vector<std::int8_t> naf = wnaf_digits(k, w);
+
+    // Odd multiples 1P, 3P, ..., (2^{w-1}-1)P, normalized in one inversion.
+    constexpr std::size_t table_size = std::size_t{1} << (w - 2);
+    std::vector<Point> tbl(table_size);
+    tbl[0] = *this;
+    Point twice = dbl();
+    for (std::size_t i = 1; i < table_size; ++i) tbl[i] = tbl[i - 1] + twice;
+    std::vector<Affine> atbl = batch_to_affine(tbl);
+
+    Point acc = infinity();
+    for (std::size_t i = naf.size(); i-- > 0;) {
+      acc = acc.dbl();
+      int d = naf[i];
+      if (d > 0) {
+        acc = acc.mixed_add(atbl[d >> 1]);
+      } else if (d < 0) {
+        acc = acc.mixed_add(-atbl[(-d) >> 1]);
+      }
+    }
+    return acc;
   }
 
   F x_, y_, z_;
@@ -503,53 +504,42 @@ std::size_t batch_affine_add_round(std::vector<AffinePoint<F, Tag>>& pts,
   return pair_count;
 }
 
-/// Signed window digit extraction shared by msm and msm_precomputed:
-/// digits[t * n + i] is scalar i's signed digit in [-half, half] at window
-/// position t (position-major so every later pass is a linear scan; digit 0
-/// never touches a bucket). Returns the number of positions actually used —
-/// the highest position holding any nonzero digit plus one, 0 when every
-/// scalar is zero.
-inline unsigned extract_signed_digits(std::span<const Fr> scalars, unsigned c,
-                                      unsigned positions,
-                                      std::vector<std::int32_t>& digits) {
-  const std::size_t n = scalars.size();
-  const bigint::u64 half = bigint::u64{1} << (c - 1);
-  digits.resize(std::size_t{positions} * n);
-  unsigned used = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    U256 k = scalars[i].to_u256();
-    bigint::u64 carry = 0;
-    for (unsigned t = 0; t < positions; ++t) {
-      bigint::u64 raw = k.extract_window(t * c, c) + carry;
-      std::int32_t d;
-      if (raw > half) {
-        d = static_cast<std::int32_t>(raw) - (1 << c);
-        carry = 1;
-      } else {
-        d = static_cast<std::int32_t>(raw);
-        carry = 0;
-      }
-      digits[std::size_t{t} * n + i] = d;
-      if (d != 0 && t + 1 > used) used = t + 1;
-    }
-  }
-  return used;
+/// Window positions of a signed-digit matrix of width c: enough for the
+/// 254-bit Fr width, or for the GLV half-scalars, plus one for the signed
+/// carry out of the top window.
+inline unsigned signed_digit_positions(unsigned c, bool glv) {
+  const unsigned bits = glv ? kGlvHalfBits : Fr::modulus().bit_length();
+  return (bits + c - 1) / c + 1;
 }
 
-/// Endomorphism-split digit extraction: scalar i GLV-decomposes into
-/// k = k1 + k2 * lambda, and the digit matrix covers 2n virtual columns —
-/// column i holds k1's signed digits (sign-folded), column n + i holds k2's.
-/// Since |k1|, |k2| < 2^kGlvHalfBits, only ceil(kGlvHalfBits / c) + 1 window
-/// positions exist: the same digit entries as an unsplit extraction of
-/// full-width scalars, at half the window rows — half the bucket spaces and
-/// half the Horner doublings downstream. Returns used positions, 0 when all
-/// scalars are zero.
-inline unsigned extract_signed_digits_glv(std::span<const Fr> scalars, unsigned c,
-                                          unsigned positions,
-                                          std::vector<std::int32_t>& digits) {
+/// phi(x, y) = (beta * x, y) on an affine point; infinity maps to itself.
+template <typename F, typename Tag>
+AffinePoint<F, Tag> endo_affine(AffinePoint<F, Tag> p) {
+  p.x = p.x * Tag::endo_beta();
+  return p;
+}
+
+/// Signed window digit extraction shared by msm and msm_precomputed, in one
+/// of two column layouts over n scalars:
+///   - unsplit: column i holds scalar i's digits over the 254-bit Fr width;
+///   - `glv`: scalar i GLV-decomposes into k = k1 + k2 * lambda, column i
+///     holds k1's signed digits (sign-folded) and column n + i k2's. Since
+///     |k1|, |k2| < 2^kGlvHalfBits, the same digit entries fit in half the
+///     window positions — half the bucket spaces and half the Horner
+///     doublings downstream.
+/// digits[t * columns + i] is column i's signed digit in [-half, half] at
+/// window position t (position-major so every later pass is a linear scan;
+/// digit 0 never touches a bucket). Returns the number of positions actually
+/// used — the highest position holding any nonzero digit plus one, 0 when
+/// every scalar is zero.
+inline unsigned extract_signed_digits(std::span<const Fr> scalars, unsigned c,
+                                      bool glv,
+                                      std::vector<std::int32_t>& digits) {
   const std::size_t n = scalars.size();
+  const std::size_t columns = glv ? 2 * n : n;
+  const unsigned positions = signed_digit_positions(c, glv);
   const bigint::u64 half = bigint::u64{1} << (c - 1);
-  digits.resize(std::size_t{positions} * 2 * n);
+  digits.resize(std::size_t{positions} * columns);
   unsigned used = 0;
   auto emit = [&](const U256& mag, bool neg, std::size_t col) {
     bigint::u64 carry = 0;
@@ -564,21 +554,20 @@ inline unsigned extract_signed_digits_glv(std::span<const Fr> scalars, unsigned 
         carry = 0;
       }
       if (neg) d = -d;
-      digits[std::size_t{t} * 2 * n + col] = d;
+      digits[std::size_t{t} * columns + col] = d;
       if (d != 0 && t + 1 > used) used = t + 1;
     }
   };
   for (std::size_t i = 0; i < n; ++i) {
+    if (!glv) {
+      emit(scalars[i].to_u256(), false, i);
+      continue;
+    }
     const GlvDecomposed dec = glv_decompose(scalars[i].to_u256());
     emit(dec.k1, dec.neg1, i);
     emit(dec.k2, dec.neg2, n + i);
   }
   return used;
-}
-
-/// Window positions needed by an endo-split digit matrix (+1: signed carry).
-inline unsigned glv_digit_positions(unsigned c) {
-  return (kGlvHalfBits + c - 1) / c + 1;
 }
 
 /// The whole bucket pipeline shared by msm and msm_precomputed, from signed
@@ -596,7 +585,7 @@ inline unsigned glv_digit_positions(unsigned c) {
 ///     bucket space — the precomputed table's shifted bases bake the 2^{ct}
 ///     weights in, so no doublings remain (msm_precomputed);
 ///   - the base lookup `base(t, i)`: position-independent bases for the cold
-///     path, tbl.pts[t * n + i] for the shifted-base table.
+///     path, the column's row-t entry for the shifted-base table.
 template <typename P, typename BaseFn>
 P msm_from_digits(const std::int32_t* digits, std::size_t n, unsigned t_begin,
                   unsigned t_end, unsigned c, bool per_position_buckets,
@@ -859,216 +848,155 @@ P msm(std::span<const P> points, std::span<const Fr> scalars) {
   const unsigned lg = std::bit_width(n);
   const unsigned c0 = (lg >> 1) + 4;
   const unsigned c = c0 < 4 ? 4 : (c0 > 16 ? 16 : c0);
+  // Endomorphism split (G1): same scatter-entry count as the unsplit matrix
+  // at full scalar width, but half the window rows — half the bucket spaces,
+  // half the Horner doublings, and a much smaller per-space reduction bill.
+  // Short scalars (e.g. the 128-bit settlement batch weights) skip the
+  // split: below ~1.5x the half-scalar width the row savings cannot recoup
+  // the doubled entries.
+  bool glv = false;
   if constexpr (HasEndomorphism<typename P::TagType>) {
-    // Endomorphism split: same scatter-entry count as the unsplit matrix at
-    // full scalar width, but half the window rows — half the bucket spaces,
-    // half the Horner doublings, and a much smaller per-space reduction
-    // bill. Short scalars (e.g. the 128-bit settlement batch weights) skip
-    // the split: below ~1.5x the half-scalar width the row savings cannot
-    // recoup the doubled entries.
     unsigned max_bits = 0;
     for (const Fr& s : scalars) {
       max_bits = std::max(max_bits, s.to_u256().bit_length());
     }
-    if (2 * max_bits > 3 * kGlvHalfBits) {
-      std::vector<std::int32_t> digits;
-      const unsigned used = detail::extract_signed_digits_glv(
-          scalars, c, detail::glv_digit_positions(c), digits);
-      if (used == 0) return P::infinity();
-      std::vector<A> base = P::batch_to_affine(points);
-      base.resize(2 * n);
-      const auto& beta = P::TagType::endo_beta();
-      for (std::size_t i = 0; i < n; ++i) {
-        base[n + i] = base[i];
-        base[n + i].x = base[i].x * beta;  // phi: (beta*x, y); infinity copies
-      }
-      return detail::msm_sharded<P>(
-          digits, 2 * n, used, c, /*per_position_buckets=*/true,
-          [&base](unsigned, std::size_t i) -> const A& { return base[i]; });
-    }
+    glv = 2 * max_bits > 3 * kGlvHalfBits;
   }
 
-  // Scalars are canonical Fr values: bounded by the 254-bit modulus, not 256.
-  const unsigned scalar_bits = Fr::modulus().bit_length();
-  const unsigned windows = (scalar_bits + c - 1) / c + 1;  // +1: signed carry
-
   std::vector<std::int32_t> digits;
-  const unsigned used = detail::extract_signed_digits(scalars, c, windows, digits);
+  const unsigned used = detail::extract_signed_digits(scalars, c, glv, digits);
   if (used == 0) return P::infinity();
 
-  const std::vector<A> base = P::batch_to_affine(points);
+  // Split columns n + i read phi(B_i), appended behind the bases.
+  std::vector<A> base = P::batch_to_affine(points);
+  if constexpr (HasEndomorphism<typename P::TagType>) {
+    if (glv) {
+      base.resize(2 * n);
+      for (std::size_t i = 0; i < n; ++i) {
+        base[n + i] = detail::endo_affine(base[i]);
+      }
+    }
+  }
   return detail::msm_sharded<P>(
-      digits, n, used, c, /*per_position_buckets=*/true,
+      digits, base.size(), used, c, /*per_position_buckets=*/true,
       [&base](unsigned, std::size_t i) -> const A& { return base[i]; });
 }
 
-/// Precomputed shifted bases for repeated MSMs over a fixed base set (a KZG
-/// SRS, a commitment key): pts[t * n + i] = 2^{c*t} * B_i in affine. With
-/// these, every digit position of every scalar lands in one shared bucket
-/// space, so an MSM needs no doublings, a single reduction, and ~25% fewer
-/// additions than the cold path — at ~positions*n*72 bytes of memory and a
-/// one-time build of ~254 doublings per base.
+/// Precomputed shifted bases for repeated G1 MSMs over a fixed base set (a
+/// KZG SRS, a commitment key, the verifier's H(name||i)). Lookups always
+/// GLV-split the scalars, so the table covers only the half-scalar digit
+/// positions, signed_digit_positions(c, true) of them; row t holds [2^{ct} * B_i for i < n | their n phi images]:
+/// pts[t * 2n + i] and pts[t * 2n + n + i], in affine. With these, every
+/// digit position of every scalar lands in one shared bucket space, so an
+/// MSM needs no doublings, a single reduction, and ~25% fewer additions than
+/// the cold path — at ~positions*2n*72 bytes of memory and a one-time build
+/// of ~127 doublings per base (a phi image costs one Fp multiplication).
 template <typename P>
 struct MsmBasesTable {
-  unsigned c = 0;          // digit width the table was built for
-  unsigned positions = 0;  // digit positions covered: ceil(254/c) + 1, or
-                           // ceil(kGlvHalfBits/c) + 1 in glv layout
-  std::size_t n = 0;       // number of bases
-  bool glv = false;        // endomorphism-split layout: row t holds
-                           // [n shifted bases | their n phi images], and
-                           // lookups run over 2m virtual half-scalar columns
+  static_assert(HasEndomorphism<typename P::TagType>,
+                "MsmBasesTable: shifted-base tables are GLV-split (G1 only)");
+  unsigned c = 0;     // digit width the table was built for
+  std::size_t n = 0;  // number of bases
   std::vector<typename P::Affine> pts;
 };
 
-/// Builds the shifted-bases table. Window width is chosen for the expected
-/// MSM size n unless `c` is forced nonzero.
+/// Builds the shifted-bases table, with the window width chosen for an
+/// expected MSM size of n.
 template <typename P>
-MsmBasesTable<P> msm_precompute(std::span<const P> points, unsigned c = 0) {
+MsmBasesTable<P> msm_precompute(std::span<const P> points) {
   MsmBasesTable<P> tbl;
-  tbl.n = points.size();
-  if (c == 0) {
-    // One window pass total, so wider windows than the cold heuristic: the
-    // added reduction cost is a single bucket space. Measured optimum ~
-    // log2(n)/2 + 7.
-    const unsigned lg = std::bit_width(tbl.n | 1);
-    c = (lg >> 1) + 7;
-    if (c < 8) c = 8;
-    if (c > 18) c = 18;
-  }
+  const std::size_t n = points.size();
+  // One window pass total, so wider windows than the cold heuristic: the
+  // added reduction cost is a single bucket space. Measured optimum ~
+  // log2(n)/2 + 7.
+  const unsigned lg = std::bit_width(n | 1);
+  unsigned c = (lg >> 1) + 7;
+  if (c < 8) c = 8;
+  if (c > 18) c = 18;
+  const unsigned positions = detail::signed_digit_positions(c, /*glv=*/true);
   tbl.c = c;
-  if constexpr (HasEndomorphism<typename P::TagType>) {
-    // Endomorphism-split layout: half the shifted rows to build (the
-    // half-scalar digit matrix never reaches higher positions), and the
-    // second half of every row is a phi image — one coordinate multiply per
-    // entry instead of a c-deep doubling chain.
-    tbl.glv = true;
-    tbl.positions = detail::glv_digit_positions(c);
-  } else {
-    const unsigned scalar_bits = Fr::modulus().bit_length();
-    tbl.positions = (scalar_bits + c - 1) / c + 1;  // +1: signed-digit carry
-  }
-  std::vector<P> jac(std::size_t{tbl.positions} * tbl.n);
-  for (std::size_t i = 0; i < tbl.n; ++i) jac[i] = points[i];
+  tbl.n = n;
+  std::vector<P> jac(std::size_t{positions} * n);
+  for (std::size_t i = 0; i < n; ++i) jac[i] = points[i];
   // Each base's doubling chain is independent, so the build shards by base
   // column; per-column results are identical regardless of the pool width.
-  const unsigned positions = tbl.positions;
-  const std::size_t stride = tbl.n;
-  parallel::parallel_for_ranges(tbl.n, [&](std::size_t begin, std::size_t end) {
+  parallel::parallel_for_ranges(n, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       for (unsigned t = 1; t < positions; ++t) {
-        P p = jac[std::size_t{t - 1} * stride + i];
+        P p = jac[std::size_t{t - 1} * n + i];
         for (unsigned d = 0; d < c; ++d) p = p.dbl();
-        jac[std::size_t{t} * stride + i] = p;
+        jac[std::size_t{t} * n + i] = p;
       }
     }
   });
-  std::vector<typename P::Affine> flat = P::batch_to_affine(jac);
-  if constexpr (HasEndomorphism<typename P::TagType>) {
-    tbl.pts.resize(2 * flat.size());
-    const auto& beta = P::TagType::endo_beta();
-    for (unsigned t = 0; t < positions; ++t) {
-      for (std::size_t i = 0; i < stride; ++i) {
-        const auto& src = flat[std::size_t{t} * stride + i];
-        tbl.pts[std::size_t{t} * 2 * stride + i] = src;
-        auto& phi = tbl.pts[std::size_t{t} * 2 * stride + stride + i];
-        phi = src;
-        phi.x = src.x * beta;  // infinity entries copy through unchanged
-      }
+  const std::vector<typename P::Affine> flat = P::batch_to_affine(jac);
+  tbl.pts.resize(2 * flat.size());
+  for (unsigned t = 0; t < positions; ++t) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto& src = flat[std::size_t{t} * n + i];
+      tbl.pts[std::size_t{t} * 2 * n + i] = src;
+      tbl.pts[std::size_t{t} * 2 * n + n + i] = detail::endo_affine(src);
     }
-  } else {
-    tbl.pts = std::move(flat);
   }
   return tbl;
 }
+
+namespace detail {
+
+/// The one table-driven MSM body: sum scalars[j] * B_{col(j)}. The scalars
+/// split into 2m half-scalar columns; column j < m reads the shifted base of
+/// col(j), column m + j its phi image. Digit d at position t maps the base
+/// into bucket |d| - 1 of one shared bucket space — the shifted bases carry
+/// the 2^{ct} weights, so no Horner doublings remain in the combine. `col`
+/// is a functor so the prefix form compiles to a plain index.
+template <typename P, typename ColFn>
+P msm_table(const MsmBasesTable<P>& tbl, std::span<const Fr> scalars,
+            ColFn col) {
+  using A = typename P::Affine;
+  std::vector<std::int32_t> digits;
+  const unsigned used =
+      extract_signed_digits(scalars, tbl.c, /*glv=*/true, digits);
+  if (used == 0) return P::infinity();
+  const A* pts = tbl.pts.data();
+  const std::size_t m = scalars.size(), n = tbl.n, stride = 2 * n;
+  return msm_sharded<P>(
+      digits, 2 * m, used, tbl.c, /*per_position_buckets=*/false,
+      [pts, stride, n, m, col](unsigned t, std::size_t i) -> const A& {
+        return pts[std::size_t{t} * stride + (i < m ? col(i) : n + col(i - m))];
+      });
+}
+
+}  // namespace detail
 
 /// MSM against a precomputed table: sum scalars[i] * B_i for the first
 /// scalars.size() <= tbl.n bases. Bit-identical to msm() / the naive sum.
 template <typename P>
 P msm_precomputed(const MsmBasesTable<P>& tbl, std::span<const Fr> scalars) {
-  using A = typename P::Affine;
-  const std::size_t m = scalars.size();
-  if (m > tbl.n) throw std::invalid_argument("msm_precomputed: too many scalars");
-  if (m == 0) return P::infinity();
-
-  // One shared bucket space for all positions: digit d at position t maps
-  // base tbl.pts[t*n + i] into bucket |d| - 1 — the shifted bases carry the
-  // 2^{ct} weights, so no Horner doublings remain in the combine. In glv
-  // layout the scalars split into 2m half-scalar columns over half the rows,
-  // with columns >= m hitting the phi images.
-  std::vector<std::int32_t> digits;
-  if (tbl.glv) {
-    const unsigned used =
-        detail::extract_signed_digits_glv(scalars, tbl.c, tbl.positions, digits);
-    if (used == 0) return P::infinity();
-    const A* pts = tbl.pts.data();
-    const std::size_t stride = 2 * tbl.n, n = tbl.n;
-    return detail::msm_sharded<P>(
-        digits, 2 * m, used, tbl.c, /*per_position_buckets=*/false,
-        [pts, stride, n, m](unsigned t, std::size_t i) -> const A& {
-          return pts[std::size_t{t} * stride + (i < m ? i : n + (i - m))];
-        });
+  if (scalars.size() > tbl.n) {
+    throw std::invalid_argument("msm_precomputed: too many scalars");
   }
-  const unsigned used =
-      detail::extract_signed_digits(scalars, tbl.c, tbl.positions, digits);
-  if (used == 0) return P::infinity();
-
-  const A* pts = tbl.pts.data();
-  const std::size_t stride = tbl.n;
-  return detail::msm_sharded<P>(
-      digits, m, used, tbl.c, /*per_position_buckets=*/false,
-      [pts, stride](unsigned t, std::size_t i) -> const A& {
-        return pts[std::size_t{t} * stride + i];
-      });
+  return detail::msm_table(tbl, scalars, [](std::size_t j) { return j; });
 }
 
 /// MSM of an arbitrary subset of a precomputed table's bases:
 /// sum scalars[j] * B_{indices[j]} (duplicate indices allowed). The audit
 /// verifier's chi = prod H(name||i)^{c_i} over challenged indices is exactly
-/// this shape — the base lookup indirects through the index list, everything
-/// else is the shared pipeline.
+/// this shape — the base lookup indirects through the index list.
 template <typename P>
 P msm_precomputed(const MsmBasesTable<P>& tbl,
                   std::span<const std::uint64_t> indices,
                   std::span<const Fr> scalars) {
-  using A = typename P::Affine;
-  const std::size_t m = scalars.size();
-  if (m != indices.size()) {
+  if (scalars.size() != indices.size()) {
     throw std::invalid_argument("msm_precomputed: index/scalar size mismatch");
   }
-  if (m == 0) return P::infinity();
   for (std::uint64_t idx : indices) {
     if (idx >= tbl.n) {
       throw std::invalid_argument("msm_precomputed: index out of range");
     }
   }
-
-  std::vector<std::int32_t> digits;
-  if (tbl.glv) {
-    const unsigned used =
-        detail::extract_signed_digits_glv(scalars, tbl.c, tbl.positions, digits);
-    if (used == 0) return P::infinity();
-    const A* pts = tbl.pts.data();
-    const std::size_t stride = 2 * tbl.n, n = tbl.n;
-    const std::uint64_t* idx = indices.data();
-    return detail::msm_sharded<P>(
-        digits, 2 * m, used, tbl.c, /*per_position_buckets=*/false,
-        [pts, stride, n, m, idx](unsigned t, std::size_t i) -> const A& {
-          return pts[std::size_t{t} * stride +
-                     (i < m ? idx[i] : n + idx[i - m])];
-        });
-  }
-  const unsigned used =
-      detail::extract_signed_digits(scalars, tbl.c, tbl.positions, digits);
-  if (used == 0) return P::infinity();
-
-  const A* pts = tbl.pts.data();
-  const std::size_t stride = tbl.n;
   const std::uint64_t* idx = indices.data();
-  return detail::msm_sharded<P>(
-      digits, m, used, tbl.c, /*per_position_buckets=*/false,
-      [pts, stride, idx](unsigned t, std::size_t i) -> const A& {
-        return pts[std::size_t{t} * stride + idx[i]];
-      });
+  return detail::msm_table(tbl, scalars,
+                           [idx](std::size_t j) { return idx[j]; });
 }
 
 }  // namespace dsaudit::curve

@@ -72,7 +72,6 @@ void NetworkSim::set_adversary(
     throw std::out_of_range("NetworkSim::set_adversary: provider index");
   }
   adversary_[provider] = std::move(strategy);
-  have_adversaries_ = true;
 }
 
 void NetworkSim::set_adversaries(const attack::AdversaryRoster& roster) {
@@ -761,32 +760,17 @@ void NetworkSim::run_to_completion() {
 
 NetworkStats NetworkSim::stats() const {
   NetworkStats st;
-  chain::PriceModel price;
   st.total_rounds = agg_.total_rounds;
   st.passes = agg_.passes;
   st.fails = agg_.fails;
   st.timeouts = agg_.timeouts;
   st.total_gas = agg_.total_gas;
   st.timeout_retries = agg_.timeout_retries;
-  st.chain_bytes = chain_.total_chain_bytes();
-  st.total_usd = price.usd(st.total_gas);
-  st.crashes = churn_.crashes;
-  st.offline_events = churn_.offline_events;
-  st.rejoins = churn_.rejoins;
-  st.shard_losses = churn_.shard_losses;
-  st.slashes = churn_.slashes;
-  st.provider_exits = churn_.provider_exits;
-  st.repairs = churn_.repairs;
-  st.bytes_repaired = churn_.bytes_repaired;
-  st.data_loss_events = churn_.data_loss_events;
-  st.repair_gas = churn_.repair_gas;
   st.attacks_attempted = advc_.attempted;
   st.attacks_detected = advc_.detected;
   st.attacks_slashed = advc_.slashed;
-  st.seed_replays_attempted = advc_.replay_attempts;
-  st.seed_replays_accepted = advc_.replays_accepted;
   st.attacker_profit = advc_.profit;
-  fill_aggregate_stats(st);
+  fill_shared_stats(st);
   return st;
 }
 
@@ -797,7 +781,6 @@ NetworkStats NetworkSim::stats_by_walk() const {
         "the round records it would walk)");
   }
   NetworkStats st;
-  chain::PriceModel price;
   for (const auto& dep : deployments_) {
     if (!dep->contract) continue;
     st.total_rounds += dep->contract->rounds_completed();
@@ -807,23 +790,11 @@ NetworkStats NetworkSim::stats_by_walk() const {
     st.timeout_retries += dep->contract->timeout_retries();
     for (const auto& r : dep->contract->rounds()) st.total_gas += r.gas_used;
   }
-  st.chain_bytes = chain_.total_chain_bytes();
-  st.total_usd = price.usd(st.total_gas);
-  st.crashes = churn_.crashes;
-  st.offline_events = churn_.offline_events;
-  st.rejoins = churn_.rejoins;
-  st.shard_losses = churn_.shard_losses;
-  st.slashes = churn_.slashes;
-  st.provider_exits = churn_.provider_exits;
-  st.repairs = churn_.repairs;
-  st.bytes_repaired = churn_.bytes_repaired;
-  st.data_loss_events = churn_.data_loss_events;
-  st.repair_gas = churn_.repair_gas;
   // Adversary counters, re-derived post hoc from the retained round records
   // by replaying every strategy decision — the differential oracle for the
   // incremental advc_ accounting above. (Replay attempts are interactions
   // with the settlement registry, not round outcomes; they have no record
-  // to walk and are copied.)
+  // to walk and come from fill_shared_stats.)
   for (std::size_t i = 0; i < deployments_.size(); ++i) {
     const auto& dep = *deployments_[i];
     const attack::AdversaryStrategy* adv = adversary_of(i);
@@ -855,16 +826,31 @@ NetworkStats NetworkSim::stats_by_walk() const {
                        t.penalty_per_fail * misses));
     }
   }
-  st.seed_replays_attempted = advc_.replay_attempts;
-  st.seed_replays_accepted = advc_.replays_accepted;
-  fill_aggregate_stats(st);
+  fill_shared_stats(st);
   return st;
 }
 
-/// Aggregate-settlement telemetry comes straight from the engine's own
-/// counters (the engine posts the txs, so it is the source of truth); both
-/// stats() and the stats_by_walk() oracle read the same source.
-void NetworkSim::fill_aggregate_stats(NetworkStats& st) const {
+/// The fields no history walk can re-derive, so stats() and the
+/// stats_by_walk() oracle both read them from one source: chain bytes, the
+/// USD price of the (already filled) gas total, the churn counters, the
+/// weight-seed replay counters, and the aggregate-settlement telemetry,
+/// which comes straight from the engine's own counters (the engine posts
+/// the txs, so it is the source of truth).
+void NetworkSim::fill_shared_stats(NetworkStats& st) const {
+  st.chain_bytes = chain_.total_chain_bytes();
+  st.total_usd = chain::PriceModel{}.usd(st.total_gas);
+  st.crashes = churn_.crashes;
+  st.offline_events = churn_.offline_events;
+  st.rejoins = churn_.rejoins;
+  st.shard_losses = churn_.shard_losses;
+  st.slashes = churn_.slashes;
+  st.provider_exits = churn_.provider_exits;
+  st.repairs = churn_.repairs;
+  st.bytes_repaired = churn_.bytes_repaired;
+  st.data_loss_events = churn_.data_loss_events;
+  st.repair_gas = churn_.repair_gas;
+  st.seed_replays_attempted = advc_.replay_attempts;
+  st.seed_replays_accepted = advc_.replays_accepted;
   if (!batch_) return;
   const auto bs = batch_->stats();
   st.aggregate_txs = bs.aggregate_txs;

@@ -274,7 +274,7 @@ class NetworkSim {
   void check_invariants() const;
 
  private:
-  void fill_aggregate_stats(NetworkStats& st) const;
+  void fill_shared_stats(NetworkStats& st) const;
 
   /// Cold per-deployment state: identity, crypto artifacts and the contract.
   /// Hot lifecycle state lives in the struct-of-arrays vectors below.
@@ -437,7 +437,6 @@ class NetworkSim {
   // Byzantine adversary engine (src/attack). Strategies are shared_ptr so a
   // roster and the sim can co-own them; they are immutable after install.
   std::vector<std::shared_ptr<const attack::AdversaryStrategy>> adversary_;
-  bool have_adversaries_ = false;
   struct AdvCounters {
     std::uint64_t attempted = 0, detected = 0, slashed = 0,
                   replay_attempts = 0, replays_accepted = 0;

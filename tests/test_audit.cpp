@@ -571,16 +571,16 @@ TEST(AuditWire, TamperedProofAndKeyEncodingsRejected) {
   auto pk_bytes = serialize(sc.kp.pk, true);
   auto zero_s = pk_bytes;
   std::fill(zero_s.begin(), zero_s.begin() + 8, std::uint8_t{0});
-  EXPECT_FALSE(deserialize_public_key(zero_s).has_value());
+  EXPECT_EQ(decode_public_key(zero_s).error, DecodeError::ZeroForbidden);
 
   auto inf_eps = pk_bytes;
   std::fill(inf_eps.begin() + 8, inf_eps.begin() + 72, std::uint8_t{0});
   inf_eps[8] = 0x80;  // valid infinity encoding, invalid key component
-  EXPECT_FALSE(deserialize_public_key(inf_eps).has_value());
+  EXPECT_EQ(decode_public_key(inf_eps).error, DecodeError::ZeroForbidden);
 
   auto bad_gt_pk = pk_bytes;
   std::copy(bad_r.begin(), bad_r.end(), bad_gt_pk.end() - 192);
-  EXPECT_FALSE(deserialize_public_key(bad_gt_pk).has_value());
+  EXPECT_EQ(decode_public_key(bad_gt_pk).error, DecodeError::BadGtElement);
 }
 
 TEST(AuditWire, PublicKeyRoundTripAndFig4Sizes) {
@@ -590,8 +590,8 @@ TEST(AuditWire, PublicKeyRoundTripAndFig4Sizes) {
     for (bool priv : {false, true}) {
       auto bytes = serialize(kp.pk, priv);
       EXPECT_EQ(bytes.size(), kp.pk.serialized_size(priv));
-      auto back = deserialize_public_key(bytes);
-      ASSERT_TRUE(back.has_value());
+      auto back = decode_public_key(bytes);
+      ASSERT_TRUE(back.ok());
       EXPECT_EQ(back->s, s);
       EXPECT_EQ(back->epsilon, kp.pk.epsilon);
       EXPECT_EQ(back->delta, kp.pk.delta);

@@ -468,8 +468,7 @@ TEST(Glv, MulRoutesAgreeOnEdgeScalars) {
   G1 p = g1_random(rng);
   for (const auto& k : glv_edge_scalars()) {
     G1 naive = p.mul_naive(k);
-    EXPECT_EQ(p.mul(k), naive) << "k=" << k.to_hex();          // GLV route
-    EXPECT_EQ(p.mul_wnaf(k), naive) << "k=" << k.to_hex();     // generic wNAF
+    EXPECT_EQ(p.mul(k), naive) << "k=" << k.to_hex();  // GLV route
   }
   // Infinity is absorbed by every route.
   for (const auto& k : glv_edge_scalars()) {

@@ -261,17 +261,13 @@ TEST_F(FuzzDecode, RejectionReasonsAreTyped) {
   }
 }
 
-// The legacy nullopt wrappers share the typed boundary: anything decode_*
-// refuses, deserialize_* refuses too (no second, laxer parser to attack).
+// The legacy nullopt wrapper shares the typed boundary: anything
+// decode_private refuses, deserialize_private refuses too (no second, laxer
+// parser to attack).
 TEST_F(FuzzDecode, LegacyWrappersShareTheBoundary) {
   for (const auto& m : attack::corpus::proof_mutations(valid_private_)) {
     EXPECT_EQ(deserialize_private(m.bytes).has_value(),
               decode_private(m.bytes).ok())
-        << m.label;
-  }
-  for (const auto& m : attack::corpus::file_tag_mutations(valid_tag_)) {
-    EXPECT_EQ(deserialize_file_tag(m.bytes).has_value(),
-              decode_file_tag(m.bytes).ok())
         << m.label;
   }
 }

@@ -171,13 +171,13 @@ TEST(Integration, KeyAndTagFilesRoundTripThroughWireFormats) {
   auto name = audit::Fr::random(rng);
   auto tag = audit::generate_tags(kp.sk, kp.pk, file, name);
 
-  auto sk2 = audit::deserialize_secret_key(audit::serialize(kp.sk));
-  ASSERT_TRUE(sk2.has_value());
+  auto sk2 = audit::decode_secret_key(audit::serialize(kp.sk));
+  ASSERT_TRUE(sk2.ok());
   EXPECT_EQ(sk2->x, kp.sk.x);
   EXPECT_EQ(sk2->alpha, kp.sk.alpha);
 
-  auto tag2 = audit::deserialize_file_tag(audit::serialize(tag));
-  ASSERT_TRUE(tag2.has_value());
+  auto tag2 = audit::decode_file_tag(audit::serialize(tag));
+  ASSERT_TRUE(tag2.ok());
   EXPECT_EQ(tag2->name, tag.name);
   ASSERT_EQ(tag2->sigmas.size(), tag.sigmas.size());
 
@@ -186,15 +186,15 @@ TEST(Integration, KeyAndTagFilesRoundTripThroughWireFormats) {
   chal.c2 = rng.bytes32();
   chal.r = audit::Fr::random(rng);
   chal.k = 5;
-  auto chal2 = audit::deserialize_challenge(audit::serialize(chal));
-  ASSERT_TRUE(chal2.has_value());
+  auto chal2 = audit::decode_challenge(audit::serialize(chal));
+  ASSERT_TRUE(chal2.ok());
   EXPECT_EQ(chal2->k, 5u);
   EXPECT_EQ(chal2->r, chal.r);
   EXPECT_EQ(chal2->c1, chal.c1);
 
   // Re-verify through the round-tripped artifacts only.
-  auto pk2 = audit::deserialize_public_key(audit::serialize(kp.pk, true));
-  ASSERT_TRUE(pk2.has_value());
+  auto pk2 = audit::decode_public_key(audit::serialize(kp.pk, true));
+  ASSERT_TRUE(pk2.ok());
   audit::Prover prover(*pk2, file, *tag2);
   auto proof = prover.prove_private(*chal2, rng);
   EXPECT_TRUE(audit::verify_private(*pk2, tag2->name, tag2->num_chunks, *chal2, proof));
@@ -205,9 +205,11 @@ TEST(Integration, MalformedFileArtifactsRejected) {
   auto kp = audit::keygen(4, rng);
   auto sk_bytes = audit::serialize(kp.sk);
   sk_bytes.pop_back();
-  EXPECT_FALSE(audit::deserialize_secret_key(sk_bytes).has_value());
+  EXPECT_EQ(audit::decode_secret_key(sk_bytes).error,
+            audit::DecodeError::BadLength);
   std::vector<std::uint8_t> zero_sk(64, 0);
-  EXPECT_FALSE(audit::deserialize_secret_key(zero_sk).has_value());
+  EXPECT_EQ(audit::decode_secret_key(zero_sk).error,
+            audit::DecodeError::ZeroForbidden);
 
   std::vector<std::uint8_t> data(500);
   rng.fill(data);
@@ -217,12 +219,15 @@ TEST(Integration, MalformedFileArtifactsRejected) {
   // Overwrite the first sigma with an unambiguously invalid encoding
   // (x >= p with both flag bits set on a non-zero payload).
   std::fill(tag_bytes.begin() + 48, tag_bytes.begin() + 80, 0xff);
-  EXPECT_FALSE(audit::deserialize_file_tag(tag_bytes).has_value());
+  EXPECT_EQ(audit::decode_file_tag(tag_bytes).error,
+            audit::DecodeError::BadPoint);
   tag_bytes.resize(40);
-  EXPECT_FALSE(audit::deserialize_file_tag(tag_bytes).has_value());
+  EXPECT_EQ(audit::decode_file_tag(tag_bytes).error,
+            audit::DecodeError::BadLength);
 
   std::vector<std::uint8_t> chal_bytes(104, 0xff);
-  EXPECT_FALSE(audit::deserialize_challenge(chal_bytes).has_value());
+  EXPECT_EQ(audit::decode_challenge(chal_bytes).error,
+            audit::DecodeError::NonCanonicalScalar);
 }
 
 TEST(Integration, TwoContractsShareOneChainIndependently) {

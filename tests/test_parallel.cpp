@@ -166,7 +166,18 @@ TEST(ParallelDifferential, MsmAllPathsMatchSingleThread) {
           idx.push_back(static_cast<std::uint64_t>((i * 7) % pts.size()));
           subset_sc.push_back(Fr::random(rng));
         }
+        // Duplicated indices: the same base (and its phi image) is read by
+        // more than one scalar column.
+        for (std::size_t j : {0u, 1u, 1u, 150u, 299u}) {
+          idx.push_back(idx[j]);
+          subset_sc.push_back(Fr::random(rng));
+        }
         r.subset = curve::msm_precomputed(tbl, idx, subset_sc);
+        // Oracle at every thread count: the cold MSM over the gathered bases.
+        std::vector<G1> gathered;
+        for (std::uint64_t i : idx) gathered.push_back(pts[i]);
+        EXPECT_EQ(r.subset, curve::msm<G1>(gathered, subset_sc))
+            << parallel::thread_count() << " threads";
         std::vector<G2> pts2;
         std::vector<Fr> sc2;
         for (int i = 0; i < 96; ++i) {
@@ -238,8 +249,8 @@ TEST(ParallelDifferential, ProverEmitsIdenticalProofBytes) {
         auto proof_rng = SecureRng::deterministic(703);
         r.priv = audit::serialize(prover.prove_private(chal, proof_rng));
         audit::Verifier verifier(kp.pk);
-        auto basic = audit::deserialize_basic(r.basic);
-        auto priv = audit::deserialize_private(r.priv);
+        auto basic = audit::decode_basic(r.basic);
+        auto priv = audit::decode_private(r.priv);
         r.basic_ok = basic && verifier.verify(name, file.num_chunks(), chal, *basic);
         r.priv_ok =
             priv && verifier.verify_private(name, file.num_chunks(), chal, *priv);
