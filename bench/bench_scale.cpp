@@ -129,7 +129,9 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> populations;
   std::vector<unsigned> widths;
   if (smoke) {
-    populations = {100, 1'000};
+    // At 10^4 owners each synchronized audit instant queues txs that take
+    // hundreds of blocks to drain: the smallest row with a deep mempool.
+    populations = {100, 1'000, 10'000};
     widths = {1};
   } else {
     populations = {100, 1'000, 10'000, 100'000, 1'000'000};

@@ -38,15 +38,23 @@ void Blockchain::transfer(const Address& from, const Address& to,
 }
 
 std::size_t Blockchain::submit(Transaction tx) {
+  if (tx.description.size() > 0xffff) {
+    throw std::invalid_argument(
+        "Blockchain::submit: description longer than 65535 bytes");
+  }
   tx.submitted_at = now_;
-  std::size_t index = submitted_count_++;
+  const std::uint64_t seq = submitted_count_++;
+  PendingTx entry{seq, {}};
+  const TxClass cls{tx.payload_bytes + config_.tx_overhead_bytes, tx.gas_used};
   if (config_.retention == Retention::Full) {
     txs_.push_back(std::move(tx));
-    pending_.push_back(txs_.size() - 1);
   } else {
-    pending_stream_.push_back(std::move(tx));
+    entry.tx = std::move(tx);
   }
-  return index;
+  mempool_[cls].push_back(std::move(entry));
+  ++pending_count_;
+  if (fits(config_.block_overhead_bytes, 0, cls)) ++pending_mineable_;
+  return seq;
 }
 
 void Blockchain::schedule(Timestamp when, std::function<void(Timestamp)> action) {
@@ -82,6 +90,7 @@ void Blockchain::fold_mined(const Transaction& tx) {
     for (int b = 0; b < 8; ++b) buf.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
   };
   put64(it->second);
+  // 2-byte length prefix; submit() rejects descriptions it cannot encode.
   buf.push_back(static_cast<std::uint8_t>(tx.description.size() & 0xff));
   buf.push_back(static_cast<std::uint8_t>(tx.description.size() >> 8));
   buf.insert(buf.end(), tx.description.begin(), tx.description.end());
@@ -99,42 +108,34 @@ void Blockchain::mine_one_block() {
   b.number = block_count_ + 1;
   b.timestamp = now_;
   b.size_bytes = config_.block_overhead_bytes;
-  // Greedy inclusion under the block's size and gas budgets (FIFO order —
-  // our simulation has no fee market).
-  if (config_.retention == Retention::Full) {
-    std::vector<std::size_t> still_pending;
-    for (std::size_t idx : pending_) {
-      Transaction& tx = txs_[idx];
-      std::size_t tx_bytes = tx.payload_bytes + config_.tx_overhead_bytes;
-      if (b.size_bytes + tx_bytes > config_.max_block_bytes ||
-          b.gas_used + tx.gas_used > config_.max_block_gas) {
-        still_pending.push_back(idx);
-        continue;
+  // Greedy FIFO-with-skip inclusion under the block's size and gas budgets
+  // (our simulation has no fee market): mine the lowest-numbered head among
+  // the classes that still fit, until none does. The budget only shrinks, so
+  // a class that fails once never fits again in this block — the same txs,
+  // in the same order, as a scan of the whole backlog in submission order.
+  for (;;) {
+    Mempool::iterator next = mempool_.end();
+    for (auto it = mempool_.begin(); it != mempool_.end(); ++it) {
+      if (fits(b.size_bytes, b.gas_used, it->first) &&
+          (next == mempool_.end() ||
+           it->second.front().seq < next->second.front().seq)) {
+        next = it;
       }
-      tx.mined_at = now_;
-      tx.block_number = b.number;
-      b.size_bytes += tx_bytes;
-      b.gas_used += tx.gas_used;
-      b.tx_indices.push_back(idx);
-      fold_mined(tx);
     }
-    pending_ = std::move(still_pending);
-  } else {
-    std::vector<Transaction> still_pending;
-    for (Transaction& tx : pending_stream_) {
-      std::size_t tx_bytes = tx.payload_bytes + config_.tx_overhead_bytes;
-      if (b.size_bytes + tx_bytes > config_.max_block_bytes ||
-          b.gas_used + tx.gas_used > config_.max_block_gas) {
-        still_pending.push_back(std::move(tx));
-        continue;
-      }
-      tx.mined_at = now_;
-      tx.block_number = b.number;
-      b.size_bytes += tx_bytes;
-      b.gas_used += tx.gas_used;
-      fold_mined(tx);
-    }
-    pending_stream_ = std::move(still_pending);
+    if (next == mempool_.end()) break;
+    PendingTx& entry = next->second.front();
+    Transaction& tx =
+        config_.retention == Retention::Full ? txs_[entry.seq] : entry.tx;
+    tx.mined_at = now_;
+    tx.block_number = b.number;
+    b.size_bytes += next->first.first;
+    b.gas_used += next->first.second;
+    if (config_.retention == Retention::Full) b.tx_indices.push_back(entry.seq);
+    fold_mined(tx);
+    next->second.pop_front();
+    if (next->second.empty()) mempool_.erase(next);
+    --pending_count_;
+    --pending_mineable_;
   }
   total_bytes_ += b.size_bytes;
   total_gas_ += b.gas_used;
@@ -147,10 +148,11 @@ void Blockchain::advance(Timestamp seconds) {
   for (;;) {
     // Next event: a scheduled task or a block boundary, whichever first.
     Timestamp next_task = tasks_.empty() ? target + 1 : tasks_.front().when;
-    // Streaming fast path: a maximal run of empty blocks strictly before the
-    // next task is pure arithmetic — k blocks, k * overhead bytes, no gas.
-    // (Full retention materializes each Block, so it walks them one by one.)
-    if (config_.retention == Retention::Streaming && pending_stream_.empty() &&
+    // Streaming fast path: while no pending tx fits even an empty block, a
+    // maximal run of empty blocks strictly before the next task is pure
+    // arithmetic — k blocks, k * overhead bytes, no gas. (Full retention
+    // materializes each Block, so it walks them one by one.)
+    if (config_.retention == Retention::Streaming && pending_mineable_ == 0 &&
         next_block_at_ < next_task) {
       Timestamp hi = std::min(target, next_task - 1);
       if (next_block_at_ <= hi) {

@@ -23,10 +23,17 @@
 //                         both modes, so a streaming run must match its
 //                         full-retention twin bit-for-bit on
 //                         block_count/tx_count/bytes/gas/digest.
+//
+// Pending txs live in one mempool shared by both modes: a FIFO queue per tx
+// class (envelope bytes, gas), each entry tagged with its submission number.
+// A block repeatedly mines the lowest-numbered head among the classes that
+// still fit its remaining budget — exactly FIFO-with-skip over the whole
+// backlog, at a cost of O(mined x classes) per block (src/chain/README.md).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <map>
 #include <mutex>
@@ -123,7 +130,9 @@ class Blockchain {
   // --- transactions -------------------------------------------------------
   /// Queue a transaction; it is mined by the next advance() with capacity.
   /// Returns the tx index (the running submission count under streaming
-  /// retention, where transactions() stays empty).
+  /// retention, where transactions() stays empty). Throws
+  /// std::invalid_argument for a description of 65,536 bytes or more, which
+  /// the stream digest's 2-byte length prefix cannot encode.
   std::size_t submit(Transaction tx);
 
   /// Schedule a callback at a future timestamp.
@@ -153,10 +162,8 @@ class Blockchain {
   /// Materialized history; empty under Retention::Streaming.
   const std::vector<Block>& blocks() const { return blocks_; }
   const std::vector<Transaction>& transactions() const { return txs_; }
-  std::size_t pending_count() const {
-    return config_.retention == Retention::Full ? pending_.size()
-                                                : pending_stream_.size();
-  }
+  /// Submitted txs not yet mined, including any too large for any block.
+  std::size_t pending_count() const { return pending_count_; }
   /// Total bytes appended to the chain so far (Fig. 10 left measures the
   /// annual rate of this).
   std::size_t total_chain_bytes() const { return total_bytes_; }
@@ -191,11 +198,29 @@ class Blockchain {
 
   // Full-retention history (empty under streaming).
   std::vector<Transaction> txs_;
-  std::vector<std::size_t> pending_;  // indices into txs_
   std::vector<Block> blocks_;
-  // Streaming-retention pending queue: owns the not-yet-mined txs, FIFO with
-  // greedy skip (same inclusion rule as full retention).
-  std::vector<Transaction> pending_stream_;
+
+  // Mempool: one FIFO per tx class, keyed by (payload + envelope bytes,
+  // gas). Every tx of a class fits a block exactly when its head does, so
+  // the class heads are all mine_one_block() looks at. Empty classes are
+  // erased.
+  struct PendingTx {
+    std::uint64_t seq = 0;  // submission number == index into txs_ (full)
+    Transaction tx;         // the tx itself under streaming; unused under full
+  };
+  using TxClass = std::pair<std::size_t, std::uint64_t>;  // (bytes, gas)
+  using Mempool = std::map<TxClass, std::deque<PendingTx>>;
+  /// Whether a tx of class `cls` fits a block whose contents so far (block
+  /// overhead included) total `bytes` and `gas` — the one inclusion test.
+  bool fits(std::size_t bytes, std::uint64_t gas, const TxClass& cls) const {
+    return bytes + cls.first <= config_.max_block_bytes &&
+           gas + cls.second <= config_.max_block_gas;
+  }
+  Mempool mempool_;
+  std::size_t pending_count_ = 0;
+  // Pending txs whose class fits an empty block. While 0, every coming block
+  // is empty, so the streaming fast path may account runs of them at once.
+  std::size_t pending_mineable_ = 0;
 
   // Scheduler: binary min-heap ordered by (when, seq). seq is the insertion
   // number, so the pop order is exactly the old multimap's (time, insertion)

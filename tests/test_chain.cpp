@@ -1,8 +1,13 @@
 // Blockchain simulator, gas model and randomness beacon tests.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <random>
+#include <utility>
+
 #include "chain/beacon.hpp"
 #include "chain/blockchain.hpp"
+#include "primitives/keccak256.hpp"
 
 namespace dsaudit::chain {
 namespace {
@@ -124,6 +129,247 @@ TEST(Blockchain, ScheduledTaskCanSubmitAndReschedule) {
   EXPECT_EQ(rounds, 5);
   EXPECT_EQ(bc.transactions().size(), 5u);
   EXPECT_EQ(bc.pending_count(), 0u);
+}
+
+TEST(Blockchain, SubmitRejectsDescriptionTheDigestCannotEncode) {
+  // The tx-stream digest length-prefixes each description in 2 bytes, so a
+  // 65,536-byte description would wrap to 0 and make the digest ambiguous.
+  for (Retention r : {Retention::Full, Retention::Streaming}) {
+    Blockchain bc({.retention = r});
+    Transaction tx;
+    tx.description.assign(65'536, 'x');
+    EXPECT_THROW(bc.submit(tx), std::invalid_argument);
+    EXPECT_EQ(bc.pending_count(), 0u);
+    tx.description.pop_back();
+    EXPECT_EQ(bc.submit(tx), 0u);
+    bc.advance(15);
+    EXPECT_EQ(bc.tx_count(), 1u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Mempool oracle: the original miner, a scan of the whole backlog in
+// submission order that includes every tx still fitting the block's
+// remaining bytes and gas (FIFO with skip). Blockchain's per-class FIFOs must
+// mine exactly the same txs, in the same blocks and order.
+// ---------------------------------------------------------------------------
+
+class ScanMiner {
+ public:
+  explicit ScanMiner(ChainConfig cfg)
+      : cfg_(cfg), next_block_at_(cfg.block_interval_s) {}
+
+  // A submission at `now`. Blocks strictly before `now` are mined first;
+  // tasks due at a block's instant fire before that block is mined.
+  void submit(Transaction tx, Timestamp now) {
+    while (next_block_at_ < now) mine_next();
+    tx.submitted_at = now;
+    txs_.push_back(std::move(tx));
+    pending_.push_back(txs_.size() - 1);
+  }
+  // Mine every block due at or before `now` (call after advance()).
+  void mine_through(Timestamp now) {
+    while (next_block_at_ <= now) mine_next();
+  }
+
+  const std::vector<Transaction>& txs() const { return txs_; }
+  const std::vector<Block>& blocks() const { return blocks_; }
+  std::size_t pending_count() const { return pending_.size(); }
+  std::uint64_t tx_count() const { return tx_count_; }
+  std::uint64_t bytes() const { return bytes_; }
+  std::uint64_t gas() const { return gas_; }
+  std::uint64_t payload() const { return payload_; }
+  const std::array<std::uint8_t, 32>& digest() const { return digest_; }
+
+ private:
+  void mine_next() {
+    Block b;
+    b.number = blocks_.size() + 1;
+    b.timestamp = next_block_at_;
+    b.size_bytes = cfg_.block_overhead_bytes;
+    std::vector<std::size_t> still_pending;
+    for (std::size_t idx : pending_) {
+      Transaction& tx = txs_[idx];
+      std::size_t tx_bytes = tx.payload_bytes + cfg_.tx_overhead_bytes;
+      if (b.size_bytes + tx_bytes > cfg_.max_block_bytes ||
+          b.gas_used + tx.gas_used > cfg_.max_block_gas) {
+        still_pending.push_back(idx);
+        continue;
+      }
+      tx.mined_at = b.timestamp;
+      tx.block_number = b.number;
+      b.size_bytes += tx_bytes;
+      b.gas_used += tx.gas_used;
+      b.tx_indices.push_back(idx);
+      fold(tx);
+    }
+    pending_ = std::move(still_pending);
+    bytes_ += b.size_bytes;
+    gas_ += b.gas_used;
+    blocks_.push_back(std::move(b));
+    next_block_at_ += cfg_.block_interval_s;
+  }
+
+  // The tx-stream digest format: keccak(prev || intern(from) u64 LE ||
+  // description length u16 LE || description || payload, gas, submitted,
+  // mined, block as u64 LE).
+  void fold(const Transaction& tx) {
+    ++tx_count_;
+    payload_ += tx.payload_bytes;
+    auto it = intern_.emplace(tx.from, intern_.size()).first;
+    std::vector<std::uint8_t> buf(digest_.begin(), digest_.end());
+    auto put = [&buf](std::uint64_t v, int width) {
+      for (int b = 0; b < width; ++b) {
+        buf.push_back(static_cast<std::uint8_t>(v >> (8 * b)));
+      }
+    };
+    put(it->second, 8);
+    put(tx.description.size(), 2);
+    buf.insert(buf.end(), tx.description.begin(), tx.description.end());
+    for (std::uint64_t v : {std::uint64_t{tx.payload_bytes}, tx.gas_used,
+                            tx.submitted_at, tx.mined_at, tx.block_number}) {
+      put(v, 8);
+    }
+    digest_ = primitives::Keccak256::hash(
+        std::span<const std::uint8_t>(buf.data(), buf.size()));
+  }
+
+  ChainConfig cfg_;
+  Timestamp next_block_at_;
+  std::vector<Transaction> txs_;
+  std::vector<std::size_t> pending_;
+  std::vector<Block> blocks_;
+  std::uint64_t tx_count_ = 0, bytes_ = 0, gas_ = 0, payload_ = 0;
+  std::array<std::uint8_t, 32> digest_{};
+  std::map<Address, std::uint64_t> intern_;
+};
+
+// Drives a Blockchain and its ScanMiner through one seeded script: bursts of
+// txs from seven classes — small, proof-sized, byte-heavy, gas-heavy, a
+// randomly sized one, one over the gas budget and one over the byte budget
+// (the last two never fit) — submitted directly and from scheduled tasks
+// (some due exactly on block instants, some rescheduling themselves),
+// interleaved with short and long advances.
+class MempoolScript {
+ public:
+  MempoolScript(Blockchain& bc, ScanMiner& ref) : bc_(bc), ref_(ref) {}
+
+  void run(std::uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    for (int step = 0; step < 60; ++step) {
+      switch (rng() % 4) {
+        case 0:
+          burst(rng, rng() % 150);
+          break;
+        case 1: {
+          const Timestamp due = rng() % 2 ? bc_.now() + rng() % 60
+                                          : (bc_.now() / 15 + 1 + rng() % 3) * 15;
+          const std::uint64_t task_seed = rng();
+          schedule_burst(due, task_seed, 1 + rng() % 3);
+          break;
+        }
+        default:
+          advance(rng() % 8 == 0 ? 15 * (10 + rng() % 200) : 1 + rng() % 40);
+      }
+    }
+    advance(15 * 1000);  // drain everything that can ever be mined
+  }
+
+ private:
+  void submit(Transaction tx) {
+    ref_.submit(tx, bc_.now());
+    bc_.submit(std::move(tx));
+  }
+  void advance(Timestamp seconds) {
+    bc_.advance(seconds);
+    ref_.mine_through(bc_.now());
+  }
+  void burst(std::mt19937_64& rng, std::size_t n) {
+    for (std::size_t i = 0; i < n; ++i) {
+      Transaction tx;
+      tx.from = "acct" + std::to_string(rng() % 23);
+      switch (rng() % 16) {
+        case 0: case 1: case 2: case 3: case 4: case 5:
+          tx.description = "small", tx.payload_bytes = 48, tx.gas_used = 21'000;
+          break;
+        case 6: case 7: case 8: case 9:
+          tx.description = "prove", tx.payload_bytes = 96, tx.gas_used = 400'000;
+          break;
+        case 10: case 11:
+          tx.description = "bulky", tx.payload_bytes = 2'000, tx.gas_used = 60'000;
+          break;
+        case 12:
+          tx.description = "heavy", tx.payload_bytes = 200, tx.gas_used = 9'000'000;
+          break;
+        case 13:
+          tx.description = "sized";
+          tx.payload_bytes = 64 * (1 + rng() % 4);
+          tx.gas_used = 100'000 * (1 + rng() % 2);
+          break;
+        case 14:
+          tx.description = "over-gas", tx.payload_bytes = 32, tx.gas_used = 30'000'001;
+          break;
+        default:
+          tx.description = "oversize", tx.payload_bytes = 18'000, tx.gas_used = 21'000;
+      }
+      submit(std::move(tx));
+    }
+  }
+  void schedule_burst(Timestamp due, std::uint64_t seed, int repeats) {
+    bc_.schedule(due, [this, seed, repeats](Timestamp now) {
+      std::mt19937_64 rng(seed);
+      burst(rng, rng() % 100);
+      const Timestamp next = now + rng() % 45;
+      if (repeats > 1) schedule_burst(next, rng(), repeats - 1);
+    });
+  }
+
+  Blockchain& bc_;
+  ScanMiner& ref_;
+};
+
+TEST(Blockchain, MempoolMatchesBacklogScanOracle) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    ChainConfig stream_cfg;
+    stream_cfg.retention = Retention::Streaming;
+    Blockchain full{ChainConfig{}}, stream(stream_cfg);
+    ScanMiner full_ref{ChainConfig{}}, stream_ref{stream_cfg};
+    MempoolScript(full, full_ref).run(seed);
+    MempoolScript(stream, stream_ref).run(seed);
+
+    // Full retention: block by block and tx by tx.
+    ASSERT_EQ(full.blocks().size(), full_ref.blocks().size());
+    for (std::size_t i = 0; i < full.blocks().size(); ++i) {
+      const Block& got = full.blocks()[i];
+      const Block& want = full_ref.blocks()[i];
+      ASSERT_EQ(got.number, want.number) << "block " << i;
+      ASSERT_EQ(got.timestamp, want.timestamp) << "block " << i;
+      ASSERT_EQ(got.size_bytes, want.size_bytes) << "block " << i;
+      ASSERT_EQ(got.gas_used, want.gas_used) << "block " << i;
+      ASSERT_EQ(got.tx_indices, want.tx_indices) << "block " << i;
+    }
+    ASSERT_EQ(full.transactions().size(), full_ref.txs().size());
+    for (std::size_t i = 0; i < full.transactions().size(); ++i) {
+      ASSERT_EQ(full.transactions()[i].mined_at, full_ref.txs()[i].mined_at) << i;
+      ASSERT_EQ(full.transactions()[i].block_number,
+                full_ref.txs()[i].block_number) << i;
+    }
+
+    // Both modes: every aggregate and the digest.
+    for (auto [bc, ref] : {std::pair{&full, &full_ref}, {&stream, &stream_ref}}) {
+      EXPECT_EQ(bc->block_count(), ref->blocks().size());
+      EXPECT_EQ(bc->tx_count(), ref->tx_count());
+      EXPECT_EQ(bc->total_chain_bytes(), ref->bytes());
+      EXPECT_EQ(bc->total_gas_used(), ref->gas());
+      EXPECT_EQ(bc->total_payload_bytes(), ref->payload());
+      EXPECT_EQ(bc->pending_count(), ref->pending_count());
+      EXPECT_EQ(bc->tx_stream_digest(), ref->digest());
+    }
+    // The never-fitting classes stay pending; everything else drained.
+    EXPECT_GT(full.pending_count(), 0u);
+    EXPECT_GT(full.tx_count(), 0u);
+  }
 }
 
 TEST(Beacon, TrustedDeterministicPerRound) {

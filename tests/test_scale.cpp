@@ -106,14 +106,28 @@ TEST(ScaleChain, StreamingAggregatesMatchFullRetention) {
   EXPECT_TRUE(stream.transactions().empty());
 }
 
-TEST(ScaleChain, BulkEmptyBlockAccountingIsExact) {
-  // A year of idle 15 s blocks with one task in the middle: the streaming
-  // fast path must account exactly the blocks the full chain materializes.
+// A year of idle 15 s blocks with one task in the middle: the streaming
+// fast path must account exactly the blocks the full chain materializes.
+// With `unmineable` set, two txs too large for any block — one over the
+// byte budget, one over the gas budget — stay pending all year. Every block
+// is still empty, so streaming keeps taking the fast path around them.
+void expect_idle_year_exact(bool unmineable) {
   chain::ChainConfig stream_cfg;
   stream_cfg.retention = chain::Retention::Streaming;
   chain::Blockchain full{chain::ChainConfig{}}, stream(stream_cfg);
   for (chain::Blockchain* bc : {&full, &stream}) {
     bc->mint("alice", 10);
+    if (unmineable) {
+      chain::Transaction tx;
+      tx.from = "alice";
+      tx.description = "oversize";
+      tx.payload_bytes = 18 * 1024;
+      bc->submit(tx);
+      tx.description = "over-gas";
+      tx.payload_bytes = 32;
+      tx.gas_used = 30'000'001;
+      bc->submit(tx);
+    }
     bc->schedule(10'000'000, [bc](chain::Timestamp) {
       chain::Transaction tx;
       tx.from = "alice";
@@ -127,8 +141,20 @@ TEST(ScaleChain, BulkEmptyBlockAccountingIsExact) {
   EXPECT_EQ(full.block_count(), stream.block_count());
   EXPECT_EQ(full.total_chain_bytes(), stream.total_chain_bytes());
   EXPECT_EQ(full.total_gas_used(), stream.total_gas_used());
+  EXPECT_EQ(full.tx_count(), 1u);
+  EXPECT_EQ(stream.tx_count(), 1u);
+  EXPECT_EQ(full.pending_count(), stream.pending_count());
+  EXPECT_EQ(stream.pending_count(), unmineable ? 2u : 0u);
   EXPECT_EQ(hex(full.tx_stream_digest()), hex(stream.tx_stream_digest()));
   EXPECT_EQ(full.block_count(), 31'536'000u / 15u);
+}
+
+TEST(ScaleChain, BulkEmptyBlockAccountingIsExact) {
+  expect_idle_year_exact(false);
+}
+
+TEST(ScaleChain, BulkEmptyBlockAccountingIsExactWithUnmineableTxPending) {
+  expect_idle_year_exact(true);
 }
 
 // ---------------------------------------------------------------------------
