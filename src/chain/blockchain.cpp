@@ -69,9 +69,32 @@ void Blockchain::schedule(Timestamp when, std::function<void(Timestamp)> prepare
   std::push_heap(tasks_.begin(), tasks_.end(), TaskAfter{});
 }
 
-void Blockchain::defer_until_actions(std::function<void(Timestamp)> fn) {
-  std::lock_guard<std::mutex> lock(deferred_mutex_);
-  deferred_.push_back(std::move(fn));
+void Blockchain::defer_until_actions(Timestamp at,
+                                     std::function<void(Timestamp)> fn) {
+  if (at < now_) {
+    throw std::logic_error("Blockchain::defer_until_actions: instant in the past");
+  }
+  std::lock_guard<std::mutex> lock(barrier_mutex_);
+  barriers_.emplace(at, std::move(fn));
+}
+
+Timestamp Blockchain::next_due(Timestamp none) {
+  Timestamp next = tasks_.empty() ? none : tasks_.front().when;
+  std::lock_guard<std::mutex> lock(barrier_mutex_);
+  return barriers_.empty() ? next : std::min(next, barriers_.begin()->first);
+}
+
+void Blockchain::run_barriers() {
+  std::vector<std::function<void(Timestamp)>> due;
+  {
+    std::lock_guard<std::mutex> lock(barrier_mutex_);
+    const auto end = barriers_.upper_bound(now_);
+    for (auto it = barriers_.begin(); it != end; ++it) {
+      due.push_back(std::move(it->second));
+    }
+    barriers_.erase(barriers_.begin(), end);
+  }
+  for (auto& fn : due) fn(now_);
 }
 
 void Blockchain::fold_mined(const Transaction& tx) {
@@ -146,15 +169,16 @@ void Blockchain::mine_one_block() {
 void Blockchain::advance(Timestamp seconds) {
   Timestamp target = now_ + seconds;
   for (;;) {
-    // Next event: a scheduled task or a block boundary, whichever first.
-    Timestamp next_task = tasks_.empty() ? target + 1 : tasks_.front().when;
+    // Next event: a task or barrier instant or a block boundary, whichever
+    // first.
+    Timestamp due = next_due(target + 1);
     // Streaming fast path: while no pending tx fits even an empty block, a
-    // maximal run of empty blocks strictly before the next task is pure
-    // arithmetic — k blocks, k * overhead bytes, no gas. (Full retention
-    // materializes each Block, so it walks them one by one.)
+    // maximal run of empty blocks strictly before the next due instant is
+    // pure arithmetic — k blocks, k * overhead bytes, no gas. (Full
+    // retention materializes each Block, so it walks them one by one.)
     if (config_.retention == Retention::Streaming && pending_mineable_ == 0 &&
-        next_block_at_ < next_task) {
-      Timestamp hi = std::min(target, next_task - 1);
+        next_block_at_ < due) {
+      Timestamp hi = std::min(target, due - 1);
       if (next_block_at_ <= hi) {
         std::uint64_t k = (hi - next_block_at_) / config_.block_interval_s + 1;
         block_count_ += k;
@@ -164,16 +188,17 @@ void Blockchain::advance(Timestamp seconds) {
         continue;
       }
     }
-    Timestamp next_event = std::min(next_block_at_, next_task);
+    Timestamp next_event = std::min(next_block_at_, due);
     if (next_event > target) break;
     now_ = next_event;
-    // Fire all tasks due now (they may submit txs mined in the next block).
-    // Each batch drains everything due at this instant: prepares run first —
+    // Fire everything due now (tasks may submit txs mined in the next block).
+    // Each batch drains the tasks due at this instant: prepares run first —
     // concurrently when a pool is configured; they are side-effect-free by
-    // contract — then actions run sequentially in schedule order, so ledger
+    // contract — then the barriers due now (registered earlier or by these
+    // prepares), then the actions sequentially in schedule order, so ledger
     // and transaction ordering are identical at every thread count. Actions
-    // may schedule new tasks at <= now_; the outer loop batches those too.
-    while (!tasks_.empty() && tasks_.front().when <= now_) {
+    // may schedule new tasks at <= now_; the loop batches those too.
+    while (next_due(now_ + 1) <= now_) {
       std::vector<ScheduledTask> batch;
       while (!tasks_.empty() && tasks_.front().when <= now_) {
         std::pop_heap(tasks_.begin(), tasks_.end(), TaskAfter{});
@@ -187,14 +212,7 @@ void Blockchain::advance(Timestamp seconds) {
       parallel::parallel_for(prepares.size(), [&](std::size_t k) {
         batch[prepares[k]].prepare(now_);
       });
-      // Deferred hooks registered by the prepares (the batched settlement's
-      // once-per-instant verification) run between prepares and actions.
-      std::vector<std::function<void(Timestamp)>> hooks;
-      {
-        std::lock_guard<std::mutex> lock(deferred_mutex_);
-        hooks.swap(deferred_);
-      }
-      for (auto& hook : hooks) hook(now_);
+      run_barriers();
       for (auto& task : batch) task.action(now_);
     }
     if (now_ >= next_block_at_) {

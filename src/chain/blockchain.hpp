@@ -8,8 +8,9 @@
 // ledger for the deposit/micro-payment flows of Fig. 2.
 //
 // Time is event-driven: advance() skips from due instant to due instant over
-// a binary min-heap of scheduled tasks plus the block-boundary cadence — no
-// per-second walking. History is governed by ChainConfig::retention:
+// a binary min-heap of scheduled tasks, the timed barriers and the
+// block-boundary cadence — no per-second walking. History is governed by
+// ChainConfig::retention:
 //
 //   Retention::Full       (default) materializes every Transaction and Block,
 //                         exactly as the original simulator did — the oracle
@@ -142,20 +143,24 @@ class Blockchain {
   void schedule(Timestamp when, std::function<void(Timestamp)> prepare,
                 std::function<void(Timestamp)> action);
 
-  /// From within a prepare stage: register work to run exactly once at the
-  /// current instant, after every due task's prepare has finished and before
-  /// any action runs. This is the block-level barrier the deferred audit
-  /// settlement uses — every contract's prepare enqueues its round, the
-  /// deferred hook verifies the whole batch once, and the actions then
-  /// consume per-round outcomes sequentially in schedule order. Thread-safe
-  /// (prepares run concurrently); the hooks themselves run sequentially on
-  /// the driving thread, so they may use the parallel pool.
-  void defer_until_actions(std::function<void(Timestamp)> fn);
+  /// Register `fn` to run exactly once at instant `at`, after the prepares of
+  /// every task due there and before any of their actions. This is the
+  /// block-level barrier the windowed audit settlement flushes at: every
+  /// contract's prepare enqueues its round, the barrier at the window
+  /// boundary verifies the whole window once, and the actions then redeem
+  /// per-round outcomes sequentially in schedule order. `at` becomes an event
+  /// instant even with no task due there, so advance() stops at it (and the
+  /// streaming empty-block fast path never runs past it). Barriers due at one
+  /// instant run in registration order. Thread-safe (prepares run
+  /// concurrently); the barriers themselves run sequentially on the driving
+  /// thread, so they may use the parallel pool. Throws std::logic_error for
+  /// `at` < now().
+  void defer_until_actions(Timestamp at, std::function<void(Timestamp)> fn);
 
   /// Advance simulated time, skipping straight to the next due instant
-  /// (scheduled task or block boundary) and firing everything due there.
-  /// Under streaming retention, maximal runs of empty blocks between events
-  /// are accounted arithmetically in one step.
+  /// (scheduled task, barrier or block boundary) and firing everything due
+  /// there. Under streaming retention, maximal runs of empty blocks between
+  /// events are accounted arithmetically in one step.
   void advance(Timestamp seconds);
 
   // --- introspection ------------------------------------------------------
@@ -188,6 +193,10 @@ class Blockchain {
 
  private:
   void mine_one_block();
+  /// Earliest instant with a task or barrier due, or `none` if neither.
+  Timestamp next_due(Timestamp none);
+  /// Run the barriers due at now_, in registration order.
+  void run_barriers();
   /// Fold one freshly mined tx into the rolling aggregates (count, payload
   /// bytes, stream digest). Called in mined order in both retention modes.
   void fold_mined(const Transaction& tx);
@@ -238,8 +247,9 @@ class Blockchain {
   std::vector<PendingTask> tasks_;  // heap under TaskAfter
   std::uint64_t task_seq_ = 0;
 
-  std::vector<std::function<void(Timestamp)>> deferred_;
-  std::mutex deferred_mutex_;
+  // Barriers by instant; a multimap keeps registration order per instant.
+  std::multimap<Timestamp, std::function<void(Timestamp)>> barriers_;
+  std::mutex barrier_mutex_;  // guards barriers_ (prepares register)
   std::map<Address, std::uint64_t> balances_;
   std::size_t total_bytes_ = 0;
   std::uint64_t total_gas_ = 0;

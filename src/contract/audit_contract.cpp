@@ -221,48 +221,43 @@ void AuditContract::prepare_challenge(Timestamp /*now*/) {
   staged_challenge_ = std::move(staged);
 }
 
-void AuditContract::on_challenge_due(Timestamp /*now*/) {
+void AuditContract::on_challenge_due(Timestamp now) {
   if (state_ != State::Audit) {  // contract closed meanwhile
     staged_challenge_.reset();
     return;
   }
   require(cnt_ < terms_.num_audits, "challenge beyond num_audits");
-
+  require(staged_challenge_.has_value(), "challenge action without its prepare");
   RoundRecord rec;
   rec.round = cnt_;
-  std::optional<std::vector<std::uint8_t>> proof;
-  if (staged_challenge_) {
-    rec.challenge = staged_challenge_->challenge;
-    proof = std::move(staged_challenge_->proof);
-    staged_challenge_.reset();
-  } else {
-    // Unprepared path (direct calls in tests): same work, inline.
-    rec.challenge = challenge_from_beacon(cnt_);
-    proof = ask_responder(rec.challenge);
-  }
-  rec.challenged_at = chain_.now();
+  rec.challenge = staged_challenge_->challenge;
+  rec.challenged_at = now;
+  rounds_.push_back(std::move(rec));
+  ++records_created_;
+  state_ = State::Prove;
+  post_challenge(now, "challenged", "challenged");
+}
 
+void AuditContract::post_challenge(Timestamp now, const char* tx_description,
+                                   const char* event) {
+  pending_proof_ = std::move(staged_challenge_->proof);
+  staged_challenge_.reset();
   chain::Transaction tx;
   tx.from = address_;
-  tx.description = "challenged";
+  tx.description = tx_description;
   tx.payload_bytes = txfmt::kChallengePayload;
   tx.gas_used = gas_.tx_base + gas_.calldata_gas(txfmt::kChallengePayload);
   chain_.submit(tx);
-  emit("challenged");
-
-  state_ = State::Prove;
-  pending_proof_.reset();
-  if (proof) {
-    pending_proof_ = std::move(proof);
-    rec.proved_at = chain_.now();
+  emit(event);
+  if (pending_proof_) {
+    RoundRecord& rec = rounds_.back();
+    rec.proved_at = now;
     rec.proof_bytes = pending_proof_->size();
     emit("proofposted");
   }
-  rounds_.push_back(std::move(rec));
-  ++records_created_;
-  chain_.schedule(chain_.now() + terms_.response_window_s,
-                  [this](Timestamp now) { prepare_verify(now); },
-                  [this](Timestamp now) { on_verify_due(now); });
+  chain_.schedule(now + terms_.response_window_s,
+                  [this](Timestamp t) { prepare_verify(t); },
+                  [this](Timestamp t) { on_verify_due(t); });
 }
 
 void AuditContract::prepare_verify(Timestamp /*now*/) {
@@ -351,25 +346,22 @@ void AuditContract::on_verify_due(Timestamp now) {
     advance_round();
     return;
   }
-  if (!staged_verify_) prepare_verify(now);
+  require(staged_verify_.has_value(), "verify action without its prepare");
   if (staged_verify_->ticket) {
     const BatchSettlement::Ticket ticket = *staged_verify_->ticket;
     staged_verify_.reset();
     pending_proof_.reset();
-    if (auto res = batch_->try_outcome(ticket, now)) {
-      // Per-instant window: the batch flushed between this instant's
-      // prepares and actions (or flushes on demand, on direct-call paths).
-      finalize_proved(*res);
+    // The round settles at its window boundary, whose barrier flushes the
+    // window before any action there runs. A provider exit can close the
+    // contract (aborting this round) before the boundary — a dead round
+    // must not settle.
+    auto redeem = [this, ticket](Timestamp) {
+      if (state_ == State::Prove) finalize_proved(batch_->outcome(ticket));
+    };
+    if (ticket.settle_at == now) {
+      redeem(now);
     } else {
-      // Windowed settlement: the batch stays open until the window
-      // boundary; redeem the ticket there. The flush hook runs before any
-      // action of that instant, so the outcome is ready when this fires.
-      // A provider exit can close the contract (aborting this round) before
-      // the boundary — a dead round must not settle.
-      chain_.schedule(ticket.settle_at, [this, ticket](Timestamp) {
-        if (state_ != State::Prove) return;
-        finalize_proved(batch_->outcome(ticket));
-      });
+      chain_.schedule(ticket.settle_at, redeem);
     }
     return;
   }
@@ -393,32 +385,10 @@ void AuditContract::on_retry_due(Timestamp now) {
     staged_challenge_.reset();
     return;
   }
-  std::optional<std::vector<std::uint8_t>> proof;
-  if (staged_challenge_) {
-    proof = std::move(staged_challenge_->proof);
-    staged_challenge_.reset();
-  } else {
-    proof = ask_responder(rounds_.back().challenge);  // direct-call path
-  }
+  require(staged_challenge_.has_value(), "retry action without its prepare");
   // The retry rebroadcasts the challenge reference on chain; the response
   // window restarts from the retry instant.
-  chain::Transaction tx;
-  tx.from = address_;
-  tx.description = "retry";
-  tx.payload_bytes = txfmt::kChallengePayload;
-  tx.gas_used = gas_.tx_base + gas_.calldata_gas(txfmt::kChallengePayload);
-  chain_.submit(tx);
-  emit("retried");
-  if (proof) {
-    RoundRecord& rec = rounds_.back();
-    pending_proof_ = std::move(proof);
-    rec.proved_at = now;
-    rec.proof_bytes = pending_proof_->size();
-    emit("proofposted");
-  }
-  chain_.schedule(now + terms_.response_window_s,
-                  [this](Timestamp t) { prepare_verify(t); },
-                  [this](Timestamp t) { on_verify_due(t); });
+  post_challenge(now, "retry", "retried");
 }
 
 void AuditContract::finalize_proved(const BatchSettlement::Outcome& outcome) {

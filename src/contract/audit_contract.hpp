@@ -248,6 +248,11 @@ class AuditContract {
   /// a later instant (next settlement boundary / one response window on).
   void prepare_retry(Timestamp now);
   void on_retry_due(Timestamp now);
+  /// Shared tail of the challenge and retry actions: take the staged proof,
+  /// post the challenge-reference tx (`tx_description`) and `event`, record
+  /// the proof if one arrived, and schedule Verify one response window on.
+  void post_challenge(Timestamp now, const char* tx_description,
+                      const char* event);
   /// Tail of a proved round (prove tx, gas, payout) once its outcome is
   /// known — inline, same-instant batched, or redeemed at a later window
   /// boundary (windowed settlement defers redemption to Ticket::settle_at).

@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "audit/serialize.hpp"
-#include "pairing/pairing.hpp"
 
 namespace dsaudit::contract {
 
@@ -69,90 +68,34 @@ BatchSettlement::Ticket BatchSettlement::enqueue(
   chain_ptr_ = &chain;
   pending_.push_back(std::move(instance));
   transcripts_.push_back(transcript);
-  if (!hook_armed_) {
-    hook_armed_ = true;
-    chain.defer_until_actions([this, &chain](chain::Timestamp at) {
-      std::unique_lock<std::mutex> hook_lock(mutex_);
-      on_instant(chain, at, hook_lock);
+  if (pending_.size() == 1) {
+    // The window just opened: its barrier at the boundary is the one place
+    // it flushes — after every prepare there (rounds due exactly at the
+    // boundary join the window) and before every action (which redeem).
+    chain.defer_until_actions(window_deadline_, [this](chain::Timestamp) {
+      std::unique_lock<std::mutex> flush_lock(mutex_);
+      flush(flush_lock);
     });
   }
   return t;
 }
 
-/// Runs between the prepares and the actions of every instant that touched
-/// the batch (armed per instant by enqueue, and once more at the boundary by
-/// the scheduled boundary task): flushes when the instant has reached the
-/// window deadline, otherwise makes sure the boundary task exists so the
-/// flush fires there — always before any redemption action of that instant.
-void BatchSettlement::on_instant(chain::Blockchain& chain,
-                                 chain::Timestamp now,
-                                 std::unique_lock<std::mutex>& lock) {
-  hook_armed_ = false;
-  if (pending_.empty()) return;
-  if (now >= window_deadline_) {
-    flush(lock);
-    return;
-  }
-  if (!boundary_armed_) {
-    boundary_armed_ = true;
-    // The task's prepare re-registers this hook at the boundary instant, so
-    // the flush still runs after every prepare there (rounds due exactly at
-    // the boundary join the window) and before every action (which redeem).
-    chain.schedule(
-        window_deadline_,
-        [this, &chain](chain::Timestamp) {
-          chain.defer_until_actions([this, &chain](chain::Timestamp at) {
-            std::unique_lock<std::mutex> hook_lock(mutex_);
-            on_instant(chain, at, hook_lock);
-          });
-        },
-        [](chain::Timestamp) {});
-  }
-}
-
-std::optional<BatchSettlement::Outcome> BatchSettlement::try_outcome(
-    const Ticket& ticket, chain::Timestamp now) {
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (ticket.batch == current_batch_ && !pending_.empty() &&
-      now >= window_deadline_) {
-    // Direct-call path (no advance()-driven hook): settle on first demand —
-    // everything due by the deadline has been enqueued by now.
-    flush(lock);
-  }
-  return redeem_locked(lock, ticket);
-}
-
 BatchSettlement::Outcome BatchSettlement::outcome(const Ticket& ticket) {
   std::unique_lock<std::mutex> lock(mutex_);
-  if (ticket.batch == current_batch_ && !pending_.empty()) {
-    flush(lock);
-  }
-  auto out = redeem_locked(lock, ticket);
-  if (!out) throw std::logic_error("BatchSettlement: unknown ticket");
-  return *out;
-}
-
-std::optional<BatchSettlement::Outcome> BatchSettlement::redeem_locked(
-    std::unique_lock<std::mutex>& lock, const Ticket& ticket) {
-  wait_for_flush_locked(lock, ticket.batch);
+  // flush() releases the mutex around its verification; a redeemer of that
+  // batch waits for the result store instead of mis-reading it as unknown.
+  flush_cv_.wait(lock, [&] {
+    return !flush_in_progress_ || flushing_batch_ != ticket.batch;
+  });
   auto it = results_.find(ticket.batch);
-  if (it == results_.end()) {
-    if (ticket.batch >= current_batch_) return std::nullopt;  // window open
-    throw std::logic_error("BatchSettlement: unknown ticket");
+  if (it == results_.end() || ticket.index >= it->second.ok.size()) {
+    throw std::logic_error(ticket.batch == current_batch_
+                               ? "BatchSettlement: ticket of an open window"
+                               : "BatchSettlement: unknown ticket");
   }
   const BatchResult& res = it->second;
-  if (ticket.index >= res.ok.size()) {
-    throw std::logic_error("BatchSettlement: unknown ticket");
-  }
   return Outcome{res.ok[ticket.index], res.ok.size(), res.flush_ms,
                  res.aggregated, res.fallback};
-}
-
-void BatchSettlement::wait_for_flush_locked(std::unique_lock<std::mutex>& lock,
-                                            std::uint64_t batch) {
-  flush_cv_.wait(lock, [&] {
-    return !flush_in_progress_ || flushing_batch_ != batch;
-  });
 }
 
 bool BatchSettlement::consume_weight_seed(
@@ -173,7 +116,6 @@ std::optional<std::array<std::uint8_t, 32>> BatchSettlement::last_weight_seed()
 }
 
 void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
-  if (pending_.empty()) return;
   // Snapshot the open window under the lock: batch contents, identity and
   // seed material. Enqueues racing with the verification below start the
   // next window against a fresh batch id.
@@ -184,7 +126,6 @@ void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
   const std::uint64_t batch_id = current_batch_++;
   const chain::Timestamp deadline = window_deadline_;
   const std::uint64_t nonce = nonce_rng_.next_u64();
-  boundary_armed_ = false;
 
   // Canonical batch order: sort by transcript so the weight schedule and
   // results are independent of the concurrent enqueue arrival order.
@@ -217,15 +158,13 @@ void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
 
   // The verification itself runs unlocked: it fans out over the thread
   // pool, and the engine mutex must never wrap the pool's submit lock
-  // (concurrent prepare stages enqueue from inside it). Redeemers of this
-  // batch arriving meanwhile block on wait_for_flush_locked instead of
-  // mis-reading the not-yet-stored result as an unknown ticket.
+  // (prepare stages enqueue from inside it). outcome() waits on
+  // flush_in_progress_ for this batch's result.
   const bool aggregate = aggregate_;
   chain::Blockchain* chain_ptr = chain_ptr_;
   flush_in_progress_ = true;
   flushing_batch_ = batch_id;
   lock.unlock();
-  auto counters_before = pairing::pairing_counters();
   auto t0 = std::chrono::steady_clock::now();
   audit::SettlementOptions opts;
   opts.compute_aggregate_opening = aggregate;
@@ -233,7 +172,6 @@ void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
   double ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
-  auto counters_after = pairing::pairing_counters();
 
   std::optional<audit::AggregateSettlement> agg;
   std::uint64_t agg_bytes = 0, agg_gas = 0;
@@ -277,7 +215,6 @@ void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
   stats_.rounds += perm.size();
   stats_.batch_checks += res.batch_checks;
   stats_.single_checks += res.single_checks;
-  stats_.pairing_chains += counters_after.chains - counters_before.chains;
   for (bool ok : batch.ok) stats_.culprits += !ok;
   if (aggregate) {
     last_aggregate_ = std::move(agg);

@@ -7,21 +7,21 @@
 // settlement sorts the batch canonically, derives a fresh Fiat–Shamir weight
 // seed from the batch transcript, and verifies the whole set as one weighted
 // multi-pairing (audit::verify_settlement — 1 + 2·keys pairings, bisection
-// isolating any culprits) in the Blockchain's between-prepares-and-actions
-// hook. Each contract's action then redeems its ticket sequentially in
-// schedule order, so ledger, gas and event ordering are identical to inline
-// settlement at every thread count.
+// isolating any culprits) in a Blockchain barrier, between the prepares and
+// the actions of the instant. Each contract's action then redeems its ticket
+// sequentially in schedule order, so ledger, gas and event ordering are
+// identical to inline settlement at every thread count.
 //
 // With a settlement window configured on the chain
 // (ChainConfig::settlement_window_s > 1), the batch stays open across chain
-// instants: rounds due anywhere inside the window keep enqueueing, the
-// engine schedules one boundary task, and the flush fires once at the
-// window boundary under a single Fiat–Shamir seed covering every round of
-// the window (the boundary timestamp is folded into the seed preimage, and
-// the replay registry records the per-window seed). Contracts whose rounds
-// were due mid-window redeem their tickets at the boundary (Ticket::
-// settle_at tells them when). Window <= 1 degenerates to the per-instant
-// behavior above, bit-identically.
+// instants: rounds due anywhere inside the window keep enqueueing, and the
+// flush fires once at the window boundary under a single Fiat–Shamir seed
+// covering every round of the window (the boundary timestamp is folded into
+// the seed preimage, and the replay registry records the per-window seed).
+// Whatever the window, the enqueue that opens it registers one barrier at
+// its boundary (Blockchain::defer_until_actions) — the only caller of the
+// flush. Contracts redeem their tickets at the boundary (Ticket::settle_at
+// tells them when). Window <= 1 makes every boundary the due instant itself.
 //
 // Aggregate tx mode (enable_aggregate_tx): each flush additionally posts ONE
 // constant-size settlement tx on chain — the window's Fiat–Shamir weight
@@ -62,8 +62,9 @@ class BatchSettlement {
     std::uint64_t batch = 0;
     std::size_t index = 0;  // enqueue position within the batch
     /// The window boundary this round settles at (== the enqueue instant
-    /// when windows are disabled). A contract whose try_outcome comes back
-    /// empty schedules its redemption action here.
+    /// when windows are disabled): the window's barrier flushes there, and
+    /// the contract redeems the ticket there — inline when that is the
+    /// enqueue instant, from a scheduled action otherwise.
     chain::Timestamp settle_at = 0;
   };
 
@@ -86,7 +87,6 @@ class BatchSettlement {
     std::uint64_t batch_checks = 0;   // weighted aggregate checks (incl. bisection)
     std::uint64_t single_checks = 0;  // bisection leaves re-verified exactly
     std::uint64_t culprits = 0;       // rounds isolated as failing
-    std::uint64_t pairing_chains = 0; // Miller chains across all flushes
     // Aggregate-tx telemetry (zero unless enable_aggregate_tx).
     std::uint64_t aggregate_txs = 0;       // window txs posted
     std::uint64_t aggregate_tx_bytes = 0;  // their summed payload bytes
@@ -120,27 +120,19 @@ class BatchSettlement {
   /// concurrent prepare stages. `transcript` must commit the round's
   /// identity, challenge and proof bytes: it orders the batch canonically
   /// (so results are independent of arrival order) and feeds the
-  /// Fiat–Shamir weight seed. The first enqueue at an instant arms the
-  /// chain's defer_until_actions hook; the hook flushes when the instant is
-  /// at the window boundary and otherwise schedules the boundary task that
-  /// will. The instance borrows its verifier/file contexts — the owning
-  /// contract keeps them alive. Every round of an engine's lifetime must
-  /// enqueue against the SAME chain (deferred flushes post to it later);
-  /// passing a different one throws std::logic_error.
+  /// Fiat–Shamir weight seed. The enqueue that opens a window registers the
+  /// chain barrier at the window boundary that flushes it. The instance
+  /// borrows its verifier/file contexts — the owning contract keeps them
+  /// alive. Every round of an engine's lifetime must enqueue against the
+  /// SAME chain (deferred flushes post to it later); passing a different
+  /// one throws std::logic_error.
   Ticket enqueue(chain::Blockchain& chain, audit::SettlementInstance instance,
                  const std::array<std::uint8_t, 32>& transcript);
 
-  /// Redeem a ticket if its batch has flushed. When the ticket's batch is
-  /// still open and `now` has reached the window deadline (always true for
-  /// per-instant windows on the direct-call test paths), the batch flushes
-  /// on demand first; a mid-window call returns nullopt and the contract
-  /// should retry at Ticket::settle_at. Throws on a ticket that references
-  /// a flushed batch it was never part of.
-  std::optional<Outcome> try_outcome(const Ticket& ticket, chain::Timestamp now);
-
-  /// Redeem a ticket unconditionally (flushes the pending batch first when
-  /// it is still open — the boundary-task path guarantees the flush already
-  /// ran by the time a deferred redemption action fires).
+  /// Redeem a ticket of a flushed window — from Ticket::settle_at's actions
+  /// on, since the window's barrier runs before them. Throws
+  /// std::logic_error for a ticket of a window still open, and for one that
+  /// references a flushed batch it was never part of.
   Outcome outcome(const Ticket& ticket);
 
   /// Weight-seed freshness registry: records `seed` as consumed, returns
@@ -158,29 +150,13 @@ class BatchSettlement {
   Stats stats() const;
 
  private:
-  void on_instant(chain::Blockchain& chain, chain::Timestamp now,
-                  std::unique_lock<std::mutex>& lock);
-  /// Settles the open batch. Called with `lock` held; the heavy
-  /// verification itself runs with the lock RELEASED (the engine mutex must
-  /// never be held across the thread pool's submit lock — enqueue runs on
-  /// pool workers under it, and holding both in opposite orders is a lock
-  /// inversion). Snapshot-out, verify, store-back: enqueues that land
-  /// mid-verification open the next batch.
+  /// Settles the open batch; called only by the window's barrier, with
+  /// `lock` held. The heavy verification itself runs with the lock RELEASED
+  /// (the engine mutex must never be held across the thread pool's submit
+  /// lock — enqueue runs on pool workers under it, and holding both in
+  /// opposite orders is a lock inversion). Snapshot-out, verify, store-back.
   void flush(std::unique_lock<std::mutex>& lock);
   bool consume_weight_seed_locked(const std::array<std::uint8_t, 32>& seed);
-
-  /// Blocks until no flush of `batch` is mid-verification (flush releases
-  /// the mutex around the heavy verify; a concurrent redeemer of that batch
-  /// must wait for the result store, not mis-read it as unknown).
-  void wait_for_flush_locked(std::unique_lock<std::mutex>& lock,
-                             std::uint64_t batch);
-
-  /// The redemption both try_outcome and outcome share, called with `lock`
-  /// held: waits out an in-flight flush of the ticket's batch, then returns
-  /// its outcome, or nullopt while that batch is still open. Throws on a
-  /// ticket that references a flushed batch it was never part of.
-  std::optional<Outcome> redeem_locked(std::unique_lock<std::mutex>& lock,
-                                       const Ticket& ticket);
 
   mutable std::mutex mutex_;
   std::condition_variable flush_cv_;
@@ -188,16 +164,14 @@ class BatchSettlement {
   std::uint64_t flushing_batch_ = 0;
   primitives::SecureRng nonce_rng_;
   std::uint64_t current_batch_ = 0;
-  bool hook_armed_ = false;
-  bool boundary_armed_ = false;
   chain::Timestamp window_deadline_ = 0;  // boundary of the open window
   chain::Timestamp last_instant_ = 0;
   bool any_instant_ = false;
   bool aggregate_ = false;
   econ::AuditCostModel cost_;
-  /// The chain the rounds were enqueued against — captured so the on-demand
-  /// flush paths (try_outcome/outcome, which receive no chain reference) can
-  /// still post the window tx. All contracts of one engine share one chain.
+  /// The chain the rounds were enqueued against — the one the window
+  /// barriers run on and the flush posts the window tx to. All contracts of
+  /// one engine share one chain.
   chain::Blockchain* chain_ptr_ = nullptr;
   std::optional<audit::AggregateSettlement> last_aggregate_;
   std::vector<std::array<std::uint8_t, 32>> last_transcripts_;

@@ -11,6 +11,9 @@ const char* const kFrModulusHex =
 
 MontParams make_mont_params(const U256& modulus) {
   if (!modulus.is_odd()) throw std::invalid_argument("make_mont_params: even modulus");
+  if (modulus.limb[3] >= (u64{1} << 62)) {
+    throw std::invalid_argument("make_mont_params: modulus top limb >= 2^62");
+  }
   MontParams P;
   P.has_fast_sqrt = (modulus.limb[0] & 3) == 3;
   P.modulus = modulus;
@@ -20,7 +23,6 @@ MontParams make_mont_params(const U256& modulus) {
   P.r2_mod = VarUInt::divmod(r * r, m).second.to_u256();
   P.r3_mod = VarUInt::divmod(r * r * r, m).second.to_u256();
   P.n0_inv = bigint::mont_n0_inv(modulus);
-  P.no_carry = modulus.limb[3] < (u64{1} << 62);
   U256 one{1};
   bigint::sub_with_borrow(modulus, one, P.p_minus_2);
   bigint::sub_with_borrow(P.p_minus_2, one, P.p_minus_2);
@@ -35,44 +37,6 @@ MontParams make_mont_params(const U256& modulus) {
   }
   return P;
 }
-
-namespace detail {
-
-U256 mont_mul_generic(const U256& a, const U256& b, const MontParams& P) {
-  using bigint::u128;
-  u64 t[5] = {0, 0, 0, 0, 0};
-  for (int i = 0; i < 4; ++i) {
-    // t += a[i] * b
-    u128 carry = 0;
-    for (int j = 0; j < 4; ++j) {
-      u128 v = static_cast<u128>(a.limb[i]) * b.limb[j] + t[j] + carry;
-      t[j] = static_cast<u64>(v);
-      carry = v >> 64;
-    }
-    u128 t4 = static_cast<u128>(t[4]) + carry;
-    // Reduce: add m*p so the low limb vanishes, then shift right one limb.
-    u64 m = t[0] * P.n0_inv;
-    u128 v = static_cast<u128>(m) * P.modulus.limb[0] + t[0];
-    carry = v >> 64;
-    for (int j = 1; j < 4; ++j) {
-      v = static_cast<u128>(m) * P.modulus.limb[j] + t[j] + carry;
-      t[j - 1] = static_cast<u64>(v);
-      carry = v >> 64;
-    }
-    v = t4 + carry;
-    t[3] = static_cast<u64>(v);
-    t[4] = static_cast<u64>(v >> 64);
-  }
-  U256 r{t[0], t[1], t[2], t[3]};
-  if (t[4] != 0 || !bigint::lt(r, P.modulus)) {
-    U256 reduced;
-    bigint::sub_with_borrow(r, P.modulus, reduced);
-    return reduced;
-  }
-  return r;
-}
-
-}  // namespace detail
 
 const MontParams& FpTag::params() {
   static const MontParams P = make_mont_params(U256::from_hex(kFpModulusHex));

@@ -33,28 +33,26 @@ struct MontParams {
   U256 r2_mod;   // (2^256)^2 mod p
   U256 r3_mod;   // (2^256)^3 mod p (single-step Montgomery inversion)
   u64 n0_inv;    // -p^{-1} mod 2^64
-  bool no_carry = false;       // top modulus limb < 2^62: no-carry CIOS valid
   bool has_fast_sqrt = false;  // true iff modulus ≡ 3 (mod 4)
   U256 p_plus_1_over_4;   // sqrt exponent (only valid when has_fast_sqrt)
   U256 p_minus_1_over_2;  // Euler criterion exponent
   U256 p_minus_2;         // Fermat inversion exponent
 };
 
-/// Builds Montgomery parameters from an odd modulus.
+/// Builds Montgomery parameters from an odd modulus whose top limb is below
+/// 2^62 (mont_mul's no-carry CIOS bound; both BN254 moduli qualify). Throws
+/// std::invalid_argument otherwise.
 MontParams make_mont_params(const U256& modulus);
 
 namespace detail {
 
-/// Generic 4-limb CIOS with a fifth carry limb; works for any odd modulus.
-U256 mont_mul_generic(const U256& a, const U256& b, const MontParams& P);
-
-/// CIOS with the "no-carry" optimization: when the modulus' top limb is well
-/// below 2^63 (true for both BN254 moduli), the interleaved multiply/reduce
-/// columns never spill into a fifth limb, so the whole product fits in four
+/// CIOS with the "no-carry" optimization: the modulus' top limb is below
+/// 2^62 (make_mont_params enforces it), so the interleaved multiply/reduce
+/// columns never spill into a fifth limb, and the whole product fits in four
 /// words plus two running carries. Requires a, b < modulus. Lives in the
 /// header so it inlines into the field operators — this is the innermost
 /// loop of every curve operation.
-inline U256 mont_mul_nocarry(const U256& a, const U256& b, const MontParams& P) {
+inline U256 mont_mul(const U256& a, const U256& b, const MontParams& P) {
   using bigint::u128;
   const std::array<u64, 4>& q = P.modulus.limb;
   u64 t0 = 0, t1 = 0, t2 = 0, t3 = 0;
@@ -89,10 +87,6 @@ inline U256 mont_mul_nocarry(const U256& a, const U256& b, const MontParams& P) 
     return reduced;
   }
   return r;
-}
-
-inline U256 mont_mul(const U256& a, const U256& b, const MontParams& P) {
-  return P.no_carry ? mont_mul_nocarry(a, b, P) : mont_mul_generic(a, b, P);
 }
 
 }  // namespace detail

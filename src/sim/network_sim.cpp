@@ -101,7 +101,6 @@ void NetworkSim::push_hot(std::uint32_t provider_index) {
   hot_provider_.push_back(provider_index);
   hot_flags_.push_back(kShardOk);
   hot_next_due_.push_back(0);
-  hot_rounds_done_.push_back(0);
 }
 
 void NetworkSim::deploy() {
@@ -470,7 +469,6 @@ void NetworkSim::install_contract(Deployment& dep, std::size_t dep_index,
         }
         agg_.total_gas += r.gas_used;
         agg_.timeout_retries += r.retries;
-        ++hot_rounds_done_[dep_index];
         hot_next_due_[dep_index] = r.challenged_at + config_.audit_period_s;
       });
   dep.contract->set_on_closed(

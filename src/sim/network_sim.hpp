@@ -404,7 +404,6 @@ class NetworkSim {
   std::vector<std::uint32_t> hot_provider_;      // provider-N namespace index
   std::vector<std::uint8_t> hot_flags_;          // kShardOk | kNeedsRepair...
   std::vector<chain::Timestamp> hot_next_due_;   // next challenge instant
-  std::vector<std::uint32_t> hot_rounds_done_;   // settled/aborted rounds
 
   // Incrementally maintained aggregates (fed by the contracts' on_round /
   // on_closed callbacks; the streaming replacement for history walks).

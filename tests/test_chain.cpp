@@ -1,7 +1,9 @@
 // Blockchain simulator, gas model and randomness beacon tests.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
+#include <memory>
 #include <random>
 #include <utility>
 
@@ -129,6 +131,110 @@ TEST(Blockchain, ScheduledTaskCanSubmitAndReschedule) {
   EXPECT_EQ(rounds, 5);
   EXPECT_EQ(bc.transactions().size(), 5u);
   EXPECT_EQ(bc.pending_count(), 0u);
+}
+
+TEST(Blockchain, BarrierFromPrepareFiresOnceAtInstantWithNoTask) {
+  // Prepares running concurrently each register a barrier for t = 31: no
+  // task is due there and no block boundary falls there (a block and a
+  // task fall at 30), yet advance() stops at 31 and runs every barrier
+  // exactly once — not earlier, not twice.
+  Blockchain bc;
+  constexpr int kTasks = 16;
+  int fired = 0;  // barriers run on the driving thread
+  std::vector<Timestamp> fired_at(kTasks, 0);
+  for (int i = 0; i < kTasks; ++i) {
+    bc.schedule(
+        10,
+        [&bc, &fired, &fired_at, i](Timestamp) {
+          bc.defer_until_actions(31, [&fired, &fired_at, i](Timestamp at) {
+            ++fired;
+            fired_at[static_cast<std::size_t>(i)] = at;
+          });
+        },
+        [](Timestamp) {});
+  }
+  bc.schedule(30, [](Timestamp) {});
+  bc.advance(30);
+  EXPECT_EQ(fired, 0);
+  bc.advance(1);
+  EXPECT_EQ(fired, kTasks);
+  EXPECT_EQ(fired_at, std::vector<Timestamp>(kTasks, 31));
+  bc.advance(1000);
+  EXPECT_EQ(fired, kTasks);  // exactly once
+}
+
+TEST(Blockchain, BarrierRunsAfterEveryPrepareBeforeEveryAction) {
+  Blockchain bc;
+  constexpr int kTasks = 8;
+  std::atomic<int> prepared{0};
+  std::vector<int> actions;
+  std::vector<std::pair<int, std::size_t>> barriers;  // (prepared, actions)
+  auto barrier = [&](Timestamp) {
+    barriers.emplace_back(prepared.load(), actions.size());
+  };
+  bc.defer_until_actions(20, barrier);  // registered ahead of the instant
+  for (int i = 0; i < kTasks; ++i) {
+    bc.schedule(
+        20,
+        [&, i](Timestamp now) {
+          ++prepared;
+          if (i == kTasks - 1) bc.defer_until_actions(now, barrier);
+        },
+        [&, i](Timestamp) { actions.push_back(i); });
+  }
+  bc.advance(20);
+  ASSERT_EQ(barriers.size(), 2u);
+  for (const auto& [seen_prepared, seen_actions] : barriers) {
+    EXPECT_EQ(seen_prepared, kTasks);
+    EXPECT_EQ(seen_actions, 0u);
+  }
+  EXPECT_EQ(actions, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(Blockchain, BarrierInThePastThrows) {
+  Blockchain bc;
+  bc.advance(50);
+  EXPECT_THROW(bc.defer_until_actions(49, [](Timestamp) {}), std::logic_error);
+  int fired = 0;
+  bc.defer_until_actions(50, [&](Timestamp) { ++fired; });  // now() is fine
+  bc.advance(0);
+  EXPECT_EQ(fired, 1);
+}
+
+TEST(Blockchain, StreamingFastPathStopsAtBarrier) {
+  // Off-cadence barriers on an otherwise idle chain: the streaming
+  // empty-block fast path must stop at each one (each submits a tx there),
+  // and every aggregate must equal the full-retention walk's.
+  auto run = [](Retention retention) {
+    ChainConfig cfg;
+    cfg.retention = retention;
+    auto bc = std::make_unique<Blockchain>(cfg);
+    Blockchain* chain = bc.get();
+    auto submit = [chain](Timestamp) {
+      Transaction tx;
+      tx.from = "barrier";
+      tx.payload_bytes = 96;
+      tx.gas_used = 21000;
+      chain->submit(tx);
+    };
+    chain->defer_until_actions(1000, [chain, submit](Timestamp at) {
+      submit(at);
+      chain->defer_until_actions(50'001, submit);
+    });
+    chain->advance(100'000);
+    return bc;
+  };
+  auto full = run(Retention::Full);
+  auto stream = run(Retention::Streaming);
+  ASSERT_EQ(full->transactions().size(), 2u);
+  EXPECT_EQ(full->transactions()[0].submitted_at, 1000u);
+  EXPECT_EQ(full->transactions()[1].submitted_at, 50'001u);
+  EXPECT_EQ(stream->tx_count(), 2u);
+  EXPECT_EQ(stream->block_count(), full->block_count());
+  EXPECT_EQ(stream->block_count(), 100'000u / 15);
+  EXPECT_EQ(stream->total_chain_bytes(), full->total_chain_bytes());
+  EXPECT_EQ(stream->total_gas_used(), full->total_gas_used());
+  EXPECT_EQ(stream->tx_stream_digest(), full->tx_stream_digest());
 }
 
 TEST(Blockchain, SubmitRejectsDescriptionTheDigestCannotEncode) {

@@ -102,6 +102,22 @@ TEST(Fp, MulAgainstSlowPath) {
   }
 }
 
+TEST(MontParams, BuildsBn254ModuliAndRefusesWideTopLimb) {
+  // mont_mul's no-carry CIOS needs the modulus' top limb below 2^62; both
+  // BN254 moduli (top limb 0x30644e72...) qualify.
+  for (const MontParams& P : {Fp::params(), Fr::params()}) {
+    EXPECT_LT(P.modulus.limb[3], u64{1} << 62);
+    EXPECT_EQ(make_mont_params(P.modulus).n0_inv, P.n0_inv);
+  }
+  U256 wide = Fp::modulus();
+  wide.limb[3] = u64{1} << 62;  // still odd: limb 0 is untouched
+  EXPECT_THROW(make_mont_params(wide), std::invalid_argument);
+  wide.limb[3] = ~u64{0};
+  EXPECT_THROW(make_mont_params(wide), std::invalid_argument);
+  wide.limb[3] = (u64{1} << 62) - 1;
+  EXPECT_NO_THROW(make_mont_params(wide));
+}
+
 TEST(Fp, FermatLittleTheorem) {
   auto rng = SecureRng::deterministic(27);
   Fp a = Fp::random(rng);

@@ -568,6 +568,37 @@ TEST(BatchSettlementEngine, UnknownTicketThrows) {
   EXPECT_THROW(batch.outcome({42, 0, 0}), std::logic_error);
 }
 
+TEST(BatchSettlementEngine, OpenWindowTicketThrows) {
+  // A ticket redeems only once its window's barrier has flushed it; before
+  // that the engine refuses rather than flushing on demand.
+  auto rng = SecureRng::deterministic(910);
+  Scenario sc = make_scenario(2500, 5, rng);
+  Verifier verifier(sc.kp.pk);
+  PreparedFile ctx = audit::prepare_file(sc.name, sc.file.num_chunks());
+  Prover prover(sc.kp.pk, sc.file, sc.tag);
+
+  chain::ChainConfig cc;
+  cc.settlement_window_s = 100;
+  chain::Blockchain chain(cc);
+  chain.advance(30);
+  contract::BatchSettlement batch(10);
+  SettlementInstance inst;
+  inst.verifier = &verifier;
+  inst.file = &ctx;
+  inst.challenge = make_challenge(rng, 4);
+  inst.basic = prover.prove(inst.challenge);
+  const auto ticket = batch.enqueue(chain, std::move(inst), rng.bytes32());
+  EXPECT_EQ(ticket.settle_at, 100u);
+
+  EXPECT_THROW(batch.outcome(ticket), std::logic_error);
+  chain.advance(69);  // t = 99: still inside the window
+  EXPECT_THROW(batch.outcome(ticket), std::logic_error);
+  EXPECT_EQ(batch.stats().batches, 0u);
+  chain.advance(1);  // t = 100: the boundary barrier flushes
+  EXPECT_EQ(batch.stats().batches, 1u);
+  EXPECT_TRUE(batch.outcome(ticket).ok);
+}
+
 TEST(BatchSettlementEngine, FlushSeedEntersReplayRegistry) {
   // Every settled window's derived Fiat–Shamir seed lands in the freshness
   // registry: replaying it is refused, and consecutive windows never share
@@ -590,7 +621,8 @@ TEST(BatchSettlementEngine, FlushSeedEntersReplayRegistry) {
     inst.challenge = make_challenge(rng, 4);
     inst.basic = prover.prove(inst.challenge);
     auto ticket = batch.enqueue(chain, std::move(inst), rng.bytes32());
-    EXPECT_TRUE(batch.outcome(ticket).ok);  // direct-call flush
+    chain.advance(0);  // the window's barrier at now() flushes it
+    EXPECT_TRUE(batch.outcome(ticket).ok);
     ASSERT_TRUE(batch.last_weight_seed().has_value());
     seeds[window] = *batch.last_weight_seed();
     // The flush itself consumed the seed — a replay is refused.
