@@ -1,5 +1,7 @@
 // Batched-settlement throughput: rounds/sec at batch sizes 1 / 8 / 64
-// against the unbatched prepared-verifier path, for both proof shapes.
+// against the unbatched prepared-verifier path, for both proof shapes, and
+// the dirty path: a private batch of 64 with 1 and 4 culprits, where
+// bisection isolates each cheater.
 //
 // Plain main() program (no google-benchmark dependency) so CI's bench-smoke
 // step can always build and run it; emits BENCH_settlement.json recording
@@ -199,6 +201,48 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Dirty batch: 64 private rounds with 1 and 4 culprits at fixed
+  // positions. Bisection checks each failing range's left half directly and
+  // derives its right half, so the row reports both counts next to the
+  // per-round cost.
+  constexpr std::size_t kDirtyBatch = 64;
+  const std::vector<std::vector<std::size_t>> culprit_sets = {
+      {37}, {5, 22, 37, 58}};
+  struct DirtyRow {
+    std::size_t culprits;
+    double ms_per_round;
+    std::size_t batch_checks;
+    std::size_t derived_checks;
+  };
+  std::vector<DirtyRow> dirty_rows;
+  {
+    std::vector<audit::SettlementInstance> pool(kDirtyBatch);
+    for (auto& inst : pool) {
+      inst.verifier = &verifier;
+      inst.file = &ctx;
+      inst.challenge = challenge_from(rng, kK);
+      inst.priv = prover.prove_private(inst.challenge, rng);
+    }
+    for (const auto& culprits : culprit_sets) {
+      std::vector<audit::SettlementInstance> batch = pool;
+      for (std::size_t at : culprits) batch[at].priv->y_prime += audit::Fr::one();
+      auto seed = rng.bytes32();
+      audit::SettlementOutcome res;
+      auto t0 = Clock::now();
+      for (int r = 0; r < reps; ++r) {
+        res = audit::verify_settlement(batch, seed);
+        std::size_t failed = 0;
+        for (bool ok : res.ok) failed += !ok;
+        if (failed != culprits.size()) {
+          return std::fprintf(stderr, "dirty batch isolated %zu of %zu culprits\n",
+                              failed, culprits.size()), 1;
+        }
+      }
+      dirty_rows.push_back({culprits.size(), ms_per_round(t0, reps, kDirtyBatch),
+                            res.batch_checks, res.derived_checks});
+    }
+  }
+
   std::string json = "{\n";
   json += "  \"num_chunks\": " + std::to_string(kChunks) +
           ", \"s\": " + std::to_string(kS) + ", \"k\": " + std::to_string(kK) +
@@ -258,7 +302,7 @@ int main(int argc, char** argv) {
     const AggregateRow& widest = aggregate_rows.back();
     std::snprintf(buf, sizeof(buf),
                   "\n    ],\n    \"bytes_reduction_at_%zu\": %.1f, "
-                  "\"gas_reduction_at_%zu\": %.1f\n  }\n}\n",
+                  "\"gas_reduction_at_%zu\": %.1f\n  },\n",
                   widest.window,
                   static_cast<double>(cost_model.proof_bytes) /
                       widest.bytes_per_round,
@@ -267,6 +311,19 @@ int main(int argc, char** argv) {
                       static_cast<double>(widest.gas_per_round));
     json += buf;
   }
+  json += "  \"dirty\": {\n    \"shape\": \"private-dirty\", \"rows\": [";
+  for (std::size_t i = 0; i < dirty_rows.size(); ++i) {
+    const auto& row = dirty_rows[i];
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "%s\n      {\"batch_size\": %zu, \"culprits\": %zu, "
+                  "\"ms_per_round\": %.3f, \"batch_checks\": %zu, "
+                  "\"derived_checks\": %zu}",
+                  i ? "," : "", kDirtyBatch, row.culprits, row.ms_per_round,
+                  row.batch_checks, row.derived_checks);
+    json += buf;
+  }
+  json += "\n    ]\n  }\n}\n";
 
   std::fputs(json.c_str(), stdout);
   if (FILE* f = std::fopen(out_path.c_str(), "w")) {

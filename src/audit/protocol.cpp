@@ -5,6 +5,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <stdexcept>
 #include <type_traits>
 
@@ -514,14 +515,15 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     return (lhs * t.gt).is_one();
   };
 
-  // One weighted aggregate check of a contiguous sub-range of `idx`: the
-  // generator term is shared across every key, epsilon/delta aggregate per
-  // key — 1 + 2*(#keys present) pairings, one final exponentiation. The
+  // One direct weighted aggregate check of a contiguous sub-range of `idx`:
+  // the generator term is shared across every key, epsilon/delta aggregate
+  // per key — 1 + 2*(#keys present) pairings, one final exponentiation. The
   // weighting itself runs batched: one Pippenger MSM over the rho weights
   // per pairing slot instead of three scalar muls per round, and one shared
   // GT multi-exponentiation over every private R commitment in the range
   // instead of a per-round R^rho ladder (the old per-round GT exp was the
-  // private batch's ~0.55 ms floor).
+  // private batch's ~0.55 ms floor). Returns the range's GT value, the
+  // product of its rounds' weighted terms; the range passes iff it is one.
   auto check_batch = [&](std::size_t lo, std::size_t hi) {
     ++out.batch_checks;
     const std::size_t m = hi - lo;
@@ -571,27 +573,44 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     }
     Fp12 gt = Fp12::multi_pow(gt_bases, gt_exps);
     Fp12 lhs = pairing::multi_pairing(std::span<const pairing::PreparedPair>(pairs));
-    return (lhs * gt).is_one();
+    return lhs * gt;
   };
 
   // Settle recursively: a passing aggregate clears its whole range at once;
   // a failing one bisects, so each cheater is isolated by an exact per-round
-  // check and honest rounds in the same block always settle Pass.
-  std::function<void(std::size_t, std::size_t)> settle =
-      [&](std::size_t lo, std::size_t hi) {
+  // check and honest rounds in the same block always settle Pass. Law–Matt
+  // quick binary search: a range's value is the product of its halves'
+  // values, so of a failing range only the left half is checked directly
+  // and the right half's value is value * conj(left) — one Fp12 multiply,
+  // passed down as `known`. conj is the inverse because every factor lies
+  // in GT (final-exponentiation outputs, and R, which gt_decode
+  // subgroup-checks), so the derived value is, as a group element, the one
+  // a direct check of the right half would compute.
+  std::function<void(std::size_t, std::size_t, std::optional<Fp12>)> settle =
+      [&](std::size_t lo, std::size_t hi, std::optional<Fp12> known) {
         if (hi - lo == 1) {
           out.ok[idx[lo]] = check_single(terms[idx[lo]]);
           return;
         }
-        if (check_batch(lo, hi)) {
+        const Fp12 value = known ? *known : check_batch(lo, hi);
+        if (value.is_one()) {
           for (std::size_t j = lo; j < hi; ++j) out.ok[idx[j]] = true;
           return;
         }
         const std::size_t mid = lo + (hi - lo) / 2;
-        settle(lo, mid);
-        settle(mid, hi);
+        if (mid - lo == 1) {
+          // A one-round left half is checked exactly, which yields no
+          // weighted value to derive the right half from.
+          settle(lo, mid, std::nullopt);
+          settle(mid, hi, std::nullopt);
+          return;
+        }
+        const Fp12 left = check_batch(lo, mid);
+        ++out.derived_checks;
+        settle(lo, mid, left);
+        settle(mid, hi, value * left.conjugate());
       };
-  settle(0, idx.size());
+  settle(0, idx.size(), std::nullopt);
   return out;
 }
 

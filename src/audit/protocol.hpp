@@ -161,7 +161,8 @@ class Verifier {
 /// chunk hashes from `name` / `num_chunks` (the cold path of Verifier::
 /// verify). A ProofPrivate's big_r must be a genuine GT element — the wire
 /// decoder guarantees this (gt_decode subgroup-checks); hand-built
-/// structs are the caller's responsibility.
+/// structs are the caller's responsibility. Bisection relies on it: it
+/// derives a right half's value by conjugation, the inverse only in GT.
 struct SettlementInstance {
   const Verifier* verifier = nullptr;
   const PreparedFile* file = nullptr;
@@ -175,7 +176,13 @@ struct SettlementInstance {
 /// Per-instance outcomes plus engine telemetry.
 struct SettlementOutcome {
   std::vector<bool> ok;       // one per instance, input order
-  std::size_t batch_checks = 0;  // weighted aggregate checks performed
+  /// Direct weighted checks: ranges whose GT value was computed from their
+  /// proofs (MSMs, GT multi-exp, multi-pairing, final exponentiation).
+  std::size_t batch_checks = 0;
+  /// Bisection right halves whose GT value was derived as parent ·
+  /// conj(left) — one Fp12 multiply each, no pairing. batch_checks +
+  /// derived_checks is the number of ranges of >= 2 rounds bisection visits.
+  std::size_t derived_checks = 0;
   std::size_t single_checks = 0; // bisection leaves re-verified individually
   /// The window's aggregated KZG opening — sum_i [w_i * zeta_i] psi_i over
   /// the plausible instances, where w_i is the instance's Fiat–Shamir batch
@@ -214,7 +221,19 @@ struct SettlementOptions {
 /// one shared-squaring GT multi-exponentiation (Fp12::multi_pow) instead of
 /// a per-round GT ladder. When the combined check fails, the batch is
 /// bisected recursively so each culprit is isolated by exact per-round
-/// checks — honest rounds in the same block always settle Pass.
+/// checks — honest rounds in the same block always settle Pass. The
+/// bisection is Law–Matt's quick binary search ("Finding invalid signatures
+/// in pairing-based batches", IMA C&C 2007): a range's weighted GT value is
+/// the product of its rounds' terms, so of a failing range only the left
+/// half is checked directly, and the right half's value is derived as
+/// parent · conj(left) — one Fp12 multiply instead of three MSMs, a GT
+/// multi-exp, a multi-pairing and a final exponentiation. conj is the
+/// inverse only on unitary elements, which is why every private R must lie
+/// in GT (see SettlementInstance). A failing range whose left half is a
+/// single round checks that leaf exactly and its right half directly.
+/// Leaves always run the exact, weight-free check, so every culprit is
+/// named by its own equation; the verdicts equal those of checking both
+/// halves directly.
 ///
 /// Deterministic in (instances, weight_seed, options) at every thread
 /// count. The caller must use a FRESH weight_seed per batch (derive it from

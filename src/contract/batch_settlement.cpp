@@ -214,6 +214,7 @@ void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
   stats_.batches += 1;
   stats_.rounds += perm.size();
   stats_.batch_checks += res.batch_checks;
+  stats_.derived_checks += res.derived_checks;
   stats_.single_checks += res.single_checks;
   for (bool ok : batch.ok) stats_.culprits += !ok;
   if (aggregate) {

@@ -551,6 +551,251 @@ TEST(Settlement, ColludingCancellationUnderSelfChosenSeedIsRefused) {
 }
 
 // ---------------------------------------------------------------------------
+// Derived-half bisection: of a failing range only the left half is checked
+// directly; the right half's GT value is derived as parent · conj(left).
+// ---------------------------------------------------------------------------
+
+/// What bisection visits over rounds whose failing ones are flagged in
+/// `culprit`: ranges of >= 2 rounds (each needs a weighted value), the
+/// subset of those whose value is derived rather than checked (right halves
+/// of a failing range whose left half has >= 2 rounds), and the leaves
+/// re-verified exactly. A dirty range fails, a clean one passes.
+struct BisectionVisits {
+  std::size_t ranges = 0;
+  std::size_t derived = 0;
+  std::size_t leaves = 0;
+};
+
+void visit_bisection(const std::vector<bool>& culprit, std::size_t lo,
+                     std::size_t hi, BisectionVisits& v) {
+  if (hi - lo == 1) {
+    ++v.leaves;
+    return;
+  }
+  ++v.ranges;
+  bool dirty = false;
+  for (std::size_t j = lo; j < hi; ++j) dirty = dirty || culprit[j];
+  if (!dirty) return;
+  const std::size_t mid = lo + (hi - lo) / 2;
+  if (mid - lo >= 2) ++v.derived;
+  visit_bisection(culprit, lo, mid, v);
+  visit_bisection(culprit, mid, hi, v);
+}
+
+TEST(Settlement, DerivedHalfBisectionPinnedCost) {
+  // 8 same-key rounds, culprit at 5. Direct checks: [0,8), [0,4), [4,6);
+  // derived: [4,8) and [6,8); exact leaves: rounds 4 and 5. Checking both
+  // halves directly took 5 weighted checks.
+  auto rng = SecureRng::deterministic(915);
+  Scenario sc = make_scenario(4000, 6, rng);
+  Verifier verifier(sc.kp.pk);
+  PreparedFile ctx = audit::prepare_file(sc.name, sc.file.num_chunks());
+  Prover prover(sc.kp.pk, sc.file, sc.tag);
+
+  std::vector<SettlementInstance> instances(8);
+  for (auto& inst : instances) {
+    inst.verifier = &verifier;
+    inst.file = &ctx;
+    inst.challenge = make_challenge(rng, 5);
+    inst.basic = prover.prove(inst.challenge);
+  }
+  instances[5].basic->y += Fr::one();
+
+  pairing::reset_pairing_counters();
+  SettlementOutcome out = audit::verify_settlement(instances, seed_of(rng));
+  const auto counters = pairing::pairing_counters();
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    EXPECT_EQ(out.ok[i], i != 5) << i;
+  }
+  EXPECT_EQ(out.batch_checks, 3u);
+  EXPECT_EQ(out.derived_checks, 2u);
+  EXPECT_EQ(out.single_checks, 2u);
+  // A derived half costs no pairing: one final exponentiation per direct
+  // weighted check and per exact leaf.
+  EXPECT_EQ(counters.final_exps, out.batch_checks + out.single_checks);
+}
+
+TEST(Settlement, DerivedHalfBisectionSweepMatchesPerRoundVerdicts) {
+  // Seeded sweep over window sizes 1..40, 1..3 keys, mixed Eq. 1 / Eq. 2
+  // rounds and culprit sets (none, first, last, an adjacent pair, all, a
+  // random quarter). Every round's verdict must equal its own exact
+  // Verifier::verify* check, and the work must be exactly the two-sided
+  // bisection's ranges, split into direct and derived values.
+  auto rng = SecureRng::deterministic(916);
+  constexpr std::size_t kKeys = 3, kMaxRounds = 40, kTrials = 24;
+  std::vector<Scenario> keys;
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    keys.push_back(make_scenario(1200, 4, rng));
+  }
+  std::vector<std::unique_ptr<Verifier>> verifiers;
+  std::vector<PreparedFile> ctxs;
+  struct PoolRound {
+    Challenge challenge;
+    audit::ProofBasic basic;
+    audit::ProofPrivate priv;
+  };
+  std::vector<std::vector<PoolRound>> pool(kKeys);
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    verifiers.push_back(std::make_unique<Verifier>(keys[k].kp.pk));
+    ctxs.push_back(audit::prepare_file(keys[k].name, keys[k].file.num_chunks()));
+    Prover prover(keys[k].kp.pk, keys[k].file, keys[k].tag);
+    for (std::size_t j = 0; j < kMaxRounds; ++j) {
+      PoolRound r;
+      r.challenge = make_challenge(rng, 3);
+      r.basic = prover.prove(r.challenge);
+      r.priv = prover.prove_private(r.challenge, rng);
+      pool[k].push_back(std::move(r));
+    }
+  }
+
+  const std::size_t fixed_sizes[] = {1, 2, 3, kMaxRounds};
+  for (std::size_t trial = 0; trial < kTrials; ++trial) {
+    const std::size_t n =
+        trial < 4 ? fixed_sizes[trial] : 1 + rng.uniform(kMaxRounds);
+    const std::size_t key_count = 1 + rng.uniform(kKeys);
+    std::vector<bool> tamper(n, false);
+    switch (trial % 6) {
+      case 0: break;
+      case 1: tamper[0] = true; break;
+      case 2: tamper[n - 1] = true; break;
+      case 3: {
+        const std::size_t at = n < 2 ? 0 : rng.uniform(n - 1);
+        tamper[at] = true;
+        if (at + 1 < n) tamper[at + 1] = true;
+        break;
+      }
+      case 4: tamper.assign(n, true); break;
+      default:
+        for (std::size_t j = 0; j < n; ++j) tamper[j] = rng.uniform(4) == 0;
+    }
+
+    std::vector<SettlementInstance> instances(n);
+    std::vector<bool> expected(n), culprit(n);
+    for (std::size_t j = 0; j < n; ++j) {
+      const std::size_t k = rng.uniform(key_count);
+      const PoolRound& r = pool[k][j];
+      SettlementInstance& inst = instances[j];
+      inst.verifier = verifiers[k].get();
+      inst.file = &ctxs[k];
+      inst.challenge = r.challenge;
+      const bool is_private = rng.uniform(2) == 1;
+      if (is_private) {
+        inst.priv = r.priv;
+      } else {
+        inst.basic = r.basic;
+      }
+      if (tamper[j]) {
+        const std::uint64_t field = rng.uniform(3);
+        curve::G1& sigma = is_private ? inst.priv->sigma : inst.basic->sigma;
+        curve::G1& psi = is_private ? inst.priv->psi : inst.basic->psi;
+        Fr& y = is_private ? inst.priv->y_prime : inst.basic->y;
+        if (field == 0) y += Fr::one();
+        if (field == 1) sigma = sigma + curve::G1::generator();
+        if (field == 2) psi = psi + curve::G1::generator();
+      }
+      expected[j] = is_private
+                        ? inst.verifier->verify_private(ctxs[k], inst.challenge,
+                                                        *inst.priv)
+                        : inst.verifier->verify(ctxs[k], inst.challenge,
+                                                *inst.basic);
+      culprit[j] = !expected[j];
+      EXPECT_EQ(culprit[j], tamper[j]) << "trial " << trial << ", round " << j;
+    }
+
+    pairing::reset_pairing_counters();
+    SettlementOutcome out = audit::verify_settlement(instances, seed_of(rng));
+    const auto counters = pairing::pairing_counters();
+    for (std::size_t j = 0; j < n; ++j) {
+      EXPECT_EQ(out.ok[j], expected[j]) << "trial " << trial << ", round " << j;
+    }
+    BisectionVisits visits;
+    visit_bisection(culprit, 0, n, visits);
+    EXPECT_EQ(out.batch_checks + out.derived_checks, visits.ranges) << trial;
+    EXPECT_EQ(out.derived_checks, visits.derived) << trial;
+    EXPECT_EQ(out.single_checks, visits.leaves) << trial;
+    EXPECT_EQ(counters.final_exps, out.batch_checks + out.single_checks)
+        << trial;
+  }
+}
+
+TEST(Settlement, CancellingPairInsideDerivedHalfIsIsolated) {
+  // The natural forgery against a derived half: two colluding rounds whose
+  // errors cancel in the UNWEIGHTED product of their terms — y+δ / y−δ on
+  // one key's epsilon slot, or σ errors whose zeta-scaled images are +G /
+  // −G on the shared generator slot — placed together at rounds 6 and 7, so
+  // [4,8) and then [6,8) are derived halves, never checked directly. A third
+  // culprit sits in the left half. A derived value is the weighted product
+  // itself, not an unweighted one, so the pair cannot cancel there and all
+  // three are isolated. Run on one basic single-key batch and one private
+  // two-key batch, with each error shape.
+  auto rng = SecureRng::deterministic(917);
+  Scenario a = make_scenario(3000, 5, rng);
+  Scenario b = make_scenario(2500, 5, rng);
+  Verifier va(a.kp.pk), vb(b.kp.pk);
+  PreparedFile ca = audit::prepare_file(a.name, a.file.num_chunks());
+  PreparedFile cb = audit::prepare_file(b.name, b.file.num_chunks());
+  Prover pa(a.kp.pk, a.file, a.tag), pb(b.kp.pk, b.file, b.tag);
+
+  constexpr std::size_t kRounds = 8, kLeftCulprit = 2, kPairA = 6, kPairB = 7;
+  for (bool is_private : {false, true}) {
+    std::vector<SettlementInstance> window(kRounds);
+    for (std::size_t i = 0; i < kRounds; ++i) {
+      // The private batch spreads over two keys; the pair shares key a, so
+      // its y' errors meet on one epsilon slot.
+      const bool key_a = !is_private || i % 2 == 1 || i >= kPairA;
+      SettlementInstance& inst = window[i];
+      inst.verifier = key_a ? &va : &vb;
+      inst.file = key_a ? &ca : &cb;
+      inst.challenge = make_challenge(rng, 4);
+      Prover& p = key_a ? pa : pb;
+      if (is_private) {
+        inst.priv = p.prove_private(inst.challenge, rng);
+      } else {
+        inst.basic = p.prove(inst.challenge);
+      }
+    }
+    for (bool sigma_pair : {false, true}) {
+      std::vector<SettlementInstance> batch = window;
+      auto corrupt = [&](SettlementInstance& inst, bool plus) {
+        if (!is_private) {
+          if (sigma_pair) {
+            inst.basic->sigma = plus ? inst.basic->sigma + curve::G1::generator()
+                                     : inst.basic->sigma - curve::G1::generator();
+          } else {
+            inst.basic->y += plus ? Fr::one() : -Fr::one();
+          }
+          return;
+        }
+        if (sigma_pair) {
+          // The check multiplies σ by zeta = H'(R); scale the error by
+          // zeta⁻¹ so the pair's terms are exactly ±G.
+          const Fr inv_zeta = audit::hash_gt_to_fr(inst.priv->big_r).inverse();
+          const curve::G1 err = curve::G1::generator().mul(inv_zeta);
+          inst.priv->sigma = plus ? inst.priv->sigma + err : inst.priv->sigma - err;
+        } else {
+          inst.priv->y_prime += plus ? Fr::one() : -Fr::one();
+        }
+      };
+      corrupt(batch[kPairA], true);
+      corrupt(batch[kPairB], false);
+      corrupt(batch[kLeftCulprit], true);
+
+      SettlementOutcome out = audit::verify_settlement(batch, seed_of(rng));
+      for (std::size_t i = 0; i < kRounds; ++i) {
+        const bool cheat = i == kLeftCulprit || i == kPairA || i == kPairB;
+        EXPECT_EQ(out.ok[i], !cheat)
+            << (is_private ? "private" : "basic")
+            << (sigma_pair ? " sigma pair" : " y pair") << ", round " << i;
+      }
+      // Direct: [0,8) [0,4) [0,2) [4,6); derived: [4,8) [2,4) [6,8).
+      EXPECT_EQ(out.batch_checks, 4u);
+      EXPECT_EQ(out.derived_checks, 3u);
+      EXPECT_EQ(out.single_checks, 4u);
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // contract::BatchSettlement — the block-level coordinator.
 // ---------------------------------------------------------------------------
 

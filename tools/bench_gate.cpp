@@ -71,14 +71,16 @@ std::size_t scan_number(const std::string& text, const std::string& key,
 
 /// Context label for a metric found at `at`: the nearest preceding
 /// population/threads pair (BENCH_scale rows) if one is closer than any
-/// settlement section, else the section ("basic"/"private"/"window_sweep")
-/// plus the nearest batch_size/window qualifier (BENCH_settlement rows).
+/// settlement section, else the section ("basic"/"private"/"window_sweep"/
+/// "aggregate"/"dirty") plus the nearest batch_size/window qualifier and,
+/// inside the section, a culprits qualifier (BENCH_settlement rows).
 std::string context_label(const std::string& text, std::size_t at) {
   std::size_t pop_at = text.rfind("\"population\"", at);
   std::string section = "?";
   std::size_t section_at = std::string::npos;
   for (const char* s :
-       {"\"basic\"", "\"private\"", "\"window_sweep\"", "\"aggregate\""}) {
+       {"\"basic\"", "\"private\"", "\"window_sweep\"", "\"aggregate\"",
+        "\"dirty\""}) {
     std::size_t f = text.rfind(s, at);
     if (f != std::string::npos &&
         (section_at == std::string::npos || f > section_at)) {
@@ -110,6 +112,11 @@ std::string context_label(const std::string& text, std::size_t at) {
     qual = " window=" + std::to_string(static_cast<long>(v));
   } else {
     qual = " unbatched";
+  }
+  std::size_t c_at = text.rfind("\"culprits\"", at);
+  if (c_at != std::string::npos && c_at > section_at) {
+    scan_number(text, "culprits", c_at, v);
+    qual += " culprits=" + std::to_string(static_cast<long>(v));
   }
   return section + qual;
 }
