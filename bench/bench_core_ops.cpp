@@ -91,7 +91,10 @@ void BM_MsmG1(benchmark::State& state) {
     benchmark::DoNotOptimize(curve::msm<curve::G1>(pts, sc));
   }
 }
-BENCHMARK(BM_MsmG1)->Arg(50)->Arg(256)->Arg(1024)->Arg(4096);
+// 1-32 straddle the Straus/Pippenger crossover (curve::kStrausMaxBases).
+BENCHMARK(BM_MsmG1)
+    ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
+    ->Arg(50)->Arg(256)->Arg(1024)->Arg(4096);
 
 void BM_Pairing(benchmark::State& state) {
   curve::G1 p = curve::g1_random(rng());

@@ -1,7 +1,8 @@
 // Batched-settlement throughput: rounds/sec at batch sizes 1 / 8 / 64
-// against the unbatched prepared-verifier path, for both proof shapes, and
-// the dirty path: a private batch of 64 with 1 and 4 culprits, where
-// bisection isolates each cheater.
+// against the unbatched prepared-verifier path, for both proof shapes; the
+// dirty path: a private batch of 64 with 1 and 4 culprits, where bisection
+// isolates each cheater; and the cold streaming path in scale-basic's shape
+// (one-chunk files, k = 1, no PreparedFile, transient table-less provers).
 //
 // Plain main() program (no google-benchmark dependency) so CI's bench-smoke
 // step can always build and run it; emits BENCH_settlement.json recording
@@ -243,6 +244,49 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Cold streaming path, scale-basic's shape: s = 4, one-chunk files, k = 1.
+  // Settlement has no PreparedFile, so each round's chunk hash folds into
+  // the batch check's epsilon slot; the prover is built per round without
+  // tables, so psi is a 3-base cold MSM.
+  constexpr std::size_t kColdS = 4, kColdBatch = 64;
+  double cold_settle_ms = 0, cold_prove_ms = 0;
+  {
+    auto cold_kp = audit::keygen(kColdS, rng);
+    audit::Verifier cold_verifier(cold_kp.pk);
+    std::vector<storage::EncodedFile> files;
+    std::vector<audit::FileTag> tags;
+    std::vector<audit::SettlementInstance> batch(kColdBatch);
+    for (auto& inst : batch) {
+      std::vector<std::uint8_t> bytes(kColdS * 31);
+      rng.fill(bytes);
+      files.push_back(storage::encode_file(bytes, kColdS));
+      inst.name = audit::Fr::random(rng);
+      tags.push_back(audit::generate_tags(cold_kp.sk, cold_kp.pk, files.back(),
+                                          inst.name));
+      inst.verifier = &cold_verifier;
+      inst.num_chunks = files.back().num_chunks();
+      inst.challenge = challenge_from(rng, 1);
+    }
+    auto t0 = Clock::now();
+    for (int r = 0; r < reps; ++r) {
+      for (std::size_t i = 0; i < kColdBatch; ++i) {
+        const audit::Prover transient(cold_kp.pk, files[i], tags[i],
+                                      /*prepare_psi=*/false,
+                                      /*prepare_sigma=*/false);
+        batch[i].basic = transient.prove(batch[i].challenge);
+      }
+    }
+    cold_prove_ms = ms_per_round(t0, reps, kColdBatch);
+    auto seed = rng.bytes32();
+    t0 = Clock::now();
+    for (int r = 0; r < reps; ++r) {
+      if (!audit::verify_settlement(batch, seed).all_ok()) {
+        return std::fprintf(stderr, "cold batch verify failed\n"), 1;
+      }
+    }
+    cold_settle_ms = ms_per_round(t0, reps, kColdBatch);
+  }
+
   std::string json = "{\n";
   json += "  \"num_chunks\": " + std::to_string(kChunks) +
           ", \"s\": " + std::to_string(kS) + ", \"k\": " + std::to_string(kK) +
@@ -323,7 +367,19 @@ int main(int argc, char** argv) {
                   row.batch_checks, row.derived_checks);
     json += buf;
   }
-  json += "\n    ]\n  }\n}\n";
+  json += "\n    ]\n  },\n";
+  {
+    char buf[384];
+    std::snprintf(buf, sizeof(buf),
+                  "  \"cold\": {\n    \"shape\": \"scale-basic\", \"s\": %zu, "
+                  "\"chunks\": 1, \"k\": 1,\n    \"rows\": [\n"
+                  "      {\"op\": \"settle\", \"batch_size\": %zu, "
+                  "\"ms_per_round\": %.3f},\n"
+                  "      {\"op\": \"prove\", \"ms_per_round\": %.3f}\n"
+                  "    ]\n  }\n}\n",
+                  kColdS, kColdBatch, cold_settle_ms, cold_prove_ms);
+    json += buf;
+  }
 
   std::fputs(json.c_str(), stdout);
   if (FILE* f = std::fopen(out_path.c_str(), "w")) {

@@ -1,5 +1,6 @@
 #include "audit/protocol.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <functional>
@@ -195,19 +196,6 @@ ProofPrivate Prover::prove_private(const Challenge& chal,
 
 namespace {
 
-/// chi = prod_i H(name||i)^{c_i} — recomputed by the contract from public
-/// data only.
-G1 compute_chi(const Fr& name, const ExpandedChallenge& ex) {
-  std::vector<G1> hashes(ex.indices.size());
-  parallel::parallel_for_ranges(
-      ex.indices.size(), [&](std::size_t begin, std::size_t end) {
-        for (std::size_t j = begin; j < end; ++j) {
-          hashes[j] = chunk_hash(name, ex.indices[j]);
-        }
-      });
-  return curve::msm<G1>(hashes, ex.coefficients);
-}
-
 /// Content hash of the verifying key's two G2 points (affine coordinates
 /// with an infinity flag byte each) — the settlement engine's grouping key.
 std::array<std::uint8_t, 32> key_id_of(const G2& epsilon, const G2& delta) {
@@ -359,14 +347,16 @@ namespace {
 /// weights into the per-slot MSMs — e.g. the eps slot aggregates
 /// sum_i [rho_i zeta_i r_i] psi_i - [sum_i rho_i y_i] g - [rho_i zeta_i]
 /// chi_i — so equation prep costs no arbitrary scalar muls at all; with the
-/// GLV split those 254-bit folded weights run at half-length anyway. The
-/// exact unweighted terms are only computed (from these components, with the
-/// identical formula/mul sequence) at bisection leaves and single-instance
-/// batches.
+/// GLV split those 254-bit folded weights run at half-length anyway. chi
+/// itself is not a term member: it lives in verify_settlement's flat chi
+/// slots, where the cold path keeps its chunk hashes unaggregated so their
+/// coefficients fold into the same weights. The exact unweighted terms are
+/// only computed (from these components, with the identical formula/mul
+/// sequence) at bisection leaves and single-instance batches.
 struct SettleTerms {
   bool valid = false;
   bool is_private = false;
-  G1 sigma, psi, chi;
+  G1 sigma, psi;
   Fr r_chal, y;           // challenge scalar; y (basic) or y' (private)
   Fr zeta = Fr::one();    // hash_gt_to_fr(R) for private, 1 for basic
   Fp12 gt = Fp12::one();  // R for private instances, 1 for basic
@@ -405,17 +395,36 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   // A single-instance batch settles by its exact check alone — skip the
   // random-weight material entirely. This is the path Verifier::verify* and
   // the contract's per-round settlement take.
+  //
+  // chi = sum_s chi_sc[s] * chi_pts[s] over instance i's slots
+  // [chi_off[i], chi_off[i + 1]): a prepared file's one msm_precomputed chi
+  // with coefficient one, or on the cold path (file == nullptr) the k chunk
+  // hashes H(name||i_j) with their challenge coefficients c_j. The batch
+  // check folds those coefficients into its epsilon-slot weights, so a cold
+  // chi is aggregated only at a bisection leaf.
   std::size_t plausible = 0;
-  for (const SettlementInstance& inst : instances) {
-    plausible += inst.verifier != nullptr &&
-                 inst.basic.has_value() != inst.priv.has_value();
+  std::vector<std::size_t> chi_off(instances.size() + 1, 0);
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    const SettlementInstance& inst = instances[i];
+    const bool shaped = inst.verifier != nullptr &&
+                        inst.basic.has_value() != inst.priv.has_value();
+    plausible += shaped;
+    const std::size_t d_chunks = inst.file ? inst.file->num_chunks : inst.num_chunks;
+    std::size_t slots = 0;
+    if (shaped && d_chunks > 0 && inst.challenge.k > 0) {
+      // expand_challenge samples min(k, d) distinct indices.
+      slots = inst.file ? 1 : std::min<std::uint64_t>(inst.challenge.k, d_chunks);
+    }
+    chi_off[i + 1] = chi_off[i] + slots;
   }
   const bool need_weights = plausible > 1;
+  std::vector<G1> chi_pts(chi_off.back());
+  std::vector<Fr> chi_sc(chi_off.back());
 
-  // Per-instance preparation — the chi aggregation and the zeta hash — is
-  // embarrassingly parallel; all scalar weighting is deferred to the batch
-  // check's MSMs (or a leaf's exact check), so no arbitrary scalar muls
-  // happen here.
+  // Per-instance preparation — the chunk hashes (or a prepared file's chi)
+  // and the zeta hash — is embarrassingly parallel; all scalar weighting is
+  // deferred to the batch check's MSMs (or a leaf's exact check), so no
+  // arbitrary scalar muls happen here.
   std::vector<SettleTerms> terms(instances.size());
   parallel::parallel_for_ranges(
       instances.size(), [&](std::size_t begin, std::size_t end) {
@@ -423,19 +432,29 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
           const SettlementInstance& inst = instances[i];
           SettleTerms& t = terms[i];
           t.v = inst.verifier;
-          if (!inst.verifier) continue;
+          const std::size_t at = chi_off[i];
+          if (chi_off[i + 1] == at) continue;  // implausible shape or sizes
           const bool has_basic = inst.basic.has_value();
-          if (has_basic == inst.priv.has_value()) continue;  // exactly one
+          if (!has_basic && inst.priv->big_r.is_zero()) continue;
           const std::size_t d_chunks =
               inst.file ? inst.file->num_chunks : inst.num_chunks;
-          if (d_chunks == 0 || inst.challenge.k == 0) continue;
-          if (!has_basic && inst.priv->big_r.is_zero()) continue;
-          ExpandedChallenge ex = expand_challenge(inst.challenge, d_chunks);
-          G1 chi = inst.file
-                       ? curve::msm_precomputed(inst.file->hashes, ex.indices,
-                                                ex.coefficients)
-                       : compute_chi(inst.name, ex);
-          t.chi = chi;
+          const ExpandedChallenge ex = expand_challenge(inst.challenge, d_chunks);
+          if (inst.file) {
+            chi_pts[at] = curve::msm_precomputed(inst.file->hashes, ex.indices,
+                                                 ex.coefficients);
+            chi_sc[at] = Fr::one();
+          } else {
+            if (ex.indices.size() != chi_off[i + 1] - at) {
+              throw std::logic_error("verify_settlement: chi slot count");
+            }
+            parallel::parallel_for_ranges(
+                ex.indices.size(), [&](std::size_t jb, std::size_t je) {
+                  for (std::size_t j = jb; j < je; ++j) {
+                    chi_pts[at + j] = chunk_hash(inst.name, ex.indices[j]);
+                    chi_sc[at + j] = ex.coefficients[j];
+                  }
+                });
+          }
           t.r_chal = inst.challenge.r;
           if (has_basic) {
             const ProofBasic& p = *inst.basic;
@@ -488,22 +507,28 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     out.aggregated_opening = curve::msm<G1>(agg_pts, agg_sc);
   }
 
-  // Exact unweighted check for one instance: materializes s/e/d with the
-  // same formulas (and the same multiplication sequence) the per-instance
-  // prep used before the weights were folded into the batch MSMs. Only paid
-  // at bisection leaves and single-instance batches.
-  auto check_single = [&out](const SettleTerms& t) {
+  // Exact unweighted check for one instance: materializes chi and s/e/d
+  // with the same formulas (and the same multiplication sequence) the
+  // per-instance prep used before the weights were folded into the batch
+  // MSMs. Only paid at bisection leaves and single-instance batches.
+  auto check_single = [&](std::size_t i) {
     ++out.single_checks;
+    const SettleTerms& t = terms[i];
+    const std::size_t at = chi_off[i], slots = chi_off[i + 1] - at;
+    const G1 chi = instances[i].file
+                       ? chi_pts[at]
+                       : curve::msm<G1>(std::span<const G1>(&chi_pts[at], slots),
+                                        std::span<const Fr>(&chi_sc[at], slots));
     G1 s, e, d;
     if (t.is_private) {
       G1 zeta_psi = t.psi.mul(t.zeta);
       s = t.sigma.mul(t.zeta);
       e = zeta_psi.mul(t.r_chal) - curve::g1_mul_generator(t.y) -
-          t.chi.mul(t.zeta);
+          chi.mul(t.zeta);
       d = -zeta_psi;
     } else {
       s = t.sigma;
-      e = t.psi.mul(t.r_chal) - curve::g1_mul_generator(t.y) - t.chi;
+      e = t.psi.mul(t.r_chal) - curve::g1_mul_generator(t.y) - chi;
       d = -t.psi;
     }
     std::array<pairing::PreparedPair, 3> pairs{
@@ -518,7 +543,7 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   // One direct weighted aggregate check of a contiguous sub-range of `idx`:
   // the generator term is shared across every key, epsilon/delta aggregate
   // per key — 1 + 2*(#keys present) pairings, one final exponentiation. The
-  // weighting itself runs batched: one Pippenger MSM over the rho weights
+  // weighting itself runs batched: one MSM over the rho weights
   // per pairing slot instead of three scalar muls per round, and one shared
   // GT multi-exponentiation over every private R commitment in the range
   // instead of a per-round R^rho ladder (the old per-round GT exp was the
@@ -531,8 +556,10 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     std::vector<Fr> sig_sc;
     sig_pts.reserve(m);
     sig_sc.reserve(m);
-    // eps slot per key: [rho zeta r] psi_i + [-rho zeta] chi_i, plus one
-    // shared generator base carrying sum_i [-rho y_i]; delta slot per key:
+    // eps slot per key: [rho zeta r] psi_i + sum_s [-rho zeta c_s] chi_s
+    // over the instance's chi slots (its prepared chi with c = 1, or its
+    // cold chunk hashes with their challenge coefficients), plus one shared
+    // generator base carrying sum_i [-rho y_i]; delta slot per key:
     // [-rho zeta] psi_i. The folded weights are full 254-bit scalars, which
     // the MSM layer runs GLV-split.
     std::vector<std::vector<G1>> eps_pts(groups.size()), delta_pts(groups.size());
@@ -541,14 +568,17 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     std::vector<Fp12> gt_bases;
     std::vector<bigint::U256> gt_exps;
     for (std::size_t j = lo; j < hi; ++j) {
-      const SettleTerms& t = terms[idx[j]];
+      const std::size_t i = idx[j];
+      const SettleTerms& t = terms[i];
       const Fr rz = t.rho * t.zeta;
       sig_pts.push_back(t.sigma);
       sig_sc.push_back(rz);
       eps_pts[t.key].push_back(t.psi);
       eps_sc[t.key].push_back(rz * t.r_chal);
-      eps_pts[t.key].push_back(t.chi);
-      eps_sc[t.key].push_back(-rz);
+      for (std::size_t at = chi_off[i]; at < chi_off[i + 1]; ++at) {
+        eps_pts[t.key].push_back(chi_pts[at]);
+        eps_sc[t.key].push_back(-rz * chi_sc[at]);
+      }
       gen_sc[t.key] = gen_sc[t.key] - t.rho * t.y;
       delta_pts[t.key].push_back(t.psi);
       delta_sc[t.key].push_back(-rz);
@@ -589,7 +619,7 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   std::function<void(std::size_t, std::size_t, std::optional<Fp12>)> settle =
       [&](std::size_t lo, std::size_t hi, std::optional<Fp12> known) {
         if (hi - lo == 1) {
-          out.ok[idx[lo]] = check_single(terms[idx[lo]]);
+          out.ok[idx[lo]] = check_single(idx[lo]);
           return;
         }
         const Fp12 value = known ? *known : check_batch(lo, hi);

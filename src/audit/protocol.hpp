@@ -159,7 +159,11 @@ class Verifier {
 /// one of `basic` / `priv` must be engaged). Non-owning: verifier and file
 /// must outlive the call. `file == nullptr` falls back to recomputing the
 /// chunk hashes from `name` / `num_chunks` (the cold path of Verifier::
-/// verify). A ProofPrivate's big_r must be a genuine GT element — the wire
+/// verify, and of streaming settlement). The cold path never aggregates chi
+/// for a batch check: the k hashes enter the epsilon-slot MSM directly with
+/// their challenge coefficients folded into the weights, and only a
+/// bisection leaf or a one-round batch computes chi = sum_j c_j H(name||i_j).
+/// A ProofPrivate's big_r must be a genuine GT element — the wire
 /// decoder guarantees this (gt_decode subgroup-checks); hand-built
 /// structs are the caller's responsibility. Bisection relies on it: it
 /// derives a right half's value by conjugation, the inverse only in GT.
@@ -216,8 +220,11 @@ struct SettlementOptions {
 /// aggregate per fixed G2 point — the generator term is shared globally,
 /// epsilon/delta per distinct key, so a clean batch costs exactly
 /// 1 + 2·(#keys) pairings (3 for the same-key case). The weighted
-/// aggregation itself is batch-shaped: the G1 terms fold through Pippenger
-/// MSMs over the weights, and the private R^rho commitments fold through
+/// aggregation itself is batch-shaped: the G1 terms fold through MSMs over
+/// the weights (curve::msm: Straus for a few bases, Pippenger above), with
+/// a round's chi entering as its prepared file's precomputed element or, on
+/// the cold path, as its k chunk hashes weighted -rho*zeta*c_j, and the
+/// private R^rho commitments fold through
 /// one shared-squaring GT multi-exponentiation (Fp12::multi_pow) instead of
 /// a per-round GT ladder. When the combined check fails, the batch is
 /// bisected recursively so each culprit is isolated by exact per-round

@@ -10,15 +10,18 @@
 //     11M+5S for the general add) — the workhorse of every fast path;
 //   - batch_to_affine: Jacobian -> affine for whole point sets with a single
 //     field inversion (Montgomery's trick);
-//   - Point::mul: GLV-split interleaved wNAF on G1, plain signed-digit wNAF
-//     on G2, each over a batch-normalized table of odd multiples
+//   - detail::msm_straus: Straus/Shamir interleaving for small MSMs — every
+//     base's width-4 wNAF odd-multiples table (G1 scalars GLV-split onto
+//     {P, phi(P)}), all tables normalized in one inversion, one doubling
+//     chain shared by every digit string. Point::mul is its one-base case
 //     (Point::mul_naive keeps the double-and-add reference);
-//   - msm: Pippenger bucketing over affine bases with signed windows (half
-//     the buckets), limb-wise digit extraction, and batched affine bucket
-//     accumulation that amortizes one inversion over thousands of additions;
-//   - all three MSM entry points shard their signed-digit window positions
-//     across the parallel::thread_pool (see detail::msm_sharded), falling
-//     back to the identical sequential pipeline at one thread.
+//   - msm: Straus up to kStrausMaxBases bases; above that, Pippenger bucketing
+//     over affine bases with signed windows (half the buckets), limb-wise
+//     digit extraction, and batched affine bucket accumulation that amortizes
+//     one inversion over thousands of additions;
+//   - all three Pippenger entry points shard their signed-digit window
+//     positions across the parallel::thread_pool (see detail::msm_sharded),
+//     falling back to the identical sequential pipeline at one thread.
 #pragma once
 
 #include <bit>
@@ -42,6 +45,46 @@ concept HasEndomorphism = requires { Tag::endo_beta(); };
 
 using ff::Fr;
 using ff::U256;
+
+/// Largest MSM that msm() runs through the Straus kernel instead of
+/// Pippenger. Measured crossover on G1, random bases, us per MSM (one
+/// thread, g++ -O3, 4-core shared x86-64 host; each route called directly,
+/// best of 9 batches, mean of two passes):
+///
+///     n    254-bit scalars        128-bit scalars
+///          Straus  Pippenger      Straus  Pippenger
+///     1      127      265            97      187
+///     2      167      359           128      270
+///     4      266      512           180      368
+///     8      490      793           300      583
+///    16      916     1040           526      790
+///    18     1013     1038           571      778
+///    20     1091     1035           511      839
+///    24     1345     1209           691      930
+///    32     1757     1521          1030     1089
+///
+/// Full-width scalars cross at n ~ 18-20, 128-bit ones (the basic batch
+/// weights) beyond 32; 16 keeps both shapes on the faster side.
+inline constexpr std::size_t kStrausMaxBases = 16;
+
+namespace detail {
+
+/// The GLV split pays once the widest scalar exceeds ~1.5x the half-scalar
+/// width: below that the two half columns cost more than the short scalar
+/// they replace. Endomorphism-free groups (G2) never split.
+template <typename Tag>
+constexpr bool glv_split_pays(unsigned max_bits) {
+  if constexpr (HasEndomorphism<Tag>) {
+    return 2 * max_bits > 3 * kGlvHalfBits;
+  } else {
+    return false;
+  }
+}
+
+template <typename P>
+P msm_straus(std::span<const P> points, std::span<const U256> scalars);
+
+}  // namespace detail
 
 /// A finite curve point (x, y), or infinity. This is the memory- and
 /// operation-efficient representation for *inputs* to addition chains; all
@@ -201,85 +244,28 @@ class Point {
     return r;
   }
 
-  /// Scalar multiplication by a canonical integer. For endomorphism-capable
-  /// groups (G1) this is the GLV 2-way interleaved signed-wNAF over
-  /// {P, phi(P)} — half the doubling chain; otherwise the width-5 wNAF
-  /// ladder. Both agree bit-for-bit with mul_naive on the group.
+  /// Scalar multiplication by an integer: the one-base case of
+  /// detail::msm_straus. On endomorphism groups (G1, cofactor 1, so every
+  /// point has order r) k is first reduced mod r and, when wide, GLV-split —
+  /// ~127 doublings instead of ~254. G2 runs k unsplit at its full width, so
+  /// it is an integer multiple on every twist point; the subgroup checks rely
+  /// on that. Agrees bit-for-bit with mul_naive on the group.
   Point mul(const U256& k) const {
+    U256 v = k;
     if constexpr (HasEndomorphism<Tag>) {
-      return mul_glv(k);
-    } else {
-      return mul_wnaf(k);
+      while (!bigint::lt(v, Fr::modulus())) {
+        U256 t;
+        bigint::sub_with_borrow(v, Fr::modulus(), t);
+        v = t;
+      }
     }
+    return detail::msm_straus<Point>(std::span<const Point>(this, 1),
+                                     std::span<const U256>(&v, 1));
   }
   Point mul(const Fr& k) const { return mul(k.to_u256()); }
 
-  /// phi(X, Y, Z) = (beta * X, Y, Z): the GLV endomorphism, acting as
-  /// multiplication by lambda. Only instantiated for endomorphism-tagged
-  /// groups.
-  Point endo() const {
-    Point r = *this;
-    r.x_ = r.x_ * Tag::endo_beta();
-    return r;
-  }
-
-  /// GLV scalar multiplication: k reduced mod r (sound on cofactor-1
-  /// groups, where every point has order r), split into half-scalars
-  /// k = k1 + k2 * lambda, then one interleaved width-4 signed-wNAF pass
-  /// over the joint odd-multiples table of {±P, ±phi(P)} — ~127 doublings
-  /// instead of ~254, one shared normalization inversion.
-  Point mul_glv(const U256& k) const {
-    if (is_infinity() || k.is_zero()) return infinity();
-    U256 v = k;
-    while (!bigint::lt(v, Fr::modulus())) {
-      U256 t;
-      bigint::sub_with_borrow(v, Fr::modulus(), t);
-      v = t;
-    }
-    if (v.is_zero()) return infinity();
-    const GlvDecomposed dec = glv_decompose(v);
-
-    constexpr unsigned w = kGlvWnafWidth;
-    const std::vector<std::int8_t> n1 = wnaf_digits(dec.k1, w);
-    const std::vector<std::int8_t> n2 = wnaf_digits(dec.k2, w);
-
-    // Joint table: odd multiples of base1 = ±P in [0, ts), of base2 =
-    // ±phi(P) in [ts, 2*ts) — the decomposition signs fold into the bases.
-    constexpr std::size_t ts = std::size_t{1} << (w - 2);
-    std::vector<Point> tbl(2 * ts);
-    tbl[0] = dec.neg1 ? -*this : *this;
-    Point twice = tbl[0].dbl();
-    for (std::size_t i = 1; i < ts; ++i) tbl[i] = tbl[i - 1] + twice;
-    tbl[ts] = dec.neg2 ? -endo() : endo();
-    twice = tbl[ts].dbl();
-    for (std::size_t i = 1; i < ts; ++i) tbl[ts + i] = tbl[ts + i - 1] + twice;
-    std::vector<Affine> atbl = batch_to_affine(tbl);
-
-    Point acc = infinity();
-    for (std::size_t i = std::max(n1.size(), n2.size()); i-- > 0;) {
-      acc = acc.dbl();
-      if (i < n1.size()) {
-        int d = n1[i];
-        if (d > 0) {
-          acc = acc.mixed_add(atbl[d >> 1]);
-        } else if (d < 0) {
-          acc = acc.mixed_add(-atbl[(-d) >> 1]);
-        }
-      }
-      if (i < n2.size()) {
-        int d = n2[i];
-        if (d > 0) {
-          acc = acc.mixed_add(atbl[ts + (d >> 1)]);
-        } else if (d < 0) {
-          acc = acc.mixed_add(-atbl[ts + ((-d) >> 1)]);
-        }
-      }
-    }
-    return acc;
-  }
-
   /// Reference double-and-add ladder (MSB-first). Retained as the one
-  /// differential-test oracle for both `mul` routes.
+  /// differential-test oracle for `mul` and every MSM route.
   Point mul_naive(const U256& k) const {
     Point acc = infinity();
     unsigned n = k.bit_length();
@@ -310,77 +296,6 @@ class Point {
   const F& jac_z() const { return z_; }
 
  private:
-  using u64 = bigint::u64;
-  static constexpr unsigned kWnafWidth = 5;
-  // Narrower window for the GLV halves: two tables share the scan, so the
-  // per-table build cost weighs double while each half only runs ~127 bits.
-  static constexpr unsigned kGlvWnafWidth = 4;
-
-  /// Signed odd digits: k = sum naf[i] * 2^i, naf[i] in {0, ±1, ±3, ...,
-  /// ±(2^{w-1}-1)}, nonzero digits at least w apart. Rounding a digit up
-  /// can briefly push the working value past 2^256; `carry` holds that bit.
-  static std::vector<std::int8_t> wnaf_digits(const U256& k, unsigned w) {
-    const int full = 1 << w;
-    const u64 half = u64{1} << (w - 1);
-    std::vector<std::int8_t> naf;
-    naf.reserve(k.bit_length() + 2);
-    U256 v = k;
-    bool carry = false;
-    while (!v.is_zero() || carry) {
-      std::int8_t d = 0;
-      if (v.is_odd()) {
-        u64 low = v.limb[0] & (full - 1);
-        if (low > half) {
-          d = static_cast<std::int8_t>(static_cast<int>(low) - full);
-          if (bigint::add_with_carry(v, U256{static_cast<u64>(-d)}, v)) {
-            carry = true;
-          }
-        } else {
-          d = static_cast<std::int8_t>(low);
-          bigint::sub_with_borrow(v, U256{low}, v);
-        }
-      }
-      naf.push_back(d);
-      v = bigint::shr1(v);
-      if (carry) {
-        v.limb[3] |= u64{1} << 63;
-        carry = false;
-      }
-    }
-    return naf;
-  }
-
-  /// Width-5 wNAF over a batch-normalized table of odd multiples:
-  /// ~bit_length doublings plus one mixed addition every ~6 bits. `mul`'s
-  /// route for groups without an endomorphism tag (G2); its oracle is
-  /// mul_naive.
-  Point mul_wnaf(const U256& k) const {
-    if (is_infinity() || k.is_zero()) return infinity();
-
-    constexpr unsigned w = kWnafWidth;
-    std::vector<std::int8_t> naf = wnaf_digits(k, w);
-
-    // Odd multiples 1P, 3P, ..., (2^{w-1}-1)P, normalized in one inversion.
-    constexpr std::size_t table_size = std::size_t{1} << (w - 2);
-    std::vector<Point> tbl(table_size);
-    tbl[0] = *this;
-    Point twice = dbl();
-    for (std::size_t i = 1; i < table_size; ++i) tbl[i] = tbl[i - 1] + twice;
-    std::vector<Affine> atbl = batch_to_affine(tbl);
-
-    Point acc = infinity();
-    for (std::size_t i = naf.size(); i-- > 0;) {
-      acc = acc.dbl();
-      int d = naf[i];
-      if (d > 0) {
-        acc = acc.mixed_add(atbl[d >> 1]);
-      } else if (d < 0) {
-        acc = acc.mixed_add(-atbl[(-d) >> 1]);
-      }
-    }
-    return acc;
-  }
-
   F x_, y_, z_;
 };
 
@@ -517,6 +432,113 @@ template <typename F, typename Tag>
 AffinePoint<F, Tag> endo_affine(AffinePoint<F, Tag> p) {
   p.x = p.x * Tag::endo_beta();
   return p;
+}
+
+/// Width-w signed NAF of k (odd digits in [-(2^{w-1}-1), 2^{w-1}-1], nonzero
+/// digits at least w apart), negated when `neg`, written to out[i * stride]
+/// for i <= bit_length(k); entries between nonzero digits are left untouched
+/// (the caller zero-fills). A window whose low bit matches the pending carry
+/// contributes no digit, so the scan skips w bits after each digit rather
+/// than shifting k. Returns the number of positions used (top digit + 1).
+inline unsigned wnaf_digits(const U256& k, unsigned w, bool neg,
+                            std::int8_t* out, std::size_t stride) {
+  const unsigned len = k.bit_length() + 1;  // room for the final carry
+  unsigned carry = 0, used = 0;
+  for (unsigned bit = 0; bit < len;) {
+    if (k.extract_window(bit, 1) == carry) {
+      ++bit;
+      continue;
+    }
+    int word = static_cast<int>(k.extract_window(bit, w)) + static_cast<int>(carry);
+    carry = static_cast<unsigned>(word >> (w - 1)) & 1;
+    word -= static_cast<int>(carry << w);
+    out[std::size_t{bit} * stride] = static_cast<std::int8_t>(neg ? -word : word);
+    used = bit + 1;
+    bit += w;
+  }
+  return used;
+}
+
+/// Straus (Shamir's trick generalized) multi-scalar multiplication:
+/// sum scalars[i] * points[i] with one doubling chain shared by every digit
+/// string. Each live base (finite, nonzero scalar) gets a width-4 table of
+/// odd multiples P, 3P, 5P, 7P; all tables are normalized with one
+/// batch_to_affine. On G1, when glv_split_pays, every scalar GLV-splits into
+/// sign-folded half columns k1 over P's table and k2 over phi(P)'s — that
+/// table is P's with x scaled by beta, one Fp multiplication per entry — so
+/// the chain runs ~127 doublings. Otherwise each scalar is one unsplit
+/// column. Cost: max-bits doublings plus ~bits/5 mixed additions per column,
+/// with no bucket spaces or batch-inversion rounds, which is what beats
+/// Pippenger on a handful of bases. On endomorphism groups the scalars must
+/// be canonical (< r), as glv_decompose requires; on G2 any 256-bit integer
+/// works.
+template <typename P>
+P msm_straus(std::span<const P> points, std::span<const U256> scalars) {
+  using A = typename P::Affine;
+  constexpr unsigned w = 4;
+  constexpr std::size_t ts = std::size_t{1} << (w - 2);
+  std::vector<std::size_t> live;
+  unsigned max_bits = 0;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    if (points[i].is_infinity() || scalars[i].is_zero()) continue;
+    live.push_back(i);
+    max_bits = std::max(max_bits, scalars[i].bit_length());
+  }
+  if (live.empty()) return P::infinity();
+  const std::size_t m = live.size();
+  const bool glv = glv_split_pays<typename P::TagType>(max_bits);
+  const std::size_t columns = glv ? 2 * m : m;
+
+  // Position-major digits: column c's digit at position t is
+  // digits[t * columns + c].
+  const unsigned positions = (glv ? kGlvHalfBits : max_bits) + 1;
+  std::vector<std::int8_t> digits(std::size_t{positions} * columns, 0);
+  unsigned used = 0;
+  for (std::size_t c = 0; c < m; ++c) {
+    const U256& k = scalars[live[c]];
+    if (!glv) {
+      used = std::max(used, wnaf_digits(k, w, false, &digits[c], columns));
+      continue;
+    }
+    const GlvDecomposed dec = glv_decompose(k);
+    used = std::max(used, wnaf_digits(dec.k1, w, dec.neg1, &digits[c], columns));
+    used = std::max(used,
+                    wnaf_digits(dec.k2, w, dec.neg2, &digits[m + c], columns));
+  }
+
+  // Column c reads table[c * ts + (|d| - 1) / 2]; the phi columns' tables
+  // follow the m base tables.
+  std::vector<P> jac(m * ts);
+  for (std::size_t c = 0; c < m; ++c) {
+    P* t = &jac[c * ts];
+    t[0] = points[live[c]];
+    const P twice = t[0].dbl();
+    for (std::size_t j = 1; j < ts; ++j) t[j] = t[j - 1] + twice;
+  }
+  std::vector<A> table = P::batch_to_affine(jac);
+  if constexpr (HasEndomorphism<typename P::TagType>) {
+    if (glv) {
+      table.resize(2 * m * ts);
+      for (std::size_t j = 0; j < m * ts; ++j) {
+        table[m * ts + j] = endo_affine(table[j]);
+      }
+    }
+  }
+
+  P acc = P::infinity();
+  for (unsigned t = used; t-- > 0;) {
+    acc = acc.dbl();
+    const std::int8_t* row = &digits[std::size_t{t} * columns];
+    for (std::size_t c = 0; c < columns; ++c) {
+      const int d = row[c];
+      if (d > 0) {
+        acc = acc.mixed_add(table[c * ts + (d >> 1)]);
+      } else if (d < 0) {
+        acc = acc.mixed_add(-table[c * ts + ((-d) >> 1)]);
+      }
+    }
+  }
+  return acc;
 }
 
 /// Signed window digit extraction shared by msm and msm_precomputed, in one
@@ -814,12 +836,12 @@ P msm_sharded(const std::vector<std::int32_t>& digits, std::size_t n,
 
 }  // namespace detail
 
-/// Multi-scalar multiplication via Pippenger bucketing: returns
-/// sum scalars[i] * points[i]. The prover's two dominant ECC operations
-/// (aggregating sigma = prod sigma_i^{c_i} and computing psi from the SRS)
-/// are exactly this primitive.
+/// Multi-scalar multiplication: returns sum scalars[i] * points[i]. The
+/// prover's two dominant ECC operations (aggregating sigma = prod
+/// sigma_i^{c_i} and computing psi from the SRS) are exactly this primitive.
 ///
-/// Fast-path structure:
+/// Up to kStrausMaxBases bases run detail::msm_straus. Larger inputs take
+/// Pippenger bucketing:
 ///   - bases are pre-normalized to affine (one inversion for the whole set);
 ///   - window digits are signed (halving the bucket count) and extracted
 ///     limb-wise from the canonical scalars, scanning the 254-bit Fr width
@@ -837,10 +859,13 @@ P msm(std::span<const P> points, std::span<const Fr> scalars) {
   if (points.size() != scalars.size()) {
     throw std::invalid_argument("msm: size mismatch");
   }
-  if (points.empty()) return P::infinity();
-  if (points.size() == 1) return points[0].mul(scalars[0]);
-
   const std::size_t n = points.size();
+  if (n <= kStrausMaxBases) {
+    std::vector<U256> ks(n);
+    for (std::size_t i = 0; i < n; ++i) ks[i] = scalars[i].to_u256();
+    return detail::msm_straus<P>(points, ks);
+  }
+
   // Window width c = log2(n)/2 + 4, measured optimum on this implementation
   // across n = 64..16384: total additions ~ (254/c + 1)*n + nonempty-buckets
   // is minimized where widening windows stops paying for the extra
@@ -851,17 +876,12 @@ P msm(std::span<const P> points, std::span<const Fr> scalars) {
   // Endomorphism split (G1): same scatter-entry count as the unsplit matrix
   // at full scalar width, but half the window rows — half the bucket spaces,
   // half the Horner doublings, and a much smaller per-space reduction bill.
-  // Short scalars (e.g. the 128-bit settlement batch weights) skip the
-  // split: below ~1.5x the half-scalar width the row savings cannot recoup
-  // the doubled entries.
-  bool glv = false;
-  if constexpr (HasEndomorphism<typename P::TagType>) {
-    unsigned max_bits = 0;
-    for (const Fr& s : scalars) {
-      max_bits = std::max(max_bits, s.to_u256().bit_length());
-    }
-    glv = 2 * max_bits > 3 * kGlvHalfBits;
+  // Short scalars (e.g. the 128-bit settlement batch weights) skip the split.
+  unsigned max_bits = 0;
+  for (const Fr& s : scalars) {
+    max_bits = std::max(max_bits, s.to_u256().bit_length());
   }
+  const bool glv = detail::glv_split_pays<typename P::TagType>(max_bits);
 
   std::vector<std::int32_t> digits;
   const unsigned used = detail::extract_signed_digits(scalars, c, glv, digits);

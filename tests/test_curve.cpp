@@ -305,7 +305,7 @@ TEST(Msm, MatchesNaive) {
     for (std::size_t i = 0; i < n; ++i) {
       pts.push_back(g1_random(rng));
       sc.push_back(Fr::random(rng));
-      expect += pts.back().mul(sc.back());
+      expect += pts.back().mul_naive(sc.back());
     }
     EXPECT_EQ(msm<G1>(pts, sc), expect) << "n=" << n;
   }
@@ -444,6 +444,52 @@ std::vector<ff::U256> glv_edge_scalars() {
   return ks;
 }
 
+TYPED_TEST(GroupLaw, MsmSweepAcrossStrausCrossoverMatchesNaive) {
+  // Every size from 1 to kStrausMaxBases + 2, so the Straus kernel (up to
+  // the crossover, and Point::mul at n = 1) and Pippenger (above it) meet
+  // the same input classes: infinity bases, zero scalars, duplicate bases,
+  // P / -P pairs with equal scalars that cancel, r - 1, the GLV edge
+  // scalars, and sets whose scalars are all <= 128 bits (the unsplit
+  // regime). The pattern is rotated by n so small sizes hit every class.
+  // Oracle: the sum of mul_naive.
+  using G = TypeParam;
+  auto rng = SecureRng::deterministic(68);
+  const auto edges = glv_edge_scalars();
+  const Fr r_minus_1 = Fr::zero() - Fr::one();
+  const Fr max128 = Fr::from_u256(ff::U256{~0ULL, ~0ULL, 0, 0});
+  for (std::size_t n = 1; n <= kStrausMaxBases + 2; ++n) {
+    for (bool short_scalars : {false, true}) {
+      std::vector<G> pts;
+      std::vector<Fr> sc;
+      G expect = G::infinity();
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::size_t q = (i + n) % 7;
+        G p = this->random(rng);
+        if (q == 3) p = G::infinity();
+        if (q == 4 && i > 0) p = pts[i - 1];     // duplicate base
+        if (q == 5 && i > 0) p = -pts[i - 1];    // cancelling partner
+        Fr k = short_scalars
+                   ? Fr::from_u256(ff::U256{rng.next_u64(), rng.next_u64(), 0, 0})
+                   : Fr::random(rng);
+        switch ((i + 2 * n) % 5) {
+          case 1: k = Fr::zero(); break;
+          case 2: k = short_scalars ? max128 : r_minus_1; break;
+          case 3:
+            if (!short_scalars) k = Fr::from_u256(edges[(i + n) % edges.size()]);
+            break;
+          default: break;
+        }
+        if ((q == 4 || q == 5) && i > 0) k = sc[i - 1];
+        pts.push_back(p);
+        sc.push_back(k);
+        expect += p.mul_naive(k);
+      }
+      EXPECT_EQ(msm<G>(pts, sc), expect)
+          << "n=" << n << (short_scalars ? " (<=128-bit)" : " (full width)");
+    }
+  }
+}
+
 TEST(Glv, DecomposeRoundTripAndBounds) {
   const GlvParams& gp = glv_params();
   const ff::U256 r = Fr::modulus();
@@ -555,7 +601,7 @@ TEST(Msm, WorksOnG2) {
   for (int i = 0; i < 9; ++i) {
     pts.push_back(g2_random(rng));
     sc.push_back(Fr::random(rng));
-    expect += pts.back().mul(sc.back());
+    expect += pts.back().mul_naive(sc.back());
   }
   EXPECT_EQ(msm<G2>(pts, sc), expect);
 }

@@ -795,6 +795,102 @@ TEST(Settlement, CancellingPairInsideDerivedHalfIsIsolated) {
   }
 }
 
+TEST(Settlement, ColdChiFoldMatchesPreparedFile) {
+  // Without a PreparedFile the engine keeps a round's k chunk hashes and
+  // folds their challenge coefficients into the epsilon-slot weights
+  // (-rho*zeta*c_j) instead of aggregating chi first; a prepared file
+  // contributes its one precomputed chi with coefficient one. Both are the
+  // same group element, so the same window must settle identically either
+  // way: verdicts, direct / derived / leaf checks and the aggregated opening,
+  // with the checks equal to the bisection the culprits force.
+  // Sweep k in {1, 3, 8}, basic / private, 1-3 keys, culprits none / first /
+  // last / a y+1, y-1 pair that cancels in the unweighted product, and
+  // windows wider than kStrausMaxBases, whose MSMs leave the Straus kernel.
+  auto rng = SecureRng::deterministic(918);
+  constexpr std::size_t kKeys = 3;
+  std::vector<Scenario> keys;
+  keys.reserve(kKeys);
+  std::vector<std::unique_ptr<Verifier>> verifiers;
+  std::vector<PreparedFile> ctxs;
+  std::vector<std::unique_ptr<Prover>> provers;
+  for (std::size_t k = 0; k < kKeys; ++k) {
+    keys.push_back(make_scenario(1200, 4, rng));
+    verifiers.push_back(std::make_unique<Verifier>(keys[k].kp.pk));
+    ctxs.push_back(audit::prepare_file(keys[k].name, keys[k].file.num_chunks()));
+    provers.push_back(
+        std::make_unique<Prover>(keys[k].kp.pk, keys[k].file, keys[k].tag));
+  }
+  ASSERT_GE(keys[0].file.num_chunks(), 8u);
+
+  enum Culprits { kNone, kFirst, kLast, kCancellingPair };
+  struct Case {
+    std::size_t k, rounds, key_count;
+    bool is_private;
+    Culprits culprits;
+  };
+  constexpr std::size_t kWide = curve::kStrausMaxBases + 4;
+  const Case cases[] = {
+      {1, 6, 1, false, kNone},         {1, 6, 2, true, kFirst},
+      {1, 7, 3, false, kLast},         {1, 6, 1, true, kCancellingPair},
+      {3, 5, 2, false, kCancellingPair}, {3, 7, 1, true, kNone},
+      {3, 6, 3, true, kLast},          {8, 5, 1, false, kFirst},
+      {8, 6, 3, false, kNone},         {8, 7, 2, true, kCancellingPair},
+      {1, kWide, 1, false, kLast},     {3, kWide, 2, true, kCancellingPair},
+      {8, kWide, 3, false, kNone},
+  };
+  audit::SettlementOptions opts;
+  opts.compute_aggregate_opening = true;
+  for (std::size_t c = 0; c < std::size(cases); ++c) {
+    const Case& cs = cases[c];
+    std::vector<SettlementInstance> prepared(cs.rounds);
+    std::vector<bool> culprit(cs.rounds, false);
+    for (std::size_t j = 0; j < cs.rounds; ++j) {
+      // The cancelling pair shares key 0 so its errors meet on one slot.
+      const bool in_pair =
+          cs.culprits == kCancellingPair && (j == 2 || j == 3);
+      const std::size_t key = in_pair ? 0 : j % cs.key_count;
+      SettlementInstance& inst = prepared[j];
+      inst.verifier = verifiers[key].get();
+      inst.file = &ctxs[key];
+      inst.name = keys[key].name;
+      inst.num_chunks = keys[key].file.num_chunks();
+      inst.challenge = make_challenge(rng, cs.k);
+      if (cs.is_private) {
+        inst.priv = provers[key]->prove_private(inst.challenge, rng);
+      } else {
+        inst.basic = provers[key]->prove(inst.challenge);
+      }
+      culprit[j] = (cs.culprits == kFirst && j == 0) ||
+                   (cs.culprits == kLast && j + 1 == cs.rounds) || in_pair;
+      if (culprit[j]) {
+        Fr& y = cs.is_private ? inst.priv->y_prime : inst.basic->y;
+        y += j == 3 ? -Fr::one() : Fr::one();
+      }
+    }
+    std::vector<SettlementInstance> cold = prepared;
+    for (SettlementInstance& inst : cold) inst.file = nullptr;
+
+    const auto seed = seed_of(rng);
+    const SettlementOutcome a = audit::verify_settlement(prepared, seed, opts);
+    const SettlementOutcome b = audit::verify_settlement(cold, seed, opts);
+    for (std::size_t j = 0; j < cs.rounds; ++j) {
+      EXPECT_EQ(a.ok[j], !culprit[j]) << "case " << c << ", round " << j;
+    }
+    // Both paths share the batch check's chi fold, so pin its work against
+    // the bisection it must run, not only against each other.
+    BisectionVisits visits;
+    visit_bisection(culprit, 0, cs.rounds, visits);
+    EXPECT_EQ(a.batch_checks + a.derived_checks, visits.ranges) << "case " << c;
+    EXPECT_EQ(a.derived_checks, visits.derived) << "case " << c;
+    EXPECT_EQ(a.single_checks, visits.leaves) << "case " << c;
+    EXPECT_EQ(b.ok, a.ok) << "case " << c;
+    EXPECT_EQ(b.batch_checks, a.batch_checks) << "case " << c;
+    EXPECT_EQ(b.derived_checks, a.derived_checks) << "case " << c;
+    EXPECT_EQ(b.single_checks, a.single_checks) << "case " << c;
+    EXPECT_EQ(b.aggregated_opening, a.aggregated_opening) << "case " << c;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // contract::BatchSettlement — the block-level coordinator.
 // ---------------------------------------------------------------------------

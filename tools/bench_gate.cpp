@@ -69,18 +69,29 @@ std::size_t scan_number(const std::string& text, const std::string& key,
   return static_cast<std::size_t>(end - text.c_str());
 }
 
+/// The string value of the `"key": "value"` pair starting at `key_at`, or
+/// "" if there is none.
+std::string scan_string(const std::string& text, std::size_t key_at) {
+  const std::size_t open = text.find('"', text.find(':', key_at));
+  if (open == std::string::npos) return "";
+  const std::size_t close = text.find('"', open + 1);
+  if (close == std::string::npos) return "";
+  return text.substr(open + 1, close - open - 1);
+}
+
 /// Context label for a metric found at `at`: the nearest preceding
 /// population/threads pair (BENCH_scale rows) if one is closer than any
 /// settlement section, else the section ("basic"/"private"/"window_sweep"/
-/// "aggregate"/"dirty") plus the nearest batch_size/window qualifier and,
-/// inside the section, a culprits qualifier (BENCH_settlement rows).
+/// "aggregate"/"dirty"/"cold") plus the qualifiers of the metric's own row
+/// object: op, then batch_size or window, then culprits (BENCH_settlement
+/// rows).
 std::string context_label(const std::string& text, std::size_t at) {
   std::size_t pop_at = text.rfind("\"population\"", at);
   std::string section = "?";
   std::size_t section_at = std::string::npos;
   for (const char* s :
        {"\"basic\"", "\"private\"", "\"window_sweep\"", "\"aggregate\"",
-        "\"dirty\""}) {
+        "\"dirty\"", "\"cold\""}) {
     std::size_t f = text.rfind(s, at);
     if (f != std::string::npos &&
         (section_at == std::string::npos || f > section_at)) {
@@ -100,23 +111,30 @@ std::string context_label(const std::string& text, std::size_t at) {
     }
     return label;
   }
+  // Qualifiers count only inside the metric's own row object.
+  const std::size_t row_at = text.rfind('{', at);
+  auto in_row = [&](const char* key) {
+    const std::size_t k_at = text.rfind("\"" + std::string(key) + "\"", at);
+    return k_at != std::string::npos && k_at > row_at ? k_at : std::string::npos;
+  };
+  auto number_qual = [&](const char* key, std::size_t k_at) {
+    double v = 0;
+    scan_number(text, key, k_at, v);
+    return " " + std::string(key) + "=" + std::to_string(static_cast<long>(v));
+  };
   std::string qual;
-  std::size_t bs_at = text.rfind("\"batch_size\"", at);
-  std::size_t w_at = text.rfind("\"window\"", at);
-  double v = 0;
-  if (bs_at != std::string::npos && (w_at == std::string::npos || bs_at > w_at)) {
-    scan_number(text, "batch_size", bs_at, v);
-    qual = " batch_size=" + std::to_string(static_cast<long>(v));
-  } else if (w_at != std::string::npos) {
-    scan_number(text, "window", w_at, v);
-    qual = " window=" + std::to_string(static_cast<long>(v));
-  } else {
+  if (std::size_t op_at = in_row("op"); op_at != std::string::npos) {
+    qual = " op=" + scan_string(text, op_at);
+  }
+  if (std::size_t bs_at = in_row("batch_size"); bs_at != std::string::npos) {
+    qual += number_qual("batch_size", bs_at);
+  } else if (std::size_t w_at = in_row("window"); w_at != std::string::npos) {
+    qual += number_qual("window", w_at);
+  } else if (qual.empty()) {
     qual = " unbatched";
   }
-  std::size_t c_at = text.rfind("\"culprits\"", at);
-  if (c_at != std::string::npos && c_at > section_at) {
-    scan_number(text, "culprits", c_at, v);
-    qual += " culprits=" + std::to_string(static_cast<long>(v));
+  if (std::size_t c_at = in_row("culprits"); c_at != std::string::npos) {
+    qual += number_qual("culprits", c_at);
   }
   return section + qual;
 }
