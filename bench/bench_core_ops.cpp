@@ -250,8 +250,8 @@ void BM_VerifyBasic_k300(benchmark::State& state) {
   auto& f = fixture();
   auto proof = f.prover->prove(f.chal);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(audit::verify(f.sc.kp.pk, f.sc.name,
-                                           f.sc.file.num_chunks(), f.chal, proof));
+    benchmark::DoNotOptimize(audit::Verifier(f.sc.kp.pk).verify(
+        f.sc.name, f.sc.file.num_chunks(), f.chal, proof));
   }
 }
 BENCHMARK(BM_VerifyBasic_k300);
@@ -260,8 +260,8 @@ void BM_VerifyPrivate_k300(benchmark::State& state) {
   auto& f = fixture();
   auto proof = f.prover->prove_private(f.chal, rng());
   for (auto _ : state) {
-    benchmark::DoNotOptimize(audit::verify_private(
-        f.sc.kp.pk, f.sc.name, f.sc.file.num_chunks(), f.chal, proof));
+    benchmark::DoNotOptimize(audit::Verifier(f.sc.kp.pk).verify_private(
+        f.sc.name, f.sc.file.num_chunks(), f.chal, proof));
   }
 }
 BENCHMARK(BM_VerifyPrivate_k300);

@@ -31,11 +31,13 @@ int main() {
   auto basic = prover.prove(chal);
   auto priv = prover.prove_private(chal, rng);
   double t_basic = time_best_ms([&] {
-    if (!audit::verify(sc.kp.pk, sc.name, sc.file.num_chunks(), chal, basic))
+    if (!audit::Verifier(sc.kp.pk).verify(sc.name, sc.file.num_chunks(), chal,
+                                          basic))
       std::abort();
   });
   double t_priv = time_best_ms([&] {
-    if (!audit::verify_private(sc.kp.pk, sc.name, sc.file.num_chunks(), chal, priv))
+    if (!audit::Verifier(sc.kp.pk).verify_private(
+            sc.name, sc.file.num_chunks(), chal, priv))
       std::abort();
   });
   std::printf("\nmeasured on this machine (k = 300):\n");

@@ -48,12 +48,12 @@ int main() {
   double prove_ms = time_best_ms([&] { proof = prover.prove_private(chal, rng); });
   auto wire = audit::serialize(proof);
   double verify_ms = time_best_ms([&] {
-    if (!audit::verify_private(sc.kp.pk, sc.name, sc.file.num_chunks(), chal,
-                               proof)) {
+    if (!audit::Verifier(sc.kp.pk).verify_private(
+            sc.name, sc.file.num_chunks(), chal, proof)) {
       std::abort();
     }
   });
-  std::size_t param_bytes = sc.kp.pk.serialized_size(true);
+  std::size_t param_bytes = audit::PublicKey::serialized_size_for(s, true);
   // Prover working set while answering a challenge: the k challenged chunks'
   // coefficients, their authenticators, the SRS powers and the aggregation
   // buffers (the file itself streams from disk chunk by chunk).

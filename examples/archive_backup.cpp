@@ -55,6 +55,8 @@ int main() {
   chain::TrustedBeacon beacon(bseed);
 
   audit::KeyPair kp = audit::keygen(s, rng);
+  // One prepared verifier for the owner's key, shared by every contract.
+  audit::Verifier verifier(kp.pk);
   chainsim.mint("owner", 10'000'000);
 
   struct ShardDeployment {
@@ -62,6 +64,7 @@ int main() {
     audit::FileTag tag;
     audit::Fr name;
     std::unique_ptr<audit::Prover> prover;
+    audit::PreparedFile file_ctx;  // the shard's chunk-hash table
     // Each shard's contract answers challenges from its own RNG stream:
     // with DSAUDIT_THREADS > 1 the chain prepares concurrent rounds across
     // contracts, and a shared stream would race.
@@ -90,8 +93,10 @@ int main() {
     contract::ContractTerms terms = base_terms;
     terms.provider = *ring.node_name(holders[i]);
     chainsim.mint(terms.provider, 100'000);
+    dep.file_ctx = audit::prepare_file(dep.name, dep.file.num_chunks());
     dep.contract = std::make_unique<contract::AuditContract>(
-        chainsim, beacon, terms, kp.pk, dep.name, dep.file.num_chunks());
+        chainsim, beacon, terms, verifier, dep.name, dep.file.num_chunks(),
+        &dep.file_ctx);
     audit::Prover* prover = dep.prover.get();
     dep.prover_rng = std::make_unique<primitives::SecureRng>(rng.bytes32());
     primitives::SecureRng* dep_rng = dep.prover_rng.get();

@@ -43,8 +43,12 @@ int main() {
               (unsigned long long)chainsim.balance("alice"),
               (unsigned long long)chainsim.balance("mallory"));
 
-  contract::AuditContract contract(chainsim, beacon, terms, kp.pk, name,
-                                   file.num_chunks());
+  // The contract verifies against the key alice records at Initialize,
+  // with the file's chunk-hash table prepared once up front.
+  audit::Verifier verifier(kp.pk);
+  audit::PreparedFile file_ctx = audit::prepare_file(name, file.num_chunks());
+  contract::AuditContract contract(chainsim, beacon, terms, verifier, name,
+                                   file.num_chunks(), &file_ctx);
 
   // Mallory behaves for 4 rounds, then "reclaims space" by zeroing a chunk
   // (the §III-C adversarial behaviour: "simply drop the data to reclaim

@@ -30,10 +30,13 @@ int main() {
   std::printf("owner: encoded %zu bytes into %zu blocks = %zu chunks (s = %zu)\n",
               archive.size(), file.num_blocks, file.num_chunks(), s);
   std::printf("owner: public key is %zu bytes on chain\n",
-              kp.pk.serialized_size(/*with_privacy=*/true));
+              audit::PublicKey::serialized_size_for(s, /*with_privacy=*/true));
+
+  // One prepared verifier per public key serves every check against it.
+  audit::Verifier verifier(kp.pk);
 
   // --- Storage provider S: accept only if the authenticators check out. ---
-  if (!audit::verify_tags(kp.pk, file, tag)) {
+  if (!verifier.verify_tags(file, tag)) {
     std::printf("provider: REJECTED tags (owner tried to cheat)\n");
     return 1;
   }
@@ -63,7 +66,7 @@ int main() {
                 audit::to_string(received.error));
     return 1;
   }
-  bool ok = audit::verify_private(kp.pk, name, file.num_chunks(), chal, *received);
+  bool ok = verifier.verify_private(name, file.num_chunks(), chal, *received);
   std::printf("contract: verification %s -> micro-payment to %s\n",
               ok ? "PASS" : "FAIL", ok ? "provider" : "owner");
   return ok ? 0 : 1;

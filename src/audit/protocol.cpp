@@ -41,7 +41,7 @@ KeyPair keygen(std::size_t s, primitives::SecureRng& rng) {
   // Powers g1^{alpha^j}: j = 0..s-2 suffice for the prover's quotient
   // commitment (degree <= s-2). For s = 1 we still publish g1 (= alpha^0)
   // so the tag-acceptance check has a base point.
-  std::size_t count = s >= 2 ? s - 1 : 1;
+  std::size_t count = PublicKey::alpha_power_count(s);
   kp.pk.g1_alpha_powers.reserve(count);
   Fr power = Fr::one();
   for (std::size_t j = 0; j < count; ++j) {
@@ -89,11 +89,6 @@ FileTag generate_tags(const SecretKey& sk, const PublicKey& pk,
     parallel::parallel_for_ranges(tag.num_chunks, worker, threads);
   }
   return tag;
-}
-
-bool verify_tags(const PublicKey& pk, const storage::EncodedFile& file,
-                 const FileTag& tag) {
-  return Verifier(pk).verify_tags(file, tag);
 }
 
 Prover::Prover(const PublicKey& pk, const storage::EncodedFile& file,
@@ -698,16 +693,6 @@ bool verify_settlement_aggregate(
     if (tx.outcome(i) != res.ok[static_cast<std::size_t>(i)]) return false;
   }
   return true;
-}
-
-bool verify(const PublicKey& pk, const Fr& name, std::size_t num_chunks,
-            const Challenge& chal, const ProofBasic& proof) {
-  return Verifier(pk).verify(name, num_chunks, chal, proof);
-}
-
-bool verify_private(const PublicKey& pk, const Fr& name, std::size_t num_chunks,
-                    const Challenge& chal, const ProofPrivate& proof) {
-  return Verifier(pk).verify_private(name, num_chunks, chal, proof);
 }
 
 }  // namespace dsaudit::audit

@@ -23,13 +23,6 @@ FileTag generate_tags(const SecretKey& sk, const PublicKey& pk,
                       const storage::EncodedFile& file, const Fr& name,
                       unsigned threads = 1);
 
-/// S's acceptance check before acking the contract: every authenticator
-/// verifies against the public key (e(sigma_i, g2) == e(g1^{M_i(alpha)}
-/// H(name||i), epsilon), computed via the SRS without alpha).
-/// "the chance of D forging authenticators is negligible after this check".
-bool verify_tags(const PublicKey& pk, const storage::EncodedFile& file,
-                 const FileTag& tag);
-
 /// Phase timings for the Fig. 8 breakdown (milliseconds).
 struct ProverTimings {
   double zp_ms = 0;   // finite-field work: P_k aggregation + quotient
@@ -104,8 +97,13 @@ PreparedFile prepare_file(const Fr& name, std::size_t num_chunks);
 /// rearranged with e(-psi, delta * eps^{-r}) = e(-psi, delta) * e([r]psi,
 /// eps), which moves the per-round challenge scalar to the cheap G1 side —
 /// so no check ever pairs against a fresh G2 point or performs a G2 scalar
-/// multiplication. This is the object a contract (or any service auditing
-/// many rounds against one key) should hold for its lifetime.
+/// multiplication.
+///
+/// This is the one verification entry point: every check — S's tag
+/// acceptance, a one-off Eq. 1/Eq. 2 verification, a contract's rounds —
+/// goes through a Verifier the caller builds once per key and keeps (a
+/// contract borrows one for its lifetime; construction prepares the three
+/// G2 line tables, so building one per call repeats that work).
 ///
 /// Borrows the PublicKey — the caller keeps it alive and at a stable
 /// address, the same contract as Prover.
@@ -115,7 +113,10 @@ class Verifier {
 
   const PublicKey& pk() const { return pk_; }
 
-  /// S's tag-acceptance check (see free verify_tags below).
+  /// S's acceptance check before acking the contract: every authenticator
+  /// verifies against the public key (e(sigma_i, g2) == e(g1^{M_i(alpha)}
+  /// H(name||i), epsilon), computed via the SRS without alpha). "the chance
+  /// of D forging authenticators is negligible after this check".
   bool verify_tags(const storage::EncodedFile& file, const FileTag& tag) const;
 
   /// The smart contract's Eq. 1 check: a one-instance verify_settlement
@@ -285,12 +286,5 @@ bool verify_settlement_aggregate(
     std::span<const std::array<std::uint8_t, 32>> transcripts,
     std::uint64_t expected_boundary, const AggregateSettlement& tx,
     const SettlementOptions& options = {});
-
-/// One-shot wrappers over Verifier (they prepare the key's G2 points per
-/// call; repeated verification against one key should construct a Verifier).
-bool verify(const PublicKey& pk, const Fr& name, std::size_t num_chunks,
-            const Challenge& chal, const ProofBasic& proof);
-bool verify_private(const PublicKey& pk, const Fr& name, std::size_t num_chunks,
-                    const Challenge& chal, const ProofPrivate& proof);
 
 }  // namespace dsaudit::audit

@@ -171,7 +171,7 @@ std::optional<ProofPrivate> deserialize_private(std::span<const std::uint8_t> by
 
 std::vector<std::uint8_t> serialize(const PublicKey& pk, bool with_privacy) {
   std::vector<std::uint8_t> out;
-  out.reserve(pk.serialized_size(with_privacy));
+  out.reserve(PublicKey::serialized_size_for(pk.s, with_privacy));
   // s as 8-byte big-endian.
   for (int i = 7; i >= 0; --i) {
     out.push_back(static_cast<std::uint8_t>(pk.s >> (8 * i)));
@@ -194,24 +194,26 @@ std::vector<std::uint8_t> serialize(const PublicKey& pk, bool with_privacy) {
 DecodeResult<PublicKey> decode_public_key(std::span<const std::uint8_t> bytes) {
   using R = DecodeResult<PublicKey>;
   // Smallest well-formed key: s (8) + two G2 points (128) + one G1 power (32).
-  if (bytes.size() < 8 + 64 + 64 + 32) return R::failure(DecodeError::BadLength);
+  if (bytes.size() < PublicKey::serialized_size_for(1, false)) {
+    return R::failure(DecodeError::BadLength);
+  }
   PublicKey pk;
   pk.s = 0;
   for (int i = 0; i < 8; ++i) pk.s = (pk.s << 8) | bytes[i];
   if (pk.s == 0) return R::failure(DecodeError::ZeroForbidden);  // keygen: s >= 1
-  std::size_t power_count = pk.s >= 2 ? pk.s - 1 : 1;
+  std::size_t power_count = PublicKey::alpha_power_count(pk.s);
   // The wire's s field is 64 bits of attacker-controlled input: prove the
   // claimed power count fits the buffer BEFORE it sizes any arithmetic —
-  // 32 * power_count must not be allowed to overflow into a small "base"
-  // that happens to match bytes.size().
-  if (power_count > (bytes.size() - 136) / 32) {
+  // the size formula's G1 term must not be allowed to overflow into a small
+  // size that happens to match bytes.size().
+  if (power_count >
+      (bytes.size() - kU64WireBytes - 2 * kG2WireBytes) / kG1WireBytes) {
     return R::failure(DecodeError::BadStructure);
   }
-  std::size_t base = 8 + 64 + 64 + 32 * power_count;
   bool with_privacy;
-  if (bytes.size() == base) {
+  if (bytes.size() == PublicKey::serialized_size_for(pk.s, false)) {
     with_privacy = false;
-  } else if (bytes.size() == base + 192) {
+  } else if (bytes.size() == PublicKey::serialized_size_for(pk.s, true)) {
     with_privacy = true;
   } else {
     return R::failure(DecodeError::BadStructure);
@@ -238,7 +240,8 @@ DecodeResult<PublicKey> decode_public_key(std::span<const std::uint8_t> bytes) {
   }
   if (with_privacy) {
     auto r = gt_decode(
-        std::span<const std::uint8_t, 192>(bytes.data() + base, 192));
+        std::span<const std::uint8_t, 192>(
+            bytes.data() + PublicKey::serialized_size_for(pk.s, false), 192));
     if (!r) return R::failure(r.error);
     pk.e_g1_epsilon = *r;
   } else {

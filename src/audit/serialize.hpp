@@ -31,16 +31,9 @@
 
 namespace dsaudit::audit {
 
-/// Primitive wire sizes every encoder in this file is built from, exposed so
-/// payload accounting elsewhere (contract tx sizes, econ chain-growth
-/// models) derives from the same constants the serializers use instead of
-/// re-hardcoding the numbers. serialize.cpp static_asserts tie them to the
-/// actual encodings (e.g. ProofBasic::kWireSize == 2 G1 + 1 Fr).
-inline constexpr std::size_t kFrWireBytes = 32;   // canonical big-endian Fr
-inline constexpr std::size_t kU64WireBytes = 8;   // big-endian length/count
-inline constexpr std::size_t kG1WireBytes = 32;   // compressed G1 point
-inline constexpr std::size_t kG2WireBytes = 64;   // compressed G2 point
-inline constexpr std::size_t kGtWireBytes = 192;  // torus-compressed GT element
+// The primitive wire sizes every encoder here is built from (kFrWireBytes,
+// kG1WireBytes, ...) live in types.hpp, next to the size formulas that use
+// them.
 
 /// Why a decode refused its input. One enumerator per distinct boundary
 /// check, so tests can pin the exact rejection path.

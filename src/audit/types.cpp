@@ -9,13 +9,6 @@
 
 namespace dsaudit::audit {
 
-std::size_t PublicKey::serialized_size(bool with_privacy) const {
-  // Compressed wire sizes: G2 = 64 B, G1 = 32 B each, GT = 192 B, plus the
-  // chunk-size parameter (8 B).
-  std::size_t base = 8 + 64 + 64 + 32 * g1_alpha_powers.size();
-  return with_privacy ? base + 192 : base;
-}
-
 ExpandedChallenge expand_challenge(const Challenge& chal, std::size_t d) {
   if (d == 0) throw std::invalid_argument("expand_challenge: empty file");
   if (chal.k == 0) throw std::invalid_argument("expand_challenge: k must be >= 1");

@@ -2,7 +2,7 @@
 //
 // Roles: the data owner D runs keygen + generate_tags once; the storage
 // provider S answers challenges with Prover; the smart contract verifies
-// with verify_* (src/contract wires these into the Fig. 2 state machine).
+// with Verifier (src/contract wires these into the Fig. 2 state machine).
 #pragma once
 
 #include <cstdint>
@@ -19,6 +19,18 @@ using curve::G1;
 using curve::G2;
 using ff::Fp12;
 using ff::Fr;
+
+/// Primitive wire sizes every encoder in serialize.hpp is built from, exposed
+/// so payload accounting elsewhere (the size formulas below, contract tx
+/// sizes, econ chain-growth models) derives from the same constants the
+/// serializers use instead of re-hardcoding the numbers. serialize.cpp
+/// static_asserts tie them to the actual encodings (e.g.
+/// ProofBasic::kWireSize == 2 G1 + 1 Fr).
+inline constexpr std::size_t kFrWireBytes = 32;   // canonical big-endian Fr
+inline constexpr std::size_t kU64WireBytes = 8;   // big-endian length/count
+inline constexpr std::size_t kG1WireBytes = 32;   // compressed G1 point
+inline constexpr std::size_t kG2WireBytes = 64;   // compressed G2 point
+inline constexpr std::size_t kGtWireBytes = 192;  // torus-compressed GT element
 
 /// Owner's secret key: x (authenticator key) and alpha (SRS trapdoor).
 struct SecretKey {
@@ -37,9 +49,22 @@ struct PublicKey {
   std::vector<G1> g1_alpha_powers; // g1^{alpha^j}, j = 0 .. s-2
   Fp12 e_g1_epsilon;               // e(g1, epsilon) — the sigma-protocol base
 
-  /// On-chain bytes: compressed sizes, with / without the privacy extras
-  /// (the GT base is only needed by the private protocol). Reproduces Fig. 4.
-  std::size_t serialized_size(bool with_privacy) const;
+  /// Number of SRS powers a key for `s` publishes: s - 1 (j = 0 .. s-2),
+  /// but at least one, so an s = 1 key still carries g1 for the
+  /// tag-acceptance check.
+  static constexpr std::size_t alpha_power_count(std::size_t s) {
+    return s >= 2 ? s - 1 : 1;
+  }
+  /// On-chain bytes of a key for `s`: s (u64) | epsilon, delta (G2) | the
+  /// SRS powers (G1) | with the privacy extras, e(g1, epsilon) (GT, only
+  /// needed by the private protocol). Reproduces Fig. 4. The one size
+  /// formula: the serializer, the decoder and econ's storage cost all use it.
+  static constexpr std::size_t serialized_size_for(std::size_t s,
+                                                   bool with_privacy) {
+    return kU64WireBytes + 2 * kG2WireBytes +
+           kG1WireBytes * alpha_power_count(s) +
+           (with_privacy ? kGtWireBytes : 0);
+  }
 };
 
 struct KeyPair {

@@ -8,6 +8,7 @@
 
 #include "audit/serialize.hpp"
 #include "contract/tx_format.hpp"
+#include "econ/cost_model.hpp"
 #include "primitives/keccak256.hpp"
 
 namespace dsaudit::contract {
@@ -29,6 +30,14 @@ std::mutex& beacon_mutex() {
   return m;
 }
 
+/// The §VII-B calibrated cost model: the source of every deterministic gas
+/// figure (the measured verification wall-clock stays telemetry). Constant,
+/// so every contract in the process reads one copy.
+const econ::AuditCostModel& cost() {
+  static const econ::AuditCostModel model;
+  return model;
+}
+
 }  // namespace
 
 const char* to_string(CloseReason reason) {
@@ -40,34 +49,6 @@ const char* to_string(CloseReason reason) {
     case CloseReason::Slashed: return "slashed";
   }
   return "?";
-}
-
-AuditContract::AuditContract(chain::Blockchain& chain,
-                             chain::RandomnessBeacon& beacon, ContractTerms terms,
-                             PublicKey pk, audit::Fr file_name,
-                             std::size_t num_chunks,
-                             std::optional<audit::PreparedFile> prepared)
-    : chain_(chain),
-      beacon_(beacon),
-      terms_(std::move(terms)),
-      pk_owned_(std::make_unique<PublicKey>(std::move(pk))),
-      verifier_owned_(std::make_unique<audit::Verifier>(*pk_owned_)),
-      verifier_(verifier_owned_.get()),
-      file_name_(file_name),
-      num_chunks_(num_chunks),
-      address_("contract-" + std::to_string(++contract_counter)) {
-  require(terms_.num_audits > 0, "num_audits must be positive");
-  require(num_chunks_ > 0, "empty file");
-  require(terms_.response_window_s < terms_.audit_period_s,
-          "response window must fit inside the audit period");
-  if (prepared && prepared->num_chunks == num_chunks_ &&
-      prepared->name == file_name_) {
-    ctx_owned_ = std::make_unique<audit::PreparedFile>(std::move(*prepared));
-  } else {
-    ctx_owned_ = std::make_unique<audit::PreparedFile>(
-        audit::prepare_file(file_name_, num_chunks_));
-  }
-  file_ctx_ = ctx_owned_.get();
 }
 
 AuditContract::AuditContract(chain::Blockchain& chain,
@@ -100,6 +81,20 @@ void AuditContract::emit(const std::string& what) {
   }
 }
 
+void AuditContract::submit_admin_tx(const Address& from,
+                                    const char* description,
+                                    std::size_t payload_bytes,
+                                    std::optional<std::uint64_t> payload_gas) {
+  const chain::GasSchedule& gas = cost().gas;
+  chain::Transaction tx;
+  tx.from = from;
+  tx.description = description;
+  tx.payload_bytes = payload_bytes;
+  tx.gas_used =
+      gas.tx_base + payload_gas.value_or(gas.calldata_gas(payload_bytes));
+  chain_.submit(tx);
+}
+
 void AuditContract::trim_history() {
   if (terms_.retained_rounds > 0 && rounds_.size() > terms_.retained_rounds) {
     rounds_.erase(rounds_.begin(),
@@ -123,25 +118,19 @@ void AuditContract::negotiated() {
   // D pays the one-time on-chain storage of agrmts + params + metadata
   // (Fig. 4's public-key bytes plus name/d).
   auto pk_bytes = audit::serialize(verifier_->pk(), terms_.private_proofs);
-  chain::Transaction tx;
-  tx.from = terms_.owner;
-  tx.description = "negotiated";
-  tx.payload_bytes = txfmt::negotiated_payload(pk_bytes.size());
-  tx.gas_used = gas_.tx_base + gas_.calldata_gas(pk_bytes) +
-                gas_.storage_word * ((tx.payload_bytes + 31) / 32);
-  chain_.submit(tx);
+  const std::size_t payload = txfmt::negotiated_payload(pk_bytes.size());
+  const chain::GasSchedule& gas = cost().gas;
+  submit_admin_tx(terms_.owner, "negotiated", payload,
+                  gas.calldata_gas(pk_bytes) +
+                      gas.storage_word * ((payload + 31) / 32));
   state_ = State::Ack;
   emit("negotiated");
 }
 
 void AuditContract::acked(bool accept) {
   require(state_ == State::Ack, "acked: state != ACK");
-  chain::Transaction tx;
-  tx.from = terms_.provider;
-  tx.description = accept ? "acked" : "rejected";
-  tx.payload_bytes = txfmt::kAckPayload;
-  tx.gas_used = gas_.tx_base + gas_.calldata_gas(txfmt::kAckPayload);
-  chain_.submit(tx);
+  submit_admin_tx(terms_.provider, accept ? "acked" : "rejected",
+                  txfmt::kAckPayload);
   if (!accept) {
     // §VI-A: S can walk away, wasting D's storage fee — "good to none but
     // worse to himself under a robust reputation-based system".
@@ -158,12 +147,7 @@ void AuditContract::freeze() {
   std::uint64_t provider_lock = terms_.penalty_per_fail * terms_.num_audits;
   chain_.transfer(terms_.owner, address_, owner_lock);
   chain_.transfer(terms_.provider, address_, provider_lock);
-  chain::Transaction tx;
-  tx.from = terms_.owner;
-  tx.description = "freeze";
-  tx.payload_bytes = txfmt::kFreezePayload;
-  tx.gas_used = gas_.tx_base + gas_.calldata_gas(txfmt::kFreezePayload);
-  chain_.submit(tx);
+  submit_admin_tx(terms_.owner, "freeze", txfmt::kFreezePayload);
   state_ = State::Audit;
   emit("inited");
   schedule_challenge(chain_.now() + terms_.audit_period_s);
@@ -242,12 +226,7 @@ void AuditContract::post_challenge(Timestamp now, const char* tx_description,
                                    const char* event) {
   pending_proof_ = std::move(staged_challenge_->proof);
   staged_challenge_.reset();
-  chain::Transaction tx;
-  tx.from = address_;
-  tx.description = tx_description;
-  tx.payload_bytes = txfmt::kChallengePayload;
-  tx.gas_used = gas_.tx_base + gas_.calldata_gas(txfmt::kChallengePayload);
-  chain_.submit(tx);
+  submit_admin_tx(address_, tx_description, txfmt::kChallengePayload);
   emit(event);
   if (pending_proof_) {
     RoundRecord& rec = rounds_.back();
@@ -413,12 +392,11 @@ void AuditContract::finalize_proved(const BatchSettlement::Outcome& outcome) {
     tx.from = terms_.provider;
     tx.description = "prove";
     tx.payload_bytes = rec.proof_bytes;
-    tx.gas_used =
-        terms_.batch_gas_discount
-            ? cost_.gas.audit_tx_gas(rec.proof_bytes, cost_.challenge_bytes,
-                                     cost_.batched_verify_ms(outcome.batch_size))
-            : cost_.gas.audit_tx_gas(rec.proof_bytes, cost_.challenge_bytes,
-                                     cost_.verify_ms);
+    const econ::AuditCostModel& model = cost();
+    tx.gas_used = model.gas.audit_tx_gas(
+        rec.proof_bytes, model.challenge_bytes,
+        terms_.batch_gas_discount ? model.batched_verify_ms(outcome.batch_size)
+                                  : model.verify_ms);
     chain_.submit(tx);
     rec.gas_used = tx.gas_used;
   }
@@ -482,12 +460,7 @@ void AuditContract::slash_and_close() {
   // reward pool AND the provider's remaining collateral.
   std::uint64_t remaining = chain_.balance(address_);
   if (remaining > 0) chain_.transfer(address_, terms_.owner, remaining);
-  chain::Transaction tx;
-  tx.from = address_;
-  tx.description = "slashed";
-  tx.payload_bytes = txfmt::kClosePayload;
-  tx.gas_used = gas_.tx_base + gas_.calldata_gas(txfmt::kClosePayload);
-  chain_.submit(tx);
+  submit_admin_tx(address_, "slashed", txfmt::kClosePayload);
   close(CloseReason::Slashed, "slashed");
 }
 
@@ -515,12 +488,7 @@ void AuditContract::provider_exit() {
   if (remaining_collateral > exit_fee) {
     chain_.transfer(address_, terms_.provider, remaining_collateral - exit_fee);
   }
-  chain::Transaction tx;
-  tx.from = terms_.provider;
-  tx.description = "provider-exit";
-  tx.payload_bytes = txfmt::kClosePayload;
-  tx.gas_used = gas_.tx_base + gas_.calldata_gas(txfmt::kClosePayload);
-  chain_.submit(tx);
+  submit_admin_tx(terms_.provider, "provider-exit", txfmt::kClosePayload);
   close(CloseReason::ProviderExit, "provider-exit");
   trim_history();
 }

@@ -12,6 +12,13 @@
 // explicit rejection path at ACK (§VI-A's denial-of-service discussion), and
 // final settlement of the remaining escrow at expiry.
 //
+// Verification: V runs through a caller-owned audit::Verifier for the
+// public key D records at Initialize — the contract borrows it (and
+// optionally a prepared per-file context) rather than building its own, so
+// one Verifier serves every contract under a key. Gas is priced from one
+// process-wide calibrated econ::AuditCostModel: deterministic in on-chain
+// data, never in this run's wall clock.
+//
 // Memory model: round outcomes are always folded into O(1) aggregate
 // counters (passes/fails/timeouts/aborts/retries/gas) the moment they
 // settle. The RoundRecord vector is a retention choice on top of that —
@@ -20,7 +27,6 @@
 // population-scale runs where a million contracts must stay O(1) each.
 #pragma once
 
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -28,12 +34,10 @@
 #include "chain/beacon.hpp"
 #include "chain/blockchain.hpp"
 #include "contract/batch_settlement.hpp"
-#include "econ/cost_model.hpp"
 
 namespace dsaudit::contract {
 
 using audit::Challenge;
-using audit::PublicKey;
 using chain::Address;
 using chain::Timestamp;
 
@@ -133,32 +137,21 @@ class AuditContract {
   using Responder =
       std::function<std::optional<std::vector<std::uint8_t>>(const Challenge&)>;
 
-  /// Owning constructor (the historical shape): the contract copies the
-  /// public key, builds its own prepared Verifier from it, and owns its
-  /// per-file context. `prepared` optionally injects that context (chunk
-  /// hash points + shifted-base table) built elsewhere — NetworkSim builds
-  /// them for whole deployments in parallel before the sequential contract
-  /// phase. It must match (file_name, num_chunks); mismatches (or nullopt)
-  /// fall back to building the context here.
-  AuditContract(chain::Blockchain& chain, chain::RandomnessBeacon& beacon,
-                ContractTerms terms, PublicKey pk, audit::Fr file_name,
-                std::size_t num_chunks,
-                std::optional<audit::PreparedFile> prepared = std::nullopt);
-
-  /// Shared-context constructor for population-scale simulations: borrows a
-  /// caller-owned prepared Verifier (its G2 line tables dominate the
-  /// per-contract footprint when every contract carries its own), and
-  /// optionally a caller-owned PreparedFile. Both must outlive the contract.
-  /// A null `file_ctx` selects the verifier's cold path (chunk hashes
-  /// recomputed per round from name/num_chunks) — slower per verification,
-  /// zero per-file retained state; outcomes and gas are identical.
+  /// Borrows a caller-owned prepared Verifier for the public key recorded
+  /// at Initialize, and optionally a caller-owned PreparedFile for this
+  /// file; both must outlive the contract. Many contracts under one key can
+  /// share one Verifier (its G2 line tables dominate the per-contract
+  /// footprint otherwise). A non-null `file_ctx` must have been built for
+  /// (file_name, num_chunks) — std::logic_error otherwise. A null one
+  /// selects the verifier's cold path (chunk hashes recomputed per round
+  /// from name/num_chunks): slower per verification, zero per-file retained
+  /// state; outcomes and gas are identical.
   AuditContract(chain::Blockchain& chain, chain::RandomnessBeacon& beacon,
                 ContractTerms terms, const audit::Verifier& verifier,
                 audit::Fr file_name, std::size_t num_chunks,
                 const audit::PreparedFile* file_ctx = nullptr);
 
-  // Scheduled callbacks capture `this`, and the owning constructor's
-  // verifier borrows the owned pk: copying or moving would leave either
+  // Scheduled callbacks capture `this`: copying or moving would leave them
   // pointing into the source.
   AuditContract(const AuditContract&) = delete;
   AuditContract& operator=(const AuditContract&) = delete;
@@ -274,21 +267,20 @@ class AuditContract {
   /// Enforce terms.retained_rounds/retained_events. Only called at points
   /// where no in-flight round references rounds_.back() across the trim.
   void trim_history();
+  /// Price and submit one administrative tx (no proof, no verification):
+  /// base gas + `payload_gas`, which defaults to the all-nonzero calldata
+  /// estimate over payload_bytes.
+  void submit_admin_tx(const Address& from, const char* description,
+                       std::size_t payload_bytes,
+                       std::optional<std::uint64_t> payload_gas = std::nullopt);
   Challenge challenge_from_beacon(std::uint64_t round) const;
   std::array<std::uint8_t, 32> round_transcript() const;
 
   chain::Blockchain& chain_;
   chain::RandomnessBeacon& beacon_;
   ContractTerms terms_;
-  // Owning mode: pk_owned_ holds the copied key, verifier_owned_ the
-  // prepared verifier built from it (heap-allocated so the borrow survives
-  // any move of the containing pointers), ctx_owned_ the per-file context.
-  // Shared mode: all three stay null and the raw pointers borrow
-  // caller-owned state. verifier_ is never null; file_ctx_ may be (cold
-  // verification path).
-  std::unique_ptr<PublicKey> pk_owned_;
-  std::unique_ptr<audit::Verifier> verifier_owned_;
-  std::unique_ptr<audit::PreparedFile> ctx_owned_;
+  // Borrowed, caller-owned: verifier_ is never null; file_ctx_ may be
+  // (cold verification path).
   const audit::Verifier* verifier_ = nullptr;
   const audit::PreparedFile* file_ctx_ = nullptr;
   audit::Fr file_name_;
@@ -316,10 +308,6 @@ class AuditContract {
   std::uint64_t retries_ = 0;
   std::uint64_t round_gas_ = 0;
   std::uint64_t records_created_ = 0;
-  chain::GasSchedule gas_ = chain::GasSchedule::calibrated();
-  // §VII-B calibrated per-audit cost model: the source of the deterministic
-  // verification-gas figure (the measured wall-clock stays telemetry).
-  econ::AuditCostModel cost_;
 
   // Staging area filled by prepare_* and consumed by the same instant's
   // action; only ever touched for this contract's own tasks.

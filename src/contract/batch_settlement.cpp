@@ -23,11 +23,6 @@ void BatchSettlement::enable_aggregate_tx(econ::AuditCostModel cost) {
   cost_ = std::move(cost);
 }
 
-bool BatchSettlement::aggregate_tx_enabled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return aggregate_;
-}
-
 std::optional<audit::AggregateSettlement> BatchSettlement::last_aggregate()
     const {
   std::lock_guard<std::mutex> lock(mutex_);

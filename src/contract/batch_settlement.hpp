@@ -104,7 +104,6 @@ class BatchSettlement {
   /// were enqueued against, priced by `cost` (default: the calibrated
   /// aggregate rows).
   void enable_aggregate_tx(econ::AuditCostModel cost = {});
-  bool aggregate_tx_enabled() const;
 
   /// The most recently posted aggregate window tx (nullopt before the first
   /// aggregate flush): what the on-chain verifier and the adversarial tests

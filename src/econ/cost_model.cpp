@@ -27,20 +27,6 @@ std::uint64_t AuditCostModel::gas_per_audit_batched(std::size_t batch_size) cons
                           batched_verify_ms(batch_size));
 }
 
-double AuditCostModel::windowed_verify_ms(std::size_t rounds_per_instant,
-                                          std::size_t window) const {
-  if (window == 0) {
-    throw std::invalid_argument("windowed_verify_ms: empty window");
-  }
-  return batched_verify_ms(rounds_per_instant * window);
-}
-
-std::uint64_t AuditCostModel::gas_per_audit_windowed(
-    std::size_t rounds_per_instant, std::size_t window) const {
-  return gas.audit_tx_gas(proof_bytes, challenge_bytes,
-                          windowed_verify_ms(rounds_per_instant, window));
-}
-
 std::size_t AuditCostModel::aggregate_tx_bytes(std::size_t rounds) const {
   if (rounds == 0) {
     throw std::invalid_argument("aggregate_tx_bytes: empty window");
@@ -91,11 +77,8 @@ double contract_fee_usd(const AuditCostModel& model, unsigned duration_days,
 
 PkStorageCost pk_storage_cost(std::size_t s, bool with_privacy,
                               const AuditCostModel& model) {
-  // Same accounting as PublicKey::serialized_size: s (8) + two G2 (128) +
-  // (s-1) G1 powers (32 each) + optional GT base (192).
-  std::size_t powers = s >= 2 ? s - 1 : 1;
   PkStorageCost c;
-  c.bytes = 8 + 64 + 64 + 32 * powers + (with_privacy ? 192 : 0);
+  c.bytes = audit::PublicKey::serialized_size_for(s, with_privacy);
   c.gas = model.gas.tx_base + model.gas.calldata_gas(c.bytes) +
           model.gas.storage_word * ((c.bytes + 31) / 32);
   c.usd = model.price.usd(c.gas);

@@ -60,16 +60,6 @@ struct AuditCostModel {
   /// The batched-settlement gas row: deterministic in batch_size alone.
   std::uint64_t gas_per_audit_batched(std::size_t batch_size) const;
 
-  /// Window-aware row: with a settlement window spanning `window` chain
-  /// instants of `rounds_per_instant` due rounds each, one flush settles
-  /// their product — the batched row evaluated at that fattened size. A
-  /// window of 1 reproduces the per-instant batched row exactly (and so,
-  /// at one round per instant, the unbatched 589,000-gas anchor).
-  double windowed_verify_ms(std::size_t rounds_per_instant,
-                            std::size_t window) const;
-  std::uint64_t gas_per_audit_windowed(std::size_t rounds_per_instant,
-                                       std::size_t window) const;
-
   /// Aggregate-settlement rows: one constant-size tx per window (seed +
   /// aggregated KZG opening + outcome bitmap) replaces every per-round
   /// prove tx. Bytes come from the real wire encoding

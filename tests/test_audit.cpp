@@ -5,6 +5,7 @@
 
 #include "audit/protocol.hpp"
 #include "audit/serialize.hpp"
+#include "econ/cost_model.hpp"
 #include "pairing/pairing.hpp"
 
 namespace dsaudit::audit {
@@ -82,7 +83,8 @@ TEST_P(AuditCompleteness, BasicProofVerifies) {
   Prover prover(sc.kp.pk, sc.file, sc.tag);
   Challenge chal = make_challenge(rng, k);
   ProofBasic proof = prover.prove(chal);
-  EXPECT_TRUE(verify(sc.kp.pk, sc.name, sc.file.num_chunks(), chal, proof));
+  Verifier verifier(sc.kp.pk);
+  EXPECT_TRUE(verifier.verify(sc.name, sc.file.num_chunks(), chal, proof));
 }
 
 TEST_P(AuditCompleteness, PrivateProofVerifies) {
@@ -92,7 +94,9 @@ TEST_P(AuditCompleteness, PrivateProofVerifies) {
   Prover prover(sc.kp.pk, sc.file, sc.tag);
   Challenge chal = make_challenge(rng, k);
   ProofPrivate proof = prover.prove_private(chal, rng);
-  EXPECT_TRUE(verify_private(sc.kp.pk, sc.name, sc.file.num_chunks(), chal, proof));
+  Verifier verifier(sc.kp.pk);
+  EXPECT_TRUE(
+      verifier.verify_private(sc.name, sc.file.num_chunks(), chal, proof));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -119,9 +123,11 @@ class AuditSoundness : public ::testing::Test {
   void SetUp() override {
     rng_ = std::make_unique<SecureRng>(SecureRng::deterministic(400));
     sc_ = make_scenario(4000, 8, *rng_);
+    verifier_ = std::make_unique<Verifier>(sc_.kp.pk);
   }
   std::unique_ptr<SecureRng> rng_;
   Scenario sc_;
+  std::unique_ptr<Verifier> verifier_;  // borrows sc_.kp.pk
 };
 
 TEST_F(AuditSoundness, CorruptedBlockFailsBasic) {
@@ -135,7 +141,7 @@ TEST_F(AuditSoundness, CorruptedBlockFailsBasic) {
     Challenge chal = make_challenge(*rng_, bad.num_chunks());  // challenge all
     ProofBasic proof = prover.prove(chal);
     ++rounds;
-    if (!verify(sc_.kp.pk, sc_.name, bad.num_chunks(), chal, proof)) ++failures;
+    if (!verifier_->verify(sc_.name, bad.num_chunks(), chal, proof)) ++failures;
   }
   EXPECT_EQ(failures, rounds);  // k = d always hits chunk 0
 }
@@ -146,7 +152,7 @@ TEST_F(AuditSoundness, CorruptedBlockFailsPrivate) {
   Prover prover(sc_.kp.pk, bad, sc_.tag);
   Challenge chal = make_challenge(*rng_, bad.num_chunks());
   ProofPrivate proof = prover.prove_private(chal, *rng_);
-  EXPECT_FALSE(verify_private(sc_.kp.pk, sc_.name, bad.num_chunks(), chal, proof));
+  EXPECT_FALSE(verifier_->verify_private(sc_.name, bad.num_chunks(), chal, proof));
 }
 
 TEST_F(AuditSoundness, DroppedChunkDetectedWithSamplingProbability) {
@@ -165,7 +171,7 @@ TEST_F(AuditSoundness, DroppedChunkDetectedWithSamplingProbability) {
     bool hits = std::find(ex.indices.begin(), ex.indices.end(), victim) !=
                 ex.indices.end();
     ProofBasic proof = prover.prove(chal);
-    bool ok = verify(sc_.kp.pk, sc_.name, bad.num_chunks(), chal, proof);
+    bool ok = verifier_->verify(sc_.name, bad.num_chunks(), chal, proof);
     if (hits) ++sampled;
     if (!ok) ++detected;
     EXPECT_EQ(ok, !hits);  // fails exactly when the victim chunk is sampled
@@ -178,38 +184,38 @@ TEST_F(AuditSoundness, TamperedProofElementsFail) {
   Prover prover(sc_.kp.pk, sc_.file, sc_.tag);
   Challenge chal = make_challenge(*rng_, 5);
   ProofBasic good = prover.prove(chal);
-  ASSERT_TRUE(verify(sc_.kp.pk, sc_.name, sc_.file.num_chunks(), chal, good));
+  ASSERT_TRUE(verifier_->verify(sc_.name, sc_.file.num_chunks(), chal, good));
 
   ProofBasic bad = good;
   bad.sigma = bad.sigma + curve::G1::generator();
-  EXPECT_FALSE(verify(sc_.kp.pk, sc_.name, sc_.file.num_chunks(), chal, bad));
+  EXPECT_FALSE(verifier_->verify(sc_.name, sc_.file.num_chunks(), chal, bad));
 
   bad = good;
   bad.y += Fr::one();
-  EXPECT_FALSE(verify(sc_.kp.pk, sc_.name, sc_.file.num_chunks(), chal, bad));
+  EXPECT_FALSE(verifier_->verify(sc_.name, sc_.file.num_chunks(), chal, bad));
 
   bad = good;
   bad.psi = bad.psi.dbl();
-  EXPECT_FALSE(verify(sc_.kp.pk, sc_.name, sc_.file.num_chunks(), chal, bad));
+  EXPECT_FALSE(verifier_->verify(sc_.name, sc_.file.num_chunks(), chal, bad));
 }
 
 TEST_F(AuditSoundness, TamperedPrivateProofElementsFail) {
   Prover prover(sc_.kp.pk, sc_.file, sc_.tag);
   Challenge chal = make_challenge(*rng_, 5);
   ProofPrivate good = prover.prove_private(chal, *rng_);
-  ASSERT_TRUE(verify_private(sc_.kp.pk, sc_.name, sc_.file.num_chunks(), chal, good));
+  ASSERT_TRUE(verifier_->verify_private(sc_.name, sc_.file.num_chunks(), chal, good));
 
   ProofPrivate bad = good;
   bad.y_prime += Fr::one();
-  EXPECT_FALSE(verify_private(sc_.kp.pk, sc_.name, sc_.file.num_chunks(), chal, bad));
+  EXPECT_FALSE(verifier_->verify_private(sc_.name, sc_.file.num_chunks(), chal, bad));
 
   bad = good;
   bad.big_r = bad.big_r * bad.big_r;  // different commitment, stale y'
-  EXPECT_FALSE(verify_private(sc_.kp.pk, sc_.name, sc_.file.num_chunks(), chal, bad));
+  EXPECT_FALSE(verifier_->verify_private(sc_.name, sc_.file.num_chunks(), chal, bad));
 
   bad = good;
   bad.sigma = -bad.sigma;
-  EXPECT_FALSE(verify_private(sc_.kp.pk, sc_.name, sc_.file.num_chunks(), chal, bad));
+  EXPECT_FALSE(verifier_->verify_private(sc_.name, sc_.file.num_chunks(), chal, bad));
 }
 
 TEST_F(AuditSoundness, ReplayedProofFromOldChallengeFails) {
@@ -217,15 +223,15 @@ TEST_F(AuditSoundness, ReplayedProofFromOldChallengeFails) {
   Challenge chal1 = make_challenge(*rng_, 5);
   Challenge chal2 = make_challenge(*rng_, 5);
   ProofBasic old_proof = prover.prove(chal1);
-  EXPECT_TRUE(verify(sc_.kp.pk, sc_.name, sc_.file.num_chunks(), chal1, old_proof));
-  EXPECT_FALSE(verify(sc_.kp.pk, sc_.name, sc_.file.num_chunks(), chal2, old_proof));
+  EXPECT_TRUE(verifier_->verify(sc_.name, sc_.file.num_chunks(), chal1, old_proof));
+  EXPECT_FALSE(verifier_->verify(sc_.name, sc_.file.num_chunks(), chal2, old_proof));
 }
 
 TEST_F(AuditSoundness, WrongFileNameFails) {
   Prover prover(sc_.kp.pk, sc_.file, sc_.tag);
   Challenge chal = make_challenge(*rng_, 5);
   ProofBasic proof = prover.prove(chal);
-  EXPECT_FALSE(verify(sc_.kp.pk, sc_.name + Fr::one(), sc_.file.num_chunks(), chal, proof));
+  EXPECT_FALSE(verifier_->verify(sc_.name + Fr::one(), sc_.file.num_chunks(), chal, proof));
 }
 
 // ---------------------------------------------------------------------------
@@ -233,7 +239,7 @@ TEST_F(AuditSoundness, WrongFileNameFails) {
 // ---------------------------------------------------------------------------
 
 TEST_F(AuditSoundness, HonestTagsAccepted) {
-  EXPECT_TRUE(verify_tags(sc_.kp.pk, sc_.file, sc_.tag));
+  EXPECT_TRUE(verifier_->verify_tags(sc_.file, sc_.tag));
 }
 
 TEST_F(AuditSoundness, ForgedTagRejected) {
@@ -241,28 +247,29 @@ TEST_F(AuditSoundness, ForgedTagRejected) {
   // provider) is caught at acceptance time.
   FileTag bad = sc_.tag;
   bad.sigmas[1] = bad.sigmas[1] + curve::G1::generator();
-  EXPECT_FALSE(verify_tags(sc_.kp.pk, sc_.file, bad));
+  EXPECT_FALSE(verifier_->verify_tags(sc_.file, bad));
 }
 
 TEST_F(AuditSoundness, TagForDifferentDataRejected) {
   storage::EncodedFile other = sc_.file;
   other.chunks[0][0] += Fr::one();
-  EXPECT_FALSE(verify_tags(sc_.kp.pk, other, sc_.tag));
+  EXPECT_FALSE(verifier_->verify_tags(other, sc_.tag));
 }
 
 TEST_F(AuditSoundness, StructuralMismatchesRejected) {
   FileTag bad = sc_.tag;
   bad.sigmas.pop_back();
   bad.num_chunks--;
-  EXPECT_FALSE(verify_tags(sc_.kp.pk, sc_.file, bad));
+  EXPECT_FALSE(verifier_->verify_tags(sc_.file, bad));
   auto rng2 = SecureRng::deterministic(401);
   auto other_kp = keygen(sc_.kp.pk.s + 1, rng2);
-  EXPECT_FALSE(verify_tags(other_kp.pk, sc_.file, sc_.tag));
+  EXPECT_FALSE(Verifier(other_kp.pk).verify_tags(sc_.file, sc_.tag));
 }
 
-TEST(AuditVerifier, PreparedVerifierMatchesFreeFunctions) {
+TEST(AuditVerifier, PreparedVerifierMatchesColdPath) {
   // One Verifier serving many rounds — basic, private, tags and batch — must
-  // agree with the one-shot free functions on both accepts and rejects.
+  // agree between the prepared per-file context and the cold (name,
+  // num_chunks) path on both accepts and rejects.
   auto rng = SecureRng::deterministic(450);
   Scenario sc = make_scenario(4000, 8, rng);
   Verifier verifier(sc.kp.pk);
@@ -416,6 +423,7 @@ TEST(AuditWire, ProofRoundTrip) {
   Prover prover(sc.kp.pk, sc.file, sc.tag);
   Challenge chal = make_challenge(rng, 5);
 
+  Verifier verifier(sc.kp.pk);
   ProofBasic basic = prover.prove(chal);
   auto basic_bytes = serialize(basic);
   auto basic2 = deserialize_basic(basic_bytes);
@@ -423,14 +431,15 @@ TEST(AuditWire, ProofRoundTrip) {
   EXPECT_EQ(basic2->sigma, basic.sigma);
   EXPECT_EQ(basic2->y, basic.y);
   EXPECT_EQ(basic2->psi, basic.psi);
-  EXPECT_TRUE(verify(sc.kp.pk, sc.name, sc.file.num_chunks(), chal, *basic2));
+  EXPECT_TRUE(verifier.verify(sc.name, sc.file.num_chunks(), chal, *basic2));
 
   ProofPrivate priv = prover.prove_private(chal, rng);
   auto priv_bytes = serialize(priv);
   auto priv2 = deserialize_private(priv_bytes);
   ASSERT_TRUE(priv2.has_value());
   EXPECT_EQ(priv2->big_r, priv.big_r);
-  EXPECT_TRUE(verify_private(sc.kp.pk, sc.name, sc.file.num_chunks(), chal, *priv2));
+  EXPECT_TRUE(
+      verifier.verify_private(sc.name, sc.file.num_chunks(), chal, *priv2));
 }
 
 TEST(AuditWire, MalformedProofRejected) {
@@ -585,11 +594,15 @@ TEST(AuditWire, TamperedProofAndKeyEncodingsRejected) {
 
 TEST(AuditWire, PublicKeyRoundTripAndFig4Sizes) {
   auto rng = SecureRng::deterministic(408);
-  for (std::size_t s : {10u, 20u, 50u, 100u}) {
+  // s = 1 is the one-power edge case (keygen still publishes g1).
+  for (std::size_t s : {1u, 2u, 10u, 20u, 50u, 100u}) {
     auto kp = keygen(s, rng);
     for (bool priv : {false, true}) {
       auto bytes = serialize(kp.pk, priv);
-      EXPECT_EQ(bytes.size(), kp.pk.serialized_size(priv));
+      EXPECT_EQ(bytes.size(), PublicKey::serialized_size_for(s, priv));
+      // econ's on-chain storage cost prices exactly the serialized key.
+      EXPECT_EQ(econ::pk_storage_cost(s, priv, econ::AuditCostModel{}).bytes,
+                bytes.size());
       auto back = decode_public_key(bytes);
       ASSERT_TRUE(back.ok());
       EXPECT_EQ(back->s, s);

@@ -25,6 +25,8 @@ struct World {
   FileTag tag;
   audit::Fr name;
   std::unique_ptr<audit::Prover> prover;
+  std::unique_ptr<audit::Verifier> verifier;  // borrowed by the contract
+  std::unique_ptr<audit::PreparedFile> file_ctx;
   std::unique_ptr<AuditContract> contract;
 
   World(ContractTerms terms, std::size_t file_size = 4000, std::size_t s = 8) {
@@ -41,8 +43,12 @@ struct World {
     prover = std::make_unique<audit::Prover>(kp.pk, file, tag);
     chain.mint(terms.owner, 1'000'000);
     chain.mint(terms.provider, 1'000'000);
-    contract = std::make_unique<AuditContract>(chain, *beacon, terms, kp.pk,
-                                               name, file.num_chunks());
+    verifier = std::make_unique<audit::Verifier>(kp.pk);
+    file_ctx = std::make_unique<audit::PreparedFile>(
+        audit::prepare_file(name, file.num_chunks()));
+    contract = std::make_unique<AuditContract>(chain, *beacon, terms, *verifier,
+                                               name, file.num_chunks(),
+                                               file_ctx.get());
   }
 
   AuditContract::Responder honest_responder(bool private_proofs) {
@@ -344,14 +350,38 @@ TEST(Contract, TermsValidation) {
   chain::TrustedBeacon beacon(seed);
   auto rng = SecureRng::deterministic(501);
   auto kp = audit::keygen(4, rng);
+  audit::Verifier verifier(kp.pk);
   EXPECT_THROW(
-      AuditContract(bc, beacon, terms, kp.pk, audit::Fr::one(), 10),
+      AuditContract(bc, beacon, terms, verifier, audit::Fr::one(), 10),
       std::logic_error);
   terms = default_terms();
   terms.response_window_s = terms.audit_period_s;  // window must fit
   EXPECT_THROW(
-      AuditContract(bc, beacon, terms, kp.pk, audit::Fr::one(), 10),
+      AuditContract(bc, beacon, terms, verifier, audit::Fr::one(), 10),
       std::logic_error);
+}
+
+TEST(Contract, MismatchedFileContextIsRefused) {
+  // A PreparedFile carries the chunk hashes of one (name, num_chunks); a
+  // contract handed another file's table would fail every honest proof, so
+  // construction refuses it outright.
+  ContractTerms terms = default_terms();
+  chain::Blockchain bc;
+  std::array<std::uint8_t, 32> seed{};
+  chain::TrustedBeacon beacon(seed);
+  auto rng = SecureRng::deterministic(502);
+  auto kp = audit::keygen(4, rng);
+  audit::Verifier verifier(kp.pk);
+  const audit::Fr name = audit::Fr::one();
+  const audit::PreparedFile ctx = audit::prepare_file(name, 10);
+  EXPECT_THROW(AuditContract(bc, beacon, terms, verifier, name + name, 10,
+                             &ctx),
+               std::logic_error);
+  EXPECT_THROW(AuditContract(bc, beacon, terms, verifier, name, 11, &ctx),
+               std::logic_error);
+  // The matching context, and no context at all, are both accepted.
+  EXPECT_NO_THROW(AuditContract(bc, beacon, terms, verifier, name, 10, &ctx));
+  EXPECT_NO_THROW(AuditContract(bc, beacon, terms, verifier, name, 10));
 }
 
 TEST(Contract, EventLogMatchesFig2Vocabulary) {

@@ -23,6 +23,8 @@ struct Deployment {
   audit::FileTag tag;
   audit::Fr name;
   std::unique_ptr<audit::Prover> prover;
+  std::unique_ptr<audit::Verifier> verifier;  // borrowed by the contract
+  std::unique_ptr<audit::PreparedFile> file_ctx;
   std::unique_ptr<contract::AuditContract> contract;
 
   Deployment(contract::ContractTerms terms, std::size_t file_size, std::size_t s,
@@ -38,8 +40,12 @@ struct Deployment {
     prover = std::make_unique<audit::Prover>(kp.pk, file, tag);
     chain.mint(terms.owner, 1'000'000);
     chain.mint(terms.provider, 1'000'000);
+    verifier = std::make_unique<audit::Verifier>(kp.pk);
+    file_ctx = std::make_unique<audit::PreparedFile>(
+        audit::prepare_file(name, file.num_chunks()));
     contract = std::make_unique<contract::AuditContract>(
-        chain, *beacon, terms, kp.pk, name, file.num_chunks());
+        chain, *beacon, terms, *verifier, name, file.num_chunks(),
+        file_ctx.get());
   }
 };
 
@@ -197,7 +203,8 @@ TEST(Integration, KeyAndTagFilesRoundTripThroughWireFormats) {
   ASSERT_TRUE(pk2.ok());
   audit::Prover prover(*pk2, file, *tag2);
   auto proof = prover.prove_private(*chal2, rng);
-  EXPECT_TRUE(audit::verify_private(*pk2, tag2->name, tag2->num_chunks, *chal2, proof));
+  EXPECT_TRUE(audit::Verifier(*pk2).verify_private(tag2->name, tag2->num_chunks,
+                                                   *chal2, proof));
 }
 
 TEST(Integration, MalformedFileArtifactsRejected) {
@@ -255,8 +262,13 @@ TEST(Integration, TwoContractsShareOneChainIndependently) {
 
   auto [kp1, file1, tag1, name1, t1] = mk("o1", "p1");
   auto [kp2, file2, tag2, name2, t2] = mk("o2", "p2");
-  contract::AuditContract c1(bc, beacon, t1, kp1.pk, name1, file1.num_chunks());
-  contract::AuditContract c2(bc, beacon, t2, kp2.pk, name2, file2.num_chunks());
+  audit::Verifier v1(kp1.pk), v2(kp2.pk);
+  const auto ctx1 = audit::prepare_file(name1, file1.num_chunks());
+  const auto ctx2 = audit::prepare_file(name2, file2.num_chunks());
+  contract::AuditContract c1(bc, beacon, t1, v1, name1, file1.num_chunks(),
+                             &ctx1);
+  contract::AuditContract c2(bc, beacon, t2, v2, name2, file2.num_chunks(),
+                             &ctx2);
   audit::Prover p1(kp1.pk, file1, tag1);
   c1.set_responder([&](const Challenge& chal) -> std::optional<std::vector<std::uint8_t>> {
     auto r = SecureRng::from_os();
@@ -298,8 +310,9 @@ TEST(Integration, ProofsAreNotTransferableAcrossFiles) {
   chal.r = audit::Fr::random(rng);
   chal.k = 3;
   auto proof = prover.prove(chal);
-  EXPECT_TRUE(audit::verify(kp.pk, na, fa.num_chunks(), chal, proof));
-  EXPECT_FALSE(audit::verify(kp.pk, nb, fb.num_chunks(), chal, proof));
+  audit::Verifier verifier(kp.pk);
+  EXPECT_TRUE(verifier.verify(na, fa.num_chunks(), chal, proof));
+  EXPECT_FALSE(verifier.verify(nb, fb.num_chunks(), chal, proof));
 }
 
 }  // namespace

@@ -997,11 +997,14 @@ TEST(WindowedSettlement, MultiInstantWindowMixedShapesAcrossContracts) {
     bool priv;
     std::unique_ptr<Prover> prover;
     std::unique_ptr<primitives::SecureRng> prng;
+    std::unique_ptr<Verifier> verifier;
+    std::unique_ptr<PreparedFile> file_ctx;
     std::unique_ptr<contract::AuditContract> contract;
   };
-  Party parties[3] = {{&a, 1000, false, nullptr, nullptr, nullptr},
-                      {&a, 1300, true, nullptr, nullptr, nullptr},
-                      {&b, 1600, true, nullptr, nullptr, nullptr}};
+  Party parties[3] = {
+      {&a, 1000, false, nullptr, nullptr, nullptr, nullptr, nullptr},
+      {&a, 1300, true, nullptr, nullptr, nullptr, nullptr, nullptr},
+      {&b, 1600, true, nullptr, nullptr, nullptr, nullptr, nullptr}};
   for (int i = 0; i < 3; ++i) {
     Party& p = parties[i];
     std::string owner = "owner-" + std::to_string(i);
@@ -1020,9 +1023,12 @@ TEST(WindowedSettlement, MultiInstantWindowMixedShapesAcrossContracts) {
     terms.penalty_per_fail = 25;
     terms.challenged_chunks = 4;
     terms.private_proofs = p.priv;
+    p.verifier = std::make_unique<Verifier>(p.sc->kp.pk);
+    p.file_ctx = std::make_unique<PreparedFile>(
+        audit::prepare_file(p.sc->name, p.sc->file.num_chunks()));
     p.contract = std::make_unique<contract::AuditContract>(
-        chain, beacon, terms, p.sc->kp.pk, p.sc->name,
-        p.sc->file.num_chunks());
+        chain, beacon, terms, *p.verifier, p.sc->name,
+        p.sc->file.num_chunks(), p.file_ctx.get());
     p.contract->enable_deferred_settlement(batch);
     Prover* prover = p.prover.get();
     primitives::SecureRng* prng = p.prng.get();
@@ -1295,14 +1301,6 @@ TEST(BatchedSettlementSim, GasDiscountRowIsExactAndCheaper) {
   EXPECT_LT(model.gas_per_audit_batched(8), model.gas_per_audit_batched(2));
   EXPECT_LT(model.gas_per_audit_batched(64), model.gas_per_audit_batched(8));
   EXPECT_THROW(model.batched_verify_ms(0), std::invalid_argument);
-  // Window-aware rows nest in the batched rows: window 1 reproduces the
-  // per-instant figures (down to the 589,000-gas anchor at one round per
-  // instant), and fattening the window is strictly cheaper.
-  EXPECT_EQ(model.gas_per_audit_windowed(6, 1), model.gas_per_audit_batched(6));
-  EXPECT_EQ(model.gas_per_audit_windowed(1, 1), 589'000u);
-  EXPECT_EQ(model.gas_per_audit_windowed(2, 8), model.gas_per_audit_batched(16));
-  EXPECT_LT(model.gas_per_audit_windowed(6, 4), model.gas_per_audit_batched(6));
-  EXPECT_THROW(model.windowed_verify_ms(6, 0), std::invalid_argument);
 
   // In the sim: 2 owners x 3 shards = 6 deployments, all audited at the
   // same instants, so every round settles in a batch of 6 and pays the

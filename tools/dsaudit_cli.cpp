@@ -132,7 +132,7 @@ int cmd_keygen(const Args& args) {
   write_file(args.get("sk"), audit::serialize(kp.sk));
   write_file(args.get("pk"), audit::serialize(kp.pk, /*with_privacy=*/true));
   std::printf("keygen: s=%zu, pk=%zu bytes on chain\n", s,
-              kp.pk.serialized_size(true));
+              audit::PublicKey::serialized_size_for(s, true));
   return 0;
 }
 
@@ -160,7 +160,7 @@ int cmd_accept(const Args& args) {
   auto data = read_file(args.get("file"));
   auto file = storage::encode_file(data, pk.s);
   audit::FileTag tag = load_tag(args.get("tag"));
-  bool ok = audit::verify_tags(pk, file, tag);
+  bool ok = audit::Verifier(pk).verify_tags(file, tag);
   std::printf("accept: authenticators %s\n", ok ? "VALID" : "INVALID");
   return ok ? 0 : 1;
 }
@@ -201,16 +201,18 @@ int cmd_verify(const Args& args) {
   audit::FileTag tag = load_tag(args.get("tag"));
   audit::Challenge chal = load_challenge(args.get("challenge"));
   auto proof_bytes = read_file(args.get("proof"));
+  audit::Verifier verifier(pk);
   bool ok = false;
   audit::DecodeError error = audit::DecodeError::None;
   if (args.basic) {
     auto proof = audit::decode_basic(proof_bytes);
     error = proof.error;
-    ok = proof && audit::verify(pk, tag.name, tag.num_chunks, chal, *proof);
+    ok = proof && verifier.verify(tag.name, tag.num_chunks, chal, *proof);
   } else {
     auto proof = audit::decode_private(proof_bytes);
     error = proof.error;
-    ok = proof && audit::verify_private(pk, tag.name, tag.num_chunks, chal, *proof);
+    ok = proof &&
+         verifier.verify_private(tag.name, tag.num_chunks, chal, *proof);
   }
   if (error != audit::DecodeError::None) {
     std::printf("verify: FAIL (%s)\n", audit::to_string(error));
