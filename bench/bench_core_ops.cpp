@@ -71,6 +71,32 @@ void BM_G1FixedBaseMul(benchmark::State& state) {
 }
 BENCHMARK(BM_G1FixedBaseMul);
 
+// The prover's psi MSM over a key's s - 1 SRS powers, random quotients, in
+// each form an audit::ProverKey can take, plus the cold msm it replaces.
+// Form 0: cold msm; 1: one compact fixed-base table per power (the
+// generator table for power 0); 2: one shifted-base table over all powers.
+// audit::kPsiTableMaxPowers is read from these rows.
+void BM_PsiMsm(benchmark::State& state) {
+  const auto s = static_cast<std::size_t>(state.range(0));
+  const int form = static_cast<int>(state.range(1));
+  const audit::KeyPair kp = audit::keygen(s, rng());
+  const auto& powers = kp.pk.g1_alpha_powers;
+  std::vector<ff::Fr> q;
+  for (std::size_t j = 0; j < powers.size(); ++j) {
+    q.push_back(ff::Fr::random(rng()));
+  }
+  curve::g1_generator_table();  // build outside the timed region
+  const auto key = audit::ProverKey::build(
+      kp.pk, form == 1 ? powers.size() : 0);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(form == 0 ? curve::msm<curve::G1>(powers, q)
+                                       : key->psi(q));
+  }
+}
+BENCHMARK(BM_PsiMsm)
+    ->ArgNames({"s", "form"})
+    ->ArgsProduct({{3, 4, 5, 6, 10, 20}, {0, 1, 2}});
+
 void BM_HashToG1(benchmark::State& state) {
   std::uint64_t ctr = 0;
   for (auto _ : state) {

@@ -91,21 +91,70 @@ FileTag generate_tags(const SecretKey& sk, const PublicKey& pk,
   return tag;
 }
 
+std::shared_ptr<const ProverKey> ProverKey::build(
+    const PublicKey& pk, std::size_t max_table_powers) {
+  std::shared_ptr<ProverKey> key(new ProverKey);
+  const auto& powers = pk.g1_alpha_powers;
+  key->powers_ = powers;
+  if (powers.empty()) return key;
+  if (powers.size() > max_table_powers) {
+    key->shifted_ = curve::msm_precompute<G1>(powers);
+    return key;
+  }
+  key->gen0_ = powers[0] == G1::generator();
+  key->tables_.reserve(powers.size());
+  for (std::size_t j = key->gen0_ ? 1 : 0; j < powers.size(); ++j) {
+    key->tables_.emplace_back(powers[j], kPsiTableWidth);
+  }
+  return key;
+}
+
+G1 ProverKey::psi(std::span<const Fr> q) const {
+  if (q.size() > powers_.size()) {
+    throw std::invalid_argument("ProverKey::psi: more coefficients than powers");
+  }
+  if (shifted_) return curve::msm_precomputed(*shifted_, q);
+  G1 acc = G1::infinity();
+  for (std::size_t j = 0; j < q.size(); ++j) {
+    if (gen0_ && j == 0) {
+      curve::g1_generator_table().add_mul(acc, q[0]);
+    } else {
+      tables_[gen0_ ? j - 1 : j].add_mul(acc, q[j]);
+    }
+  }
+  return acc;
+}
+
+bool ProverKey::matches(const PublicKey& pk) const {
+  return pk.g1_alpha_powers == powers_;
+}
+
+std::size_t ProverKey::bytes() const {
+  std::size_t total = shifted_ ? shifted_->pts.size() * sizeof(G1::Affine) : 0;
+  for (const auto& t : tables_) total += t.bytes();
+  return total;
+}
+
 Prover::Prover(const PublicKey& pk, const storage::EncodedFile& file,
-               const FileTag& tag, bool prepare_psi, bool prepare_sigma)
-    : pk_(pk), file_(file), tag_(tag) {
+               const FileTag& tag, std::shared_ptr<const ProverKey> key,
+               bool prepare_sigma)
+    : pk_(pk), file_(file), tag_(tag), psi_key_(std::move(key)) {
   if (file.s != pk.s || tag.num_chunks != file.num_chunks()) {
     throw std::invalid_argument("Prover: inconsistent pk/file/tag");
   }
-  if (prepare_psi && pk.g1_alpha_powers.size() >= 2) {
-    psi_key_ = std::make_shared<const curve::MsmBasesTable<G1>>(
-        curve::msm_precompute<G1>(pk.g1_alpha_powers));
+  if (psi_key_ && !psi_key_->matches(pk)) {
+    throw std::invalid_argument("Prover: ProverKey built for another key");
   }
   if (prepare_sigma && tag.sigmas.size() >= 2) {
     sigma_key_ = std::make_shared<const curve::MsmBasesTable<G1>>(
         curve::msm_precompute<G1>(tag.sigmas));
   }
 }
+
+Prover::Prover(const PublicKey& pk, const storage::EncodedFile& file,
+               const FileTag& tag, bool prepare_psi, bool prepare_sigma)
+    : Prover(pk, file, tag, prepare_psi ? ProverKey::build(pk) : nullptr,
+             prepare_sigma) {}
 
 Prover::Core Prover::core(const Challenge& chal, ProverTimings* timings) const {
   auto t0 = Clock::now();
@@ -136,8 +185,9 @@ Prover::Core Prover::core(const Challenge& chal, ProverTimings* timings) const {
   double zp = ms_since(t0);
 
   // --- ECC phase: the two MSMs. The sigma MSM runs as a subset MSM over the
-  // prepared tag-sigma table when the ctor built one (bit-identical to the
-  // gather-then-cold-MSM path, which stays for one-shot provers).
+  // prepared tag-sigma table when the ctor built one, and psi through the
+  // ProverKey when the prover has one (both bit-identical to the cold MSMs,
+  // which stay for one-shot provers and as the oracle).
   auto t1 = Clock::now();
   Core c;
   if (sigma_key_) {
@@ -155,7 +205,7 @@ Prover::Core Prover::core(const Challenge& chal, ProverTimings* timings) const {
     if (qc.size() > pk_.g1_alpha_powers.size()) {
       throw std::logic_error("Prover: quotient exceeds SRS (corrupt input?)");
     }
-    c.psi = psi_key_ ? curve::msm_precomputed(*psi_key_, qc)
+    c.psi = psi_key_ ? psi_key_->psi(qc)
                      : curve::msm<G1>(
                            std::span<const G1>(pk_.g1_alpha_powers.data(),
                                                qc.size()),

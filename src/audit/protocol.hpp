@@ -5,8 +5,10 @@
 #include <array>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "audit/types.hpp"
+#include "curve/fixed_base.hpp"
 #include "curve/point.hpp"
 #include "pairing/pairing.hpp"
 #include "primitives/random.hpp"
@@ -30,21 +32,93 @@ struct ProverTimings {
   double gt_ms = 0;   // privacy extras: R = e(g1,eps)^z and y'
 };
 
+/// Width of ProverKey's per-power compact tables: 16 signed digits in each
+/// of 26 windows, 29,952 B a power and at most 52 mixed additions. w = 8
+/// needs at most 32 but holds 147 KB a power, which a 16-key pool pays 16
+/// times over (bench_scale's 100-owner row: +60% peak RSS at s = 4,
+/// against +11% at w = 5).
+inline constexpr unsigned kPsiTableWidth = 5;
+
+/// Largest SRS power count that ProverKey::build serves with one compact
+/// fixed-base table per power; above it the key holds one shared
+/// shifted-base table. Set from bench_core_ops' BM_PsiMsm rows (us per psi
+/// MSM over s - 1 powers, random quotients; one thread, 4-core shared
+/// x86-64 host, median of 9 randomly interleaved repetitions):
+///
+///     s   powers   cold msm   per-power tables   shifted table
+///     3      2        174            52                99
+///     4      3        194            85               137
+///     5      4        263           112               134
+///     6      5        277           160               166
+///    10      9        452           308               300
+///    20     19        885           748               356
+///
+/// Per-power tables lead 1.9x at 2 powers and 1.2x at 4, and stop paying
+/// at 5 (within noise of the shifted table), at 29,952 B a power against
+/// ~2.4 KB. So 4: a keygen key's tables (power 0 on the generator table)
+/// stay at most 90 KB.
+inline constexpr std::size_t kPsiTableMaxPowers = 4;
+
+/// The prover's per-key precomputation for the psi MSM, psi = sum_j q_j *
+/// g1^{alpha^j} over the key's public SRS powers. Those bases are fixed per
+/// key, so one ProverKey serves every prover of the key — every file, every
+/// round — and NetworkSim keeps one beside each key's Verifier. Two forms:
+///   - up to `max_table_powers` powers (default kPsiTableMaxPowers), one
+///     compact GLV fixed-base table (curve::FixedBaseTable<G1>, width
+///     kPsiTableWidth, 29,952 B) per power j >= 1; power 0 is g1 itself and
+///     reads the process-wide generator table (a key whose power 0 is
+///     another point gets a table for it too). A psi is then at most 52
+///     mixed additions per power and no doublings. Build: ~416 additions
+///     per power and one batch inversion;
+///   - above that, one shifted-base curve::MsmBasesTable over all powers
+///     (~2.4 KB and ~127 doublings per power).
+/// Either form gives the same group element as the cold msm, which stays as
+/// the oracle. The key also keeps a copy of the powers, for matches().
+class ProverKey {
+ public:
+  /// Callers take the default; BM_PsiMsm and the tests pass 0 or SIZE_MAX
+  /// to time and check both forms at any s.
+  static std::shared_ptr<const ProverKey> build(
+      const PublicKey& pk, std::size_t max_table_powers = kPsiTableMaxPowers);
+
+  /// sum_j q[j] * g1^{alpha^j}; q.size() must not exceed the power count.
+  G1 psi(std::span<const Fr> q) const;
+  /// True iff this key was built from exactly pk's SRS powers.
+  bool matches(const PublicKey& pk) const;
+  /// Memory held by the tables (the shared generator table not counted).
+  std::size_t bytes() const;
+
+ private:
+  ProverKey() = default;
+
+  std::vector<G1> powers_;  // pk's SRS powers, for matches()
+  bool gen0_ = false;       // power 0 is g1: the generator table serves it
+  // One per power, starting at power 1 when gen0_, else at power 0.
+  std::vector<curve::FixedBaseTable<G1>> tables_;
+  std::optional<curve::MsmBasesTable<G1>> shifted_;
+};
+
 class Prover {
  public:
-  /// Borrows all three for the Prover's lifetime; the caller must keep them
-  /// alive AND at stable addresses (beware std::vector reallocation of
-  /// KeyPair/EncodedFile/FileTag holders). Construction also builds the
-  /// prepared shifted-base MSM tables for pk.g1_alpha_powers (the psi MSM),
-  /// a one-time ~254 doublings per SRS power that every prove() amortizes;
-  /// pass prepare_psi = false to skip it for one-shot provers.
+  /// Borrows pk, file and tag for the Prover's lifetime; the caller must
+  /// keep them alive AND at stable addresses (beware std::vector
+  /// reallocation of KeyPair/EncodedFile/FileTag holders). `key` is the
+  /// shared ProverKey of pk (it must match; null runs the psi MSM cold).
   ///
-  /// prepare_sigma additionally builds the same kind of table over the tag
+  /// prepare_sigma additionally builds a shifted-base table over the tag
   /// sigmas, turning the sigma MSM into a table-driven subset MSM over the
   /// challenged indices (mirroring what PreparedFile does for the
-  /// verifier's chi). Opt-in: the build costs ~254 doublings per chunk and
-  /// ~positions * num_chunks * 72 bytes of memory, which only a prover
-  /// serving many rounds of one contract amortizes (NetworkSim does).
+  /// verifier's chi). Opt-in: the build costs ~127 doublings per chunk and
+  /// ~positions * num_chunks * 144 bytes of memory, which only a prover
+  /// serving many rounds of one file amortizes (NetworkSim does).
+  Prover(const PublicKey& pk, const storage::EncodedFile& file,
+         const FileTag& tag, std::shared_ptr<const ProverKey> key,
+         bool prepare_sigma = false);
+  /// The same with a private ProverKey built from pk when prepare_psi (at
+  /// s <= kPsiTableMaxPowers + 1 up to ~90 KB and ~416 additions per power;
+  /// above, ~2.4 KB and ~127 doublings per power), or a cold psi MSM
+  /// without it. Provers of one key should share a ProverKey through the
+  /// constructor above instead.
   Prover(const PublicKey& pk, const storage::EncodedFile& file,
          const FileTag& tag, bool prepare_psi = true,
          bool prepare_sigma = false);
@@ -69,7 +143,7 @@ class Prover {
   const PublicKey& pk_;
   const storage::EncodedFile& file_;
   const FileTag& tag_;
-  std::shared_ptr<const curve::MsmBasesTable<G1>> psi_key_;
+  std::shared_ptr<const ProverKey> psi_key_;
   std::shared_ptr<const curve::MsmBasesTable<G1>> sigma_key_;
 };
 

@@ -18,7 +18,9 @@ const G1& G1Tag::generator() {
 const Fp& G1Tag::endo_beta() { return glv_params().beta; }
 
 const FixedBaseTable<G1>& g1_generator_table() {
-  static const FixedBaseTable<G1> table(G1::generator());
+  // w = 10: 13 windows of 512 signed digits, 479 KB and at most 26 mixed
+  // additions, against the unsplit w = 8 table's 587,520 B and 32 additions.
+  static const FixedBaseTable<G1> table(G1::generator(), 10);
   return table;
 }
 

@@ -32,8 +32,9 @@ struct G1Tag {
 
 using G1 = Point<Fp, G1Tag>;
 
-/// Process-wide fixed-base window table for the G1 generator (built lazily,
-/// thread-safe). Use g1_mul_generator for k * g1 on any hot path.
+/// Process-wide fixed-base window table for the G1 generator (GLV-split,
+/// width 10; built lazily, thread-safe). Use g1_mul_generator for k * g1 on
+/// any hot path.
 const FixedBaseTable<G1>& g1_generator_table();
 G1 g1_mul_generator(const ff::Fr& k);
 

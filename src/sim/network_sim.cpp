@@ -188,34 +188,39 @@ void NetworkSim::deploy() {
     }
   }
 
-  // Phase 2 (parallel): one keypair and one prepared Verifier per key slot
-  // (per owner, or per pool slot with key_pool). Each keypair comes from an
-  // RNG derived from the network seed and its slot index (the same scheme as
-  // the per-deployment prover RNGs), so concurrently generated keys never
-  // share an RNG stream and the output is byte-identical at every
-  // DSAUDIT_THREADS setting. Every contract borrows its slot's verifier: the
-  // verifier tables are what dominate memory at 10^5+ owners. Keys are sized
-  // up front: provers, verifiers and contracts borrow them for their whole
-  // lifetime, so nothing may reallocate underneath.
+  // Phase 2 (parallel): one keypair, one prepared Verifier and one ProverKey
+  // per key slot (per owner, or per pool slot with key_pool). Each keypair
+  // comes from an RNG derived from the network seed and its slot index (the
+  // same scheme as the per-deployment prover RNGs), so concurrently
+  // generated keys never share an RNG stream and the output is
+  // byte-identical at every DSAUDIT_THREADS setting. Every contract borrows
+  // its slot's verifier and every prover of the slot (retained, transient
+  // or adversarial) shares its ProverKey: per-key tables are what dominate
+  // memory at 10^5+ owners. Keys are sized up front: provers, verifiers and
+  // contracts borrow them for their whole lifetime, so nothing may
+  // reallocate underneath.
   const std::size_t num_keys =
       config_.key_pool > 0 ? config_.key_pool : config_.num_owners;
   keys_.resize(num_keys);
   verifiers_.resize(num_keys);
+  prover_keys_.resize(num_keys);
   parallel::parallel_for(num_keys, [&](std::size_t k) {
     auto key_rng = primitives::SecureRng::deterministic(
         config_.rng_seed ^ (0xC2B2AE3D27D4EB4FULL * (k + 1)));
     keys_[k] = audit::keygen(config_.s, key_rng);
     verifiers_[k] = std::make_unique<audit::Verifier>(keys_[k].pk);
+    prover_keys_[k] = audit::ProverKey::build(keys_[k].pk);
   });
 
   // Phase 3 (parallel): the heavy per-deployment crypto. Full retention
   // materializes everything — the held file, tag generation, the prover's
-  // prepared MSM tables and the verifier-side per-file context. Streaming
-  // computes the same tags over the same Fr values but keeps only the tag
-  // and the chunk count: data is regenerated and a transient prover built
-  // per challenge (streaming_prove), and contracts verify through the cold
-  // per-round path. Whole deployments shard across the pool; the
-  // primitives' own inner sharding collapses inline on workers.
+  // sigma table and the verifier-side per-file context. Streaming computes
+  // the same tags over the same Fr values but keeps only the tag and the
+  // chunk count: data is regenerated and a transient prover built per
+  // challenge over the key's ProverKey (streaming_prove), and contracts
+  // verify through the cold per-round path. Whole deployments shard across
+  // the pool; the primitives' own inner sharding collapses inline on
+  // workers.
   parallel::parallel_for(deployments_.size(), [&](std::size_t i) {
     materialize(*deployments_[i], regenerate_held(i));
   });
@@ -247,11 +252,11 @@ void NetworkSim::materialize(Deployment& dep, storage::EncodedFile file) const {
                                  parallel::thread_count());
   if (config_.retention == chain::Retention::Streaming) return;
   dep.held = std::move(file);
-  // Contract-serving provers answer num_audits rounds: build both prepared
-  // MSM tables (psi over the SRS powers, sigma over the tags).
-  dep.prover = std::make_unique<audit::Prover>(kp.pk, dep.held, dep.tag,
-                                               /*prepare_psi=*/true,
-                                               /*prepare_sigma=*/true);
+  // Contract-serving provers answer num_audits rounds: psi reads the key's
+  // shared ProverKey, and a sigma table over the tags is built here.
+  dep.prover = std::make_unique<audit::Prover>(
+      kp.pk, dep.held, dep.tag, prover_key_of(dep.placement.owner),
+      /*prepare_sigma=*/true);
   dep.file_ctx = std::make_unique<audit::PreparedFile>(
       audit::prepare_file(dep.name, dep.num_chunks));
 }
@@ -284,11 +289,12 @@ std::vector<std::uint8_t> NetworkSim::prove_bytes(
 std::vector<std::uint8_t> NetworkSim::streaming_prove(
     std::size_t dep_index, const audit::Challenge& chal,
     primitives::SecureRng& rng) const {
-  // A transient table-less prover; nothing retained afterwards.
+  // A transient prover over the key's shared ProverKey; nothing retained
+  // afterwards.
   const Deployment& dep = *deployments_[dep_index];
+  const std::size_t o = dep.placement.owner;
   const storage::EncodedFile held = regenerate_held(dep_index);
-  audit::Prover prover(key_of(dep.placement.owner).pk, held, dep.tag,
-                       /*prepare_psi=*/false, /*prepare_sigma=*/false);
+  audit::Prover prover(key_of(o).pk, held, dep.tag, prover_key_of(o));
   return prove_bytes(prover, chal, rng);
 }
 
@@ -329,8 +335,7 @@ std::optional<std::vector<std::uint8_t>> NetworkSim::adversarial_prove(
       }
     }
   }
-  audit::Prover prover(key_of(o).pk, held, dep.tag, /*prepare_psi=*/false,
-                       /*prepare_sigma=*/false);
+  audit::Prover prover(key_of(o).pk, held, dep.tag, prover_key_of(o));
   std::vector<std::uint8_t> bytes;
   if (action == attack::AdversaryAction::GrindProof && config_.private_proofs) {
     // Grind the masking randomness: several VALID proofs, submit the

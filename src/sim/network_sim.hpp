@@ -44,8 +44,10 @@
 //     between the two, because every byte/gas figure derives from sizes and
 //     every outcome from behavior, never from the (different) data bytes.
 //
-// Verifier layout: one prepared Verifier per key (per owner, or per pool
-// slot with key_pool), borrowed by every contract of that key.
+// Key layout: one prepared Verifier and one audit::ProverKey per key (per
+// owner, or per pool slot with key_pool). Every contract of the key borrows
+// the Verifier; every prover of it — retained, transient or adversarial —
+// shares the ProverKey's psi tables.
 //
 // Hot per-deployment lifecycle state (provider index, shard/corruption
 // flags, next-due instant, settled-round count) lives in struct-of-arrays
@@ -307,13 +309,17 @@ class NetworkSim {
   // zeroes the regenerated chunks at prove time. Same Fr values either way.
   static constexpr std::uint8_t kZeroed = 16;
 
-  /// Index into keys_/verifiers_ serving this owner: its own, or its pool
-  /// slot.
+  /// Index into keys_/verifiers_/prover_keys_ serving this owner: its own,
+  /// or its pool slot.
   std::size_t key_slot(std::size_t owner) const {
     return config_.key_pool ? owner % config_.key_pool : owner;
   }
   const audit::KeyPair& key_of(std::size_t owner) const {
     return keys_[key_slot(owner)];
+  }
+  const std::shared_ptr<const audit::ProverKey>& prover_key_of(
+      std::size_t owner) const {
+    return prover_keys_[key_slot(owner)];
   }
   /// Owner file bytes: the stored copy under full retention, regenerated
   /// from the owner's deterministic seed under streaming.
@@ -390,10 +396,12 @@ class NetworkSim {
   std::unique_ptr<chain::TrustedBeacon> beacon_;
   std::unique_ptr<contract::BatchSettlement> batch_;
   storage::ChordRing ring_;
-  // One keypair and one prepared Verifier per key slot (see key_slot and
-  // NetworkConfig::key_pool); every contract borrows its slot's verifier.
+  // One keypair, one prepared Verifier and one ProverKey per key slot (see
+  // key_slot and NetworkConfig::key_pool); every contract borrows its slot's
+  // verifier and every prover shares its slot's ProverKey.
   std::vector<audit::KeyPair> keys_;
   std::vector<std::unique_ptr<audit::Verifier>> verifiers_;
+  std::vector<std::shared_ptr<const audit::ProverKey>> prover_keys_;
   // Full retention only; streaming regenerates via owner_data_of/_shards_of.
   std::vector<std::vector<std::uint8_t>> owner_data_;
   std::vector<std::vector<std::vector<std::uint8_t>>> owner_shards_;

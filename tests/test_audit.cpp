@@ -341,20 +341,85 @@ TEST(AuditProver, PreparedSigmaTableMatchesColdPath) {
   }
 }
 
-TEST(AuditProver, PreparedPsiTablesMatchColdPath) {
-  // The prepared shifted-base tables for pk.g1_alpha_powers must leave the
-  // proof bit-identical to the cold-MSM prover.
+TEST(AuditProver, KeyTableMatchesColdPath) {
+  // One ProverKey per key, in both forms at every s (per-power tables and
+  // the shifted table, on both sides of kPsiTableMaxPowers): every prover
+  // that borrows it — over two files of the key, an all-zero file (psi at
+  // infinity) and a file whose top block is zero everywhere (a zero top
+  // quotient coefficient) — must serialize byte-for-byte like the cold
+  // prover, basic and private (same masking RNG seed), and so must the flag
+  // constructor's private key.
   auto rng = SecureRng::deterministic(451);
-  Scenario sc = make_scenario(6000, 12, rng);
-  Prover prepared(sc.kp.pk, sc.file, sc.tag, /*prepare_psi=*/true);
-  Prover cold(sc.kp.pk, sc.file, sc.tag, /*prepare_psi=*/false);
-  for (int i = 0; i < 2; ++i) {
-    Challenge chal = make_challenge(rng, 6);
-    ProofBasic a = prepared.prove(chal);
-    ProofBasic b = cold.prove(chal);
-    EXPECT_EQ(a.sigma, b.sigma);
-    EXPECT_EQ(a.y, b.y);
-    EXPECT_EQ(a.psi, b.psi);
+  for (std::size_t s : {1, 2, 3, 4, 5, 6, 10, 20}) {
+    Scenario sc = make_scenario(400 * s, s, rng);
+    const std::shared_ptr<const ProverKey> keys[] = {
+        ProverKey::build(sc.kp.pk, SIZE_MAX), ProverKey::build(sc.kp.pk, 0)};
+    for (const auto& key : keys) ASSERT_TRUE(key->matches(sc.kp.pk));
+    const auto other = storage::encode_file(random_bytes(300 * s, rng), s);
+    const FileTag other_tag =
+        generate_tags(sc.kp.sk, sc.kp.pk, other, Fr::random(rng));
+    storage::EncodedFile zero = sc.file, top_zero = sc.file;
+    for (auto& chunk : zero.chunks) {
+      for (auto& b : chunk) b = Fr::zero();
+    }
+    for (auto& chunk : top_zero.chunks) chunk.back() = Fr::zero();
+    const std::pair<const storage::EncodedFile*, const FileTag*> files[] = {
+        {&sc.file, &sc.tag}, {&other, &other_tag}, {&zero, &sc.tag},
+        {&top_zero, &sc.tag}};
+    for (const auto& [file, tag] : files) {
+      Prover flagged(sc.kp.pk, *file, *tag, /*prepare_psi=*/true);
+      Prover cold(sc.kp.pk, *file, *tag, /*prepare_psi=*/false);
+      for (int i = 0; i < 2; ++i) {
+        const Challenge chal = make_challenge(rng, 3 + i);
+        const auto want = serialize(cold.prove(chal));
+        EXPECT_EQ(serialize(flagged.prove(chal)), want) << "s=" << s;
+        for (const auto& key : keys) {
+          Prover keyed(sc.kp.pk, *file, *tag, key);
+          EXPECT_EQ(serialize(keyed.prove(chal)), want) << "s=" << s;
+          auto rng_a = SecureRng::deterministic(500 + i);
+          auto rng_b = SecureRng::deterministic(500 + i);
+          EXPECT_EQ(serialize(keyed.prove_private(chal, rng_a)),
+                    serialize(cold.prove_private(chal, rng_b)))
+              << "s=" << s;
+        }
+      }
+    }
+    const std::vector<Fr> zeros(sc.kp.pk.g1_alpha_powers.size(), Fr::zero());
+    for (const auto& key : keys) EXPECT_TRUE(key->psi(zeros).is_infinity());
+    // A key whose power 0 is not g1 (the wire format does not forbid it)
+    // gets its own table for that power instead of the generator table's.
+    PublicKey odd = sc.kp.pk;
+    odd.g1_alpha_powers[0] = curve::g1_random(rng);
+    std::vector<Fr> q;
+    for (std::size_t j = 0; j < odd.g1_alpha_powers.size(); ++j) {
+      q.push_back(Fr::random(rng));
+    }
+    EXPECT_EQ(ProverKey::build(odd, SIZE_MAX)->psi(q),
+              curve::msm<G1>(odd.g1_alpha_powers, q))
+        << "s=" << s;
+  }
+}
+
+TEST(AuditProver, KeyMemoryAndMismatch) {
+  // s = 4 (scale-basic's shape): two compact tables, power 0 on the
+  // generator table — small enough that a 16-key pool adds ~1 MB. A key
+  // built from any other powers is refused at construction, including one
+  // that differs from pk only in a middle power.
+  auto rng = SecureRng::deterministic(452);
+  Scenario sc = make_scenario(2000, 4, rng);
+  const auto key = ProverKey::build(sc.kp.pk);
+  EXPECT_LE(key->bytes(), std::size_t{64'000});
+  const auto wide = ProverKey::build(keygen(20, rng).pk);
+  EXPECT_LE(wide->bytes(), std::size_t{100'000});
+  PublicKey mid = sc.kp.pk;
+  ASSERT_EQ(mid.g1_alpha_powers.size(), 3u);
+  mid.g1_alpha_powers[1] = curve::g1_random(rng);
+  const KeyPair other = keygen(4, rng);
+  for (const PublicKey& pk : {other.pk, mid}) {
+    const auto foreign = ProverKey::build(pk);
+    EXPECT_FALSE(foreign->matches(sc.kp.pk));
+    EXPECT_THROW(Prover(sc.kp.pk, sc.file, sc.tag, foreign),
+                 std::invalid_argument);
   }
 }
 

@@ -544,6 +544,67 @@ TEST(Glv, MsmEntryPointsAgreeOnEdgeScalars) {
   EXPECT_EQ(msm_precomputed(tbl, idx, sc), expect);
 }
 
+/// True iff the signed w-bit recoding of a GLV half carries into the top
+/// window of a compact G1 FixedBaseTable (ceil(128/w) windows).
+bool carries_into_top_window(const ff::U256& h, unsigned w) {
+  const unsigned windows = (kGlvHalfBits + w) / w;
+  unsigned carry = 0;
+  for (unsigned t = 0; t + 1 < windows; ++t) {
+    carry = h.extract_window(t * w, w) + carry > (1u << (w - 1));
+  }
+  return carry != 0;
+}
+
+TEST(FixedBase, CompactGlvTableMatchesNaiveAtEveryWidth) {
+  // The GLV-split signed-digit G1 table at widths 4..10, against mul_naive:
+  // the GLV edge scalars (0, 1, r - 1, lambda, lattice-adjacent values), a
+  // scalar whose k1 half is 0 and one whose k2 half is 0, and, per width,
+  // random scalars whose halves carry into the top window. add_mul must
+  // accumulate onto a nonzero point.
+  auto rng = SecureRng::deterministic(66);
+  const G1 base = g1_random(rng);
+  const G1 offset = g1_random(rng);
+  auto ks = glv_edge_scalars();
+  const ff::U256 k2_only =
+      (Fr::from_u256(glv_params().lambda) * Fr::from_u64(5)).to_u256();
+  ASSERT_TRUE(glv_decompose(k2_only).k1.is_zero());
+  ASSERT_TRUE(glv_decompose(ff::U256{1}).k2.is_zero());
+  ks.push_back(k2_only);
+  for (unsigned w = 4; w <= 10; ++w) {
+    FixedBaseTable<G1> table(base, w);
+    EXPECT_EQ(table.bytes(), ((kGlvHalfBits + w) / w) *
+                                 (std::size_t{1} << (w - 1)) *
+                                 sizeof(G1::Affine));
+    std::vector<ff::U256> cases = ks;
+    for (bool k2_half : {false, true}) {
+      for (;;) {
+        const ff::U256 k = Fr::random(rng).to_u256();
+        const GlvDecomposed d = glv_decompose(k);
+        if (carries_into_top_window(k2_half ? d.k2 : d.k1, w)) {
+          cases.push_back(k);
+          break;
+        }
+      }
+    }
+    for (const auto& k : cases) {
+      const G1 naive = base.mul_naive(k);
+      EXPECT_EQ(table.mul(k), naive) << "w=" << w << " k=" << k.to_hex();
+      G1 acc = offset;
+      table.add_mul(acc, k);
+      EXPECT_EQ(acc, offset + naive) << "w=" << w << " k=" << k.to_hex();
+    }
+  }
+}
+
+TEST(FixedBase, GeneratorTableNoLargerThanTheUnsplitOne) {
+  // The unsplit w = 8 generator table held 32 windows x 255 points.
+  const auto& table = g1_generator_table();
+  EXPECT_EQ(table.width(), 10u);
+  EXPECT_LE(table.bytes(), std::size_t{587'520});
+  EXPECT_EQ(FixedBaseTable<G1>(G1::generator(), 8).bytes(),
+            std::size_t{2048} * sizeof(G1::Affine));
+}
+
 TEST(Glv, ColdMsmUnsplitRegimeMatchesNaive) {
   // Scalars at or below 128 bits keep the cold MSM on the unsplit path
   // (2 * max_bits <= 3 * kGlvHalfBits); it must agree with the naive sum
