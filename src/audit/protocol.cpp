@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <type_traits>
 
+#include "audit/serialize.hpp"
 #include "pairing/pairing.hpp"
 #include "parallel/thread_pool.hpp"
 #include "poly/polynomial.hpp"
@@ -292,7 +293,16 @@ Verifier::Verifier(const PublicKey& pk)
       g2_(G2::generator()),
       epsilon_(pk.epsilon),
       delta_(pk.delta),
-      key_id_(key_id_of(pk.epsilon, pk.delta)) {}
+      key_id_(key_id_of(pk.epsilon, pk.delta)),
+      pk_bytes_(serialize(pk, !pk.e_g1_epsilon.is_zero())) {}
+
+std::span<const std::uint8_t> Verifier::pk_bytes(bool with_privacy) const {
+  const std::size_t n = PublicKey::serialized_size_for(pk_.s, with_privacy);
+  if (n > pk_bytes_.size()) {
+    throw std::invalid_argument("Verifier::pk_bytes: key has no e(g1, epsilon)");
+  }
+  return std::span<const std::uint8_t>(pk_bytes_).first(n);
+}
 
 bool Verifier::verify_tags(const storage::EncodedFile& file,
                            const FileTag& tag) const {

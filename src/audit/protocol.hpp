@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <vector>
 
 #include "audit/types.hpp"
 #include "curve/fixed_base.hpp"
@@ -187,6 +188,12 @@ class Verifier {
 
   const PublicKey& pk() const { return pk_; }
 
+  /// The key's on-chain encoding, serialize(pk, with_privacy), built once
+  /// here rather than at every contract install: the basic encoding is the
+  /// private one's prefix. Throws std::invalid_argument for with_privacy on
+  /// a key without e(g1, epsilon) (decode_public_key's zero sentinel).
+  std::span<const std::uint8_t> pk_bytes(bool with_privacy) const;
+
   /// S's acceptance check before acking the contract: every authenticator
   /// verifies against the public key (e(sigma_i, g2) == e(g1^{M_i(alpha)}
   /// H(name||i), epsilon), computed via the SRS without alpha). "the chance
@@ -223,6 +230,7 @@ class Verifier {
   pairing::G2Prepared epsilon_;  // g2^x
   pairing::G2Prepared delta_;    // g2^{alpha x}
   std::array<std::uint8_t, 32> key_id_{};
+  std::vector<std::uint8_t> pk_bytes_;  // private encoding when the key has one
 };
 
 // ---------------------------------------------------------------------------

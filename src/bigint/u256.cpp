@@ -5,31 +5,6 @@
 
 namespace dsaudit::bigint {
 
-namespace {
-
-int hex_digit(char c) {
-  if (c >= '0' && c <= '9') return c - '0';
-  if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-  if (c >= 'A' && c <= 'F') return c - 'A' + 10;
-  return -1;
-}
-
-}  // namespace
-
-U256 U256::from_hex(std::string_view hex) {
-  if (hex.starts_with("0x") || hex.starts_with("0X")) hex.remove_prefix(2);
-  if (hex.empty()) throw std::invalid_argument("U256::from_hex: empty string");
-  if (hex.size() > 64) throw std::invalid_argument("U256::from_hex: overflow");
-  U256 r;
-  unsigned nibble = 0;
-  for (auto it = hex.rbegin(); it != hex.rend(); ++it, ++nibble) {
-    int d = hex_digit(*it);
-    if (d < 0) throw std::invalid_argument("U256::from_hex: bad digit");
-    r.limb[nibble / 16] |= static_cast<u64>(d) << (4 * (nibble % 16));
-  }
-  return r;
-}
-
 U256 U256::from_dec(std::string_view dec) {
   if (dec.empty()) throw std::invalid_argument("U256::from_dec: empty string");
   U256 r;
@@ -217,15 +192,6 @@ U256 inv_mod(const U256& a, const U256& m) {
   }
   if (!(y == U256{1})) throw std::domain_error("inv_mod: not invertible");
   return v;
-}
-
-u64 mont_n0_inv(const U256& m) {
-  if (!m.is_odd()) throw std::domain_error("mont_n0_inv: modulus must be odd");
-  // Newton iteration: inv *= 2 - m*inv doubles correct bits each round.
-  u64 m0 = m.limb[0];
-  u64 inv = 1;
-  for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
-  return ~inv + 1;  // -inv mod 2^64
 }
 
 }  // namespace dsaudit::bigint

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 
@@ -31,8 +32,30 @@ struct U256 {
   static U256 one() { return U256{1}; }
 
   /// Parse a hex string (with or without 0x prefix). Throws std::invalid_argument
-  /// on malformed input or overflow past 256 bits.
-  static U256 from_hex(std::string_view hex);
+  /// on malformed input or overflow past 256 bits. constexpr, so the field
+  /// moduli are parsed from their hex strings at compile time.
+  static constexpr U256 from_hex(std::string_view hex) {
+    if (hex.starts_with("0x") || hex.starts_with("0X")) hex.remove_prefix(2);
+    if (hex.empty()) throw std::invalid_argument("U256::from_hex: empty string");
+    if (hex.size() > 64) throw std::invalid_argument("U256::from_hex: overflow");
+    U256 r;
+    unsigned nibble = 0;
+    for (auto it = hex.rbegin(); it != hex.rend(); ++it, ++nibble) {
+      const char c = *it;
+      u64 d;
+      if (c >= '0' && c <= '9') {
+        d = static_cast<u64>(c - '0');
+      } else if (c >= 'a' && c <= 'f') {
+        d = static_cast<u64>(c - 'a' + 10);
+      } else if (c >= 'A' && c <= 'F') {
+        d = static_cast<u64>(c - 'A' + 10);
+      } else {
+        throw std::invalid_argument("U256::from_hex: bad digit");
+      }
+      r.limb[nibble / 16] |= d << (4 * (nibble % 16));
+    }
+    return r;
+  }
 
   /// Parse a decimal string. Throws std::invalid_argument on malformed input.
   static U256 from_dec(std::string_view dec);
@@ -46,7 +69,7 @@ struct U256 {
   std::string to_dec() const;
 
   bool is_zero() const { return (limb[0] | limb[1] | limb[2] | limb[3]) == 0; }
-  bool is_odd() const { return limb[0] & 1; }
+  constexpr bool is_odd() const { return limb[0] & 1; }
   bool bit(unsigned i) const { return (limb[i / 64] >> (i % 64)) & 1; }
 
   /// Bits [bit_offset, bit_offset + width) as an integer, width <= 64. Bits
@@ -70,11 +93,14 @@ struct U256 {
   friend bool operator==(const U256& a, const U256& b) = default;
 };
 
-// The carry/borrow/compare/shift primitives below are the inner loop of every
-// Montgomery field operation, so they live in the header where they inline
-// into call sites (measurably faster than out-of-line calls for 4-limb work).
+// The carry/borrow/compare primitives and add_mod/sub_mod below are the inner
+// loop of every Montgomery field operation. A plain `inline` let GCC emit them
+// as out-of-line calls, so they are forced inline with [[gnu::always_inline]].
+// They and shr1 are constexpr: ff::make_mont_params derives the field
+// constants from them at compile time.
 
-inline int cmp(const U256& a, const U256& b) {  // -1, 0, +1
+/// Three-way compare: -1, 0, +1.
+[[gnu::always_inline]] constexpr int cmp(const U256& a, const U256& b) {
   for (int i = 3; i >= 0; --i) {
     if (a.limb[i] < b.limb[i]) return -1;
     if (a.limb[i] > b.limb[i]) return 1;
@@ -82,12 +108,14 @@ inline int cmp(const U256& a, const U256& b) {  // -1, 0, +1
   return 0;
 }
 
-/// a < b, a <= b as unsigned 256-bit integers.
-inline bool lt(const U256& a, const U256& b) { return cmp(a, b) < 0; }
-inline bool lte(const U256& a, const U256& b) { return cmp(a, b) <= 0; }
+/// a < b as unsigned 256-bit integers.
+[[gnu::always_inline]] constexpr bool lt(const U256& a, const U256& b) {
+  return cmp(a, b) < 0;
+}
 
 /// out = a + b; returns carry-out (0 or 1).
-inline u64 add_with_carry(const U256& a, const U256& b, U256& out) {
+[[gnu::always_inline]] constexpr u64 add_with_carry(const U256& a, const U256& b,
+                                                    U256& out) {
   u128 carry = 0;
   for (int i = 0; i < 4; ++i) {
     u128 v = static_cast<u128>(a.limb[i]) + b.limb[i] + carry;
@@ -98,7 +126,8 @@ inline u64 add_with_carry(const U256& a, const U256& b, U256& out) {
 }
 
 /// out = a - b; returns borrow-out (0 or 1).
-inline u64 sub_with_borrow(const U256& a, const U256& b, U256& out) {
+[[gnu::always_inline]] constexpr u64 sub_with_borrow(const U256& a, const U256& b,
+                                                     U256& out) {
   u128 borrow = 0;
   for (int i = 0; i < 4; ++i) {
     u128 v = static_cast<u128>(a.limb[i]) - b.limb[i] - borrow;
@@ -109,7 +138,8 @@ inline u64 sub_with_borrow(const U256& a, const U256& b, U256& out) {
 }
 
 /// (a + b) mod m; requires a, b < m.
-inline U256 add_mod(const U256& a, const U256& b, const U256& m) {
+[[gnu::always_inline]] constexpr U256 add_mod(const U256& a, const U256& b,
+                                              const U256& m) {
   U256 sum;
   u64 carry = add_with_carry(a, b, sum);
   if (carry || !lt(sum, m)) {
@@ -121,7 +151,8 @@ inline U256 add_mod(const U256& a, const U256& b, const U256& m) {
 }
 
 /// (a - b) mod m; requires a, b < m.
-inline U256 sub_mod(const U256& a, const U256& b, const U256& m) {
+[[gnu::always_inline]] constexpr U256 sub_mod(const U256& a, const U256& b,
+                                              const U256& m) {
   U256 diff;
   u64 borrow = sub_with_borrow(a, b, diff);
   if (borrow) {
@@ -142,7 +173,7 @@ inline U256 shl1(const U256& a) {  // a << 1 (mod 2^256)
   return r;
 }
 
-inline U256 shr1(const U256& a) {  // a >> 1
+constexpr U256 shr1(const U256& a) {  // a >> 1
   U256 r;
   u64 carry = 0;
   for (int i = 3; i >= 0; --i) {
@@ -216,7 +247,15 @@ U256 pow_mod_slow(const U256& a, const U256& e, const U256& m);
 /// Euclidean algorithm. Throws std::domain_error if not invertible.
 U256 inv_mod(const U256& a, const U256& m);
 
-/// -m^{-1} mod 2^64, for Montgomery reduction (m must be odd).
-u64 mont_n0_inv(const U256& m);
+/// -m^{-1} mod 2^64, for Montgomery reduction (m must be odd; throws
+/// std::domain_error otherwise).
+constexpr u64 mont_n0_inv(const U256& m) {
+  if (!m.is_odd()) throw std::domain_error("mont_n0_inv: modulus must be odd");
+  // Newton iteration: inv *= 2 - m*inv doubles correct bits each round.
+  const u64 m0 = m.limb[0];
+  u64 inv = 1;
+  for (int i = 0; i < 6; ++i) inv *= 2 - m0 * inv;
+  return ~inv + 1;  // -inv mod 2^64
+}
 
 }  // namespace dsaudit::bigint

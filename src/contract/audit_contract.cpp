@@ -117,7 +117,7 @@ void AuditContract::negotiated() {
   require(state_ == State::Uninitialized, "negotiated: state != ⊥");
   // D pays the one-time on-chain storage of agrmts + params + metadata
   // (Fig. 4's public-key bytes plus name/d).
-  auto pk_bytes = audit::serialize(verifier_->pk(), terms_.private_proofs);
+  const auto pk_bytes = verifier_->pk_bytes(terms_.private_proofs);
   const std::size_t payload = txfmt::negotiated_payload(pk_bytes.size());
   const chain::GasSchedule& gas = cost().gas;
   submit_admin_tx(terms_.owner, "negotiated", payload,

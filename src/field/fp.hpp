@@ -4,10 +4,12 @@
 //   Fr — the scalar field (group order r), the paper's Z_p of data blocks.
 //
 // Elements are stored in Montgomery form (x * 2^256 mod p) and multiplied
-// with a 4-limb CIOS reduction. All constants (R^2, -p^-1 mod 2^64, ...) are
-// derived at first use from the modulus string, and the moduli themselves are
-// re-derived from the BN parameter t at init (see curve/bn254_params), so a
-// single typo cannot silently corrupt the arithmetic.
+// with a 4-limb CIOS reduction. All constants (R, R^2, R^3, -p^-1 mod 2^64,
+// the exponents) are derived at compile time from the modulus strings by the
+// constexpr make_mont_params, so every field operation reads them as
+// immediates. The moduli themselves are re-derived from the BN parameter t
+// by curve::validate_bn254_parameters (curve/params_check, run by
+// test_curve), so a single typo cannot silently corrupt the arithmetic.
 #pragma once
 
 #include <array>
@@ -32,7 +34,7 @@ struct MontParams {
   U256 r_mod;    // 2^256 mod p  (Montgomery form of 1)
   U256 r2_mod;   // (2^256)^2 mod p
   U256 r3_mod;   // (2^256)^3 mod p (single-step Montgomery inversion)
-  u64 n0_inv;    // -p^{-1} mod 2^64
+  u64 n0_inv = 0;  // -p^{-1} mod 2^64
   bool has_fast_sqrt = false;  // true iff modulus ≡ 3 (mod 4)
   U256 p_plus_1_over_4;   // sqrt exponent (only valid when has_fast_sqrt)
   U256 p_minus_1_over_2;  // Euler criterion exponent
@@ -41,18 +43,51 @@ struct MontParams {
 
 /// Builds Montgomery parameters from an odd modulus whose top limb is below
 /// 2^62 (mont_mul's no-carry CIOS bound; both BN254 moduli qualify). Throws
-/// std::invalid_argument otherwise.
-MontParams make_mont_params(const U256& modulus);
+/// std::invalid_argument otherwise. constexpr: the Fp and Fr parameters below
+/// are built at compile time.
+constexpr MontParams make_mont_params(const U256& modulus) {
+  if (!modulus.is_odd()) throw std::invalid_argument("make_mont_params: even modulus");
+  if (modulus.limb[3] >= (u64{1} << 62)) {
+    throw std::invalid_argument("make_mont_params: modulus top limb >= 2^62");
+  }
+  // x * 2^256 mod p by 256 modular doublings: R = 1 * 2^256, then R^2, R^3.
+  auto times_r = [&modulus](U256 x) {
+    for (int i = 0; i < 256; ++i) x = bigint::add_mod(x, x, modulus);
+    return x;
+  };
+  MontParams P;
+  P.has_fast_sqrt = (modulus.limb[0] & 3) == 3;
+  P.modulus = modulus;
+  P.r_mod = times_r(U256{1});
+  P.r2_mod = times_r(P.r_mod);
+  P.r3_mod = times_r(P.r2_mod);
+  P.n0_inv = bigint::mont_n0_inv(modulus);
+  const U256 one{1};
+  bigint::sub_with_borrow(modulus, one, P.p_minus_2);
+  bigint::sub_with_borrow(P.p_minus_2, one, P.p_minus_2);
+  // (p-1)/2 and (p+1)/4: p is odd, and p ≡ 3 mod 4 when has_fast_sqrt.
+  U256 pm1;
+  bigint::sub_with_borrow(modulus, one, pm1);
+  P.p_minus_1_over_2 = bigint::shr1(pm1);
+  if (P.has_fast_sqrt) {
+    U256 pp1;
+    bigint::add_with_carry(modulus, one, pp1);  // p < 2^255, no carry
+    P.p_plus_1_over_4 = bigint::shr1(bigint::shr1(pp1));
+  }
+  return P;
+}
 
 namespace detail {
 
 /// CIOS with the "no-carry" optimization: the modulus' top limb is below
 /// 2^62 (make_mont_params enforces it), so the interleaved multiply/reduce
 /// columns never spill into a fifth limb, and the whole product fits in four
-/// words plus two running carries. Requires a, b < modulus. Lives in the
-/// header so it inlines into the field operators — this is the innermost
-/// loop of every curve operation.
-inline U256 mont_mul(const U256& a, const U256& b, const MontParams& P) {
+/// words plus two running carries. Requires a, b < modulus. This is the
+/// innermost loop of every curve operation: it is forced inline into the
+/// field operators (a plain `inline` was emitted out of line), where P is a
+/// compile-time constant and the modulus and n0 fold into immediates.
+[[gnu::always_inline]] inline U256 mont_mul(const U256& a, const U256& b,
+                                           const MontParams& P) {
   using bigint::u128;
   const std::array<u64, 4>& q = P.modulus.limb;
   u64 t0 = 0, t1 = 0, t2 = 0, t3 = 0;
@@ -97,8 +132,8 @@ class PrimeField {
  public:
   PrimeField() = default;  // zero
 
-  static const MontParams& params() { return Tag::params(); }
-  static const U256& modulus() { return params().modulus; }
+  static constexpr const MontParams& params() { return Tag::params(); }
+  static constexpr const U256& modulus() { return params().modulus; }
 
   static PrimeField zero() { return PrimeField{}; }
   static PrimeField one() {
@@ -247,11 +282,23 @@ class PrimeField {
   U256 v_{};  // Montgomery form
 };
 
+/// The BN254 moduli, as the hex strings the Montgomery parameters are parsed
+/// from at compile time.
+inline constexpr const char* kFpModulusHex =
+    "0x30644e72e131a029b85045b68181585d97816a916871ca8d3c208c16d87cfd47";
+inline constexpr const char* kFrModulusHex =
+    "0x30644e72e131a029b85045b68181585d2833e84879b9709143e1f593f0000001";
+
+inline constexpr MontParams kFpMontParams =
+    make_mont_params(U256::from_hex(kFpModulusHex));
+inline constexpr MontParams kFrMontParams =
+    make_mont_params(U256::from_hex(kFrModulusHex));
+
 struct FpTag {
-  static const MontParams& params();
+  static constexpr const MontParams& params() { return kFpMontParams; }
 };
 struct FrTag {
-  static const MontParams& params();
+  static constexpr const MontParams& params() { return kFrMontParams; }
 };
 
 /// Base field of BN254 (alt_bn128): coordinates of curve points.
@@ -262,8 +309,6 @@ using Fr = PrimeField<FrTag>;
 /// The BN parameter t with p(t), r(t) — exposed so the curve layer can verify
 /// p = 36t^4+36t^3+24t^2+6t+1 and r = 36t^4+36t^3+18t^2+6t+1 at startup.
 inline constexpr u64 kBnParamT = 4965661367192848881ULL;
-extern const char* const kFpModulusHex;
-extern const char* const kFrModulusHex;
 
 /// Generic exponentiation by a VarUInt exponent for any multiplicative group
 /// element type (needs one(), operator*, square()).

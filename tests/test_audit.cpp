@@ -681,6 +681,33 @@ TEST(AuditWire, PublicKeyRoundTripAndFig4Sizes) {
   }
 }
 
+TEST(AuditWire, VerifierKeyBytesMatchSerialize) {
+  // The Verifier's once-built encoding is what every contract install puts
+  // on chain (and prices), so it must equal serialize(pk, b) byte for byte.
+  auto rng = SecureRng::deterministic(409);
+  for (std::size_t s : {1u, 4u, 20u}) {
+    const auto kp = keygen(s, rng);
+    const Verifier verifier(kp.pk);
+    for (bool priv : {false, true}) {
+      const auto span = verifier.pk_bytes(priv);
+      EXPECT_EQ(std::vector<std::uint8_t>(span.begin(), span.end()),
+                serialize(kp.pk, priv))
+          << "s=" << s << " priv=" << priv;
+    }
+  }
+  // A decoded basic key carries no e(g1, epsilon): its Verifier serves the
+  // basic encoding and refuses the private one, as serialize would.
+  const auto kp = keygen(4, rng);
+  const auto basic = decode_public_key(serialize(kp.pk, false));
+  ASSERT_TRUE(basic.ok());
+  const Verifier verifier(*basic);
+  const auto span = verifier.pk_bytes(false);
+  EXPECT_EQ(std::vector<std::uint8_t>(span.begin(), span.end()),
+            serialize(kp.pk, false));
+  EXPECT_THROW(verifier.pk_bytes(true), std::invalid_argument);
+  EXPECT_THROW(serialize(*basic, true), std::invalid_argument);
+}
+
 // ---------------------------------------------------------------------------
 // Misc protocol pieces.
 // ---------------------------------------------------------------------------

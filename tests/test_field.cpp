@@ -93,21 +93,113 @@ TEST(Fp, ReductionOfLargeValues) {
   EXPECT_TRUE(Fp::from_u256(p1).is_one());
 }
 
-TEST(Fp, MulAgainstSlowPath) {
+// ---------------------------------------------------------------------------
+// The 4-limb Montgomery kernels of both prime fields against the slow
+// U256/U512 reference arithmetic (mul_mod_slow, long-division mod).
+// ---------------------------------------------------------------------------
+
+template <typename F>
+class PrimeFieldKernels : public ::testing::Test {};
+
+using PrimeFieldTypes = ::testing::Types<Fp, Fr>;
+TYPED_TEST_SUITE(PrimeFieldKernels, PrimeFieldTypes);
+
+// (x + y) mod p through the 512-bit long-division reference; y may equal p.
+U256 add_mod_reference(const U256& x, const U256& y, const U256& p) {
+  U256 lo;
+  const u64 carry = bigint::add_with_carry(x, y, lo);
+  const bigint::U512 wide{{lo.limb[0], lo.limb[1], lo.limb[2], lo.limb[3],
+                           carry, 0, 0, 0}};
+  return bigint::mod(wide, p);
+}
+
+U256 minus(const U256& a, const U256& b) {
+  U256 r;
+  bigint::sub_with_borrow(a, b, r);
+  return r;
+}
+
+TYPED_TEST(PrimeFieldKernels, MulAgainstSlowPath) {
+  using F = TypeParam;
   auto rng = SecureRng::deterministic(26);
   for (int i = 0; i < 100; ++i) {
-    Fp a = Fp::random(rng), b = Fp::random(rng);
-    U256 expect = bigint::mul_mod_slow(a.to_u256(), b.to_u256(), Fp::modulus());
+    F a = F::random(rng), b = F::random(rng);
+    U256 expect = bigint::mul_mod_slow(a.to_u256(), b.to_u256(), F::modulus());
     EXPECT_EQ((a * b).to_u256(), expect);
   }
+}
+
+TYPED_TEST(PrimeFieldKernels, EdgeValuesAgainstReference) {
+  // add/sub/neg/square/mul at the reduction boundaries: 0, 1, p-1, p-2, and
+  // pairs whose integer sum is exactly p or p-1 (the two sides of the final
+  // conditional subtraction), plus (p-1)/2 and (p+1)/2.
+  using F = TypeParam;
+  const U256 p = F::modulus();
+  auto rng = SecureRng::deterministic(29);
+  const U256 a = F::random(rng).to_u256();
+  const U256 b = F::random(rng).to_u256();
+  const U256 pm1 = minus(p, U256{1});
+  const std::vector<U256> values = {
+      U256{0}, U256{1}, U256{2}, pm1, minus(p, U256{2}),
+      bigint::shr1(pm1), minus(p, bigint::shr1(pm1)),
+      a, minus(p, a),      // a + (p - a) == p
+      b, minus(pm1, b)};   // b + (p - 1 - b) == p - 1
+  EXPECT_TRUE((F::from_u256(a) + F::from_u256(minus(p, a))).is_zero());
+  EXPECT_EQ((F::from_u256(b) + F::from_u256(minus(pm1, b))).to_u256(), pm1);
+  for (const U256& x : values) {
+    const F fx = F::from_u256(x);
+    ASSERT_EQ(fx.to_u256(), x);
+    EXPECT_EQ((-fx).to_u256(), add_mod_reference(U256{0}, minus(p, x), p));
+    EXPECT_EQ(fx.square().to_u256(), bigint::mul_mod_slow(x, x, p));
+    EXPECT_EQ(fx.dbl().to_u256(), add_mod_reference(x, x, p));
+    for (const U256& y : values) {
+      const F fy = F::from_u256(y);
+      EXPECT_EQ((fx + fy).to_u256(), add_mod_reference(x, y, p));
+      EXPECT_EQ((fx - fy).to_u256(), add_mod_reference(x, minus(p, y), p));
+      EXPECT_EQ((fx * fy).to_u256(), bigint::mul_mod_slow(x, y, p));
+    }
+  }
+}
+
+// Both parameter sets are compile-time constants: a return to a runtime
+// static (or any non-constexpr derivation) fails the build here.
+static_assert(Fp::params().n0_inv * Fp::modulus().limb[0] == ~u64{0});
+static_assert(Fr::params().n0_inv * Fr::modulus().limb[0] == ~u64{0});
+static_assert(Fp::params().has_fast_sqrt && !Fr::params().has_fast_sqrt);
+
+// Every MontParams field re-derived with VarUInt long division.
+void expect_params_match_divmod(const MontParams& P) {
+  const VarUInt m{P.modulus};
+  const VarUInt r = VarUInt{1}.shl(256);
+  auto mod_m = [&m](const VarUInt& x) {
+    return VarUInt::divmod(x, m).second.to_u256();
+  };
+  auto div = [](const VarUInt& x, u64 d) {
+    return VarUInt::divmod(x, VarUInt{d}).first.to_u256();
+  };
+  EXPECT_EQ(P.r_mod, mod_m(r));
+  EXPECT_EQ(P.r2_mod, mod_m(r * r));
+  EXPECT_EQ(P.r3_mod, mod_m(r * r * r));
+  // n0 = -p^{-1} mod 2^64, i.e. p * n0 + 1 == 0 mod 2^64.
+  EXPECT_TRUE(VarUInt::divmod(m * VarUInt{P.n0_inv} + VarUInt{1},
+                              VarUInt{1}.shl(64))
+                  .second.is_zero());
+  EXPECT_EQ(P.p_minus_2, (m - VarUInt{2}).to_u256());
+  EXPECT_EQ(P.p_minus_1_over_2, div(m - VarUInt{1}, 2));
+  const bool three_mod_four = VarUInt::divmod(m, VarUInt{4}).second == VarUInt{3};
+  EXPECT_EQ(P.has_fast_sqrt, three_mod_four);
+  if (three_mod_four) EXPECT_EQ(P.p_plus_1_over_4, div(m + VarUInt{1}, 4));
 }
 
 TEST(MontParams, BuildsBn254ModuliAndRefusesWideTopLimb) {
   // mont_mul's no-carry CIOS needs the modulus' top limb below 2^62; both
   // BN254 moduli (top limb 0x30644e72...) qualify.
+  EXPECT_EQ(Fp::modulus(), U256::from_hex(kFpModulusHex));
+  EXPECT_EQ(Fr::modulus(), U256::from_hex(kFrModulusHex));
   for (const MontParams& P : {Fp::params(), Fr::params()}) {
     EXPECT_LT(P.modulus.limb[3], u64{1} << 62);
     EXPECT_EQ(make_mont_params(P.modulus).n0_inv, P.n0_inv);
+    expect_params_match_divmod(P);
   }
   U256 wide = Fp::modulus();
   wide.limb[3] = u64{1} << 62;  // still odd: limb 0 is untouched
@@ -116,6 +208,9 @@ TEST(MontParams, BuildsBn254ModuliAndRefusesWideTopLimb) {
   EXPECT_THROW(make_mont_params(wide), std::invalid_argument);
   wide.limb[3] = (u64{1} << 62) - 1;
   EXPECT_NO_THROW(make_mont_params(wide));
+  // The runtime path of the constexpr builder derives the same constants.
+  expect_params_match_divmod(make_mont_params(wide));
+  EXPECT_THROW(make_mont_params(U256{4}), std::invalid_argument);
 }
 
 TEST(Fp, FermatLittleTheorem) {
