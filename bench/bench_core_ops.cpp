@@ -435,6 +435,17 @@ void BM_GtPowCyclotomic(benchmark::State& state) {
 }
 BENCHMARK(BM_GtPowCyclotomic);
 
+/// The same power of a key's e(g1, eps) through its ProverKey comb: the
+/// prover's R = e(g1, eps)^z.
+void BM_GtPowFixedBase(benchmark::State& state) {
+  static const auto key = audit::ProverKey::build(audit::keygen(3, rng()).pk);
+  auto e = ff::Fr::random(rng()).to_u256();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(key->epsilon_pow(e));
+  }
+}
+BENCHMARK(BM_GtPowFixedBase);
+
 /// The settlement weights' shape, shared by both multi-exp benchmarks so
 /// their ratio (the README speedup table) always compares like for like:
 /// n random GT elements with dense 128-bit exponents.
@@ -450,7 +461,8 @@ std::pair<std::vector<ff::Fp12>, std::vector<ff::U256>> gt_multipow_inputs(
   return {std::move(bases), std::move(exps)};
 }
 
-/// GT multi-exponentiation through the shared-squaring engine; items/sec is
+/// GT multi-exponentiation through multi_pow at the pool's width (from
+/// kGtShardMinBases bases it shards, hence real time); items/sec is
 /// per-element throughput.
 void BM_GtMultiPow(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
@@ -460,7 +472,13 @@ void BM_GtMultiPow(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_GtMultiPow)->Arg(2)->Arg(8)->Arg(64);
+BENCHMARK(BM_GtMultiPow)
+    ->Arg(2)
+    ->Arg(8)
+    ->Arg(64)
+    ->Arg(346)
+    ->Arg(900)
+    ->UseRealTime();
 
 /// The naive baseline for the same shape: n independent 128-bit ladders
 /// (what verify_settlement paid per round before the multi-exp reroute).
@@ -476,7 +494,7 @@ void BM_GtMultiPowNaive(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_GtMultiPowNaive)->Arg(2)->Arg(8)->Arg(64);
+BENCHMARK(BM_GtMultiPowNaive)->Arg(2)->Arg(8)->Arg(64)->Arg(346)->Arg(900);
 
 /// Settling `batch_size` same-key Eq. 1 rounds in one weighted check (3
 /// pairings total); time is for the whole batch — divide by the argument

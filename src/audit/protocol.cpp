@@ -95,6 +95,8 @@ FileTag generate_tags(const SecretKey& sk, const PublicKey& pk,
 std::shared_ptr<const ProverKey> ProverKey::build(
     const PublicKey& pk, std::size_t max_table_powers) {
   std::shared_ptr<ProverKey> key(new ProverKey);
+  key->e_g1_epsilon_ = pk.e_g1_epsilon;
+  if (!pk.e_g1_epsilon.is_zero()) key->comb_ = ff::GtComb(pk.e_g1_epsilon);
   const auto& powers = pk.g1_alpha_powers;
   key->powers_ = powers;
   if (powers.empty()) return key;
@@ -126,12 +128,17 @@ G1 ProverKey::psi(std::span<const Fr> q) const {
   return acc;
 }
 
+Fp12 ProverKey::epsilon_pow(const ff::U256& e) const {
+  return comb_.empty() ? e_g1_epsilon_.cyclotomic_pow_u256(e) : comb_.pow(e);
+}
+
 bool ProverKey::matches(const PublicKey& pk) const {
-  return pk.g1_alpha_powers == powers_;
+  return pk.g1_alpha_powers == powers_ && pk.e_g1_epsilon == e_g1_epsilon_;
 }
 
 std::size_t ProverKey::bytes() const {
-  std::size_t total = shifted_ ? shifted_->pts.size() * sizeof(G1::Affine) : 0;
+  std::size_t total = comb_.bytes();
+  if (shifted_) total += shifted_->pts.size() * sizeof(G1::Affine);
   for (const auto& t : tables_) total += t.bytes();
   return total;
 }
@@ -232,8 +239,11 @@ ProofPrivate Prover::prove_private(const Challenge& chal,
   // Sigma-protocol hiding (§V-D step 1): commit R = e(g1, eps)^z, derive the
   // challenge-independent mask zeta = H'(R), publish y' = zeta*y + z.
   Fr z = Fr::random(rng);
-  // e(g1, eps) is a GT element, so the cyclotomic ladder applies.
-  Fp12 big_r = pk_.e_g1_epsilon.cyclotomic_pow_u256(z.to_u256());
+  // e(g1, eps) is a GT element, so the key's comb or, without a key, the
+  // cyclotomic ladder applies; both give the same element.
+  const ff::U256 ze = z.to_u256();
+  Fp12 big_r = psi_key_ ? psi_key_->epsilon_pow(ze)
+                        : pk_.e_g1_epsilon.cyclotomic_pow_u256(ze);
   Fr zeta = hash_gt_to_fr(big_r);
   Fr y_prime = zeta * c.y + z;
   if (timings) timings->gt_ms = ms_since(t0);

@@ -74,7 +74,11 @@ inline constexpr std::size_t kPsiTableMaxPowers = 4;
 ///   - above that, one shifted-base curve::MsmBasesTable over all powers
 ///     (~2.4 KB and ~127 doublings per power).
 /// Either form gives the same group element as the cold msm, which stays as
-/// the oracle. The key also keeps a copy of the powers, for matches().
+/// the oracle. The key also holds a Lim–Lee comb over pk.e_g1_epsilon for
+/// the private proof's commitment R = e(g1, eps)^z (ff::GtComb, 98,304 B,
+/// ~2 ms to build; 31 squarings and at most 32 multiplies a power,
+/// against ~254 squarings for the ladder), and copies of the powers and
+/// e(g1, eps), for matches().
 class ProverKey {
  public:
   /// Callers take the default; BM_PsiMsm and the tests pass 0 or SIZE_MAX
@@ -84,15 +88,20 @@ class ProverKey {
 
   /// sum_j q[j] * g1^{alpha^j}; q.size() must not exceed the power count.
   G1 psi(std::span<const Fr> q) const;
-  /// True iff this key was built from exactly pk's SRS powers.
+  /// e(g1, eps)^e, the same element as pk.e_g1_epsilon.pow_u256(e).
+  Fp12 epsilon_pow(const ff::U256& e) const;
+  /// True iff this key was built from exactly pk's SRS powers and e(g1, eps).
   bool matches(const PublicKey& pk) const;
-  /// Memory held by the tables (the shared generator table not counted).
+  /// Memory held by the psi tables and the comb (the shared generator table
+  /// not counted).
   std::size_t bytes() const;
 
  private:
   ProverKey() = default;
 
   std::vector<G1> powers_;  // pk's SRS powers, for matches()
+  Fp12 e_g1_epsilon_;       // pk's e(g1, eps), for matches()
+  ff::GtComb comb_;         // over e_g1_epsilon_; empty when it is zero
   bool gen0_ = false;       // power 0 is g1: the generator table serves it
   // One per power, starting at power 1 when gen0_, else at power 0.
   std::vector<curve::FixedBaseTable<G1>> tables_;
@@ -104,7 +113,8 @@ class Prover {
   /// Borrows pk, file and tag for the Prover's lifetime; the caller must
   /// keep them alive AND at stable addresses (beware std::vector
   /// reallocation of KeyPair/EncodedFile/FileTag holders). `key` is the
-  /// shared ProverKey of pk (it must match; null runs the psi MSM cold).
+  /// shared ProverKey of pk (it must match; null runs the psi MSM cold and
+  /// prove_private's R on the cyclotomic ladder).
   ///
   /// prepare_sigma additionally builds a shifted-base table over the tag
   /// sigmas, turning the sigma MSM into a table-driven subset MSM over the
@@ -117,9 +127,9 @@ class Prover {
          bool prepare_sigma = false);
   /// The same with a private ProverKey built from pk when prepare_psi (at
   /// s <= kPsiTableMaxPowers + 1 up to ~90 KB and ~416 additions per power;
-  /// above, ~2.4 KB and ~127 doublings per power), or a cold psi MSM
-  /// without it. Provers of one key should share a ProverKey through the
-  /// constructor above instead.
+  /// above, ~2.4 KB and ~127 doublings per power; plus the 98 KB comb), or
+  /// a cold psi MSM and ladder without it. Provers of one key should share
+  /// a ProverKey through the constructor above instead.
   Prover(const PublicKey& pk, const storage::EncodedFile& file,
          const FileTag& tag, bool prepare_psi = true,
          bool prepare_sigma = false);

@@ -70,7 +70,10 @@ struct U256 {
 
   bool is_zero() const { return (limb[0] | limb[1] | limb[2] | limb[3]) == 0; }
   constexpr bool is_odd() const { return limb[0] & 1; }
-  bool bit(unsigned i) const { return (limb[i / 64] >> (i % 64)) & 1; }
+  /// Bit i; bits at or past 256 read as zero, as in extract_window.
+  bool bit(unsigned i) const {
+    return i < 256 && ((limb[i / 64] >> (i % 64)) & 1);
+  }
 
   /// Bits [bit_offset, bit_offset + width) as an integer, width <= 64. Bits
   /// at or past 256 read as zero, so callers can scan fixed-width windows off

@@ -1,7 +1,8 @@
-// GT multi-exponentiation (Fp12::multi_pow): the shared-squaring engine the
-// batched settlement uses to fold every private round's R^rho commitment in
-// one pass. Out of line because the window tables want real code, not header
-// inlining.
+// GT exponentiation engines: Fp12::multi_pow (the shared-squaring
+// multi-exponentiation behind the batched settlement's R^rho fold and, at
+// n = 1, every single-base ladder) and the fixed-base GtComb behind the
+// prover's R. Out of line because the window tables want real code, not
+// header inlining.
 #include "field/fp12.hpp"
 
 #include <algorithm>
@@ -9,32 +10,175 @@
 #include <stdexcept>
 #include <vector>
 
+#include "parallel/thread_pool.hpp"
+
 namespace dsaudit::ff {
 
 namespace {
 
-/// Deterministic window-width choice in squaring-equivalent units (one
+/// Signed window digits of every exponent, position-major (digit of base i
+/// at position pos is digits[pos * n + i]): windows of w bits plus a carry,
+/// so each digit lies in [-(2^{w-1} - 1), 2^{w-1}] and the carry can push
+/// one position past bits / w. Returns the number of positions up to the
+/// highest nonzero digit (0 when every exponent is zero).
+unsigned signed_digits(std::span<const U256> exps, unsigned w, unsigned bits,
+                       std::vector<std::int16_t>& digits) {
+  const std::size_t n = exps.size();
+  const std::uint64_t half = std::uint64_t{1} << (w - 1);
+  const unsigned positions = (bits + w - 1) / w + 1;
+  digits.assign(std::size_t{positions} * n, 0);
+  unsigned used = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::uint64_t carry = 0;
+    for (unsigned pos = 0; pos < positions; ++pos) {
+      const std::uint64_t raw = exps[i].extract_window(pos * w, w) + carry;
+      std::int16_t d;
+      if (raw > half) {
+        d = static_cast<std::int16_t>(static_cast<int>(raw) - (1 << w));
+        carry = 1;
+      } else {
+        d = static_cast<std::int16_t>(raw);
+        carry = 0;
+      }
+      digits[std::size_t{pos} * n + i] = d;
+      if (d != 0 && pos + 1 > used) used = pos + 1;
+    }
+  }
+  return used;
+}
+
+/// acc *= x, where an accumulator still at one takes x by assignment.
+void fold(Fp12& acc, bool& is_one, const Fp12& x) {
+  if (is_one) {
+    acc = x;
+    is_one = false;
+  } else {
+    acc *= x;
+  }
+}
+
+/// Deterministic Straus window width in squaring-equivalent units (one
 /// generic Fp12 multiply ~ 2 cyclotomic squarings): per base, building the
-/// table costs `tsize - 1` multiplies and the scan multiplies once per
+/// table costs `2^{w-1} - 1` multiplies and the scan multiplies once per
 /// (worst case, every) window position; the shared chain pays w squarings
-/// per position regardless of n. Signed digits keep the table at powers
-/// 1..2^{w-1} (negatives are free conjugates). Depends only on (n, bits),
-/// so the chosen width — and therefore the exact multiplication sequence —
-/// is identical at every thread count and on every platform.
-unsigned pick_window(std::size_t n, unsigned bits) {
+/// per position regardless of n. Depends only on (n, bits), so the exact
+/// multiplication sequence is identical on every platform.
+unsigned straus_window(std::size_t n, unsigned bits) {
   unsigned best_w = 1;
   std::uint64_t best_cost = ~std::uint64_t{0};
   for (unsigned w = 1; w <= 7; ++w) {
     const std::uint64_t positions = (bits + w - 1) / w;
     const std::uint64_t table = (std::uint64_t{1} << (w - 1)) - 1;
-    const std::uint64_t mults = n * (table + positions);
-    const std::uint64_t cost = 2 * mults + positions * w;
+    const std::uint64_t cost = 2 * n * (table + positions) + positions * w;
     if (cost < best_cost) {
       best_cost = cost;
       best_w = w;
     }
   }
   return best_w;
+}
+
+/// Straus: per base a table of its powers 1..2^{w-1}, one shared squaring
+/// chain, one table multiply per nonzero digit.
+Fp12 pow_straus(std::span<const Fp12> bases, std::span<const U256> exps,
+                unsigned bits) {
+  const std::size_t n = bases.size();
+  const unsigned w = straus_window(n, bits);
+  std::vector<std::int16_t> digits;
+  const unsigned used = signed_digits(exps, w, bits, digits);
+  const std::size_t tsize = std::size_t{1} << (w - 1);
+  // table[i * tsize + (d - 1)] = bases[i]^d for d = 1..2^{w-1}.
+  std::vector<Fp12> table(n * tsize);
+  for (std::size_t i = 0; i < n; ++i) {
+    Fp12* row = table.data() + i * tsize;
+    row[0] = bases[i];
+    if (tsize >= 2) row[1] = bases[i].cyclotomic_square();
+    for (std::size_t d = 3; d <= tsize; ++d) row[d - 1] = row[d - 2] * bases[i];
+  }
+
+  Fp12 acc = Fp12::one();
+  bool is_one = true;
+  for (unsigned pos = used; pos-- > 0;) {
+    if (!is_one) {
+      for (unsigned s = 0; s < w; ++s) acc = acc.cyclotomic_square();
+    }
+    const std::int16_t* dp = digits.data() + std::size_t{pos} * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const int d = dp[i];
+      if (d > 0) {
+        fold(acc, is_one, table[i * tsize + d - 1]);
+      } else if (d < 0) {
+        fold(acc, is_one, table[i * tsize + (-d) - 1].conjugate());
+      }
+    }
+  }
+  return acc;
+}
+
+/// Bucket window width, same units: per window, n bucket multiplies, about
+/// 2 * 2^{c-1} for the running-product weighting, and c squarings.
+unsigned bucket_window(std::size_t n, unsigned bits) {
+  unsigned best_c = 2;
+  std::uint64_t best_cost = ~std::uint64_t{0};
+  for (unsigned c = 2; c <= 10; ++c) {
+    const std::uint64_t windows = (bits + c - 1) / c;
+    const std::uint64_t cost =
+        windows * (2 * (n + (std::uint64_t{1} << c)) + c);
+    if (cost < best_cost) {
+      best_cost = cost;
+      best_c = c;
+    }
+  }
+  return best_c;
+}
+
+/// Pippenger's buckets in multiplicative notation: per window, top-down,
+/// the accumulator squares c times, every base multiplies into the bucket
+/// of its digit's magnitude (conjugated for a negative digit), and the
+/// running product prod_{k >= j} B_k over j = 2^{c-1}..1 weights bucket k
+/// by k.
+Fp12 pow_buckets(std::span<const Fp12> bases, std::span<const U256> exps,
+                 unsigned bits) {
+  const std::size_t n = bases.size();
+  const unsigned c = bucket_window(n, bits);
+  std::vector<std::int16_t> digits;
+  const unsigned used = signed_digits(exps, c, bits, digits);
+  const std::size_t nb = std::size_t{1} << (c - 1);
+  std::vector<Fp12> bucket(nb);
+  std::vector<char> filled(nb);
+
+  Fp12 acc = Fp12::one();
+  bool acc_one = true;
+  for (unsigned pos = used; pos-- > 0;) {
+    if (!acc_one) {
+      for (unsigned s = 0; s < c; ++s) acc = acc.cyclotomic_square();
+    }
+    std::fill(filled.begin(), filled.end(), 0);
+    const std::int16_t* dp = digits.data() + std::size_t{pos} * n;
+    for (std::size_t i = 0; i < n; ++i) {
+      const int d = dp[i];
+      if (d == 0) continue;
+      const std::size_t k = static_cast<std::size_t>(d > 0 ? d : -d) - 1;
+      bool empty = !filled[k];
+      fold(bucket[k], empty, d > 0 ? bases[i] : bases[i].conjugate());
+      filled[k] = 1;
+    }
+    Fp12 running = Fp12::one();
+    bool running_one = true;
+    for (std::size_t k = nb; k-- > 0;) {
+      if (filled[k]) fold(running, running_one, bucket[k]);
+      if (!running_one) fold(acc, acc_one, running);
+    }
+  }
+  return acc;
+}
+
+Fp12 pow_serial(std::span<const Fp12> bases, std::span<const U256> exps) {
+  unsigned bits = 0;
+  for (const U256& e : exps) bits = std::max(bits, e.bit_length());
+  if (bits == 0) return Fp12::one();  // also the empty input
+  return bases.size() <= kGtStrausMaxBases ? pow_straus(bases, exps, bits)
+                                           : pow_buckets(bases, exps, bits);
 }
 
 }  // namespace
@@ -44,60 +188,46 @@ Fp12 Fp12::multi_pow(std::span<const Fp12> bases, std::span<const U256> exps) {
     throw std::invalid_argument("Fp12::multi_pow: bases/exps size mismatch");
   }
   const std::size_t n = bases.size();
-  if (n == 0) return one();
-  unsigned bits = 0;
-  for (const U256& e : exps) bits = std::max(bits, e.bit_length());
-  if (bits == 0) return one();
+  const std::size_t shards =
+      n < 2 * kGtShardMinBases || parallel::in_worker()
+          ? 1
+          : std::min<std::size_t>(parallel::thread_count(),
+                                  n / kGtShardMinBases);
+  if (shards <= 1) return pow_serial(bases, exps);
+  std::vector<Fp12> part(shards);
+  parallel::parallel_for(shards, [&](std::size_t s) {
+    const std::size_t lo = n * s / shards, hi = n * (s + 1) / shards;
+    part[s] = pow_serial(bases.subspan(lo, hi - lo), exps.subspan(lo, hi - lo));
+  });
+  Fp12 acc = part[0];
+  for (std::size_t s = 1; s < shards; ++s) acc *= part[s];
+  return acc;
+}
 
-  const unsigned w = pick_window(n, bits);
-  const std::uint64_t half = std::uint64_t{1} << (w - 1);
-  const std::size_t tsize = half;
-  // table[i * tsize + (d - 1)] = bases[i]^d for d = 1..2^{w-1}: half the
-  // unsigned table — negative digits read the same entry and conjugate.
-  std::vector<Fp12> table(n * tsize);
-  for (std::size_t i = 0; i < n; ++i) {
-    Fp12* row = table.data() + i * tsize;
-    row[0] = bases[i];
-    if (tsize >= 2) row[1] = bases[i].cyclotomic_square();
-    for (std::size_t d = 3; d <= tsize; ++d) row[d - 1] = row[d - 2] * bases[i];
+GtComb::GtComb(const Fp12& g) : table_(std::size_t{1} << kRows) {
+  table_[0] = Fp12::one();
+  table_[1] = g;
+  for (unsigned i = 1; i < kRows; ++i) {
+    Fp12 x = table_[std::size_t{1} << (i - 1)];
+    for (unsigned s = 0; s < kCols; ++s) x = x.cyclotomic_square();
+    table_[std::size_t{1} << i] = x;
   }
-
-  // Signed window digits in [-(2^{w-1} - 1), 2^{w-1}] with carry, extracted
-  // position-major (the carry can push one position past bits/w).
-  const unsigned positions = (bits + w - 1) / w + 1;
-  std::vector<std::int8_t> digits(std::size_t{positions} * n);
-  unsigned used = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t carry = 0;
-    for (unsigned pos = 0; pos < positions; ++pos) {
-      std::uint64_t raw = exps[i].extract_window(pos * w, w) + carry;
-      std::int8_t d;
-      if (raw > half) {
-        d = static_cast<std::int8_t>(static_cast<int>(raw) - (1 << w));
-        carry = 1;
-      } else {
-        d = static_cast<std::int8_t>(raw);
-        carry = 0;
-      }
-      digits[std::size_t{pos} * n + i] = d;
-      if (d != 0 && pos + 1 > used) used = pos + 1;
-    }
+  for (std::size_t j = 3; j < table_.size(); ++j) {
+    const std::size_t low = j & (~j + 1);
+    if (low != j) table_[j] = table_[j - low] * table_[low];
   }
+}
 
-  Fp12 acc = one();
-  for (unsigned pos = used; pos-- > 0;) {
-    if (pos + 1 != used) {
-      for (unsigned s = 0; s < w; ++s) acc = acc.cyclotomic_square();
+Fp12 GtComb::pow(const U256& e) const {
+  Fp12 acc = Fp12::one();
+  bool is_one = true;
+  for (unsigned col = kCols; col-- > 0;) {
+    if (!is_one) acc = acc.cyclotomic_square();
+    std::size_t idx = 0;
+    for (unsigned i = 0; i < kRows; ++i) {
+      idx |= std::size_t{e.bit(i * kCols + col)} << i;
     }
-    const std::int8_t* dp = digits.data() + std::size_t{pos} * n;
-    for (std::size_t i = 0; i < n; ++i) {
-      const int d = dp[i];
-      if (d > 0) {
-        acc *= table[i * tsize + d - 1];
-      } else if (d < 0) {
-        acc *= table[i * tsize + (-d) - 1].conjugate();
-      }
-    }
+    if (idx != 0) fold(acc, is_one, table_[idx]);
   }
   return acc;
 }

@@ -5,7 +5,9 @@
 // once at init (see tower_consts.cpp) rather than hard-coded.
 #pragma once
 
+#include <cstddef>
 #include <span>
+#include <vector>
 
 #include "field/fp6.hpp"
 
@@ -23,6 +25,44 @@ struct TowerConsts {
   Fp2 twist_frob2_y;            // xi^{(p^2-1)/2}
 };
 const TowerConsts& tower_consts();
+
+/// Largest multi_pow input (or shard) that runs Straus instead of buckets.
+/// Measured crossover, random GT bases with dense 128-bit exponents (the
+/// settlement weights), us per call of each engine called directly, one
+/// thread, g++ -O3, 4-core shared x86-64 host; median of 5 alternated
+/// calls, two passes:
+///
+///      n    Straus          buckets         Straus / buckets
+///      8     2852            3772            0.76
+///     16     5375            6202            0.87
+///     24     7977            8426            0.95
+///     32    10107 /  7757   10225 /  6385    0.99 / 1.21
+///     48    15205 / 10093   14057 /  9115    1.08 / 1.11
+///     64    20010 / 12122   16551 / 11068    1.21 / 1.10
+///    128    39245 / 27601   29965 / 20396    1.31 / 1.35
+///    346    86122 / 63515   45611 / 43129    1.89 / 1.47
+///    900   196474 / 235777 100441 / 127944   1.96 / 1.84
+///
+/// Straus pays a 2^{w-1}-entry table per base; buckets pay 2^{c-1} bucket
+/// weightings per window, which a few dozen bases amortize.
+inline constexpr std::size_t kGtStrausMaxBases = 32;
+
+/// Fewest bases per multi_pow shard: an input shards over the pool only
+/// from 2 * kGtShardMinBases bases, into at most n / kGtShardMinBases
+/// ranges. Every range pays its own squaring chain, so tiny ranges lose.
+/// Same host, 4 threads, us per call (median of 7):
+///
+///      n    serial   2 shards   4 shards
+///      2      861      1122
+///      4     1298      1415       1487
+///      8     2467      1840       1179
+///     16     5547      3239       1948
+///    346    42409     33517      22906
+///    900   138893     79680      52155
+///
+/// At 4 the split starts to pay; bisection's 2- and 3-round ranges stay
+/// serial.
+inline constexpr std::size_t kGtShardMinBases = 4;
 
 class Fp12 {
  public:
@@ -111,39 +151,40 @@ class Fp12 {
                 (t7 + c1.c2).dbl() + t7}};
   }
 
-  /// GT exponentiation by an arbitrary 256-bit integer: LSB-first
-  /// square-and-multiply with cyclotomic squarings. The one single-base GT
-  /// ladder (final exponentiation, subgroup check, the prover's R) and the
-  /// differential oracle for multi_pow. Only valid on elements of the
-  /// cyclotomic subgroup (every GT element qualifies).
+  /// GT exponentiation by an arbitrary 256-bit integer: multi_pow's n = 1
+  /// case, an MSB-first signed-window ladder (w = 4 for the 63-bit u and the
+  /// 127-bit 6u^2, 5 for a 254-bit scalar) of cyclotomic squarings whose
+  /// negative digits multiply by free conjugates. The one single-base GT
+  /// ladder: the final exponentiation's u-powers, gt_in_subgroup's 6u^2 and
+  /// the prover's R when it holds no ProverKey. Only valid on elements of
+  /// the cyclotomic subgroup (every GT element qualifies); the textbook
+  /// pow_u256 below is its oracle.
   Fp12 cyclotomic_pow_u256(const U256& e) const {
-    Fp12 result = one();
-    Fp12 base = *this;
-    unsigned n = e.bit_length();
-    for (unsigned i = 0; i < n; ++i) {
-      if (e.bit(i)) result *= base;
-      base = base.cyclotomic_square();
-    }
-    return result;
+    return multi_pow(std::span<const Fp12>(this, 1),
+                     std::span<const U256>(&e, 1));
   }
 
-  /// GT multi-exponentiation: prod_i bases[i]^{exps[i]} with ONE shared
-  /// cyclotomic squaring chain for the whole batch (Straus interleaving —
-  /// the same shared-doubling idea as the Pippenger MSM, in multiplicative
-  /// notation). Per base: a small table of window powers plus one table
-  /// multiply per nonzero digit; per batch: max_bits squarings total,
-  /// instead of max_bits *per element*. The window width is chosen at
-  /// runtime from (n, max_bits) by a deterministic cost model; the shared
-  /// chain uses Granger–Scott cyclotomic squarings. Same contract as every cyclotomic_*: inputs must lie in the cyclotomic
-  /// subgroup (every GT element qualifies). The per-element
-  /// cyclotomic_pow_u256 ladder is retained as the differential oracle.
-  /// Throws std::invalid_argument on bases/exps length mismatch.
+  /// GT multi-exponentiation: prod_i bases[i]^{exps[i]}. Same contract as
+  /// every cyclotomic_*: inputs must lie in the cyclotomic subgroup (every
+  /// GT element qualifies). Throws std::invalid_argument on bases/exps
+  /// length mismatch.
   ///
-  /// The tables are signed-digit: window digits run in [-2^{w-1}, 2^{w-1}]
-  /// with a carry, so each base stores only the powers 1..2^{w-1} — half the
-  /// unsigned table and its cache pressure — and negative digits multiply by
-  /// the conjugate, which inverts for free on the unit-norm cyclotomic
-  /// subgroup.
+  /// From 2 * kGtShardMinBases bases on, the bases split into contiguous
+  /// ranges, one per pool thread and at least kGtShardMinBases each, and
+  /// the range products multiply back in range order. The product is
+  /// exact, so the output is the same field element at every thread count.
+  /// Each range (or the whole input below the threshold) runs one of two
+  /// shared-squaring engines, both over signed window digits in
+  /// [-(2^{w-1} - 1), 2^{w-1}] whose negatives multiply by the conjugate
+  /// (the inverse on the unit-norm cyclotomic subgroup):
+  ///   - up to kGtStrausMaxBases bases, Straus: one table of powers
+  ///     1..2^{w-1} per base and one squaring chain for the batch, with w
+  ///     from a deterministic cost model in (n, max_bits);
+  ///   - above, Pippenger's buckets: per window, each base multiplies into
+  ///     its digit's bucket, and a running product weights the buckets.
+  /// The crossover and the threshold are measured (see their constants);
+  /// BM_GtMultiPow times the whole call. The textbook per-element pow_u256
+  /// is the oracle.
   static Fp12 multi_pow(std::span<const Fp12> bases, std::span<const U256> exps);
 
   /// p^6-power Frobenius; for elements of the cyclotomic subgroup (unit
@@ -211,7 +252,9 @@ class Fp12 {
     return result;
   }
 
-  /// Exponentiation by a canonical Fr scalar (for GT^z in the sigma layer).
+  /// Textbook LSB-first square-and-multiply with generic squarings, valid
+  /// on any Fp12 element: the differential oracle for every GT
+  /// exponentiation (cyclotomic_pow_u256, multi_pow, GtComb).
   Fp12 pow_u256(const U256& e) const {
     Fp12 result = one();
     Fp12 base = *this;
@@ -224,6 +267,30 @@ class Fp12 {
   }
 
   friend bool operator==(const Fp12& a, const Fp12& b) = default;
+};
+
+/// Lim–Lee fixed-base comb (CRYPTO 1994) over one GT element g: the 256
+/// exponent bits form kRows rows of kCols bits, and table[j] holds
+/// prod_{i : bit i of j} g^{2^{kCols * i}}. A power then reads one entry
+/// per column, MSB column first: kCols - 1 cyclotomic squarings and at most
+/// kCols multiplies, against ~254 squarings for a ladder. 256 entries,
+/// 98,304 B; the build costs 224 squarings and 247 multiplies.
+class GtComb {
+ public:
+  static constexpr unsigned kRows = 8;
+  static constexpr unsigned kCols = 32;
+
+  GtComb() = default;
+  /// g must lie in the cyclotomic subgroup (every GT element qualifies).
+  explicit GtComb(const Fp12& g);
+
+  /// g^e, the same field element as g.pow_u256(e). Requires !empty().
+  Fp12 pow(const U256& e) const;
+  bool empty() const { return table_.empty(); }
+  std::size_t bytes() const { return table_.size() * sizeof(Fp12); }
+
+ private:
+  std::vector<Fp12> table_;  // 2^kRows entries; table_[0] = 1
 };
 
 }  // namespace dsaudit::ff

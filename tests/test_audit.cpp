@@ -402,24 +402,79 @@ TEST(AuditProver, KeyTableMatchesColdPath) {
 
 TEST(AuditProver, KeyMemoryAndMismatch) {
   // s = 4 (scale-basic's shape): two compact tables, power 0 on the
-  // generator table — small enough that a 16-key pool adds ~1 MB. A key
-  // built from any other powers is refused at construction, including one
-  // that differs from pk only in a middle power.
+  // generator table — small enough that a 16-key pool adds ~1 MB — plus the
+  // comb for R, exactly 98,304 B (another ~1.57 MB for 16 keys). A key
+  // built from any other powers or another e(g1, eps) is refused at
+  // construction, including one that differs from pk only in a middle
+  // power, and one that differs only in e(g1, eps) (the same alpha with
+  // another x).
+  constexpr std::size_t kComb = 98'304;
   auto rng = SecureRng::deterministic(452);
   Scenario sc = make_scenario(2000, 4, rng);
+  EXPECT_EQ(ff::GtComb(sc.kp.pk.e_g1_epsilon).bytes(), kComb);
   const auto key = ProverKey::build(sc.kp.pk);
-  EXPECT_LE(key->bytes(), std::size_t{64'000});
+  EXPECT_LE(key->bytes(), std::size_t{64'000} + kComb);
+  PublicKey no_gt = sc.kp.pk;  // a key without e(g1, eps) builds no comb
+  no_gt.e_g1_epsilon = Fp12::zero();
+  EXPECT_EQ(key->bytes(), ProverKey::build(no_gt)->bytes() + kComb);
   const auto wide = ProverKey::build(keygen(20, rng).pk);
-  EXPECT_LE(wide->bytes(), std::size_t{100'000});
+  EXPECT_LE(wide->bytes(), std::size_t{100'000} + kComb);
   PublicKey mid = sc.kp.pk;
   ASSERT_EQ(mid.g1_alpha_powers.size(), 3u);
   mid.g1_alpha_powers[1] = curve::g1_random(rng);
+  PublicKey eps = sc.kp.pk;
+  eps.e_g1_epsilon = eps.e_g1_epsilon.cyclotomic_square();
   const KeyPair other = keygen(4, rng);
-  for (const PublicKey& pk : {other.pk, mid}) {
+  for (const PublicKey& pk : {other.pk, mid, eps}) {
     const auto foreign = ProverKey::build(pk);
     EXPECT_FALSE(foreign->matches(sc.kp.pk));
     EXPECT_THROW(Prover(sc.kp.pk, sc.file, sc.tag, foreign),
                  std::invalid_argument);
+  }
+}
+
+TEST(AuditProver, CombMatchesPowOracle) {
+  // The ProverKey comb (8 rows of 32 columns) against the textbook
+  // pow_u256, over a keygen key's e(g1, eps) and a random GT base: 0, 1, 2,
+  // r - 1, every column boundary 2^{32k} and the bit below it, one column
+  // with all 8 rows set, and bits 224..253 (the top row's live bits).
+  auto rng = SecureRng::deterministic(453);
+  const KeyPair kp = keygen(3, rng);
+  PublicKey random_base = kp.pk;
+  random_base.e_g1_epsilon =
+      pairing::pairing(curve::g1_random(rng), curve::g2_random(rng));
+  ff::U256 rm1;
+  bigint::sub_with_borrow(Fr::modulus(), ff::U256{1}, rm1);
+  std::vector<ff::U256> exps = {ff::U256{0}, ff::U256{1}, ff::U256{2}, rm1};
+  for (unsigned k = 0; k < 8; ++k) {
+    ff::U256 edge{};
+    edge.limb[k / 2] = std::uint64_t{1} << (32 * (k % 2));
+    exps.push_back(edge);  // 2^{32k}
+    if (k > 0) {
+      ff::U256 below{};
+      below.limb[(32 * k - 1) / 64] = std::uint64_t{1} << ((32 * k - 1) % 64);
+      exps.push_back(below);  // 2^{32k - 1}, the previous column's top
+    }
+  }
+  for (unsigned col : {0u, 17u, 29u}) {
+    ff::U256 column{};
+    for (unsigned row = 0; row < 8; ++row) {
+      const unsigned b = 32 * row + col;
+      column.limb[b / 64] |= std::uint64_t{1} << (b % 64);
+    }
+    exps.push_back(column);
+  }
+  ff::U256 top{};
+  for (unsigned b = 224; b < 254; ++b) {
+    top.limb[b / 64] |= std::uint64_t{1} << (b % 64);
+  }
+  exps.push_back(top);
+  exps.push_back(Fr::random(rng).to_u256());
+  for (const PublicKey& pk : {kp.pk, random_base}) {
+    const auto key = ProverKey::build(pk);
+    for (const ff::U256& e : exps) {
+      EXPECT_EQ(key->epsilon_pow(e), pk.e_g1_epsilon.pow_u256(e)) << e.to_hex();
+    }
   }
 }
 

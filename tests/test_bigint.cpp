@@ -171,6 +171,17 @@ TEST(U256, ExtractWindowEdges) {
   EXPECT_EQ(v.extract_window(60, 8), (5u << 4) | 0x8u);
 }
 
+TEST(U256, BitPastTopReadsZero) {
+  // A comb whose rows * columns exceed 256 probes bits past the top; they
+  // read as zero, as extract_window's do, instead of past the limb array.
+  U256 ones{~0ULL, ~0ULL, ~0ULL, ~0ULL};
+  EXPECT_TRUE(ones.bit(0));
+  EXPECT_TRUE(ones.bit(255));
+  for (unsigned i : {256u, 257u, 300u, 319u, 320u, 1000u}) {
+    EXPECT_FALSE(ones.bit(i)) << i;
+  }
+}
+
 TEST(U256, BitLength) {
   EXPECT_EQ(U256{}.bit_length(), 0u);
   EXPECT_EQ(U256{1}.bit_length(), 1u);

@@ -217,6 +217,34 @@ TEST(Fp12Ops, CyclotomicSquareMatchesGenericOnCyclotomicElements) {
   EXPECT_EQ(g.cyclotomic_pow_u256(ff::U256{ff::kBnParamT}), g.pow_u64(ff::kBnParamT));
 }
 
+TEST(Fp12Ops, SignedWindowLadderMatchesTextbookPow) {
+  // cyclotomic_pow_u256 (multi_pow at n = 1: MSB-first signed windows with
+  // a carry) against the textbook pow_u256 on digit and carry edges: small
+  // values around one window, all-ones runs, 254 one-bits (the carry leaves
+  // the top window), u and 6u^2 (the final exponentiation's and
+  // gt_in_subgroup's exponents), r - 1 and random scalars.
+  auto rng = SecureRng::deterministic(78);
+  const Fp12 g = pairing(curve::g1_random(rng), curve::g2_random(rng));
+  const bigint::VarUInt u{ff::kBnParamT};
+  const ff::U256 u_sq6 = (bigint::VarUInt{6} * u * u).to_u256();
+  ff::U256 rm1;
+  bigint::sub_with_borrow(Fr::modulus(), ff::U256{1}, rm1);
+  std::vector<ff::U256> exps = {ff::U256{0}, ff::U256{1}, ff::U256{7},
+                                ff::U256{8}, ff::U256{9},
+                                ff::U256{ff::kBnParamT}, u_sq6, rm1};
+  for (unsigned k : {1u, 4u, 5u, 16u, 63u, 64u, 65u, 128u, 200u, 254u}) {
+    ff::U256 ones{};
+    for (unsigned b = 0; b < k; ++b) {
+      ones.limb[b / 64] |= std::uint64_t{1} << (b % 64);
+    }
+    exps.push_back(ones);  // 2^k - 1; k = 254 is the top-digit carry
+  }
+  for (int i = 0; i < 4; ++i) exps.push_back(Fr::random(rng).to_u256());
+  for (const ff::U256& e : exps) {
+    EXPECT_EQ(g.cyclotomic_pow_u256(e), g.pow_u256(e)) << e.to_hex();
+  }
+}
+
 TEST(Fp12Ops, DirectFrobeniusPowersMatchIterated) {
   auto rng = SecureRng::deterministic(77);
   for (int i = 0; i < 3; ++i) {

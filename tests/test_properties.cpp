@@ -12,6 +12,7 @@
 #include "primitives/prp.hpp"
 #include "kzg/kzg.hpp"
 #include "pairing/pairing.hpp"
+#include "parallel/thread_pool.hpp"
 #include "storage/erasure.hpp"
 
 namespace dsaudit {
@@ -240,8 +241,8 @@ TEST(Properties, AuthenticatorHomomorphism) {
 
 // ---------------------------------------------------------------------------
 // GT multi-exponentiation: Fp12::multi_pow pinned bit-identical to the
-// retained naive per-element ladder, across batch shapes and exponent edge
-// cases, plus GT-subgroup closure.
+// textbook per-element pow_u256, across batch shapes (both engines, serial
+// and sharded) and exponent edge cases, plus GT-subgroup closure.
 // ---------------------------------------------------------------------------
 
 /// Random GT elements: powers of one pairing output (stays in the order-r
@@ -256,12 +257,19 @@ std::vector<ff::Fp12> random_gt_elements(std::size_t n, const ff::Fp12& g,
 }
 
 TEST(GtMultiExp, MatchesNaivePerElementOracle) {
+  // n = 346 and 900 (the churn and private window sizes) lie above both
+  // kGtShardMinBases and kGtStrausMaxBases; each n runs at 1, 2 and 8
+  // threads, so serial and sharded Straus and buckets all meet the oracle.
+  static_assert(346 / ff::kGtShardMinBases >= 8 &&
+                346 / 8 > ff::kGtStrausMaxBases);
+  const unsigned original = parallel::thread_count();
   auto rng = SecureRng::deterministic(1100);
   ff::Fp12 g = pairing::pairing(curve::g1_random(rng), curve::g2_random(rng));
   ff::U256 rm1;
   bigint::sub_with_borrow(ff::Fr::modulus(), ff::U256{1}, rm1);
   for (std::size_t n : {std::size_t{0}, std::size_t{1}, std::size_t{2},
-                        std::size_t{17}, std::size_t{64}}) {
+                        std::size_t{17}, std::size_t{64}, std::size_t{346},
+                        std::size_t{900}}) {
     auto bases = random_gt_elements(n, g, rng);
     std::vector<ff::U256> exps(n);
     for (std::size_t i = 0; i < n; ++i) {
@@ -276,12 +284,15 @@ TEST(GtMultiExp, MatchesNaivePerElementOracle) {
       }
     }
     ff::Fp12 expect = ff::Fp12::one();
-    for (std::size_t i = 0; i < n; ++i) {
-      expect *= bases[i].cyclotomic_pow_u256(exps[i]);
+    for (std::size_t i = 0; i < n; ++i) expect *= bases[i].pow_u256(exps[i]);
+    for (unsigned width : {1u, 2u, 8u}) {
+      parallel::set_thread_count(width);
+      ff::Fp12 got = ff::Fp12::multi_pow(bases, exps);
+      // bit-identical field element
+      EXPECT_TRUE(got == expect) << "n=" << n << " threads=" << width;
     }
-    ff::Fp12 got = ff::Fp12::multi_pow(bases, exps);
-    EXPECT_TRUE(got == expect) << "n=" << n;  // bit-identical field element
   }
+  parallel::set_thread_count(original);
 }
 
 TEST(GtMultiExp, HomogeneousEdgeExponents) {
@@ -313,9 +324,9 @@ TEST(GtMultiExp, HomogeneousEdgeExponents) {
 }
 
 TEST(GtMultiExp, SignedDigitsMatchPerElementLadder) {
-  // The signed-digit Straus engine (half-size tables, conjugate negatives)
-  // must agree with its one oracle, the per-element cyclotomic_pow_u256
-  // ladder, on every batch shape and on carry-adversarial exponents
+  // The signed-digit engines (half-size Straus tables or buckets, conjugate
+  // negatives) must agree with their one oracle, the per-element
+  // pow_u256, on every batch shape and on carry-adversarial exponents
   // (all-ones windows force the signed recoder to carry through the entire
   // length).
   auto rng = SecureRng::deterministic(1103);
@@ -340,9 +351,7 @@ TEST(GtMultiExp, SignedDigitsMatchPerElementLadder) {
     }
     ff::Fp12 s = ff::Fp12::multi_pow(bases, exps);
     ff::Fp12 expect = ff::Fp12::one();
-    for (std::size_t i = 0; i < n; ++i) {
-      expect *= bases[i].cyclotomic_pow_u256(exps[i]);
-    }
+    for (std::size_t i = 0; i < n; ++i) expect *= bases[i].pow_u256(exps[i]);
     EXPECT_TRUE(s == expect) << "n=" << n;
   }
 }
