@@ -7,7 +7,6 @@
 
 #include "audit/serialize.hpp"
 #include "bench/bench_util.hpp"
-#include "kzg/kzg.hpp"
 #include "pairing/pairing.hpp"
 #include "parallel/thread_pool.hpp"
 
@@ -195,48 +194,6 @@ void BM_MultiPairing4Prepared(benchmark::State& state) {
 }
 BENCHMARK(BM_MultiPairing4Prepared);
 
-kzg::Srs& srs4096() {
-  static kzg::Srs srs = kzg::make_srs(ff::Fr::random(rng()), 4096);
-  return srs;
-}
-
-void BM_MakeSrs(benchmark::State& state) {
-  ff::Fr alpha = ff::Fr::random(rng());
-  std::size_t deg = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kzg::make_srs(alpha, deg));
-  }
-}
-BENCHMARK(BM_MakeSrs)->Arg(256)->Arg(4096);
-
-/// Commit through the cold MSM path (no prepared key).
-void BM_KzgCommit(benchmark::State& state) {
-  std::size_t deg = static_cast<std::size_t>(state.range(0));
-  static kzg::Srs srs256 = kzg::make_srs(ff::Fr::random(rng()), 256);
-  kzg::Srs& srs = deg <= 256 ? srs256 : srs4096();
-  poly::Polynomial p = poly::Polynomial::random(deg, rng());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kzg::commit(srs, p));
-  }
-}
-BENCHMARK(BM_KzgCommit)->Arg(256)->Arg(4096);
-
-/// Commit with Srs::prepare()'s shifted-base key (the production path for
-/// anything that commits more than a handful of times).
-void BM_KzgCommitPrepared(benchmark::State& state) {
-  static kzg::Srs srs = [] {
-    kzg::Srs s = srs4096();
-    s.prepare();
-    return s;
-  }();
-  std::size_t deg = static_cast<std::size_t>(state.range(0));
-  poly::Polynomial p = poly::Polynomial::random(deg, rng());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kzg::commit(srs, p));
-  }
-}
-BENCHMARK(BM_KzgCommitPrepared)->Arg(256)->Arg(4096);
-
 struct ProveFixture {
   benchutil::Scenario sc;
   std::unique_ptr<audit::Prover> prover;
@@ -318,32 +275,6 @@ void BM_VerifyPrivatePrepared_k300(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_VerifyPrivatePrepared_k300);
-
-void BM_KzgVerify(benchmark::State& state) {
-  static kzg::Srs srs = kzg::make_srs(ff::Fr::random(rng()), 256);
-  poly::Polynomial p = poly::Polynomial::random(200, rng());
-  auto c = kzg::commit(srs, p);
-  auto o = kzg::open(srs, p, ff::Fr::random(rng()));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kzg::verify(srs, c, o));
-  }
-}
-BENCHMARK(BM_KzgVerify);
-
-void BM_KzgVerifyPrepared(benchmark::State& state) {
-  static kzg::Srs srs = [] {
-    kzg::Srs s = kzg::make_srs(ff::Fr::random(rng()), 256);
-    s.prepare();
-    return s;
-  }();
-  poly::Polynomial p = poly::Polynomial::random(200, rng());
-  auto c = kzg::commit(srs, p);
-  auto o = kzg::open(srs, p, ff::Fr::random(rng()));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(kzg::verify(srs, c, o));
-  }
-}
-BENCHMARK(BM_KzgVerifyPrepared);
 
 // ---------------------------------------------------------------------------
 // Thread scaling: the same hot paths with the parallel layer pinned to 1, 2,

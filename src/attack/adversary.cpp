@@ -221,12 +221,6 @@ AdversaryRoster AdversaryRoster::random(std::uint64_t seed,
   return roster;
 }
 
-std::size_t AdversaryRoster::adversary_count() const {
-  std::size_t n = 0;
-  for (const auto& s : by_provider) n += s != nullptr;
-  return n;
-}
-
 std::string AdversaryRoster::describe() const {
   std::ostringstream out;
   for (std::size_t p = 0; p < by_provider.size(); ++p) {

@@ -234,7 +234,6 @@ struct AdversaryRoster {
   static AdversaryRoster random(std::uint64_t seed, std::size_t num_providers,
                                 std::size_t max_adversaries = 2);
 
-  std::size_t adversary_count() const;
   /// One line per adversarial provider, for failure replay.
   std::string describe() const;
 };

@@ -30,7 +30,6 @@ class VarUInt {
   bool is_odd() const { return !limbs_.empty() && (limbs_[0] & 1); }
   unsigned bit_length() const;
   bool bit(unsigned i) const;
-  std::size_t limb_count() const { return limbs_.size(); }
   u64 limb(std::size_t i) const { return i < limbs_.size() ? limbs_[i] : 0; }
 
   /// Truncate to the low 256 bits. Throws std::overflow_error if the value

@@ -24,7 +24,7 @@ struct GasSchedule {
   std::uint64_t calldata_zero_byte = 4;
   std::uint64_t storage_word = 20000;  // SSTORE of a fresh 32-byte word
   std::uint64_t log_byte = 8;
-  /// Extrapolation coefficient; see anchor_verify_gas_per_ms().
+  /// Extrapolation coefficient; see calibrated().
   double verify_gas_per_ms = 0.0;
 
   /// Solve verify_gas_per_ms so that a proof of `anchor_proof_bytes` (all

@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "audit/serialize.hpp"
+#include "econ/cost_model.hpp"
 
 namespace dsaudit::contract {
 
@@ -13,14 +14,13 @@ BatchSettlement::BatchSettlement(std::uint64_t seed_nonce)
     : nonce_rng_(primitives::SecureRng::deterministic(seed_nonce ^
                                                       0xB47C55E771E3E27FULL)) {}
 
-void BatchSettlement::enable_aggregate_tx(econ::AuditCostModel cost) {
+void BatchSettlement::enable_aggregate_tx() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!pending_.empty() || stats_.batches != 0) {
     throw std::logic_error(
         "BatchSettlement: enable_aggregate_tx after settlement started");
   }
   aggregate_ = true;
-  cost_ = std::move(cost);
 }
 
 std::optional<audit::AggregateSettlement> BatchSettlement::last_aggregate()
@@ -188,7 +188,8 @@ void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
     ctx.from = "settlement";
     ctx.description = "settle-window";
     ctx.payload_bytes = payload.size();
-    ctx.gas_used = cost_.gas_per_window_tx(tx.rounds);
+    static const econ::AuditCostModel cost;
+    ctx.gas_used = cost.gas_per_window_tx(tx.rounds);
     agg_bytes = ctx.payload_bytes;
     agg_gas = ctx.gas_used;
     chain_ptr->submit(ctx);

@@ -50,7 +50,6 @@
 
 #include "audit/protocol.hpp"
 #include "chain/blockchain.hpp"
-#include "econ/cost_model.hpp"
 #include "primitives/random.hpp"
 
 namespace dsaudit::contract {
@@ -101,9 +100,9 @@ class BatchSettlement {
 
   /// Turn on aggregate window txs (see the header comment). Must be called
   /// before the first enqueue; the tx is submitted to the chain the rounds
-  /// were enqueued against, priced by `cost` (default: the calibrated
-  /// aggregate rows).
-  void enable_aggregate_tx(econ::AuditCostModel cost = {});
+  /// were enqueued against, priced by the calibrated aggregate rows of
+  /// econ::AuditCostModel.
+  void enable_aggregate_tx();
 
   /// The most recently posted aggregate window tx (nullopt before the first
   /// aggregate flush): what the on-chain verifier and the adversarial tests
@@ -168,7 +167,6 @@ class BatchSettlement {
   chain::Timestamp last_instant_ = 0;
   bool any_instant_ = false;
   bool aggregate_ = false;
-  econ::AuditCostModel cost_;
   /// The chain the rounds were enqueued against — the one the window
   /// barriers run on and the flush posts the window tx to. All contracts of
   /// one engine share one chain.

@@ -4,8 +4,8 @@
 // generators, an audit key's SRS powers), store multiples of B at every
 // w-bit window position, batch-normalized to affine. A scalar multiplication
 // is then one mixed addition per nonzero window digit and *zero* doublings.
-// make_srs, kzg::verify and the audit protocol's generator and psi
-// multiplications all sit on this.
+// keygen's SRS powers, the verifiers' generator multiplications and the
+// audit prover's psi all sit on this.
 //
 // Two layouts, picked by the group:
 //   - G1 (HasEndomorphism): k GLV-splits into k1 + k2 * lambda with

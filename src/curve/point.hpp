@@ -291,10 +291,6 @@ class Point {
            p.y_ * z2z2 * q.z_ == q.y_ * z1z1 * p.z_;
   }
 
-  const F& jac_x() const { return x_; }
-  const F& jac_y() const { return y_; }
-  const F& jac_z() const { return z_; }
-
  private:
   F x_, y_, z_;
 };
@@ -903,10 +899,11 @@ P msm(std::span<const P> points, std::span<const Fr> scalars) {
 }
 
 /// Precomputed shifted bases for repeated G1 MSMs over a fixed base set (a
-/// KZG SRS, a commitment key, the verifier's H(name||i)). Lookups always
-/// GLV-split the scalars, so the table covers only the half-scalar digit
-/// positions, signed_digit_positions(c, true) of them; row t holds [2^{ct} * B_i for i < n | their n phi images]:
-/// pts[t * 2n + i] and pts[t * 2n + n + i], in affine. With these, every
+/// key's SRS powers, a file's tag sigmas, the verifier's H(name||i)).
+/// Lookups always GLV-split the scalars, so the table covers only the
+/// half-scalar digit positions, signed_digit_positions(c, true) of them; row
+/// t holds [2^{ct} * B_i for i < n | their n phi images]: pts[t * 2n + i]
+/// and pts[t * 2n + n + i], in affine. With these, every
 /// digit position of every scalar lands in one shared bucket space, so an
 /// MSM needs no doublings, a single reduction, and ~25% fewer additions than
 /// the cold path — at ~positions*2n*72 bytes of memory and a one-time build

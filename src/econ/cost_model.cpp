@@ -62,10 +62,6 @@ std::uint64_t AuditCostModel::repair_gas(std::size_t tag_bytes) const {
          gas.storage_word * ((record_bytes + 31) / 32);
 }
 
-double AuditCostModel::repair_usd(std::size_t tag_bytes) const {
-  return price.usd(repair_gas(tag_bytes));
-}
-
 double contract_fee_usd(const AuditCostModel& model, unsigned duration_days,
                         double audits_per_day, unsigned num_providers) {
   if (audits_per_day <= 0 || num_providers == 0) {

@@ -80,7 +80,6 @@ struct AuditCostModel {
   /// storage tx of the original deployment. Deterministic in tag_bytes
   /// alone, like every other settlement figure.
   std::uint64_t repair_gas(std::size_t tag_bytes) const;
-  double repair_usd(std::size_t tag_bytes) const;
 };
 
 /// Fig. 6: total auditing fees over a contract, with a tunable frequency and

@@ -271,10 +271,6 @@ class PrimeField {
 
   friend bool operator==(const PrimeField& a, const PrimeField& b) = default;
 
-  /// Raw Montgomery limbs (serialization of internal state for hashing
-  /// would be non-canonical; use to_bytes() instead). Exposed for tests.
-  const U256& mont_repr() const { return v_; }
-
  private:
   static bigint::U512 widen(const U256& v) {
     return bigint::U512{{v.limb[0], v.limb[1], v.limb[2], v.limb[3], 0, 0, 0, 0}};

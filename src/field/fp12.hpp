@@ -239,19 +239,6 @@ class Fp12 {
     return r;
   }
 
-  /// Exponentiation by the |t| BN parameter (used by the fast final
-  /// exponentiation) or any u64.
-  Fp12 pow_u64(u64 e) const {
-    Fp12 result = one();
-    Fp12 base = *this;
-    while (e != 0) {
-      if (e & 1) result *= base;
-      base = base.square();
-      e >>= 1;
-    }
-    return result;
-  }
-
   /// Textbook LSB-first square-and-multiply with generic squarings, valid
   /// on any Fp12 element: the differential oracle for every GT
   /// exponentiation (cyclotomic_pow_u256, multi_pow, GtComb).

@@ -71,9 +71,6 @@ FaultView::FaultView(const FaultSchedule& schedule, std::size_t num_providers,
     Provider& p = providers_[ev.provider];
     switch (ev.kind) {
       case FaultKind::Crash:
-        p.crashed_at = std::min(p.crashed_at, ev.at);
-        p.silent_from = std::min(p.silent_from, ev.at);
-        break;
       case FaultKind::EarlyExit:
         p.silent_from = std::min(p.silent_from, ev.at);
         break;
@@ -104,11 +101,6 @@ bool FaultView::available(std::size_t provider, chain::Timestamp t) const {
     if (t >= gap.begin && t < gap.end) return false;
   }
   return true;
-}
-
-bool FaultView::crashed_by(std::size_t provider, chain::Timestamp t) const {
-  if (provider >= providers_.size()) return false;
-  return t >= providers_[provider].crashed_at;
 }
 
 }  // namespace dsaudit::sim

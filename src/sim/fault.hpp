@@ -92,8 +92,6 @@ class FaultView {
   /// True iff the provider answers challenges issued at instant `t`:
   /// not crashed, not exited, not inside an offline/proof-fault gap.
   bool available(std::size_t provider, chain::Timestamp t) const;
-  /// True iff the provider is permanently gone at/after `t` (Crash).
-  bool crashed_by(std::size_t provider, chain::Timestamp t) const;
 
  private:
   struct Interval {
@@ -104,7 +102,6 @@ class FaultView {
     std::vector<Interval> gaps;
     chain::Timestamp silent_from =
         std::numeric_limits<chain::Timestamp>::max();  // crash or exit
-    chain::Timestamp crashed_at = std::numeric_limits<chain::Timestamp>::max();
   };
   std::vector<Provider> providers_;
 };

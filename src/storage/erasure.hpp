@@ -21,7 +21,6 @@ class ReedSolomon {
 
   std::size_t data_shards() const { return k_; }
   std::size_t parity_shards() const { return m_; }
-  std::size_t total_shards() const { return k_ + m_; }
 
   /// Split `data` into k data shards (zero-padded to equal length) and
   /// compute m parity shards. Returns k+m shards of equal size.

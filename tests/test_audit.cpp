@@ -114,6 +114,35 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.s) + "_k" + std::to_string(info.param.k);
     });
 
+TEST(AuditChallengeAtAlpha, HonestProofsVerify) {
+  // Degenerate but legal: the challenge point r equals the secret alpha, so
+  // x - r vanishes at alpha and the opening's pairing factor e(psi,
+  // g2^{alpha - r}) is trivial. Nothing may divide by alpha - r, and honest
+  // proofs must still verify, alone and inside a settlement batch.
+  auto rng = SecureRng::deterministic(250);
+  Scenario sc = make_scenario(3000, 6, rng);
+  Prover prover(sc.kp.pk, sc.file, sc.tag);
+  Verifier verifier(sc.kp.pk);
+  Challenge chal = make_challenge(rng, 4);
+  chal.r = sc.kp.sk.alpha;
+  ProofBasic basic = prover.prove(chal);
+  ProofPrivate priv = prover.prove_private(chal, rng);
+  EXPECT_TRUE(verifier.verify(sc.name, sc.file.num_chunks(), chal, basic));
+  EXPECT_TRUE(
+      verifier.verify_private(sc.name, sc.file.num_chunks(), chal, priv));
+
+  std::vector<SettlementInstance> instances(2);
+  for (auto& inst : instances) {
+    inst.verifier = &verifier;
+    inst.name = sc.name;
+    inst.num_chunks = sc.file.num_chunks();
+    inst.challenge = chal;
+  }
+  instances[0].basic = basic;
+  instances[1].priv = priv;
+  EXPECT_TRUE(verify_settlement(instances, rng.bytes32()).all_ok());
+}
+
 // ---------------------------------------------------------------------------
 // Soundness / failure injection.
 // ---------------------------------------------------------------------------

@@ -214,7 +214,8 @@ TEST(Fp12Ops, CyclotomicSquareMatchesGenericOnCyclotomicElements) {
   }
   ff::Fr e = ff::Fr::random(rng);
   EXPECT_EQ(g.cyclotomic_pow_u256(e.to_u256()), g.pow_u256(e.to_u256()));
-  EXPECT_EQ(g.cyclotomic_pow_u256(ff::U256{ff::kBnParamT}), g.pow_u64(ff::kBnParamT));
+  EXPECT_EQ(g.cyclotomic_pow_u256(ff::U256{ff::kBnParamT}),
+            g.pow_u256(ff::U256{ff::kBnParamT}));
 }
 
 TEST(Fp12Ops, SignedWindowLadderMatchesTextbookPow) {

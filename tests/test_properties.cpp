@@ -10,7 +10,6 @@
 #include "audit/protocol.hpp"
 #include "audit/serialize.hpp"
 #include "primitives/prp.hpp"
-#include "kzg/kzg.hpp"
 #include "pairing/pairing.hpp"
 #include "parallel/thread_pool.hpp"
 #include "storage/erasure.hpp"
@@ -155,24 +154,33 @@ INSTANTIATE_TEST_SUITE_P(Codings, ErasureLossSweep,
 // Algebraic cross-identities.
 // ---------------------------------------------------------------------------
 
-TEST(Properties, KzgOpeningEqualsAuditPsiConstruction) {
-  // The prover's psi is exactly a KZG opening witness: for the same
-  // polynomial and point, kzg::open and the audit-side quotient-MSM must
-  // produce the same group element when the SRS matches.
+TEST(Properties, AuditPsiIsTheKzgWitness) {
+  // The prover's psi = g1^{q(alpha)} is the KZG opening witness over the
+  // key's SRS powers. Both ProverKey forms (per-power tables and the
+  // shifted table) and the cold msm must equal textbook double-and-add
+  // under the secret alpha, an oracle that shares no MSM code with them.
   auto rng = SecureRng::deterministic(1006);
-  ff::Fr alpha = ff::Fr::random(rng);
-  const std::size_t deg = 9;
-  kzg::Srs srs = kzg::make_srs(alpha, deg);
-  poly::Polynomial p = poly::Polynomial::random(deg, rng);
-  ff::Fr r = ff::Fr::random(rng);
-  kzg::Opening o = kzg::open(srs, p, r);
-  // Recompute the witness the audit-prover way.
-  auto [q, y] = p.divide_by_linear(r);
-  auto qc = q.coefficients();
-  curve::G1 psi = curve::msm<curve::G1>(
-      std::span<const curve::G1>(srs.g1_powers.data(), qc.size()), qc);
-  EXPECT_EQ(o.witness, psi);
-  EXPECT_EQ(o.value, y);
+  for (std::size_t s : {std::size_t{2}, std::size_t{4}, std::size_t{10}}) {
+    audit::KeyPair kp = audit::keygen(s, rng);
+    auto tables = audit::ProverKey::build(kp.pk, SIZE_MAX);
+    auto shifted = audit::ProverKey::build(kp.pk, 0);
+    std::vector<ff::Fr> random_q(s - 1);
+    for (auto& c : random_q) c = ff::Fr::random(rng);
+    for (const auto& q : {random_q, std::vector<ff::Fr>(s - 1)}) {
+      ff::Fr q_at_alpha = ff::Fr::zero();
+      for (std::size_t j = q.size(); j-- > 0;) {
+        q_at_alpha = q_at_alpha * kp.sk.alpha + q[j];
+      }
+      curve::G1 expected = curve::G1::generator().mul_naive(q_at_alpha);
+      EXPECT_EQ(tables->psi(q), expected) << "s=" << s;
+      EXPECT_EQ(shifted->psi(q), expected) << "s=" << s;
+      EXPECT_EQ(curve::msm<curve::G1>(kp.pk.g1_alpha_powers, q), expected)
+          << "s=" << s;
+    }
+    const std::vector<ff::Fr> too_many(s, ff::Fr::one());
+    EXPECT_THROW(tables->psi(too_many), std::invalid_argument);
+    EXPECT_THROW(shifted->psi(too_many), std::invalid_argument);
+  }
 }
 
 TEST(Properties, InverseAgreesWithFermat) {
