@@ -130,15 +130,6 @@ void BM_Pairing(benchmark::State& state) {
 }
 BENCHMARK(BM_Pairing);
 
-void BM_PairingTextbook(benchmark::State& state) {
-  curve::G1 p = curve::g1_random(rng());
-  curve::G2 q = curve::g2_random(rng());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(pairing::pairing_textbook(p, q));
-  }
-}
-BENCHMARK(BM_PairingTextbook);
-
 void BM_G2Prepare(benchmark::State& state) {
   curve::G2 q = curve::g2_random(rng());
   for (auto _ : state) {

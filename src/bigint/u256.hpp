@@ -68,10 +68,12 @@ struct U256 {
   std::string to_hex() const;
   std::string to_dec() const;
 
-  bool is_zero() const { return (limb[0] | limb[1] | limb[2] | limb[3]) == 0; }
+  constexpr bool is_zero() const {
+    return (limb[0] | limb[1] | limb[2] | limb[3]) == 0;
+  }
   constexpr bool is_odd() const { return limb[0] & 1; }
   /// Bit i; bits at or past 256 read as zero, as in extract_window.
-  bool bit(unsigned i) const {
+  constexpr bool bit(unsigned i) const {
     return i < 256 && ((limb[i / 64] >> (i % 64)) & 1);
   }
 

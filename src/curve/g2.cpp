@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "field/fp12.hpp"
-#include "field/sqrt.hpp"
 
 namespace dsaudit::curve {
 
@@ -79,23 +78,18 @@ bool g2_in_subgroup(const G2& p) {
   return g2_frobenius(p) == p.mul(six_t_sq);
 }
 
-bool g2_in_subgroup_naive(const G2& p) {
-  if (!p.is_on_curve()) return false;
-  return p.mul(Fr::modulus()).is_infinity();
-}
-
 G2 g2_frobenius(const G2& p) {
   if (p.is_infinity()) return p;
-  const auto& tc = ff::tower_consts();
+  const auto& tc = ff::kTowerConsts;
   auto [x, y] = p.to_affine();
-  return G2{x.conjugate() * tc.twist_frob_x, y.conjugate() * tc.twist_frob_y};
+  return G2{x.conjugate() * tc.gamma[2], y.conjugate() * tc.gamma[3]};
 }
 
 G2 g2_frobenius2(const G2& p) {
   if (p.is_infinity()) return p;
-  const auto& tc = ff::tower_consts();
+  const auto& tc = ff::kTowerConsts;
   auto [x, y] = p.to_affine();
-  return G2{x * tc.twist_frob2_x, y * tc.twist_frob2_y};
+  return G2{x * tc.gamma_p2[2], y * tc.gamma_p2[3]};
 }
 
 std::array<std::uint8_t, 64> g2_compress(const G2& p) {
@@ -133,7 +127,7 @@ std::optional<G2> g2_decompress(std::span<const std::uint8_t, 64> bytes) {
   }
   Fp2 x{ff::Fp::from_u256(x0), ff::Fp::from_u256(x1)};
   Fp2 rhs = x.square() * x + G2Tag::curve_b();
-  auto y = ff::sqrt(rhs);
+  auto y = rhs.sqrt();
   if (!y) return std::nullopt;
   Fp2 yy = (lex_greater(*y, -*y) == greater) ? *y : -*y;
   G2 p{x, yy};

@@ -28,19 +28,15 @@ G2 g2_mul_generator(const ff::Fr& k);
 
 G2 g2_random(primitives::SecureRng& rng);
 
-/// True iff the point is on the twist AND in the order-r subgroup. Fast
-/// path: the twist-endomorphism criterion psi(Q) == [6t^2] Q (one psi plus a
-/// 127-bit ladder instead of the full 254-bit order-r ladder) — see g2.cpp
-/// for the soundness argument. Contract deserialization pays this on every
-/// public key.
+/// True iff the point is on the twist AND in the order-r subgroup, by the
+/// twist-endomorphism criterion psi(Q) == [6t^2] Q (one psi plus a 127-bit
+/// ladder instead of the full 254-bit order-r ladder, test_curve's oracle)
+/// — see g2.cpp for the soundness argument. Contract deserialization pays
+/// this on every public key.
 bool g2_in_subgroup(const G2& p);
 
-/// The retained differential oracle: the full order-r ladder
-/// [r] Q == infinity.
-bool g2_in_subgroup_naive(const G2& p);
-
-/// The untwist-Frobenius-twist endomorphism psi(x, y) = (gamma2 * conj(x),
-/// gamma3 * conj(y)), needed for the optimal-ate final line additions.
+/// The untwist-Frobenius-twist endomorphism psi(x, y) = (gamma[2] * conj(x),
+/// gamma[3] * conj(y)), needed for the optimal-ate final line additions.
 G2 g2_frobenius(const G2& p);
 /// psi^2 — multiplication of coordinates by the Fp-valued constants.
 G2 g2_frobenius2(const G2& p);

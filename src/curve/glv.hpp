@@ -14,7 +14,7 @@
 //
 // The split is Babai rounding against an explicit short basis of the lattice
 // L = {(x, y) : x + y*lambda = 0 (mod r)}, derived from the same
-// t-parameterization (see params_check for the re-derivation):
+// t-parameterization (test_curve's Params.Bn254SelfCheck re-derives it):
 //
 //   v1 = (6 t^2 + 4 t + 1,  2 t + 1)
 //   v2 = (-(2 t + 1),       6 t^2 + 2 t)         det(v1, v2) = r exactly

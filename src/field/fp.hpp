@@ -7,9 +7,10 @@
 // with a 4-limb CIOS reduction. All constants (R, R^2, R^3, -p^-1 mod 2^64,
 // the exponents) are derived at compile time from the modulus strings by the
 // constexpr make_mont_params, so every field operation reads them as
-// immediates. The moduli themselves are re-derived from the BN parameter t
-// by curve::validate_bn254_parameters (curve/params_check, run by
-// test_curve), so a single typo cannot silently corrupt the arithmetic.
+// immediates. The arithmetic members are constexpr too, so the tower
+// constants of fp12.hpp are computed at compile time with the same code.
+// test_curve's Params.Bn254SelfCheck re-derives the moduli from the BN
+// parameter t, so a single typo cannot silently corrupt the arithmetic.
 #pragma once
 
 #include <array>
@@ -20,13 +21,11 @@
 #include <string>
 
 #include "bigint/u256.hpp"
-#include "bigint/varuint.hpp"
 #include "primitives/random.hpp"
 
 namespace dsaudit::ff {
 
 using bigint::U256;
-using bigint::VarUInt;
 using bigint::u64;
 
 struct MontParams {
@@ -38,7 +37,6 @@ struct MontParams {
   bool has_fast_sqrt = false;  // true iff modulus ≡ 3 (mod 4)
   U256 p_plus_1_over_4;   // sqrt exponent (only valid when has_fast_sqrt)
   U256 p_minus_1_over_2;  // Euler criterion exponent
-  U256 p_minus_2;         // Fermat inversion exponent
 };
 
 /// Builds Montgomery parameters from an odd modulus whose top limb is below
@@ -63,8 +61,6 @@ constexpr MontParams make_mont_params(const U256& modulus) {
   P.r3_mod = times_r(P.r2_mod);
   P.n0_inv = bigint::mont_n0_inv(modulus);
   const U256 one{1};
-  bigint::sub_with_borrow(modulus, one, P.p_minus_2);
-  bigint::sub_with_borrow(P.p_minus_2, one, P.p_minus_2);
   // (p-1)/2 and (p+1)/4: p is odd, and p ≡ 3 mod 4 when has_fast_sqrt.
   U256 pm1;
   bigint::sub_with_borrow(modulus, one, pm1);
@@ -86,8 +82,8 @@ namespace detail {
 /// innermost loop of every curve operation: it is forced inline into the
 /// field operators (a plain `inline` was emitted out of line), where P is a
 /// compile-time constant and the modulus and n0 fold into immediates.
-[[gnu::always_inline]] inline U256 mont_mul(const U256& a, const U256& b,
-                                           const MontParams& P) {
+[[gnu::always_inline]] constexpr U256 mont_mul(const U256& a, const U256& b,
+                                              const MontParams& P) {
   using bigint::u128;
   const std::array<u64, 4>& q = P.modulus.limb;
   u64 t0 = 0, t1 = 0, t2 = 0, t3 = 0;
@@ -135,17 +131,17 @@ class PrimeField {
   static constexpr const MontParams& params() { return Tag::params(); }
   static constexpr const U256& modulus() { return params().modulus; }
 
-  static PrimeField zero() { return PrimeField{}; }
-  static PrimeField one() {
+  static constexpr PrimeField zero() { return PrimeField{}; }
+  static constexpr PrimeField one() {
     PrimeField r;
     r.v_ = params().r_mod;
     return r;
   }
 
-  static PrimeField from_u64(u64 v) { return from_u256(U256{v}); }
+  static constexpr PrimeField from_u64(u64 v) { return from_u256(U256{v}); }
 
   /// Reduce an arbitrary 256-bit value mod p and lift to Montgomery form.
-  static PrimeField from_u256(const U256& v) {
+  static constexpr PrimeField from_u256(const U256& v) {
     const auto& P = params();
     U256 reduced = bigint::lt(v, P.modulus)
                        ? v
@@ -185,25 +181,28 @@ class PrimeField {
 
   std::string to_dec() const { return to_u256().to_dec(); }
 
-  bool is_zero() const { return v_.is_zero(); }
+  constexpr bool is_zero() const { return v_.is_zero(); }
   bool is_one() const { return v_ == params().r_mod; }
 
-  friend PrimeField operator+(const PrimeField& a, const PrimeField& b) {
+  friend constexpr PrimeField operator+(const PrimeField& a,
+                                         const PrimeField& b) {
     PrimeField r;
     r.v_ = bigint::add_mod(a.v_, b.v_, params().modulus);
     return r;
   }
-  friend PrimeField operator-(const PrimeField& a, const PrimeField& b) {
+  friend constexpr PrimeField operator-(const PrimeField& a,
+                                         const PrimeField& b) {
     PrimeField r;
     r.v_ = bigint::sub_mod(a.v_, b.v_, params().modulus);
     return r;
   }
-  PrimeField operator-() const {
+  constexpr PrimeField operator-() const {
     PrimeField r;
     r.v_ = v_.is_zero() ? v_ : bigint::sub_mod(U256{}, v_, params().modulus);
     return r;
   }
-  friend PrimeField operator*(const PrimeField& a, const PrimeField& b) {
+  friend constexpr PrimeField operator*(const PrimeField& a,
+                                         const PrimeField& b) {
     PrimeField r;
     r.v_ = detail::mont_mul(a.v_, b.v_, params());
     return r;
@@ -215,7 +214,7 @@ class PrimeField {
   // A dedicated sum-of-squares path was measured slower than the interleaved
   // CIOS multiply at 4 limbs (the separate reduction pass costs more than the
   // 6 saved limb products), so squaring just multiplies.
-  PrimeField square() const { return *this * *this; }
+  constexpr PrimeField square() const { return *this * *this; }
   PrimeField dbl() const { return *this + *this; }
 
   /// Inversion via binary extended GCD (an order of magnitude faster than
@@ -232,9 +231,6 @@ class PrimeField {
     return r;
   }
 
-  /// Fermat inversion a^{p-2}; kept as an independent cross-check path.
-  PrimeField inverse_fermat() const { return pow_u256(params().p_minus_2); }
-
   PrimeField pow_u256(const U256& e) const {
     PrimeField result = one();
     PrimeField base = *this;
@@ -247,12 +243,11 @@ class PrimeField {
   }
 
   /// Square root via the p ≡ 3 (mod 4) shortcut; nullopt if not a quadratic
-  /// residue. Throws std::logic_error for fields without the shortcut (Fr has
-  /// r ≡ 1 mod 4; nothing in the protocol needs square roots there).
-  std::optional<PrimeField> sqrt() const {
-    if (!params().has_fast_sqrt) {
-      throw std::logic_error("PrimeField::sqrt: modulus is not 3 mod 4");
-    }
+  /// residue. Only fields with the shortcut have it (Fr has r ≡ 1 mod 4;
+  /// nothing in the protocol needs square roots there).
+  std::optional<PrimeField> sqrt() const
+    requires(Tag::params().has_fast_sqrt)
+  {
     PrimeField cand = pow_u256(params().p_plus_1_over_4);
     if (cand.square() == *this) return cand;
     return std::nullopt;
@@ -302,22 +297,8 @@ using Fp = PrimeField<FpTag>;
 /// Scalar field (group order r): the paper's Z_p of data blocks/exponents.
 using Fr = PrimeField<FrTag>;
 
-/// The BN parameter t with p(t), r(t) — exposed so the curve layer can verify
-/// p = 36t^4+36t^3+24t^2+6t+1 and r = 36t^4+36t^3+18t^2+6t+1 at startup.
+/// The BN parameter t, with p = 36t^4+36t^3+24t^2+6t+1 and
+/// r = 36t^4+36t^3+18t^2+6t+1 (test_curve checks both against the moduli).
 inline constexpr u64 kBnParamT = 4965661367192848881ULL;
-
-/// Generic exponentiation by a VarUInt exponent for any multiplicative group
-/// element type (needs one(), operator*, square()).
-template <typename F>
-F pow_var(const F& base, const VarUInt& e) {
-  F result = F::one();
-  F b = base;
-  unsigned n = e.bit_length();
-  for (unsigned i = 0; i < n; ++i) {
-    if (e.bit(i)) result = result * b;
-    b = b.square();
-  }
-  return result;
-}
 
 }  // namespace dsaudit::ff

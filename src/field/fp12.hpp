@@ -1,8 +1,8 @@
 // Quadratic extension Fp12 = Fp6[w]/(w^2 - v). Target group GT of the
 // pairing lives in the order-r cyclotomic subgroup of Fp12*.
 //
-// Frobenius maps use the constants gamma_k = xi^{k(p-1)/6} in Fp2, derived
-// once at init (see tower_consts.cpp) rather than hard-coded.
+// Frobenius maps use the constants gamma_k = xi^{k(p-1)/6} in Fp2, computed
+// at compile time from xi and p (kTowerConsts) rather than hard-coded.
 #pragma once
 
 #include <cstddef>
@@ -13,18 +13,44 @@
 
 namespace dsaudit::ff {
 
-/// gamma_k = xi^{k(p-1)/6} for k = 0..5 (gamma[0] = 1), plus the Fp-valued
-/// constants for the squared Frobenius used by the G2 endomorphism.
+/// The Frobenius constants, all powers of g = xi^{(p-1)/6}. Conjugation is
+/// the p-power map of Fp2, so g^{p^n} is g (n even) or conj(g) (n odd), and
+/// xi^{k(p^n-1)/6} = (g^{p^{n-1} + ... + p + 1})^k factors into g and conj(g).
 struct TowerConsts {
-  std::array<Fp2, 6> gamma;     // for Frobenius on Fp12/Fp6
-  std::array<Fp2, 6> gamma_p2;  // xi^{k(p^2-1)/6}: direct p^2-Frobenius
-  std::array<Fp2, 6> gamma_p3;  // xi^{k(p^3-1)/6}: direct p^3-Frobenius
-  Fp2 twist_frob_x;             // gamma[2]: x-coeff of untwist-Frobenius-twist
-  Fp2 twist_frob_y;             // gamma[3]: y-coeff
-  Fp2 twist_frob2_x;            // xi^{(p^2-1)/3}
-  Fp2 twist_frob2_y;            // xi^{(p^2-1)/2}
+  std::array<Fp2, 6> gamma;     // g^k: p-Frobenius on Fp12/Fp6, psi on G2
+  std::array<Fp2, 6> gamma_p2;  // (g conj(g))^k, in Fp: p^2-Frobenius, psi^2
+  std::array<Fp2, 6> gamma_p3;  // (g^2 conj(g))^k: p^3-Frobenius
 };
-const TowerConsts& tower_consts();
+
+namespace detail {
+
+constexpr std::array<Fp2, 6> powers_of(const Fp2& g) {
+  std::array<Fp2, 6> out{Fp2::one()};
+  for (int k = 1; k < 6; ++k) out[k] = out[k - 1] * g;
+  return out;
+}
+
+constexpr TowerConsts make_tower_consts() {
+  // (p-1)/6 = ((p-1)/2)/3 by limb-wise long division; p ≡ 1 (mod 6).
+  U256 e = Fp::params().p_minus_1_over_2;
+  bigint::u128 rem = 0;
+  for (int i = 3; i >= 0; --i) {
+    const bigint::u128 cur = (rem << 64) | e.limb[i];
+    e.limb[i] = static_cast<u64>(cur / 3);
+    rem = cur % 3;
+  }
+  Fp2 g = Fp2::one();
+  for (int i = 255; i >= 0; --i) {
+    g = g.square();
+    if (e.bit(i)) g = g * xi();
+  }
+  const Fp2 g_conj_g = g * g.conjugate();
+  return {powers_of(g), powers_of(g_conj_g), powers_of(g * g_conj_g)};
+}
+
+}  // namespace detail
+
+inline constexpr TowerConsts kTowerConsts = detail::make_tower_consts();
 
 /// Largest multi_pow input (or shard) that runs Straus instead of buckets.
 /// Measured crossover, random GT bases with dense 128-bit exponents (the
@@ -199,7 +225,7 @@ class Fp12 {
 
   /// p-power Frobenius endomorphism.
   Fp12 frobenius() const {
-    const auto& tc = tower_consts();
+    const auto& tc = kTowerConsts;
     // Coefficient of v^i w^j maps to conj(coef) * gamma[(2i + j) mod 6's exponent]
     Fp6 a{c0.c0.conjugate(), c0.c1.conjugate() * tc.gamma[2],
           c0.c2.conjugate() * tc.gamma[4]};
@@ -212,7 +238,7 @@ class Fp12 {
   /// scale by the Fp-valued gamma_p2 constants — 10 Fp2-by-Fp2 products
   /// cheaper than two chained frobenius() calls.
   Fp12 frobenius2() const {
-    const auto& tc = tower_consts();
+    const auto& tc = kTowerConsts;
     Fp6 a{c0.c0, c0.c1 * tc.gamma_p2[2], c0.c2 * tc.gamma_p2[4]};
     Fp6 b{c1.c0 * tc.gamma_p2[1], c1.c1 * tc.gamma_p2[3],
           c1.c2 * tc.gamma_p2[5]};
@@ -221,7 +247,7 @@ class Fp12 {
 
   /// p^3-power Frobenius (conjugate coefficients, gamma_p3 scaling).
   Fp12 frobenius3() const {
-    const auto& tc = tower_consts();
+    const auto& tc = kTowerConsts;
     Fp6 a{c0.c0.conjugate(), c0.c1.conjugate() * tc.gamma_p3[2],
           c0.c2.conjugate() * tc.gamma_p3[4]};
     Fp6 b{c1.c0.conjugate() * tc.gamma_p3[1], c1.c1.conjugate() * tc.gamma_p3[3],

@@ -11,27 +11,29 @@ class Fp2 {
   Fp c0, c1;  // c0 + c1 * u
 
   Fp2() = default;
-  Fp2(const Fp& a, const Fp& b) : c0(a), c1(b) {}
+  constexpr Fp2(const Fp& a, const Fp& b) : c0(a), c1(b) {}
 
-  static Fp2 zero() { return {}; }
-  static Fp2 one() { return {Fp::one(), Fp::zero()}; }
-  static Fp2 from_u64(u64 a, u64 b) { return {Fp::from_u64(a), Fp::from_u64(b)}; }
+  static constexpr Fp2 zero() { return {}; }
+  static constexpr Fp2 one() { return {Fp::one(), Fp::zero()}; }
+  static constexpr Fp2 from_u64(u64 a, u64 b) {
+    return {Fp::from_u64(a), Fp::from_u64(b)};
+  }
   static Fp2 random(primitives::SecureRng& rng) {
     return {Fp::random(rng), Fp::random(rng)};
   }
 
-  bool is_zero() const { return c0.is_zero() && c1.is_zero(); }
+  constexpr bool is_zero() const { return c0.is_zero() && c1.is_zero(); }
   bool is_one() const { return c0.is_one() && c1.is_zero(); }
 
-  friend Fp2 operator+(const Fp2& a, const Fp2& b) {
+  friend constexpr Fp2 operator+(const Fp2& a, const Fp2& b) {
     return {a.c0 + b.c0, a.c1 + b.c1};
   }
-  friend Fp2 operator-(const Fp2& a, const Fp2& b) {
+  friend constexpr Fp2 operator-(const Fp2& a, const Fp2& b) {
     return {a.c0 - b.c0, a.c1 - b.c1};
   }
-  Fp2 operator-() const { return {-c0, -c1}; }
+  constexpr Fp2 operator-() const { return {-c0, -c1}; }
 
-  friend Fp2 operator*(const Fp2& a, const Fp2& b) {
+  friend constexpr Fp2 operator*(const Fp2& a, const Fp2& b) {
     // Karatsuba: (a0+a1u)(b0+b1u) = a0b0 - a1b1 + ((a0+a1)(b0+b1)-a0b0-a1b1)u
     Fp v0 = a.c0 * b.c0;
     Fp v1 = a.c1 * b.c1;
@@ -47,14 +49,14 @@ class Fp2 {
   Fp2 dbl() const { return {c0 + c0, c1 + c1}; }
   Fp2 triple() const { return *this + *this + *this; }
 
-  Fp2 square() const {
+  constexpr Fp2 square() const {
     // (a+bu)^2 = (a+b)(a-b) + 2ab u
     Fp ab = c0 * c1;
     return {(c0 + c1) * (c0 - c1), ab + ab};
   }
 
   /// Complex conjugate — also the p-power Frobenius on Fp2.
-  Fp2 conjugate() const { return {c0, -c1}; }
+  constexpr Fp2 conjugate() const { return {c0, -c1}; }
   Fp2 frobenius() const { return conjugate(); }
 
   Fp2 inverse() const {
@@ -70,6 +72,29 @@ class Fp2 {
     Fp nine_a = times9(c0);
     Fp nine_b = times9(c1);
     return {nine_a - c1, c0 + nine_b};
+  }
+
+  /// Square root, nullopt for a non-square. The complex method for
+  /// p ≡ 3 (mod 4) (Adj and Rodriguez-Henriquez, eprint 2012/685): a is a
+  /// square iff its norm a0^2 + a1^2 is a square alpha^2 in Fp, and then
+  /// x0^2 = (a0 ± alpha)/2 for the one sign that gives an Fp square, with
+  /// x1 = a1/(2 x0). Either root of a may come back; g2_decompress picks
+  /// the sign itself.
+  std::optional<Fp2> sqrt() const {
+    if (c1.is_zero()) {
+      // -1 is a non-square, so -a0 is a square whenever a0 is not.
+      if (auto r = c0.sqrt()) return Fp2{*r, Fp::zero()};
+      return Fp2{Fp::zero(), *(-c0).sqrt()};
+    }
+    auto alpha = (c0.square() + c1.square()).sqrt();
+    if (!alpha) return std::nullopt;
+    // 1/2 = (p-1)/2 + 1. The two candidates multiply to -a1^2/4, a
+    // non-square, so exactly one of them is a square; neither is zero.
+    constexpr Fp half =
+        Fp::from_u256(Fp::params().p_minus_1_over_2) + Fp::one();
+    auto x0 = ((c0 + *alpha) * half).sqrt();
+    if (!x0) x0 = ((c0 - *alpha) * half).sqrt();
+    return Fp2{*x0, c1 * x0->dbl().inverse()};
   }
 
   friend bool operator==(const Fp2& a, const Fp2& b) = default;
@@ -92,6 +117,6 @@ class Fp2 {
 };
 
 /// The sextic non-residue xi = 9 + u defining Fp6 = Fp2[v]/(v^3 - xi).
-inline Fp2 xi() { return Fp2::from_u64(9, 1); }
+inline constexpr Fp2 xi() { return Fp2::from_u64(9, 1); }
 
 }  // namespace dsaudit::ff

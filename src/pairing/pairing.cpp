@@ -15,9 +15,7 @@ std::atomic<std::uint64_t> g_chains{0};
 std::atomic<std::uint64_t> g_final_exps{0};
 
 using ff::Fp;
-using ff::Fp6;
 using bigint::u128;
-using bigint::VarUInt;
 
 /// Affine point on the twist (Fp2 coordinates), never infinity inside the
 /// Miller loop for valid inputs of prime order r.
@@ -25,79 +23,9 @@ struct TwistPoint {
   Fp2 x, y;
 };
 
-/// A chord/tangent line through untwisted points, evaluated at P = (xp, yp):
-///   l = yp - lambda' * xp * w + (lambda' * xT - yT) * w^3,
-/// where lambda' is the slope on the twist. Kept sparse — the Miller loop
-/// folds it in with Fp12::mul_by_line.
-struct Line {
-  Fp2 a, b, c;  // (a,0,0) + (b, c, 0) w
-};
-
-Line line_value(const Fp2& lambda, const TwistPoint& t, const Fp& xp, const Fp& yp) {
-  return Line{Fp2{yp, Fp::zero()}, -(lambda.mul_fp(xp)), lambda * t.x - t.y};
-}
-
-/// Vertical line x = xT evaluated at P (used only in the degenerate
-/// T.x == Q.x, T != Q addition case, which cannot occur for honest inputs
-/// but must not crash on adversarial ones): l = xp - xT * w^2. Not sparse in
-/// the Line shape, so returned as a full Fp12.
-Fp12 vertical_line_value(const TwistPoint& t, const Fp& xp) {
-  return Fp12{Fp6{Fp2{xp, Fp::zero()}, -t.x, Fp2::zero()}, Fp6::zero()};
-}
-
-/// Tangent step: returns the line through (T, T) at P and doubles T in place.
-Line double_step(TwistPoint& t, const Fp& xp, const Fp& yp) {
-  Fp2 x2 = t.x.square();
-  Fp2 lambda = x2.triple() * (t.y.dbl()).inverse();
-  Line l = line_value(lambda, t, xp, yp);
-  Fp2 xr = lambda.square() - t.x.dbl();
-  Fp2 yr = lambda * (t.x - xr) - t.y;
-  t = {xr, yr};
-  return l;
-}
-
-/// Chord step: folds the chord line through (T, Q) into f and sets T = T + Q.
-void add_step_into(Fp12& f, TwistPoint& t, const TwistPoint& q, const Fp& xp,
-                   const Fp& yp) {
-  if (t.x == q.x) {
-    if (t.y == q.y) {
-      Line l = double_step(t, xp, yp);
-      f = f.mul_by_line(l.a, l.b, l.c);
-      return;
-    }
-    // T + (-T): vertical line; for order-r inputs with the optimal-ate loop
-    // count this is unreachable, but adversarial inputs must not crash.
-    f = f * vertical_line_value(t, xp);
-    t = {Fp2::zero(), Fp2::zero()};  // poisoned; loop ends immediately after
-    return;
-  }
-  Fp2 lambda = (q.y - t.y) * (q.x - t.x).inverse();
-  Line l = line_value(lambda, t, xp, yp);
-  Fp2 xr = lambda.square() - t.x - q.x;
-  Fp2 yr = lambda * (t.x - xr) - t.y;
-  t = {xr, yr};
-  f = f.mul_by_line(l.a, l.b, l.c);
-}
-
 TwistPoint to_twist_affine(const G2& q) {
   auto [x, y] = q.to_affine();
   return {x, y};
-}
-
-/// The optimal-ate loop count 6t + 2 (65 bits for BN254), derived from the
-/// BN parameter rather than hard-coded. This binary expansion drives only
-/// the textbook oracle loop; the prepared engine walks the NAF chain below.
-const std::vector<bool>& six_t_plus_2_bits() {
-  static const std::vector<bool> bits = [] {
-    u128 v = static_cast<u128>(6) * ff::kBnParamT + 2;
-    std::vector<bool> b;
-    while (v != 0) {
-      b.push_back((v & 1) != 0);
-      v >>= 1;
-    }
-    return b;  // little-endian
-  }();
-  return bits;
 }
 
 /// Signed NAF digits of 6t + 2 (little-endian, digits in {-1, 0, 1}): 22
@@ -105,8 +33,8 @@ const std::vector<bool>& six_t_plus_2_bits() {
 /// addition steps per Miller chain, paid for by one extra doubling (the NAF
 /// is one digit longer). A digit of -1 adds -Q; for even embedding degree
 /// the dropped vertical lines land in a subfield the final exponentiation
-/// kills, so pairing-level results are unchanged (the textbook binary loop
-/// stays as the differential oracle for exactly that equality). Shared by
+/// kills, so pairing-level results are unchanged (test_pairing's textbook
+/// binary loop is the differential oracle for exactly that equality). Shared by
 /// the G2Prepared coefficient builder and the replay loops — both must walk
 /// the identical chain for the lock-step cursor to line up.
 const std::vector<std::int8_t>& six_t_plus_2_naf() {
@@ -308,28 +236,6 @@ Fp12 miller_loop(const G1& p, const G2& q) {
   return miller_loop(p, G2Prepared(q));
 }
 
-Fp12 miller_loop_textbook(const G1& p, const G2& q) {
-  if (p.is_infinity() || q.is_infinity()) return Fp12::one();
-  auto [xp, yp] = p.to_affine();
-  TwistPoint qa = to_twist_affine(q);
-  const auto& bits = six_t_plus_2_bits();
-
-  Fp12 f = Fp12::one();
-  TwistPoint t = qa;
-  for (std::size_t i = bits.size() - 1; i-- > 0;) {
-    f = f.square();
-    Line l = double_step(t, xp, yp);
-    f = f.mul_by_line(l.a, l.b, l.c);
-    if (bits[i]) add_step_into(f, t, qa, xp, yp);
-  }
-  // Final two additions with the Frobenius images of Q.
-  TwistPoint q1 = to_twist_affine(curve::g2_frobenius(q));
-  TwistPoint q2 = to_twist_affine(-curve::g2_frobenius2(q));
-  add_step_into(f, t, q1, xp, yp);
-  add_step_into(f, t, q2, xp, yp);
-  return f;
-}
-
 Fp12 final_exponentiation(const Fp12& f) {
   if (f.is_zero()) throw std::domain_error("final_exponentiation: zero input");
   g_final_exps.fetch_add(1, std::memory_order_relaxed);
@@ -368,25 +274,12 @@ Fp12 final_exponentiation(const Fp12& f) {
   return a * b;
 }
 
-Fp12 final_exponentiation_slow(const Fp12& f) {
-  if (f.is_zero()) throw std::domain_error("final_exponentiation_slow: zero input");
-  VarUInt p{Fp::modulus()};
-  VarUInt e = VarUInt::pow(p, 12) - VarUInt{1};
-  auto [q, rem] = VarUInt::divmod(e, VarUInt{ff::Fr::modulus()});
-  if (!rem.is_zero()) throw std::logic_error("(p^12-1) not divisible by r");
-  return ff::pow_var(f, q);
-}
-
 Fp12 pairing(const G1& p, const G2& q) {
   return final_exponentiation(miller_loop(p, q));
 }
 
 Fp12 pairing(const G1& p, const G2Prepared& q) {
   return final_exponentiation(miller_loop(p, q));
-}
-
-Fp12 pairing_textbook(const G1& p, const G2& q) {
-  return final_exponentiation(miller_loop_textbook(p, q));
 }
 
 Fp12 multi_pairing(std::span<const std::pair<G1, G2>> pairs) {

@@ -15,11 +15,11 @@
 // verification constant-cost, and what lets one prepared verifier key serve
 // many audit rounds.
 //
-// The textbook affine+untwist Miller loop from the original implementation is
-// retained as *_textbook — it is the differential oracle the prepared engine
-// is pinned against in tests (the raw Miller values differ by a subfield
-// factor that the final exponentiation kills, so the oracle equality is at
-// the pairing level).
+// The textbook affine+untwist Miller loop from the original implementation
+// lives in test_pairing as the differential oracle the prepared engine is
+// pinned against (the raw Miller values differ by a subfield factor that the
+// final exponentiation kills, so the oracle equality is at the pairing
+// level), next to the one-giant-exponent final exponentiation.
 #pragma once
 
 #include <cstdint>
@@ -77,10 +77,6 @@ Fp12 miller_loop(const G1& p, const G2Prepared& q);
 /// Map a Miller-loop output (or any Fp12 value) to the r-order subgroup.
 Fp12 final_exponentiation(const Fp12& f);
 
-/// Reference implementation by a single giant exponent (p^12-1)/r; slow,
-/// used to cross-validate the structured version.
-Fp12 final_exponentiation_slow(const Fp12& f);
-
 /// prod_i e(p_i, q_i) with lock-step Miller loops (one shared Fp12 squaring
 /// per bit for the whole product) and one shared final exponentiation.
 Fp12 multi_pairing(std::span<const std::pair<G1, G2>> pairs);
@@ -97,12 +93,6 @@ bool pairing_product_is_one(std::span<const PreparedPair> pairs);
 /// p - 6u^2 = r (a 127-bit cyclotomic ladder). Deserializers use this to
 /// reject unit-norm Fp12 values that are not pairing outputs.
 bool gt_in_subgroup(const Fp12& g);
-
-/// Textbook affine-coordinates Miller loop and pairing (the original
-/// implementation, chord/tangent lines through the untwisting map). Retained
-/// purely as the differential-test oracle for the prepared engine.
-Fp12 miller_loop_textbook(const G1& p, const G2& q);
-Fp12 pairing_textbook(const G1& p, const G2& q);
 
 /// Process-wide pairing-cost telemetry: `chains` counts Miller chains
 /// evaluated — one per finite (G1, G2) pair in any pairing or product, i.e.

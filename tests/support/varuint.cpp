@@ -1,4 +1,4 @@
-#include "bigint/varuint.hpp"
+#include "support/varuint.hpp"
 
 #include <algorithm>
 #include <stdexcept>

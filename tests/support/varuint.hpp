@@ -1,10 +1,10 @@
-// Arbitrary-precision unsigned integers for init-time constant derivation.
+// Arbitrary-precision unsigned integers for the tests' reference oracles.
 //
-// The pairing and tower-field code needs exponents such as (p^6 - 1)/2^e,
-// (p^12 - 1)/r and xi^((p^k - 1)/6) at library-initialization time. Rather
-// than hard-coding hundreds of magic limbs (easy to get silently wrong), we
-// derive everything from the BN parameter t with this small bignum class and
-// cross-check the curve constants. Not used on any hot path.
+// The library computes every BN254 constant with fixed-width U256 code, most
+// of it at compile time. The tests re-derive those constants independently:
+// exponents such as (p^12 - 1)/r or xi^((p^k - 1)/6), the moduli from the BN
+// parameter t, the GLV basis. This small bignum class and pow_var are what
+// they derive them with. Test-only: nothing under src/ links it.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +48,7 @@ class VarUInt {
   VarUInt shl(unsigned bits) const;
   VarUInt shr(unsigned bits) const;
 
-  /// Quotient and remainder by binary long division (init-time only).
+  /// Quotient and remainder by binary long division.
   /// Returns {quotient, remainder}.
   static std::pair<VarUInt, VarUInt> divmod(const VarUInt& a, const VarUInt& b);
 
@@ -58,5 +58,19 @@ class VarUInt {
   void normalize();
   std::vector<u64> limbs_;
 };
+
+/// base^e by square-and-multiply, for any multiplicative element type (needs
+/// one(), operator*, square()).
+template <typename F>
+F pow_var(const F& base, const VarUInt& e) {
+  F result = F::one();
+  F b = base;
+  unsigned n = e.bit_length();
+  for (unsigned i = 0; i < n; ++i) {
+    if (e.bit(i)) result = result * b;
+    b = b.square();
+  }
+  return result;
+}
 
 }  // namespace dsaudit::bigint

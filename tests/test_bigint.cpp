@@ -2,8 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "bigint/u256.hpp"
-#include "bigint/varuint.hpp"
 #include "primitives/random.hpp"
+#include "support/varuint.hpp"
 
 namespace dsaudit::bigint {
 namespace {

@@ -4,17 +4,72 @@
 #include "curve/g1.hpp"
 #include "curve/g2.hpp"
 #include "curve/glv.hpp"
-#include "curve/params_check.hpp"
-#include "field/sqrt.hpp"
+#include "support/varuint.hpp"
 
 namespace dsaudit::curve {
 namespace {
 
+using bigint::VarUInt;
 using ff::Fr;
 using primitives::SecureRng;
 
+// Everything in the crypto stack flows from a handful of constants (the BN
+// parameter t, the two moduli, the G2 generator, the GLV basis). A silent
+// typo would produce a scheme that "works" against itself but is not BN254,
+// so this re-derives the moduli and the GLV parameters from t and checks
+// the generators, subgroup orders and the twist endomorphism.
 TEST(Params, Bn254SelfCheck) {
-  EXPECT_NO_THROW(validate_bn254_parameters());
+  // 1. Moduli match the BN polynomial family at t = kBnParamT.
+  VarUInt t{ff::kBnParamT};
+  VarUInt t2 = t * t, t3 = t2 * t, t4 = t3 * t;
+  VarUInt p = VarUInt{36} * t4 + VarUInt{36} * t3 + VarUInt{24} * t2 +
+              VarUInt{6} * t + VarUInt{1};
+  VarUInt r = VarUInt{36} * t4 + VarUInt{36} * t3 + VarUInt{18} * t2 +
+              VarUInt{6} * t + VarUInt{1};
+  EXPECT_EQ(p.to_u256(), ff::Fp::modulus()) << "p(t) != Fp modulus";
+  EXPECT_EQ(r.to_u256(), Fr::modulus()) << "r(t) != Fr modulus";
+
+  // 2. Generators are on their curves and have order r.
+  EXPECT_TRUE(G1::generator().is_on_curve());
+  EXPECT_TRUE(G1::generator().mul(Fr::modulus()).is_infinity());
+  EXPECT_TRUE(G2::generator().is_on_curve());
+  EXPECT_TRUE(g2_in_subgroup(G2::generator()));
+
+  // 3. Twist endomorphism psi satisfies psi(Q) = [p]Q on the r-subgroup
+  //    (the eigenvalue of Frobenius on G2 is p mod r).
+  Fr p_mod_r = Fr::from_u256(ff::Fp::modulus());
+  G2 q = G2::generator().mul(Fr::from_u64(12345));
+  EXPECT_EQ(g2_frobenius(q), q.mul(p_mod_r)) << "psi(Q) != [p]Q";
+  EXPECT_EQ(g2_frobenius2(q), q.mul(p_mod_r * p_mod_r)) << "psi^2(Q) != [p^2]Q";
+
+  // 4. GLV endomorphism parameters, re-derived independently over VarUInt.
+  //    lambda = 36t^3 + 18t^2 + 6t + 1, the cube root of unity mod r that
+  //    phi(x, y) = (beta*x, y) realizes on G1; the lattice basis
+  //    v1 = (a1, b1), v2 = (-b1, b2) spans the kernel of
+  //    (k1, k2) -> k1 + k2*lambda mod r with determinant exactly r.
+  const GlvParams& glv = glv_params();
+  VarUInt lambda = VarUInt{36} * t3 + VarUInt{18} * t2 + VarUInt{6} * t +
+                   VarUInt{1};
+  VarUInt a1 = VarUInt{6} * t2 + VarUInt{4} * t + VarUInt{1};
+  VarUInt b1 = VarUInt{2} * t + VarUInt{1};
+  VarUInt b2 = VarUInt{6} * t2 + VarUInt{2} * t;
+  EXPECT_EQ(lambda.to_u256(), glv.lambda) << "GLV lambda != 36t^3+18t^2+6t+1";
+  EXPECT_EQ(a1.to_u256(), glv.a1);
+  EXPECT_EQ(b1.to_u256(), glv.b1);
+  EXPECT_EQ(b2.to_u256(), glv.b2);
+  EXPECT_EQ(a1 * b2 + b1 * b1, r) << "GLV lattice determinant != r";
+  // Exact polynomial identity for the BN family:
+  //   lambda^2 + lambda + 1 = (36t^2 + 3) * r.
+  EXPECT_EQ(lambda * lambda + lambda + VarUInt{1},
+            (VarUInt{36} * t2 + VarUInt{3}) * r);
+  // beta is a primitive cube root of unity in Fp, oriented so that the
+  // curve endomorphism matches the eigenvalue lambda on all of G1.
+  EXPECT_NE(glv.beta, ff::Fp::one());
+  EXPECT_EQ(glv.beta * glv.beta * glv.beta, ff::Fp::one());
+  G1 gpt = G1::generator().mul(Fr::from_u64(987654321));
+  auto [x, y] = gpt.to_affine();
+  EXPECT_EQ(G1(x * glv.beta, y), gpt.mul_naive(glv.lambda))
+      << "phi(P) != [lambda]P";
 }
 
 template <typename G>
@@ -134,6 +189,68 @@ TEST(G1Compress, RejectsMalformed) {
   EXPECT_FALSE(g1_decompress(inf_bad).has_value());
 }
 
+TEST(G2Compress, RejectsMalformed) {
+  auto rng = SecureRng::deterministic(45);
+  const G2 q = g2_random(rng);
+  const auto good = g2_compress(q);
+  ASSERT_EQ(g2_decompress(good), q);
+  // Bytes 0..31 carry x.c1 (and the flag bits), bytes 32..63 x.c0.
+  auto with_half = [&good](std::size_t offset, const ff::U256& v) {
+    auto buf = good;
+    v.to_be_bytes(std::span<std::uint8_t, 32>(buf.data() + offset, 32));
+    return buf;
+  };
+  // x.c0 = p and x.c1 = p (non-canonical), and x.c0 + p: the same x
+  // written non-canonically.
+  EXPECT_FALSE(g2_decompress(with_half(32, ff::Fp::modulus())).has_value());
+  EXPECT_FALSE(g2_decompress(with_half(0, ff::Fp::modulus())).has_value());
+  ff::U256 x0_plus_p;
+  bigint::add_with_carry(q.to_affine().first.c0.to_u256(), ff::Fp::modulus(),
+                         x0_plus_p);
+  EXPECT_FALSE(g2_decompress(with_half(32, x0_plus_p)).has_value());
+  // Infinity flag with a nonzero payload in either half, or with the sign
+  // bit set.
+  std::array<std::uint8_t, 64> inf{};
+  inf[0] = 0x80;
+  ASSERT_TRUE(g2_decompress(inf).has_value());
+  for (std::size_t i : {std::size_t{1}, std::size_t{31}, std::size_t{63}}) {
+    auto bad = inf;
+    bad[i] = 1;
+    EXPECT_FALSE(g2_decompress(bad).has_value()) << "payload byte " << i;
+  }
+  auto inf_sign = inf;
+  inf_sign[0] |= 0x40;
+  EXPECT_FALSE(g2_decompress(inf_sign).has_value());
+  // An x whose twist RHS x^3 + b' has no square root (its norm is not an
+  // Fp square), and a twist point outside the r-subgroup.
+  bool no_root = false, cofactor = false;
+  for (int tries = 0; tries < 100 && !(no_root && cofactor); ++tries) {
+    ff::Fp2 x = ff::Fp2::random(rng);
+    ff::Fp2 rhs = x.square() * x + G2Tag::curve_b();
+    std::array<std::uint8_t, 64> enc{};
+    x.c1.to_be_bytes(std::span<std::uint8_t, 32>(enc.data(), 32));
+    x.c0.to_be_bytes(std::span<std::uint8_t, 32>(enc.data() + 32, 32));
+    if (auto y = rhs.sqrt()) {
+      ASSERT_FALSE(g2_in_subgroup(G2{x, *y}));
+      cofactor = true;
+    } else {
+      ASSERT_EQ((rhs.c0.square() + rhs.c1.square()).legendre(), -1);
+      no_root = true;
+    }
+    EXPECT_FALSE(g2_decompress(enc).has_value());
+    enc[0] |= 0x40;
+    EXPECT_FALSE(g2_decompress(enc).has_value());
+  }
+  EXPECT_TRUE(no_root && cofactor);
+  // The sign bit picks -Q, never Q.
+  for (int i = 0; i < 5; ++i) {
+    const G2 p = g2_random(rng);
+    auto flipped = g2_compress(p);
+    flipped[0] ^= 0x40;
+    EXPECT_EQ(g2_decompress(flipped), -p);
+  }
+}
+
 TEST(G2Compress, RoundTrip) {
   auto rng = SecureRng::deterministic(47);
   for (int i = 0; i < 10; ++i) {
@@ -158,7 +275,7 @@ TEST(G2Subgroup, GeneratorInButTwistPointOut) {
   for (int tries = 0; tries < 50; ++tries) {
     ff::Fp2 x = ff::Fp2::random(rng);
     ff::Fp2 rhs = x.square() * x + G2Tag::curve_b();
-    auto y = ff::sqrt(rhs);
+    auto y = rhs.sqrt();
     if (!y) continue;
     G2 p{x, *y};
     EXPECT_TRUE(p.is_on_curve());
@@ -621,6 +738,13 @@ TEST(Glv, ColdMsmUnsplitRegimeMatchesNaive) {
   EXPECT_EQ(msm<G1>(pts, sc), expect);
 }
 
+// The differential oracle for g2_in_subgroup: the full order-r ladder
+// [r] Q == infinity.
+bool g2_in_subgroup_naive(const G2& p) {
+  if (!p.is_on_curve()) return false;
+  return p.mul(Fr::modulus()).is_infinity();
+}
+
 TEST(G2Subgroup, PsiCheckAgreesWithOrderLadder) {
   // The psi(Q) == [6t^2] Q fast path and the retained [r] Q == 0 oracle must
   // agree on every input class: subgroup points, infinity, cofactor points,
@@ -644,7 +768,7 @@ TEST(G2Subgroup, PsiCheckAgreesWithOrderLadder) {
   for (int tries = 0; tries < 100 && found < 3; ++tries) {
     ff::Fp2 x = ff::Fp2::random(rng);
     ff::Fp2 rhs = x.square() * x + G2Tag::curve_b();
-    auto y = ff::sqrt(rhs);
+    auto y = rhs.sqrt();
     if (!y) continue;
     G2 p{x, *y};
     EXPECT_EQ(g2_in_subgroup(p), g2_in_subgroup_naive(p));

@@ -1,14 +1,15 @@
 // Field-arithmetic tests: Montgomery Fp/Fr, the Fp2/Fp6/Fp12 tower,
-// Frobenius maps and Tonelli–Shanks square roots.
+// Frobenius maps and their compile-time constants, and square roots.
 #include <gtest/gtest.h>
 
 #include "field/batch_inverse.hpp"
 #include "field/fp12.hpp"
-#include "field/sqrt.hpp"
+#include "support/varuint.hpp"
 
 namespace dsaudit::ff {
 namespace {
 
+using bigint::VarUInt;
 using primitives::SecureRng;
 
 // ---------------------------------------------------------------------------
@@ -166,6 +167,10 @@ TYPED_TEST(PrimeFieldKernels, EdgeValuesAgainstReference) {
 static_assert(Fp::params().n0_inv * Fp::modulus().limb[0] == ~u64{0});
 static_assert(Fr::params().n0_inv * Fr::modulus().limb[0] == ~u64{0});
 static_assert(Fp::params().has_fast_sqrt && !Fr::params().has_fast_sqrt);
+// Only the p ≡ 3 (mod 4) field has a root: Fr::sqrt does not compile.
+template <typename F>
+concept HasSqrt = requires(const F& x) { x.sqrt(); };
+static_assert(HasSqrt<Fp> && HasSqrt<Fp2> && !HasSqrt<Fr>);
 
 // Every MontParams field re-derived with VarUInt long division.
 void expect_params_match_divmod(const MontParams& P) {
@@ -184,7 +189,6 @@ void expect_params_match_divmod(const MontParams& P) {
   EXPECT_TRUE(VarUInt::divmod(m * VarUInt{P.n0_inv} + VarUInt{1},
                               VarUInt{1}.shl(64))
                   .second.is_zero());
-  EXPECT_EQ(P.p_minus_2, (m - VarUInt{2}).to_u256());
   EXPECT_EQ(P.p_minus_1_over_2, div(m - VarUInt{1}, 2));
   const bool three_mod_four = VarUInt::divmod(m, VarUInt{4}).second == VarUInt{3};
   EXPECT_EQ(P.has_fast_sqrt, three_mod_four);
@@ -327,20 +331,46 @@ TEST(Fp12Tower, PowHomomorphism) {
 // Square root in Fp2 (G2 decompression).
 // ---------------------------------------------------------------------------
 
+// a is a square in Fp2 iff its norm a0^2 + a1^2 is a square in Fp. So
+// sqrt() must refuse exactly where Euler's criterion on the norm says -1,
+// an oracle that shares no code with the root, and every root must square
+// back to a. Returns whether a root came back.
+bool expect_fp2_sqrt_contract(const Fp2& a) {
+  auto root = a.sqrt();
+  const int norm_symbol = (a.c0.square() + a.c1.square()).legendre();
+  EXPECT_EQ(root.has_value(), norm_symbol != -1)
+      << a.c0.to_dec() << " + " << a.c1.to_dec() << " u";
+  if (root) EXPECT_EQ(root->square(), a);
+  return root.has_value();
+}
+
 TEST(Sqrt, Fp2RoundTrip) {
   auto rng = SecureRng::deterministic(35);
+  const Fp2 u{Fp::zero(), Fp::one()};
+  const Fp four = Fp::from_u64(4);
+  const Fp r = Fp::random(rng).square();
+  // Every Fp element is a square in Fp2: with a1 = 0 both the Fp squares 4
+  // and r and the Fp non-squares -4 and -r (-1 is one). So are u and -u
+  // (norm 1). The sextic non-residue xi is not, nor is -xi.
+  for (const Fp2& a :
+       {Fp2::zero(), Fp2::one(), -Fp2::one(), u, -u, Fp2{four, Fp::zero()},
+        Fp2{-four, Fp::zero()}, Fp2{r, Fp::zero()}, Fp2{-r, Fp::zero()},
+        Fp2{Fp::zero(), four}, Fp2{Fp::zero(), r}}) {
+    EXPECT_TRUE(expect_fp2_sqrt_contract(a));
+  }
+  EXPECT_FALSE(expect_fp2_sqrt_contract(xi()));
+  EXPECT_FALSE(expect_fp2_sqrt_contract(-xi()));
   int residues = 0;
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 300; ++i) {
     Fp2 a = Fp2::random(rng);
-    Fp2 sq = a.square();
-    auto root = sqrt(sq);
+    auto root = a.square().sqrt();
     ASSERT_TRUE(root.has_value());
     EXPECT_TRUE(*root == a || *root == -a);
-    if (sqrt(a).has_value()) ++residues;
+    if (expect_fp2_sqrt_contract(a)) ++residues;
   }
-  // Roughly half of random elements are squares; just ensure both kinds occur.
-  EXPECT_GT(residues, 0);
-  EXPECT_LT(residues, 10);
+  // About half of random elements are squares.
+  EXPECT_GT(residues, 100);
+  EXPECT_LT(residues, 200);
 }
 
 // ---------------------------------------------------------------------------
@@ -387,14 +417,35 @@ TEST(BatchInverse, LargeSetSingleInversionIsConsistent) {
   }
 }
 
+// The Frobenius constants are compile-time values: gamma[1] = xi^{(p-1)/6}
+// is pinned here (canonical c0, c1), and p^2-Frobenius constants lie in Fp.
+static_assert(kTowerConsts.gamma[1] ==
+              Fp2{Fp::from_u256(U256::from_hex(
+                      "0x1284b71c2865a7dfe8b99fdd76e68b60"
+                      "5c521e08292f2176d60b35dadcc9e470")),
+                  Fp::from_u256(U256::from_hex(
+                      "0x246996f3b4fae7e6a6327cfe12150b8e"
+                      "747992778eeec7e5ca5cf05f80f362ac"))});
+static_assert(kTowerConsts.gamma[0] == Fp2::one());
+static_assert(kTowerConsts.gamma_p2[1].c1.is_zero());
+
 TEST(TowerConsts, GammaConsistency) {
-  const auto& tc = tower_consts();
-  // gamma[k] = gamma[1]^k and gamma[1]^6 = xi^{p-1}.
-  EXPECT_EQ(tc.gamma[2], tc.gamma[1] * tc.gamma[1]);
-  EXPECT_EQ(tc.gamma[3], tc.gamma[2] * tc.gamma[1]);
-  Fp2 g6 = tc.gamma[3] * tc.gamma[3];
-  VarUInt pm1 = VarUInt{Fp::modulus()} - VarUInt{1};
-  EXPECT_EQ(g6, pow_var(xi(), pm1));
+  // Every entry against xi^{k(p^n-1)/6} by VarUInt division. That covers
+  // psi's constants (gamma[2], gamma[3]) and psi^2's, gamma_p2[2] =
+  // xi^{(p^2-1)/3} and gamma_p2[3] = xi^{(p^2-1)/2}.
+  const VarUInt p{Fp::modulus()};
+  const VarUInt pn_minus_1[] = {p - VarUInt{1}, p * p - VarUInt{1},
+                                p * p * p - VarUInt{1}};
+  const std::array<Fp2, 6>* tables[] = {
+      &kTowerConsts.gamma, &kTowerConsts.gamma_p2, &kTowerConsts.gamma_p3};
+  for (int n = 0; n < 3; ++n) {
+    for (u64 k = 0; k < 6; ++k) {
+      auto [e, rem] = VarUInt::divmod(VarUInt{k} * pn_minus_1[n], VarUInt{6});
+      ASSERT_TRUE(rem.is_zero());
+      EXPECT_EQ((*tables[n])[k], pow_var(xi(), e))
+          << "p^" << n + 1 << ", k=" << k;
+    }
+  }
 }
 
 }  // namespace
