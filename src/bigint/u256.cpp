@@ -5,23 +5,6 @@
 
 namespace dsaudit::bigint {
 
-U256 U256::from_dec(std::string_view dec) {
-  if (dec.empty()) throw std::invalid_argument("U256::from_dec: empty string");
-  U256 r;
-  for (char c : dec) {
-    if (c < '0' || c > '9') throw std::invalid_argument("U256::from_dec: bad digit");
-    // r = r * 10 + digit
-    u128 carry = static_cast<u64>(c - '0');
-    for (int i = 0; i < 4; ++i) {
-      u128 v = static_cast<u128>(r.limb[i]) * 10 + carry;
-      r.limb[i] = static_cast<u64>(v);
-      carry = v >> 64;
-    }
-    if (carry != 0) throw std::invalid_argument("U256::from_dec: overflow");
-  }
-  return r;
-}
-
 U256 U256::from_be_bytes(std::span<const std::uint8_t, 32> bytes) {
   U256 r;
   for (int i = 0; i < 32; ++i) {
@@ -90,19 +73,6 @@ U512 mul_wide(const U256& a, const U256& b) {
   return r;
 }
 
-U256 mul_lo(const U256& a, const U256& b) {
-  U256 r;
-  for (int i = 0; i < 4; ++i) {
-    u128 carry = 0;
-    for (int j = 0; i + j < 4; ++j) {
-      u128 v = static_cast<u128>(a.limb[i]) * b.limb[j] + r.limb[i + j] + carry;
-      r.limb[i + j] = static_cast<u64>(v);
-      carry = v >> 64;
-    }
-  }
-  return r;
-}
-
 U256 mul_high_rounded(const U256& a, const U256& b) {
   U512 w = mul_wide(a, b);
   // Add 2^255 to the low half and propagate the carry into the high half.
@@ -114,42 +84,6 @@ U256 mul_high_rounded(const U256& a, const U256& b) {
     carry = v >> 64;
   }
   return hi;
-}
-
-U256 mod(const U512& a, const U256& m) {
-  if (m.is_zero()) throw std::domain_error("mod: division by zero");
-  // Binary long division over 512 bits: process from the most significant bit
-  // down, maintaining remainder < m. Init-time only, so clarity over speed.
-  U256 rem;
-  for (int bit = 511; bit >= 0; --bit) {
-    // rem = rem*2 + bit; top bit of rem is always 0 before the shift because
-    // rem < m < 2^256, but guard anyway via carry-aware compare.
-    u64 top = rem.limb[3] >> 63;
-    rem = shl1(rem);
-    if ((a.limb[bit / 64] >> (bit % 64)) & 1) rem.limb[0] |= 1;
-    if (top || !lt(rem, m)) {
-      U256 t;
-      sub_with_borrow(rem, m, t);
-      rem = t;
-    }
-  }
-  return rem;
-}
-
-U256 mul_mod_slow(const U256& a, const U256& b, const U256& m) {
-  return mod(mul_wide(a, b), m);
-}
-
-U256 pow_mod_slow(const U256& a, const U256& e, const U256& m) {
-  U256 base = mod(U512{{a.limb[0], a.limb[1], a.limb[2], a.limb[3], 0, 0, 0, 0}}, m);
-  U256 result{1};
-  result = mod(U512{{1, 0, 0, 0, 0, 0, 0, 0}}, m);  // handles m == 1
-  unsigned nbits = e.bit_length();
-  for (unsigned i = 0; i < nbits; ++i) {
-    if (e.bit(i)) result = mul_mod_slow(result, base, m);
-    base = mul_mod_slow(base, base, m);
-  }
-  return result;
 }
 
 U256 inv_mod(const U256& a, const U256& m) {

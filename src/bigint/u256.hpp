@@ -3,7 +3,11 @@
 // These are the workhorse types underneath the Montgomery field arithmetic in
 // src/field. They are deliberately simple value types (no dynamic allocation,
 // trivially copyable) with explicit carry handling built on the compiler's
-// 128-bit integer support.
+// 128-bit integer support. There is no long division: a 256-bit value is
+// reduced below a BN254 modulus by reduce_by_subtraction (at most 5
+// subtractions), every other constant is a literal or a constexpr value, and
+// the tests' arbitrary-precision oracle (VarUInt, which also parses decimals)
+// lives in tests/support.
 #pragma once
 
 #include <array>
@@ -27,9 +31,6 @@ struct U256 {
   constexpr U256() = default;
   constexpr explicit U256(u64 v) : limb{v, 0, 0, 0} {}
   constexpr U256(u64 l0, u64 l1, u64 l2, u64 l3) : limb{l0, l1, l2, l3} {}
-
-  static U256 zero() { return U256{}; }
-  static U256 one() { return U256{1}; }
 
   /// Parse a hex string (with or without 0x prefix). Throws std::invalid_argument
   /// on malformed input or overflow past 256 bits. constexpr, so the field
@@ -56,9 +57,6 @@ struct U256 {
     }
     return r;
   }
-
-  /// Parse a decimal string. Throws std::invalid_argument on malformed input.
-  static U256 from_dec(std::string_view dec);
 
   /// 32-byte big-endian encoding (the conventional wire format for field
   /// elements in this library).
@@ -101,8 +99,8 @@ struct U256 {
 // The carry/borrow/compare primitives and add_mod/sub_mod below are the inner
 // loop of every Montgomery field operation. A plain `inline` let GCC emit them
 // as out-of-line calls, so they are forced inline with [[gnu::always_inline]].
-// They and shr1 are constexpr: ff::make_mont_params derives the field
-// constants from them at compile time.
+// They, shr1 and mul_lo are constexpr: ff::make_mont_params and the GLV
+// basis of curve/glv.hpp are derived from them at compile time.
 
 /// Three-way compare: -1, 0, +1.
 [[gnu::always_inline]] constexpr int cmp(const U256& a, const U256& b) {
@@ -168,14 +166,15 @@ struct U256 {
   return diff;
 }
 
-inline U256 shl1(const U256& a) {  // a << 1 (mod 2^256)
-  U256 r;
-  u64 carry = 0;
-  for (int i = 0; i < 4; ++i) {
-    r.limb[i] = (a.limb[i] << 1) | carry;
-    carry = a.limb[i] >> 63;
-  }
-  return r;
+/// a mod m by subtracting m until the value is below it: floor(a / m)
+/// steps, so this is the reduction for a modulus close to 2^256 only. Both
+/// BN254 moduli exceed 2^253 (fp.hpp static_asserts it), so it takes at most
+/// 7 steps for them, 5 in fact. Every 256-bit value that becomes a field
+/// element or a G1 scalar goes through it.
+[[gnu::always_inline]] constexpr U256 reduce_by_subtraction(U256 a,
+                                                            const U256& m) {
+  while (!lt(a, m)) sub_with_borrow(a, m, a);
+  return a;
 }
 
 constexpr U256 shr1(const U256& a) {  // a >> 1
@@ -192,12 +191,6 @@ constexpr U256 shr1(const U256& a) {  // a >> 1
 struct U512 {
   std::array<u64, 8> limb{};
 
-  bool is_zero() const {
-    u64 acc = 0;
-    for (u64 l : limb) acc |= l;
-    return acc == 0;
-  }
-  U256 lo() const { return U256{limb[0], limb[1], limb[2], limb[3]}; }
   U256 hi() const { return U256{limb[4], limb[5], limb[6], limb[7]}; }
 
   friend bool operator==(const U512& a, const U512& b) = default;
@@ -209,11 +202,22 @@ U512 mul_wide(const U256& a, const U256& b);
 /// Low 256 bits of a * b (the product modulo 2^256) — the lattice-vector
 /// accumulation step of the GLV decomposition, where the small results are
 /// exact in two's complement even though the intermediate products wrap.
-U256 mul_lo(const U256& a, const U256& b);
+constexpr U256 mul_lo(const U256& a, const U256& b) {
+  U256 r;
+  for (int i = 0; i < 4; ++i) {
+    u128 carry = 0;
+    for (int j = 0; i + j < 4; ++j) {
+      u128 v = static_cast<u128>(a.limb[i]) * b.limb[j] + r.limb[i + j] + carry;
+      r.limb[i + j] = static_cast<u64>(v);
+      carry = v >> 64;
+    }
+  }
+  return r;
+}
 
 /// round(a * b / 2^256) = floor((a * b + 2^255) / 2^256): the widening
 /// mul-high with rounding used by the GLV Babai-rounding step, where b is a
-/// precomputed round(2^256 * v / r) constant.
+/// precomputed floor(2^256 * v / r) constant.
 U256 mul_high_rounded(const U256& a, const U256& b);
 
 // Two's-complement views of U256: the GLV half-scalars come out of the
@@ -237,16 +241,6 @@ inline U256 abs2c(const U256& a, bool& negative) {
   negative = sign_bit(a);
   return negative ? neg2c(a) : a;
 }
-
-/// a mod m via binary long division. Slow (bit-by-bit); intended for
-/// init-time constant derivation only — hot paths use Montgomery reduction.
-U256 mod(const U512& a, const U256& m);
-
-/// (a * b) mod m, via mul_wide + mod. Init-time use only.
-U256 mul_mod_slow(const U256& a, const U256& b, const U256& m);
-
-/// a^e mod m by square-and-multiply using the slow modmul. Init-time only.
-U256 pow_mod_slow(const U256& a, const U256& e, const U256& m);
 
 /// Modular inverse of a mod m (m odd, gcd(a,m)=1) via the extended binary
 /// Euclidean algorithm. Throws std::domain_error if not invertible.

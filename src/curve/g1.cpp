@@ -1,21 +1,8 @@
 #include "curve/g1.hpp"
 
-#include "curve/glv.hpp"
 #include "primitives/keccak256.hpp"
 
 namespace dsaudit::curve {
-
-const Fp& G1Tag::curve_b() {
-  static const Fp b = Fp::from_u64(3);
-  return b;
-}
-
-const G1& G1Tag::generator() {
-  static const G1 g{Fp::from_u64(1), Fp::from_u64(2)};
-  return g;
-}
-
-const Fp& G1Tag::endo_beta() { return glv_params().beta; }
 
 const FixedBaseTable<G1>& g1_generator_table() {
   // w = 10: 13 windows of 512 signed digits, 479 KB and at most 26 mixed
@@ -44,7 +31,7 @@ G1 hash_to_g1(std::span<const std::uint8_t> data) {
     auto h = primitives::Keccak256::hash(buf);
     bool want_odd = (h[0] & 0x80) != 0;  // consumed before the mod-p mapping
     Fp x = Fp::from_be_bytes_mod(std::span<const std::uint8_t, 32>(h));
-    Fp rhs = x.square() * x + G1Tag::curve_b();
+    Fp rhs = x.square() * x + G1::curve_b();
     if (auto y = rhs.sqrt()) {
       Fp yy = (y->is_odd_canonical() == want_odd) ? *y : -*y;
       G1 p{x, yy};
@@ -86,7 +73,7 @@ std::optional<G1> g1_decompress(std::span<const std::uint8_t, 32> bytes) {
   ff::U256 xi = ff::U256::from_be_bytes(buf);
   if (!bigint::lt(xi, Fp::modulus())) return std::nullopt;  // non-canonical
   Fp x = Fp::from_u256(xi);
-  Fp rhs = x.square() * x + G1Tag::curve_b();
+  Fp rhs = x.square() * x + G1::curve_b();
   auto y = rhs.sqrt();
   if (!y) return std::nullopt;
   Fp yy = (y->is_odd_canonical() == odd) ? *y : -*y;

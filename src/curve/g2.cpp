@@ -8,21 +8,6 @@ namespace dsaudit::curve {
 
 namespace {
 
-// EIP-197 / py_ecc generator for the order-r subgroup of the twist.
-const char* kG2GenX0 =
-    "10857046999023057135944570762232829481370756359578518086990519993285655852781";
-const char* kG2GenX1 =
-    "11559732032986387107991004021392285783925812861821192530917403151452391805634";
-const char* kG2GenY0 =
-    "8495653923123431417604973247489272438418190587263600148770280649306958101930";
-const char* kG2GenY1 =
-    "4082367875863433681332203403145435568316851327593401208105741076214120093531";
-
-Fp2 fp2_from_dec(const char* c0, const char* c1) {
-  return Fp2{ff::Fp::from_u256(ff::U256::from_dec(c0)),
-             ff::Fp::from_u256(ff::U256::from_dec(c1))};
-}
-
 /// Lexicographic comparison of the canonical byte encoding, used to pin down
 /// which of the two square roots a compressed point refers to.
 bool lex_greater(const Fp2& a, const Fp2& b) {
@@ -32,18 +17,6 @@ bool lex_greater(const Fp2& a, const Fp2& b) {
 }
 
 }  // namespace
-
-const Fp2& G2Tag::curve_b() {
-  // b' = 3 / xi  (D-type twist).
-  static const Fp2 b = ff::xi().inverse().mul_fp(ff::Fp::from_u64(3));
-  return b;
-}
-
-const G2& G2Tag::generator() {
-  static const G2 g{fp2_from_dec(kG2GenX0, kG2GenX1),
-                    fp2_from_dec(kG2GenY0, kG2GenY1)};
-  return g;
-}
 
 const FixedBaseTable<G2>& g2_generator_table() {
   static const FixedBaseTable<G2> table(G2::generator());
@@ -69,13 +42,7 @@ bool g2_in_subgroup(const G2& p) {
   //    [p - 6t^2] Q_c = [r] Q_c = 0, and r coprime to the cofactor forces
   //    Q_c = 0.
   // 6t^2 is 127 bits, so the ladder runs half the order-r oracle's length.
-  static const ff::U256 six_t_sq = [] {
-    const bigint::u128 v =
-        bigint::u128{6} * ff::kBnParamT * ff::kBnParamT;
-    return ff::U256{static_cast<bigint::u64>(v),
-                    static_cast<bigint::u64>(v >> 64), 0, 0};
-  }();
-  return g2_frobenius(p) == p.mul(six_t_sq);
+  return g2_frobenius(p) == p.mul(ff::kSixTSquared);
 }
 
 G2 g2_frobenius(const G2& p) {
@@ -126,7 +93,7 @@ std::optional<G2> g2_decompress(std::span<const std::uint8_t, 64> bytes) {
     return std::nullopt;
   }
   Fp2 x{ff::Fp::from_u256(x0), ff::Fp::from_u256(x1)};
-  Fp2 rhs = x.square() * x + G2Tag::curve_b();
+  Fp2 rhs = x.square() * x + G2::curve_b();
   auto y = rhs.sqrt();
   if (!y) return std::nullopt;
   Fp2 yy = (lex_greater(*y, -*y) == greater) ? *y : -*y;

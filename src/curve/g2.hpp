@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string_view>
 
 #include "curve/fixed_base.hpp"
 #include "curve/point.hpp"
@@ -14,12 +15,34 @@ namespace dsaudit::curve {
 
 using ff::Fp2;
 
+namespace detail {
+constexpr Fp2 fp2_from_hex(std::string_view c0, std::string_view c1) {
+  return {ff::Fp::from_u256(ff::U256::from_hex(c0)),
+          ff::Fp::from_u256(ff::U256::from_hex(c1))};
+}
+}  // namespace detail
+
 struct G2Tag {
-  static const Fp2& curve_b();
+  /// b' = 3/xi (D-type twist).
+  static constexpr Fp2 kCurveB = detail::fp2_from_hex(
+      "0x2b149d40ceb8aaae81be18991be06ac3b5b4c5e559dbefa33267e6dc24a138e5",
+      "0x009713b03af0fed4cd2cafadeed8fdf4a74fa084e52d1852e4a2bd0685c315d2");
   static const Point<Fp2, G2Tag>& generator();
 };
+static_assert((G2Tag::kCurveB * ff::xi() - Fp2::from_u64(3, 0)).is_zero(),
+              "b' * xi != 3");
 
 using G2 = Point<Fp2, G2Tag>;
+
+/// The EIP-197 generator of the order-r subgroup of the twist.
+inline constexpr G2 kG2Generator{
+    detail::fp2_from_hex(
+        "0x1800deef121f1e76426a00665e5c4479674322d4f75edadd46debd5cd992f6ed",
+        "0x198e9393920d483a7260bfb731fb5d25f1aa493335a9e71297e485b7aef312c2"),
+    detail::fp2_from_hex(
+        "0x12c85ea5db8c6deb4aab71808dcb408fe3d1e7690c43d37b4ce6cc0166fa7daa",
+        "0x090689d0585ff075ec9e99ad690c3395bc4b313370b38ef355acdadcd122975b")};
+inline const G2& G2Tag::generator() { return kG2Generator; }
 
 /// Process-wide fixed-base window table for the G2 generator (built lazily,
 /// thread-safe). Use g2_mul_generator for k * g2 on any hot path.

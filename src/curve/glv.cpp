@@ -1,138 +1,14 @@
-// Runtime derivation and self-check of the GLV constants (see glv.hpp for
-// the math). Everything is rebuilt from ff::kBnParamT at first use; the
-// derivation cross-checks itself and throws std::logic_error on any
-// mismatch, so a wrong constant can never silently mis-multiply.
+// The GLV split itself (see glv.hpp for the math and the constants).
 #include "curve/glv.hpp"
 
 #include <stdexcept>
 
-#include "curve/g1.hpp"
-
 namespace dsaudit::curve {
 
-namespace {
-
 using bigint::U256;
-using bigint::u128;
-using bigint::u64;
-
-/// floor(a / d) for a small divisor (used for (p - 1) / 3).
-U256 div_u64(const U256& a, u64 d) {
-  U256 q;
-  u128 rem = 0;
-  for (int i = 3; i >= 0; --i) {
-    u128 cur = (rem << 64) | a.limb[i];
-    q.limb[i] = static_cast<u64>(cur / d);
-    rem = cur % d;
-  }
-  return q;
-}
-
-/// floor(num * 2^256 / den) by binary long division over the shifted 512-bit
-/// value. Init-time only; the quotients here are < 2^130.
-U256 div_pow256(const U256& num, const U256& den) {
-  U256 rem, quo;
-  for (int bit = 511; bit >= 0; --bit) {
-    u64 top = rem.limb[3] >> 63;
-    rem = bigint::shl1(rem);
-    if (bit >= 256 && num.bit(static_cast<unsigned>(bit - 256))) {
-      rem.limb[0] |= 1;
-    }
-    quo = bigint::shl1(quo);
-    if (top || !bigint::lt(rem, den)) {
-      U256 t;
-      bigint::sub_with_borrow(rem, den, t);
-      rem = t;
-      quo.limb[0] |= 1;
-    }
-  }
-  return quo;
-}
-
-GlvParams derive() {
-  const U256 r = ff::Fr::modulus();
-  const U256 t{ff::kBnParamT};
-  const U256 t2 = bigint::mul_lo(t, t);        // < 2^126: exact
-  const U256 t3 = bigint::mul_lo(t2, t);       // < 2^189: exact
-  auto small_mul = [](const U256& a, u64 m) { return bigint::mul_lo(a, U256{m}); };
-  auto sum = [](std::initializer_list<U256> vs) {
-    U256 acc;
-    for (const U256& v : vs) bigint::add_with_carry(acc, v, acc);
-    return acc;
-  };
-
-  GlvParams gp;
-  // lambda = 36 t^3 + 18 t^2 + 6 t + 1 — the eigenvalue of phi on G1.
-  gp.lambda = sum({small_mul(t3, 36), small_mul(t2, 18), small_mul(t, 6), U256::one()});
-  // Short lattice basis: v1 = (a1, b1), v2 = (-b1, b2).
-  gp.a1 = sum({small_mul(t2, 6), small_mul(t, 4), U256::one()});
-  gp.b1 = sum({small_mul(t, 2), U256::one()});
-  gp.b2 = sum({small_mul(t2, 6), small_mul(t, 2)});
-  // 2^256-scaled reciprocals for the Babai rounding step.
-  gp.g1 = div_pow256(gp.b2, r);
-  gp.g2 = div_pow256(gp.b1, r);
-
-  // --- self-checks: the algebra that makes the decomposition sound ---
-  if (!bigint::lt(gp.lambda, r)) throw std::logic_error("glv: lambda >= r");
-  // lambda^2 + lambda + 1 = 0 (mod r): lambda is a primitive cube root.
-  U256 l2 = bigint::mul_mod_slow(gp.lambda, gp.lambda, r);
-  U256 acc = bigint::add_mod(l2, gp.lambda, r);
-  acc = bigint::add_mod(acc, U256::one(), r);
-  if (!acc.is_zero()) throw std::logic_error("glv: lambda is not a cube root");
-  // Lattice membership: a1 + b1*lambda = 0 and b2*lambda - b1 = 0 (mod r).
-  U256 v1 = bigint::add_mod(gp.a1, bigint::mul_mod_slow(gp.b1, gp.lambda, r), r);
-  if (!v1.is_zero()) throw std::logic_error("glv: v1 not in lattice");
-  U256 v2 = bigint::sub_mod(bigint::mul_mod_slow(gp.b2, gp.lambda, r), gp.b1, r);
-  if (!v2.is_zero()) throw std::logic_error("glv: v2 not in lattice");
-  // det(v1, v2) = a1*b2 + b1^2 must equal r exactly (full 512-bit compare).
-  bigint::U512 det = bigint::mul_wide(gp.a1, gp.b2);
-  bigint::U512 b1sq = bigint::mul_wide(gp.b1, gp.b1);
-  u64 carry = 0;
-  for (int i = 0; i < 8; ++i) {
-    u128 v = static_cast<u128>(det.limb[i]) + b1sq.limb[i] + carry;
-    det.limb[i] = static_cast<u64>(v);
-    carry = static_cast<u64>(v >> 64);
-  }
-  if (carry != 0 || !det.hi().is_zero() || !(det.lo() == r)) {
-    throw std::logic_error("glv: det(v1, v2) != r");
-  }
-
-  // beta: a primitive cube root of unity in Fp, oriented so that
-  // (beta * x_G, y_G) == [lambda] G on the G1 generator (the other root
-  // pairs with lambda^2). The eigenvalue check below uses mul_naive — the
-  // fast mul depends on these very constants.
-  const U256 exp = div_u64(bigint::sub_mod(ff::Fp::modulus(), U256::one(),
-                                           ff::Fp::modulus()),
-                           3);
-  ff::Fp beta = ff::Fp::one();
-  for (u64 g = 2; beta == ff::Fp::one(); ++g) {
-    beta = ff::Fp::from_u64(g).pow_u256(exp);
-  }
-  const G1& gen = G1::generator();
-  const G1 lam_g = gen.mul_naive(gp.lambda);
-  auto phi_matches = [&](const ff::Fp& b) {
-    auto [x, y] = gen.to_affine();
-    return G1{x * b, y} == lam_g;
-  };
-  if (phi_matches(beta)) {
-    gp.beta = beta;
-  } else if (phi_matches(beta.square())) {
-    gp.beta = beta.square();
-  } else {
-    throw std::logic_error("glv: no cube root matches the lambda eigenvalue");
-  }
-  return gp;
-}
-
-}  // namespace
-
-const GlvParams& glv_params() {
-  static const GlvParams gp = derive();
-  return gp;
-}
 
 GlvDecomposed glv_decompose(const U256& k) {
-  const GlvParams& gp = glv_params();
+  const GlvParams& gp = kGlvParams;
   // Babai rounding: m1 = round(k * b2 / r), m2 = round(k * b1 / r) — the
   // magnitudes of the rational coordinates c1 = k*b2/r, c2 = -k*b1/r.
   const U256 m1 = bigint::mul_high_rounded(k, gp.g1);

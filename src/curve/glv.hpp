@@ -26,10 +26,15 @@
 // (k1, k2) = (k, 0) - m1 v1 - m2 v2 with both coordinates < 2^127 in
 // magnitude — strictly, 3/4 * (6t^2 + 6t + 2) < 2^127.
 //
-// This header depends only on the field layer; the runtime constants
-// (including the beta root matched against the G1 generator) are derived
-// once in glv.cpp and self-checked at init.
+// Every constant is a compile-time value: lambda and the basis come from
+// ff::kBnParamT by constexpr Horner evaluation, g1, g2 and beta are literals,
+// and the static_asserts below check the algebra the decomposition rests on.
+// test_curve's Params.Bn254SelfCheck re-derives all of them over VarUInt,
+// including the floor divisions behind g1 and g2 and the orientation of beta
+// (phi(P) == [lambda] P on G1; the other cube root pairs with lambda^2).
 #pragma once
+
+#include <initializer_list>
 
 #include "bigint/u256.hpp"
 #include "field/fp.hpp"
@@ -40,9 +45,6 @@ namespace dsaudit::curve {
 /// decomposition throws std::logic_error if a half ever exceeds it.
 inline constexpr unsigned kGlvHalfBits = 127;
 
-/// Runtime GLV constants, derived from ff::kBnParamT and self-verified
-/// (lambda root relation, lattice membership, determinant, beta/generator
-/// eigenvalue match) — any mismatch throws at first use.
 struct GlvParams {
   ff::Fp beta;        // phi(x, y) = (beta * x, y) acts as [lambda] on G1
   bigint::U256 lambda;  // canonical mod r
@@ -50,7 +52,48 @@ struct GlvParams {
   bigint::U256 g1, g2;      // floor(2^256 * b2 / r), floor(2^256 * b1 / r)
 };
 
-const GlvParams& glv_params();
+namespace detail {
+
+/// c[0] t^n + ... + c[n] at t = kBnParamT by Horner's rule; exact, since
+/// every polynomial here stays below 2^256.
+constexpr bigint::U256 poly_in_t(std::initializer_list<bigint::u64> c) {
+  bigint::U256 acc;
+  for (bigint::u64 ci : c) {
+    acc = bigint::mul_lo(acc, bigint::U256{ff::kBnParamT});
+    bigint::add_with_carry(acc, bigint::U256{ci}, acc);
+  }
+  return acc;
+}
+
+}  // namespace detail
+
+inline constexpr GlvParams kGlvParams{
+    .beta = ff::Fp::from_u256(bigint::U256::from_hex(
+        "0x59e26bcea0d48bacd4f263f1acdb5c4f5763473177fffffe")),
+    .lambda = detail::poly_in_t({36, 18, 6, 1}),  // 36t^3 + 18t^2 + 6t + 1
+    .a1 = detail::poly_in_t({6, 4, 1}),           // 6t^2 + 4t + 1
+    .b1 = detail::poly_in_t({2, 1}),              // 2t + 1
+    .b2 = detail::poly_in_t({6, 2, 0}),           // 6t^2 + 2t
+    .g1 = bigint::U256::from_hex("0x24ccef014a773d2cf7a7bd9d4391eb18d"),
+    .g2 = bigint::U256::from_hex("0x2d91d232ec7e0b3d7"),
+};
+
+// The algebra the split rests on, checked while compiling.
+static_assert([] {
+  using ff::Fp, ff::Fr;
+  const GlvParams& gp = kGlvParams;
+  const Fr l = Fr::from_u256(gp.lambda), a1 = Fr::from_u256(gp.a1),
+           b1 = Fr::from_u256(gp.b1), b2 = Fr::from_u256(gp.b2);
+  // a1, b1, b2 < 2^128, so a1*b2 + b1^2 is exact in 256 bits.
+  bigint::U256 det = bigint::mul_lo(gp.a1, gp.b2);
+  bigint::add_with_carry(det, bigint::mul_lo(gp.b1, gp.b1), det);
+  return bigint::lt(gp.lambda, Fr::modulus()) &&
+         (l * l + l + Fr::one()).is_zero() &&           // a cube root mod r
+         (a1 + b1 * l).is_zero() && (b2 * l - b1).is_zero() &&  // v1, v2 in L
+         gp.a1.limb[2] == 0 && gp.b2.limb[2] == 0 && det == Fr::modulus() &&
+         (gp.beta * gp.beta * gp.beta - Fp::one()).is_zero() &&  // beta^3 = 1
+         !(gp.beta - Fp::one()).is_zero();                       // beta != 1
+}());
 
 /// k = (neg1 ? -k1 : k1) + (neg2 ? -k2 : k2) * lambda (mod r), with the
 /// magnitudes k1, k2 < 2^kGlvHalfBits. Requires k < r (canonical scalar).

@@ -118,12 +118,12 @@ class Point {
   using TagType = Tag;
   using Affine = AffinePoint<F, Tag>;
 
-  Point() : x_(F::one()), y_(F::one()), z_(F::zero()) {}  // infinity
-  Point(const F& x, const F& y) : x_(x), y_(y), z_(F::one()) {}
+  constexpr Point() : x_(F::one()), y_(F::one()), z_(F::zero()) {}  // infinity
+  constexpr Point(const F& x, const F& y) : x_(x), y_(y), z_(F::one()) {}
 
   static Point infinity() { return Point(); }
   static const Point& generator() { return Tag::generator(); }
-  static const F& curve_b() { return Tag::curve_b(); }
+  static constexpr const F& curve_b() { return Tag::kCurveB; }
 
   static Point from_affine(const Affine& a) {
     if (a.infinity) return infinity();
@@ -253,11 +253,7 @@ class Point {
   Point mul(const U256& k) const {
     U256 v = k;
     if constexpr (HasEndomorphism<Tag>) {
-      while (!bigint::lt(v, Fr::modulus())) {
-        U256 t;
-        bigint::sub_with_borrow(v, Fr::modulus(), t);
-        v = t;
-      }
+      v = bigint::reduce_by_subtraction(v, Fr::modulus());
     }
     return detail::msm_straus<Point>(std::span<const Point>(this, 1),
                                      std::span<const U256>(&v, 1));

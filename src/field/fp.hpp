@@ -8,7 +8,10 @@
 // the exponents) are derived at compile time from the modulus strings by the
 // constexpr make_mont_params, so every field operation reads them as
 // immediates. The arithmetic members are constexpr too, so the tower
-// constants of fp12.hpp are computed at compile time with the same code.
+// constants of fp12.hpp, the curve constants and the GLV checks are computed
+// at compile time with the same code. A 256-bit integer becomes an element by
+// one reduction, bigint::reduce_by_subtraction: both moduli exceed 2^253, so
+// from_u256 subtracts p at most 5 times before the Montgomery lift.
 // test_curve's Params.Bn254SelfCheck re-derives the moduli from the BN
 // parameter t, so a single typo cannot silently corrupt the arithmetic.
 #pragma once
@@ -140,14 +143,13 @@ class PrimeField {
 
   static constexpr PrimeField from_u64(u64 v) { return from_u256(U256{v}); }
 
-  /// Reduce an arbitrary 256-bit value mod p and lift to Montgomery form.
+  /// Reduce an arbitrary 256-bit value mod p (at most 5 subtractions of p)
+  /// and lift to Montgomery form.
   static constexpr PrimeField from_u256(const U256& v) {
     const auto& P = params();
-    U256 reduced = bigint::lt(v, P.modulus)
-                       ? v
-                       : bigint::mod(widen(v), P.modulus);
     PrimeField r;
-    r.v_ = detail::mont_mul(reduced, P.r2_mod, P);
+    r.v_ = detail::mont_mul(bigint::reduce_by_subtraction(v, P.modulus),
+                            P.r2_mod, P);
     return r;
   }
 
@@ -165,7 +167,7 @@ class PrimeField {
   }
 
   /// Canonical (non-Montgomery) integer value in [0, p).
-  U256 to_u256() const {
+  constexpr U256 to_u256() const {
     const auto& P = params();
     return detail::mont_mul(v_, U256{1}, P);
   }
@@ -267,9 +269,6 @@ class PrimeField {
   friend bool operator==(const PrimeField& a, const PrimeField& b) = default;
 
  private:
-  static bigint::U512 widen(const U256& v) {
-    return bigint::U512{{v.limb[0], v.limb[1], v.limb[2], v.limb[3], 0, 0, 0, 0}};
-  }
   U256 v_{};  // Montgomery form
 };
 
@@ -284,6 +283,9 @@ inline constexpr MontParams kFpMontParams =
     make_mont_params(U256::from_hex(kFpModulusHex));
 inline constexpr MontParams kFrMontParams =
     make_mont_params(U256::from_hex(kFrModulusHex));
+// Both moduli exceed 2^253, so bigint::reduce_by_subtraction brings any
+// 256-bit value below them in at most 7 subtractions (5 in fact).
+static_assert(kFpMontParams.modulus.bit(253) && kFrMontParams.modulus.bit(253));
 
 struct FpTag {
   static constexpr const MontParams& params() { return kFpMontParams; }
@@ -300,5 +302,21 @@ using Fr = PrimeField<FrTag>;
 /// The BN parameter t, with p = 36t^4+36t^3+24t^2+6t+1 and
 /// r = 36t^4+36t^3+18t^2+6t+1 (test_curve checks both against the moduli).
 inline constexpr u64 kBnParamT = 4965661367192848881ULL;
+
+/// 6t^2 = p - r (127 bits): Frobenius acts as [6t^2] on G2 and as the
+/// 6t^2-th power on GT, which is what both subgroup checks test.
+inline constexpr U256 kSixTSquared = [] {
+  const bigint::u128 v = bigint::u128{6} * kBnParamT * kBnParamT;
+  return U256{static_cast<u64>(v), static_cast<u64>(v >> 64), 0, 0};
+}();
+static_assert([] {
+  U256 diff;
+  bigint::sub_with_borrow(Fp::modulus(), Fr::modulus(), diff);
+  return diff == kSixTSquared;
+}());
+
+/// 1/2 in Fp: (p + 1)/2 = (p - 1)/2 + 1.
+inline constexpr Fp kFpHalf =
+    Fp::from_u256(kFpMontParams.p_minus_1_over_2) + Fp::one();
 
 }  // namespace dsaudit::ff

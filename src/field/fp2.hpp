@@ -88,12 +88,10 @@ class Fp2 {
     }
     auto alpha = (c0.square() + c1.square()).sqrt();
     if (!alpha) return std::nullopt;
-    // 1/2 = (p-1)/2 + 1. The two candidates multiply to -a1^2/4, a
-    // non-square, so exactly one of them is a square; neither is zero.
-    constexpr Fp half =
-        Fp::from_u256(Fp::params().p_minus_1_over_2) + Fp::one();
-    auto x0 = ((c0 + *alpha) * half).sqrt();
-    if (!x0) x0 = ((c0 - *alpha) * half).sqrt();
+    // The two candidates multiply to -a1^2/4, a non-square, so exactly one
+    // of them is a square; neither is zero.
+    auto x0 = ((c0 + *alpha) * kFpHalf).sqrt();
+    if (!x0) x0 = ((c0 - *alpha) * kFpHalf).sqrt();
     return Fp2{*x0, c1 * x0->dbl().inverse()};
   }
 

@@ -1,5 +1,6 @@
 #include "pairing/pairing.hpp"
 
+#include <array>
 #include <atomic>
 #include <stdexcept>
 
@@ -36,27 +37,23 @@ TwistPoint to_twist_affine(const G2& q) {
 /// kills, so pairing-level results are unchanged (test_pairing's textbook
 /// binary loop is the differential oracle for exactly that equality). Shared by
 /// the G2Prepared coefficient builder and the replay loops — both must walk
-/// the identical chain for the lock-step cursor to line up.
-const std::vector<std::int8_t>& six_t_plus_2_naf() {
-  static const std::vector<std::int8_t> naf = [] {
-    u128 v = static_cast<u128>(6) * ff::kBnParamT + 2;
-    std::vector<std::int8_t> d;
-    while (v != 0) {
-      if (v & 1) {
-        // Odd: pick the digit in {-1, 1} making v - digit divisible by 4,
-        // which forces the next digit to 0 (the NAF property).
-        std::int8_t di = (v & 3) == 3 ? -1 : 1;
-        d.push_back(di);
-        v -= di;  // unsigned wrap-around implements the -(-1) correctly
-      } else {
-        d.push_back(0);
-      }
-      v >>= 1;
+/// the identical chain for the lock-step cursor to line up. A wrong length
+/// fails the build.
+constexpr auto kSixTPlus2Naf = [] {
+  std::array<std::int8_t, 66> d{};
+  u128 v = static_cast<u128>(6) * ff::kBnParamT + 2;
+  for (std::int8_t& di : d) {
+    if (v & 1) {
+      // Odd: pick the digit in {-1, 1} making v - digit divisible by 4,
+      // which forces the next digit to 0 (the NAF property).
+      di = (v & 3) == 3 ? -1 : 1;
+      v -= di;  // unsigned wrap-around implements the -(-1) correctly
     }
-    return d;  // little-endian; top digit is always 1
-  }();
-  return naf;
-}
+    v >>= 1;
+  }
+  if (v != 0 || d.back() != 1) throw std::logic_error("NAF length");
+  return d;  // little-endian; top digit is always 1
+}();
 
 // ---------------------------------------------------------------------------
 // Prepared engine: homogeneous projective Miller steps (Costello–Lange–
@@ -70,20 +67,15 @@ struct HomProjective {
   Fp2 x, y, z;
 };
 
-const Fp& half_fp() {
-  static const Fp h = Fp::from_u64(2).inverse();
-  return h;
-}
-
 /// Tangent line at T, doubling T in place. Line = -H*yp + 3X^2*xp*w + (E-B)w^3
 /// with E = 3b'Z^2, B = Y^2 (up to the shared projective scale).
 G2Prepared::Coeffs doubling_step(HomProjective& r) {
-  Fp2 a = (r.x * r.y).mul_fp(half_fp());
+  Fp2 a = (r.x * r.y).mul_fp(ff::kFpHalf);
   Fp2 b = r.y.square();
   Fp2 c = r.z.square();
   Fp2 e = G2::curve_b() * c.triple();
   Fp2 f = e.triple();
-  Fp2 g = (b + f).mul_fp(half_fp());
+  Fp2 g = (b + f).mul_fp(ff::kFpHalf);
   Fp2 h = (r.y + r.z).square() - (b + c);
   Fp2 i = e - b;
   Fp2 j = r.x.square();
@@ -132,7 +124,7 @@ struct ActivePair {
 /// cursor walks all of them.
 Fp12 miller_loop_product(std::span<const ActivePair> pairs) {
   if (pairs.empty()) return Fp12::one();
-  const auto& naf = six_t_plus_2_naf();
+  const auto& naf = kSixTPlus2Naf;
   Fp12 f = Fp12::one();
   std::size_t idx = 0;
   for (std::size_t i = naf.size() - 1; i-- > 0;) {
@@ -209,7 +201,7 @@ G2Prepared::G2Prepared(const G2& q) {
   const TwistPoint qa{qx, qy};
   const TwistPoint qneg{qx, -qy};
   HomProjective r{qx, qy, Fp2::one()};
-  const auto& naf = six_t_plus_2_naf();
+  const auto& naf = kSixTPlus2Naf;
   coeffs_.reserve(naf.size() + 24);
   for (std::size_t i = naf.size() - 1; i-- > 0;) {
     coeffs_.push_back(doubling_step(r));
@@ -330,12 +322,7 @@ bool gt_in_subgroup(const Fp12& g) {
   // invertible g — an exact test, not a probabilistic one. Frobenius is
   // nearly free, and inside the cyclotomic subgroup cyclotomic squarings are
   // valid: 6u^2 is 127 bits with 70 set, against 254 bits with 101 for r.
-  static const ff::U256 six_u_sq = [] {
-    const u128 v = u128{6} * ff::kBnParamT * ff::kBnParamT;
-    return ff::U256{static_cast<bigint::u64>(v),
-                    static_cast<bigint::u64>(v >> 64), 0, 0};
-  }();
-  return g.frobenius() == g.cyclotomic_pow_u256(six_u_sq);
+  return g.frobenius() == g.cyclotomic_pow_u256(ff::kSixTSquared);
 }
 
 PairingCounters pairing_counters() {

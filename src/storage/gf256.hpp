@@ -1,8 +1,8 @@
 // GF(2^8) arithmetic with log/antilog tables (polynomial x^8+x^4+x^3+x^2+1,
 // generator 2) — the little field underneath Reed–Solomon erasure coding.
+// The tables are compile-time constants (gf256.cpp).
 #pragma once
 
-#include <array>
 #include <cstdint>
 
 namespace dsaudit::storage {
@@ -15,13 +15,6 @@ class Gf256 {
   static std::uint8_t div(std::uint8_t a, std::uint8_t b);  // throws on b == 0
   static std::uint8_t inv(std::uint8_t a);                  // throws on a == 0
   static std::uint8_t pow(std::uint8_t base, unsigned e);
-
- private:
-  struct Tables {
-    std::array<std::uint8_t, 256> log;
-    std::array<std::uint8_t, 512> exp;  // doubled to skip a mod 255
-  };
-  static const Tables& tables();
 };
 
 }  // namespace dsaudit::storage

@@ -833,6 +833,38 @@ TEST(AuditMisc, HashGtIsDeterministicAndSensitive) {
   EXPECT_NE(hash_gt_to_fr(a), hash_gt_to_fr(b));
 }
 
+// The PRF-to-Z_p and GT-to-Z_p maps, pinned from the version that reduced
+// mod r by long division: the reduction by subtraction must give the same
+// coefficients and the same H'.
+TEST(AuditMisc, ChallengeAndGtHashKnownAnswers) {
+  Challenge c;
+  for (int i = 0; i < 32; ++i) {
+    c.c1[i] = static_cast<std::uint8_t>(i);
+    c.c2[i] = static_cast<std::uint8_t>(0xa0 + i);
+  }
+  c.k = 8;
+  const auto ex = expand_challenge(c, 1000);
+  const std::vector<std::uint64_t> indices{845, 540, 456, 295, 861, 993, 464, 970};
+  const char* coefficients[] = {
+      "0x1406a6f4f38ff9157c502ca6d4c622d128938d9a65f667745efbbef93666854c",
+      "0x26963c787a7e73b70bbeb834d626b3ceb9a1ab2ef7454c932caa3df3aa3bac3f",
+      "0x2d5f270f46f46ca972691bafe664e1ec5e68f03a30346549ca3a827a6d93a9fa",
+      "0x2bf06dd2801a9e18afe2fe01f373f68531f5fcd06a17e416d37eb300f2f53639",
+      "0x34b7aed57319b6f7c55ff9712437dd2e7ffba987b932aa6cac65b91069a226d",
+      "0x1e47cf667f37a14024180dedb6c2d7651df6d4481accaf531ebdd7b4a86145f1",
+      "0xf662b7bbf6f641cbdb1ff37cbf083ebe6ed6f1f2bb12fc374cebde220c4f702",
+      "0xa460d6c3d911835f15b87f0b72dd66adc8b9bf7c66caa3e7b8034ea949600e7"};
+  EXPECT_EQ(ex.indices, indices);
+  ASSERT_EQ(ex.coefficients.size(), 8u);
+  for (std::size_t j = 0; j < 8; ++j) {
+    EXPECT_EQ(ex.coefficients[j].to_u256().to_hex(), coefficients[j]) << j;
+  }
+  const Fp12 gt = ::dsaudit::pairing::pairing(curve::G1::generator(),
+                                              curve::G2::generator());
+  EXPECT_EQ(hash_gt_to_fr(gt).to_u256().to_hex(),
+            "0x2f769fdcc2eb1bac504ca15622dd705c13e09a2ea85daf7f87054508ce275e40");
+}
+
 TEST(AuditMisc, KeygenValidatesS) {
   auto rng = SecureRng::deterministic(411);
   EXPECT_THROW(keygen(0, rng), std::invalid_argument);

@@ -26,16 +26,17 @@ TEST(U256, HexRoundTrip) {
 TEST(U256, DecRoundTrip) {
   const char* dec =
       "21888242871839275222246405745257275088696311157297823662689037894645226208583";
-  EXPECT_EQ(U256::from_dec(dec).to_dec(), dec);
-  EXPECT_EQ(U256::from_dec("0").to_dec(), "0");
-  EXPECT_EQ(U256::from_dec("18446744073709551616").limb[1], 1u);  // 2^64
+  EXPECT_EQ(VarUInt::from_dec(dec).to_u256().to_dec(), dec);
+  EXPECT_EQ(U256{}.to_dec(), "0");
+  EXPECT_EQ((U256{0, 1, 0, 0}).to_dec(), "18446744073709551616");  // 2^64
 }
 
 TEST(U256, HexEqualsDec) {
   // The BN254 base-field modulus, two ways.
   U256 h = U256::from_hex("30644e72e131a029b85045b68181585d97816a916871ca8d3c208c16d87cfd47");
-  U256 d = U256::from_dec(
-      "21888242871839275222246405745257275088696311157297823662689037894645226208583");
+  U256 d = VarUInt::from_dec(
+      "21888242871839275222246405745257275088696311157297823662689037894645226208583")
+               .to_u256();
   EXPECT_EQ(h, d);
 }
 
@@ -43,8 +44,6 @@ TEST(U256, RejectsBadInput) {
   EXPECT_THROW(U256::from_hex(""), std::invalid_argument);
   EXPECT_THROW(U256::from_hex("0xzz"), std::invalid_argument);
   EXPECT_THROW(U256::from_hex(std::string(65, 'f')), std::invalid_argument);
-  EXPECT_THROW(U256::from_dec("12a"), std::invalid_argument);
-  EXPECT_THROW(U256::from_dec(std::string(80, '9')), std::invalid_argument);
 }
 
 TEST(U256, BytesRoundTrip) {
@@ -82,8 +81,7 @@ TEST(U256, ShiftConsistency) {
   auto rng = SecureRng::deterministic(10);
   for (int i = 0; i < 100; ++i) {
     U256 a = random_u256(rng);
-    a.limb[3] &= 0x7fffffffffffffffULL;  // avoid losing the top bit
-    EXPECT_EQ(shr1(shl1(a)), a);
+    EXPECT_EQ(shr1(a), VarUInt{a}.shr(1).to_u256());
   }
 }
 
@@ -97,40 +95,18 @@ TEST(U256, MulWideMatchesVarUInt) {
   }
 }
 
-TEST(U256, ModAgainstVarUInt) {
-  auto rng = SecureRng::deterministic(12);
-  U256 m = U256::from_hex(
-      "0x30644e72e131a029b85045b68181585d97816a916871ca8d3c208c16d87cfd47");
-  for (int i = 0; i < 50; ++i) {
-    U256 a = random_u256(rng), b = random_u256(rng);
-    U512 wide = mul_wide(a, b);
-    U256 got = mod(wide, m);
-    VarUInt expect = VarUInt::divmod(VarUInt{a} * VarUInt{b}, VarUInt{m}).second;
-    EXPECT_EQ(VarUInt{got}, expect);
-  }
-}
-
 TEST(U256, InvModCorrect) {
   auto rng = SecureRng::deterministic(13);
   U256 m = U256::from_hex(
       "0x30644e72e131a029b85045b68181585d2833e84879b9709143e1f593f0000001");
+  const VarUInt vm{m};
   for (int i = 0; i < 50; ++i) {
-    U256 a = mod(U512{{random_u256(rng).limb[0], random_u256(rng).limb[1],
-                       random_u256(rng).limb[2], random_u256(rng).limb[3], 0, 0, 0, 0}},
-                 m);
+    U256 a = VarUInt::divmod(VarUInt{random_u256(rng)}, vm).second.to_u256();
     if (a.is_zero()) continue;
     U256 inv = inv_mod(a, m);
-    EXPECT_EQ(mul_mod_slow(a, inv, m), U256{1});
+    EXPECT_EQ(VarUInt::divmod(VarUInt{a} * VarUInt{inv}, vm).second, VarUInt{1});
   }
   EXPECT_THROW(inv_mod(U256{}, m), std::domain_error);
-}
-
-TEST(U256, PowModSmallCases) {
-  U256 m{1000000007};
-  EXPECT_EQ(pow_mod_slow(U256{2}, U256{10}, m), U256{1024});
-  EXPECT_EQ(pow_mod_slow(U256{5}, U256{0}, m), U256{1});
-  // Fermat: a^(m-1) = 1 mod prime m
-  EXPECT_EQ(pow_mod_slow(U256{123456}, U256{1000000006}, m), U256{1});
 }
 
 TEST(U256, MontN0Inv) {

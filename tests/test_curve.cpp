@@ -34,6 +34,23 @@ TEST(Params, Bn254SelfCheck) {
   EXPECT_TRUE(G1::generator().mul(Fr::modulus()).is_infinity());
   EXPECT_TRUE(G2::generator().is_on_curve());
   EXPECT_TRUE(g2_in_subgroup(G2::generator()));
+  // The G2 generator is EIP-197's, given there in decimal.
+  auto [gx, gy] = G2::generator().to_affine();
+  EXPECT_EQ(VarUInt{gx.c0.to_u256()},
+            VarUInt::from_dec("1085704699902305713594457076223282948137075635957"
+                              "8518086990519993285655852781"));
+  EXPECT_EQ(VarUInt{gx.c1.to_u256()},
+            VarUInt::from_dec("1155973203298638710799100402139228578392581286182"
+                              "1192530917403151452391805634"));
+  EXPECT_EQ(VarUInt{gy.c0.to_u256()},
+            VarUInt::from_dec("8495653923123431417604973247489272438418190587263"
+                              "600148770280649306958101930"));
+  EXPECT_EQ(VarUInt{gy.c1.to_u256()},
+            VarUInt::from_dec("4082367875863433681332203403145435568316851327593"
+                              "401208105741076214120093531"));
+  // G2's b' = 3/xi and G1's b = 3.
+  EXPECT_EQ(G2::curve_b() * ff::xi(), ff::Fp2::from_u64(3, 0));
+  EXPECT_EQ(G1::curve_b(), ff::Fp::from_u64(3));
 
   // 3. Twist endomorphism psi satisfies psi(Q) = [p]Q on the r-subgroup
   //    (the eigenvalue of Frobenius on G2 is p mod r).
@@ -47,7 +64,7 @@ TEST(Params, Bn254SelfCheck) {
   //    phi(x, y) = (beta*x, y) realizes on G1; the lattice basis
   //    v1 = (a1, b1), v2 = (-b1, b2) spans the kernel of
   //    (k1, k2) -> k1 + k2*lambda mod r with determinant exactly r.
-  const GlvParams& glv = glv_params();
+  const GlvParams& glv = kGlvParams;
   VarUInt lambda = VarUInt{36} * t3 + VarUInt{18} * t2 + VarUInt{6} * t +
                    VarUInt{1};
   VarUInt a1 = VarUInt{6} * t2 + VarUInt{4} * t + VarUInt{1};
@@ -58,6 +75,10 @@ TEST(Params, Bn254SelfCheck) {
   EXPECT_EQ(b1.to_u256(), glv.b1);
   EXPECT_EQ(b2.to_u256(), glv.b2);
   EXPECT_EQ(a1 * b2 + b1 * b1, r) << "GLV lattice determinant != r";
+  // The Babai-rounding reciprocals g1 = floor(2^256 b2 / r) and
+  // g2 = floor(2^256 b1 / r).
+  EXPECT_EQ(VarUInt::divmod(b2.shl(256), r).first.to_u256(), glv.g1);
+  EXPECT_EQ(VarUInt::divmod(b1.shl(256), r).first.to_u256(), glv.g2);
   // Exact polynomial identity for the BN family:
   //   lambda^2 + lambda + 1 = (36t^2 + 3) * r.
   EXPECT_EQ(lambda * lambda + lambda + VarUInt{1},
@@ -148,6 +169,29 @@ TEST(G1Hash, DeterministicAndOnCurve) {
   EXPECT_FALSE(a.is_infinity());
 }
 
+// Compressed outputs of the try-and-increment map, pinned from the version
+// that reduced Keccak output mod p by long division: the reduction by
+// subtraction must map every hash to the same point.
+TEST(G1Hash, KnownAnswers) {
+  const std::pair<const char*, const char*> kats[] = {
+      {"", "0e9153a11cf13df331d89058d0020ca1fe7ca0e1fd95c956b3af321ae5298da5"},
+      {"abc", "1bcdeb772783fb909c61e04f8ee4fe107bd2c085e3c42747835e0ab09f01df1b"},
+      {"dsaudit-kat",
+       "6fda1e7db83fac3863e0c9d374740ad7f70c07baac5dcab2990f5f865f68e795"},
+      {"the quick brown fox jumps over the lazy dog",
+       "61f670526a96a3e7bd003852fd97b84f838645d89765a8578ba8be1feefd0e2d"}};
+  for (const auto& [in, want] : kats) {
+    const auto c = g1_compress(hash_to_g1(in));
+    std::string got;
+    for (std::uint8_t b : c) {
+      static const char* digits = "0123456789abcdef";
+      got += digits[b >> 4];
+      got += digits[b & 15];
+    }
+    EXPECT_EQ(got, want) << "input '" << in << "'";
+  }
+}
+
 TEST(G1Hash, ManyInputsAllValid) {
   for (int i = 0; i < 100; ++i) {
     std::string s = "file-xyz||" + std::to_string(i);
@@ -226,7 +270,7 @@ TEST(G2Compress, RejectsMalformed) {
   bool no_root = false, cofactor = false;
   for (int tries = 0; tries < 100 && !(no_root && cofactor); ++tries) {
     ff::Fp2 x = ff::Fp2::random(rng);
-    ff::Fp2 rhs = x.square() * x + G2Tag::curve_b();
+    ff::Fp2 rhs = x.square() * x + G2::curve_b();
     std::array<std::uint8_t, 64> enc{};
     x.c1.to_be_bytes(std::span<std::uint8_t, 32>(enc.data(), 32));
     x.c0.to_be_bytes(std::span<std::uint8_t, 32>(enc.data() + 32, 32));
@@ -274,7 +318,7 @@ TEST(G2Subgroup, GeneratorInButTwistPointOut) {
   auto rng = SecureRng::deterministic(48);
   for (int tries = 0; tries < 50; ++tries) {
     ff::Fp2 x = ff::Fp2::random(rng);
-    ff::Fp2 rhs = x.square() * x + G2Tag::curve_b();
+    ff::Fp2 rhs = x.square() * x + G2::curve_b();
     auto y = rhs.sqrt();
     if (!y) continue;
     G2 p{x, *y};
@@ -540,7 +584,7 @@ TEST(Msm, SubsetEdgeCases) {
 /// lattice-basis coordinates (Babai rounding lands exactly on a lattice
 /// vertex).
 std::vector<ff::U256> glv_edge_scalars() {
-  const GlvParams& gp = glv_params();
+  const GlvParams& gp = kGlvParams;
   ff::U256 r = Fr::modulus();
   ff::U256 rm1, r_minus_lambda;
   bigint::sub_with_borrow(r, ff::U256{1}, rm1);
@@ -608,7 +652,7 @@ TYPED_TEST(GroupLaw, MsmSweepAcrossStrausCrossoverMatchesNaive) {
 }
 
 TEST(Glv, DecomposeRoundTripAndBounds) {
-  const GlvParams& gp = glv_params();
+  const GlvParams& gp = kGlvParams;
   const ff::U256 r = Fr::modulus();
   auto check = [&](const ff::U256& k) {
     GlvDecomposed d = glv_decompose(k);
@@ -617,7 +661,8 @@ TEST(Glv, DecomposeRoundTripAndBounds) {
     // (+/- k1) + (+/- k2) * lambda == k (mod r).
     ff::U256 s{};
     s = d.neg1 ? bigint::sub_mod(s, d.k1, r) : bigint::add_mod(s, d.k1, r);
-    ff::U256 t = bigint::mul_mod_slow(d.k2, gp.lambda, r);
+    ff::U256 t = VarUInt::divmod(VarUInt{d.k2} * VarUInt{gp.lambda},
+                                 VarUInt{r}).second.to_u256();
     s = d.neg2 ? bigint::sub_mod(s, t, r) : bigint::add_mod(s, t, r);
     EXPECT_EQ(s, k) << "k=" << k.to_hex();
   };
@@ -683,7 +728,7 @@ TEST(FixedBase, CompactGlvTableMatchesNaiveAtEveryWidth) {
   const G1 offset = g1_random(rng);
   auto ks = glv_edge_scalars();
   const ff::U256 k2_only =
-      (Fr::from_u256(glv_params().lambda) * Fr::from_u64(5)).to_u256();
+      (Fr::from_u256(kGlvParams.lambda) * Fr::from_u64(5)).to_u256();
   ASSERT_TRUE(glv_decompose(k2_only).k1.is_zero());
   ASSERT_TRUE(glv_decompose(ff::U256{1}).k2.is_zero());
   ks.push_back(k2_only);
@@ -767,7 +812,7 @@ TEST(G2Subgroup, PsiCheckAgreesWithOrderLadder) {
   int found = 0;
   for (int tries = 0; tries < 100 && found < 3; ++tries) {
     ff::Fp2 x = ff::Fp2::random(rng);
-    ff::Fp2 rhs = x.square() * x + G2Tag::curve_b();
+    ff::Fp2 rhs = x.square() * x + G2::curve_b();
     auto y = rhs.sqrt();
     if (!y) continue;
     G2 p{x, *y};

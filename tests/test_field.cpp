@@ -85,18 +85,9 @@ TEST(Fp, CanonicalRoundTrip) {
   EXPECT_EQ(Fp::one().to_dec(), "1");
 }
 
-TEST(Fp, ReductionOfLargeValues) {
-  // from_u256 of p itself must be zero; of p+1 must be one.
-  U256 p = Fp::modulus();
-  EXPECT_TRUE(Fp::from_u256(p).is_zero());
-  U256 p1;
-  bigint::add_with_carry(p, U256{1}, p1);
-  EXPECT_TRUE(Fp::from_u256(p1).is_one());
-}
-
 // ---------------------------------------------------------------------------
-// The 4-limb Montgomery kernels of both prime fields against the slow
-// U256/U512 reference arithmetic (mul_mod_slow, long-division mod).
+// The reduction and the 4-limb Montgomery kernels of both prime fields
+// against VarUInt long division.
 // ---------------------------------------------------------------------------
 
 template <typename F>
@@ -105,13 +96,45 @@ class PrimeFieldKernels : public ::testing::Test {};
 using PrimeFieldTypes = ::testing::Types<Fp, Fr>;
 TYPED_TEST_SUITE(PrimeFieldKernels, PrimeFieldTypes);
 
-// (x + y) mod p through the 512-bit long-division reference; y may equal p.
+U256 mod_reference(const VarUInt& x, const U256& p) {
+  return VarUInt::divmod(x, VarUInt{p}).second.to_u256();
+}
+// (x + y) mod p; y may equal p.
 U256 add_mod_reference(const U256& x, const U256& y, const U256& p) {
-  U256 lo;
-  const u64 carry = bigint::add_with_carry(x, y, lo);
-  const bigint::U512 wide{{lo.limb[0], lo.limb[1], lo.limb[2], lo.limb[3],
-                           carry, 0, 0, 0}};
-  return bigint::mod(wide, p);
+  return mod_reference(VarUInt{x} + VarUInt{y}, p);
+}
+U256 mul_mod_reference(const U256& x, const U256& y, const U256& p) {
+  return mod_reference(VarUInt{x} * VarUInt{y}, p);
+}
+
+// from_u256 and from_be_bytes_mod (the reduction by subtraction) on
+// k*m + {0, 1, m-1} for every k that stays below 2^256, on 2^256 - 1, and on
+// 10^4 random 256-bit values.
+TYPED_TEST(PrimeFieldKernels, ReductionAgainstVarUInt) {
+  using F = TypeParam;
+  const VarUInt m{F::modulus()};
+  const VarUInt two256 = VarUInt{1}.shl(256);
+  std::vector<VarUInt> inputs{two256 - VarUInt{1}};
+  for (u64 k = 0; k <= 5; ++k) {
+    for (const VarUInt& off : {VarUInt{0}, VarUInt{1}, m - VarUInt{1}}) {
+      const VarUInt v = VarUInt{k} * m + off;
+      if (VarUInt::cmp(v, two256) < 0) inputs.push_back(v);
+    }
+  }
+  EXPECT_EQ(inputs.size(), 18u);  // 5m + 1 < 2^256 < 6m - 1
+  auto rng = SecureRng::deterministic(30);
+  for (int i = 0; i < 10000; ++i) {
+    const auto b = rng.bytes32();
+    inputs.push_back(VarUInt{U256::from_be_bytes(b)});
+  }
+  for (const VarUInt& v : inputs) {
+    const U256 x = v.to_u256();
+    const U256 expect = mod_reference(v, F::modulus());
+    std::array<std::uint8_t, 32> bytes;
+    x.to_be_bytes(bytes);
+    ASSERT_EQ(F::from_u256(x).to_u256(), expect) << x.to_hex();
+    ASSERT_EQ(F::from_be_bytes_mod(bytes).to_u256(), expect) << x.to_hex();
+  }
 }
 
 U256 minus(const U256& a, const U256& b) {
@@ -125,7 +148,7 @@ TYPED_TEST(PrimeFieldKernels, MulAgainstSlowPath) {
   auto rng = SecureRng::deterministic(26);
   for (int i = 0; i < 100; ++i) {
     F a = F::random(rng), b = F::random(rng);
-    U256 expect = bigint::mul_mod_slow(a.to_u256(), b.to_u256(), F::modulus());
+    U256 expect = mul_mod_reference(a.to_u256(), b.to_u256(), F::modulus());
     EXPECT_EQ((a * b).to_u256(), expect);
   }
 }
@@ -151,13 +174,13 @@ TYPED_TEST(PrimeFieldKernels, EdgeValuesAgainstReference) {
     const F fx = F::from_u256(x);
     ASSERT_EQ(fx.to_u256(), x);
     EXPECT_EQ((-fx).to_u256(), add_mod_reference(U256{0}, minus(p, x), p));
-    EXPECT_EQ(fx.square().to_u256(), bigint::mul_mod_slow(x, x, p));
+    EXPECT_EQ(fx.square().to_u256(), mul_mod_reference(x, x, p));
     EXPECT_EQ(fx.dbl().to_u256(), add_mod_reference(x, x, p));
     for (const U256& y : values) {
       const F fy = F::from_u256(y);
       EXPECT_EQ((fx + fy).to_u256(), add_mod_reference(x, y, p));
       EXPECT_EQ((fx - fy).to_u256(), add_mod_reference(x, minus(p, y), p));
-      EXPECT_EQ((fx * fy).to_u256(), bigint::mul_mod_slow(x, y, p));
+      EXPECT_EQ((fx * fy).to_u256(), mul_mod_reference(x, y, p));
     }
   }
 }
@@ -244,16 +267,6 @@ TEST(Fp, SqrtOfSquares) {
 TEST(Fr, ModulusMatchesPaperGroupOrder) {
   EXPECT_EQ(Fr::modulus().to_dec(),
             "21888242871839275222246405745257275088548364400416034343698204186575808495617");
-}
-
-TEST(Fr, FromBeBytesModReducesConsistently) {
-  // 2^256 - 1 mod r, cross-checked with VarUInt.
-  std::array<std::uint8_t, 32> all_ff;
-  all_ff.fill(0xff);
-  Fr got = Fr::from_be_bytes_mod(all_ff);
-  VarUInt v = VarUInt{1}.shl(256) - VarUInt{1};
-  VarUInt expect = VarUInt::divmod(v, VarUInt{Fr::modulus()}).second;
-  EXPECT_EQ(VarUInt{got.to_u256()}, expect);
 }
 
 // ---------------------------------------------------------------------------
