@@ -159,9 +159,11 @@ class PrimeField {
     return from_u256(U256::from_be_bytes(bytes));
   }
 
+  /// 256 uniform bits reduced mod p. Not uniform: 2^256 = 5p + s with
+  /// s ~ 0.29p, so values below s have six preimages and the rest five, a
+  /// statistical distance of 0.039. Rejection sampling would fix it, but it
+  /// changes every seeded key and with them the setup txs' calldata gas.
   static PrimeField random(primitives::SecureRng& rng) {
-    // 2^256 / p > 4 for BN254, so modular reduction of 256 uniform bits has
-    // bias < 2^-62 relative to uniform — acceptable everywhere we use it.
     auto b = rng.bytes32();
     return from_be_bytes_mod(std::span<const std::uint8_t, 32>(b));
   }
