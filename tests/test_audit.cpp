@@ -833,9 +833,8 @@ TEST(AuditMisc, HashGtIsDeterministicAndSensitive) {
   EXPECT_NE(hash_gt_to_fr(a), hash_gt_to_fr(b));
 }
 
-// The PRF-to-Z_p and GT-to-Z_p maps, pinned from the version that reduced
-// mod r by long division: the reduction by subtraction must give the same
-// coefficients and the same H'.
+// Pinned outputs of the PRF-to-Z_p and GT-to-Z_p maps: prover and verifier
+// must agree on the coefficients and on H' across versions.
 TEST(AuditMisc, ChallengeAndGtHashKnownAnswers) {
   Challenge c;
   for (int i = 0; i < 32; ++i) {

@@ -169,9 +169,8 @@ TEST(G1Hash, DeterministicAndOnCurve) {
   EXPECT_FALSE(a.is_infinity());
 }
 
-// Compressed outputs of the try-and-increment map, pinned from the version
-// that reduced Keccak output mod p by long division: the reduction by
-// subtraction must map every hash to the same point.
+// Pinned compressed outputs of the try-and-increment map. Every tag and
+// chi is built from H, so the map's output must never change.
 TEST(G1Hash, KnownAnswers) {
   const std::pair<const char*, const char*> kats[] = {
       {"", "0e9153a11cf13df331d89058d0020ca1fe7ca0e1fd95c956b3af321ae5298da5"},
@@ -533,6 +532,26 @@ TEST(Msm, ScalarsAtThe254BitBound) {
   std::span<const G1> one_pt(pts.data(), 1);
   std::span<const Fr> one_sc(&r_minus_1, 1);
   EXPECT_EQ(msm<G1>(one_pt, one_sc), -pts[0]);
+}
+
+TEST(Msm, MulReducesWideScalarsModR) {
+  // Point::mul on G1 takes any 256-bit integer and brings it below r by
+  // subtraction before the GLV split: k*r + {0, 1, r-1} up to 2^256 and
+  // 2^256 - 1, against the unreduced double-and-add ladder.
+  auto rng = SecureRng::deterministic(67);
+  const G1 p = g1_random(rng);
+  const VarUInt r{Fr::modulus()};
+  const VarUInt two256 = VarUInt{1}.shl(256);
+  std::vector<VarUInt> ks{two256 - VarUInt{1}};
+  for (std::uint64_t k = 1; k <= 5; ++k) {
+    for (const VarUInt& off : {VarUInt{0}, VarUInt{1}, r - VarUInt{1}}) {
+      const VarUInt v = VarUInt{k} * r + off;
+      if (VarUInt::cmp(v, two256) < 0) ks.push_back(v);
+    }
+  }
+  for (const VarUInt& k : ks) {
+    EXPECT_EQ(p.mul(k.to_u256()), p.mul_naive(k.to_u256())) << k.to_dec();
+  }
 }
 
 TEST(Msm, SubsetEdgeCases) {

@@ -107,7 +107,7 @@ U256 mul_mod_reference(const U256& x, const U256& y, const U256& p) {
   return mod_reference(VarUInt{x} * VarUInt{y}, p);
 }
 
-// from_u256 and from_be_bytes_mod (the reduction by subtraction) on
+// The reduction by subtraction, from_u256 and from_be_bytes_mod on
 // k*m + {0, 1, m-1} for every k that stays below 2^256, on 2^256 - 1, and on
 // 10^4 random 256-bit values.
 TYPED_TEST(PrimeFieldKernels, ReductionAgainstVarUInt) {
@@ -132,6 +132,9 @@ TYPED_TEST(PrimeFieldKernels, ReductionAgainstVarUInt) {
     const U256 expect = mod_reference(v, F::modulus());
     std::array<std::uint8_t, 32> bytes;
     x.to_be_bytes(bytes);
+    // mont_mul's result is exact for any a < 2^256 when b < m, so the
+    // field conversions alone would not notice a reduction that stops early.
+    ASSERT_EQ(bigint::reduce_by_subtraction(x, F::modulus()), expect) << x.to_hex();
     ASSERT_EQ(F::from_u256(x).to_u256(), expect) << x.to_hex();
     ASSERT_EQ(F::from_be_bytes_mod(bytes).to_u256(), expect) << x.to_hex();
   }
