@@ -1,21 +1,6 @@
 #include "chain/gas.hpp"
 
-#include <stdexcept>
-
 namespace dsaudit::chain {
-
-GasSchedule GasSchedule::calibrated(std::uint64_t anchor_gas, double anchor_ms,
-                                    std::size_t anchor_proof_bytes,
-                                    std::size_t anchor_challenge_bytes) {
-  GasSchedule g;
-  std::uint64_t fixed =
-      g.tx_base + g.calldata_gas(anchor_proof_bytes + anchor_challenge_bytes);
-  if (anchor_gas <= fixed || anchor_ms <= 0) {
-    throw std::invalid_argument("GasSchedule::calibrated: anchor below fixed costs");
-  }
-  g.verify_gas_per_ms = static_cast<double>(anchor_gas - fixed) / anchor_ms;
-  return g;
-}
 
 std::uint64_t GasSchedule::calldata_gas(std::span<const std::uint8_t> payload) const {
   std::uint64_t gas = 0;
@@ -23,10 +8,6 @@ std::uint64_t GasSchedule::calldata_gas(std::span<const std::uint8_t> payload) c
     gas += b == 0 ? calldata_zero_byte : calldata_nonzero_byte;
   }
   return gas;
-}
-
-std::uint64_t GasSchedule::calldata_gas(std::size_t nonzero_bytes) const {
-  return nonzero_bytes * calldata_nonzero_byte;
 }
 
 std::uint64_t GasSchedule::audit_tx_gas(std::size_t proof_bytes,

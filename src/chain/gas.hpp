@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <span>
+#include <stdexcept>
 
 namespace dsaudit::chain {
 
@@ -30,14 +31,28 @@ struct GasSchedule {
   /// Solve verify_gas_per_ms so that a proof of `anchor_proof_bytes` (all
   /// nonzero) + `anchor_challenge_bytes` calldata verified in `anchor_ms`
   /// costs exactly `anchor_gas`. Defaults are the paper's §VII-B numbers.
-  static GasSchedule calibrated(std::uint64_t anchor_gas = 589000,
-                                double anchor_ms = 7.2,
-                                std::size_t anchor_proof_bytes = 288,
-                                std::size_t anchor_challenge_bytes = 48);
+  /// constexpr, so the default schedule is a compile-time constant.
+  static constexpr GasSchedule calibrated(
+      std::uint64_t anchor_gas = 589000, double anchor_ms = 7.2,
+      std::size_t anchor_proof_bytes = 288,
+      std::size_t anchor_challenge_bytes = 48) {
+    GasSchedule g;
+    const std::uint64_t fixed =
+        g.tx_base +
+        g.calldata_gas(anchor_proof_bytes + anchor_challenge_bytes);
+    if (anchor_gas <= fixed || anchor_ms <= 0) {
+      throw std::invalid_argument(
+          "GasSchedule::calibrated: anchor below fixed costs");
+    }
+    g.verify_gas_per_ms = static_cast<double>(anchor_gas - fixed) / anchor_ms;
+    return g;
+  }
 
   std::uint64_t calldata_gas(std::span<const std::uint8_t> payload) const;
   /// Gas for a payload assumed fully non-zero (upper bound used in models).
-  std::uint64_t calldata_gas(std::size_t nonzero_bytes) const;
+  constexpr std::uint64_t calldata_gas(std::size_t nonzero_bytes) const {
+    return nonzero_bytes * calldata_nonzero_byte;
+  }
   /// Full audit-response transaction: calldata + on-chain verification.
   std::uint64_t audit_tx_gas(std::size_t proof_bytes, std::size_t challenge_bytes,
                              double verify_ms) const;

@@ -30,14 +30,6 @@ std::mutex& beacon_mutex() {
   return m;
 }
 
-/// The §VII-B calibrated cost model: the source of every deterministic gas
-/// figure (the measured verification wall-clock stays telemetry). Constant,
-/// so every contract in the process reads one copy.
-const econ::AuditCostModel& cost() {
-  static const econ::AuditCostModel model;
-  return model;
-}
-
 }  // namespace
 
 const char* to_string(CloseReason reason) {
@@ -85,7 +77,7 @@ void AuditContract::submit_admin_tx(const Address& from,
                                     const char* description,
                                     std::size_t payload_bytes,
                                     std::optional<std::uint64_t> payload_gas) {
-  const chain::GasSchedule& gas = cost().gas;
+  const chain::GasSchedule& gas = econ::kCostModel.gas;
   chain::Transaction tx;
   tx.from = from;
   tx.description = description;
@@ -119,7 +111,7 @@ void AuditContract::negotiated() {
   // (Fig. 4's public-key bytes plus name/d).
   const auto pk_bytes = verifier_->pk_bytes(terms_.private_proofs);
   const std::size_t payload = txfmt::negotiated_payload(pk_bytes.size());
-  const chain::GasSchedule& gas = cost().gas;
+  const chain::GasSchedule& gas = econ::kCostModel.gas;
   submit_admin_tx(terms_.owner, "negotiated", payload,
                   gas.calldata_gas(pk_bytes) +
                       gas.storage_word * ((payload + 31) / 32));
@@ -392,7 +384,7 @@ void AuditContract::finalize_proved(const BatchSettlement::Outcome& outcome) {
     tx.from = terms_.provider;
     tx.description = "prove";
     tx.payload_bytes = rec.proof_bytes;
-    const econ::AuditCostModel& model = cost();
+    const econ::AuditCostModel& model = econ::kCostModel;
     tx.gas_used = model.gas.audit_tx_gas(
         rec.proof_bytes, model.challenge_bytes,
         terms_.batch_gas_discount ? model.batched_verify_ms(outcome.batch_size)

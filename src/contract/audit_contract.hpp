@@ -15,9 +15,9 @@
 // Verification: V runs through a caller-owned audit::Verifier for the
 // public key D records at Initialize — the contract borrows it (and
 // optionally a prepared per-file context) rather than building its own, so
-// one Verifier serves every contract under a key. Gas is priced from one
-// process-wide calibrated econ::AuditCostModel: deterministic in on-chain
-// data, never in this run's wall clock.
+// one Verifier serves every contract under a key. Gas is priced from the
+// compile-time calibrated econ::kCostModel: deterministic in on-chain data,
+// never in this run's wall clock.
 //
 // Memory model: round outcomes are always folded into O(1) aggregate
 // counters (passes/fails/timeouts/aborts/retries/gas) the moment they

@@ -188,8 +188,7 @@ void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
     ctx.from = "settlement";
     ctx.description = "settle-window";
     ctx.payload_bytes = payload.size();
-    static const econ::AuditCostModel cost;
-    ctx.gas_used = cost.gas_per_window_tx(tx.rounds);
+    ctx.gas_used = econ::kCostModel.gas_per_window_tx(tx.rounds);
     agg_bytes = ctx.payload_bytes;
     agg_gas = ctx.gas_used;
     chain_ptr->submit(ctx);

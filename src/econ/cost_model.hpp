@@ -82,6 +82,10 @@ struct AuditCostModel {
   std::uint64_t repair_gas(std::size_t tag_bytes) const;
 };
 
+/// The §VII-B calibrated model every settlement path prices with: a
+/// compile-time constant, so no caller builds or guards its own copy.
+inline constexpr AuditCostModel kCostModel{};
+
 /// Fig. 6: total auditing fees over a contract, with a tunable frequency and
 /// the §III-A redundancy remark (auditing cost scales linearly with the
 /// number of providers holding shards).

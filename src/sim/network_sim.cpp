@@ -92,7 +92,6 @@ std::vector<std::uint8_t> NetworkSim::owner_data_of(std::size_t owner) const {
 
 std::vector<std::vector<std::uint8_t>> NetworkSim::owner_shards_of(
     std::size_t owner) const {
-  if (config_.retention == chain::Retention::Full) return owner_shards_[owner];
   storage::ReedSolomon rs(config_.erasure_data, config_.erasure_parity);
   return rs.encode(owner_data_of(owner));
 }
@@ -109,12 +108,8 @@ void NetworkSim::deploy() {
   const bool streaming = config_.retention == chain::Retention::Streaming;
 
   std::size_t shards_per_owner = config_.erasure_data + config_.erasure_parity;
-  storage::ReedSolomon rs(config_.erasure_data, config_.erasure_parity);
 
-  if (!streaming) {
-    owner_data_.reserve(config_.num_owners);
-    owner_shards_.reserve(config_.num_owners);
-  }
+  if (!streaming) owner_data_.reserve(config_.num_owners);
   current_dep_.assign(config_.num_owners,
                       std::vector<std::size_t>(shards_per_owner, 0));
   data_lost_.assign(config_.num_owners, false);
@@ -144,7 +139,6 @@ void NetworkSim::deploy() {
     if (!streaming) {
       std::vector<std::uint8_t> data(config_.file_bytes);
       rng_.fill(data);
-      owner_shards_.push_back(rs.encode(data));
       owner_data_.push_back(std::move(data));
     }
 
@@ -198,9 +192,11 @@ void NetworkSim::deploy() {
   // or adversarial) shares its ProverKey: per-key tables are what dominate
   // memory at 10^5+ owners. Keys are sized up front: provers, verifiers and
   // contracts borrow them for their whole lifetime, so nothing may
-  // reallocate underneath.
+  // reallocate underneath. A pool larger than the population builds only the
+  // slots some owner uses: slot k's keypair depends on k alone.
   const std::size_t num_keys =
-      config_.key_pool > 0 ? config_.key_pool : config_.num_owners;
+      config_.key_pool > 0 ? std::min(config_.key_pool, config_.num_owners)
+                           : config_.num_owners;
   keys_.resize(num_keys);
   verifiers_.resize(num_keys);
   prover_keys_.resize(num_keys);
@@ -217,7 +213,7 @@ void NetworkSim::deploy() {
   // sigma table and the verifier-side per-file context. Streaming computes
   // the same tags over the same Fr values but keeps only the tag and the
   // chunk count: data is regenerated and a transient prover built per
-  // challenge over the key's ProverKey (streaming_prove), and contracts
+  // challenge over the key's ProverKey (respond), and contracts
   // verify through the cold per-round path. Whole deployments shard across
   // the pool; the primitives' own inner sharding collapses inline on
   // workers.
@@ -262,10 +258,10 @@ void NetworkSim::materialize(Deployment& dep, storage::EncodedFile file) const {
 }
 
 storage::EncodedFile NetworkSim::regenerate_held(std::size_t dep_index) const {
-  // Regenerate this deployment's chunks from the owner's shards (repaired
-  // shards carry byte-identical content to the originals — reconstruction
-  // equality is checked before any repair proceeds) and apply the shard-loss
-  // state. Same Fr values as the materialized path.
+  // Re-encode this deployment's chunks from the owner's shards (a repaired
+  // shard is the original shard: Reed–Solomon is deterministic, and
+  // owner_can_recover is checked before any repair proceeds) and apply the
+  // shard-loss state. Same Fr values as the materialized path.
   const Placement& pl = deployments_[dep_index]->placement;
   storage::EncodedFile held =
       storage::encode_file(owner_shards_of(pl.owner)[pl.shard], config_.s);
@@ -275,27 +271,6 @@ storage::EncodedFile NetworkSim::regenerate_held(std::size_t dep_index) const {
     }
   }
   return held;
-}
-
-std::vector<std::uint8_t> NetworkSim::prove_bytes(
-    const audit::Prover& prover, const audit::Challenge& chal,
-    primitives::SecureRng& rng) const {
-  if (config_.private_proofs) {
-    return audit::serialize(prover.prove_private(chal, rng));
-  }
-  return audit::serialize(prover.prove(chal));
-}
-
-std::vector<std::uint8_t> NetworkSim::streaming_prove(
-    std::size_t dep_index, const audit::Challenge& chal,
-    primitives::SecureRng& rng) const {
-  // A transient prover over the key's shared ProverKey; nothing retained
-  // afterwards.
-  const Deployment& dep = *deployments_[dep_index];
-  const std::size_t o = dep.placement.owner;
-  const storage::EncodedFile held = regenerate_held(dep_index);
-  audit::Prover prover(key_of(o).pk, held, dep.tag, prover_key_of(o));
-  return prove_bytes(prover, chal, rng);
 }
 
 attack::AdversaryContext NetworkSim::adversary_context(
@@ -314,43 +289,60 @@ attack::AdversaryContext NetworkSim::adversary_context(
   return ctx;
 }
 
-std::optional<std::vector<std::uint8_t>> NetworkSim::adversarial_prove(
+std::optional<std::vector<std::uint8_t>> NetworkSim::respond(
     std::size_t dep_index, const attack::AdversaryContext& ctx,
-    const attack::AdversaryStrategy& adv, const audit::Challenge& chal,
-    primitives::SecureRng& rng) const {
-  const auto action = adv.decide(ctx, chal);
+    const audit::Challenge& chal) const {
+  // A challenge issued while the provider is crashed, exited or inside an
+  // offline/proof-fault gap goes unanswered — adversaries included; the
+  // round times out (and retries, if the terms allow).
+  if (have_faults_ &&
+      !fault_view_.available(hot_provider_[dep_index], chain_.now())) {
+    return std::nullopt;
+  }
+  // The strategy decides, the sim executes. Decisions are pure functions of
+  // (ctx, challenge), so the concurrent prepare stages here, the sequential
+  // classification in on_round and the stats_by_walk() oracle always agree
+  // on what this round was.
+  const attack::AdversaryStrategy* adv = adversary_of(dep_index);
+  const auto action =
+      adv ? adv->decide(ctx, chal) : attack::AdversaryAction::Honest;
   if (action == attack::AdversaryAction::NoAnswer) return std::nullopt;
 
-  // Regenerate the held chunks (identical Fr values in both retention
-  // modes, fault corruption applied), then — for a cheating answer — zero
-  // every chunk the strategy does not actually hold: the proof fails exactly
-  // when the challenge touches one.
   const Deployment& dep = *deployments_[dep_index];
-  const std::size_t o = dep.placement.owner;
-  storage::EncodedFile held = regenerate_held(dep_index);
-  if (action == attack::AdversaryAction::CorruptProof) {
-    for (std::size_t i = 0; i < held.chunks.size(); ++i) {
-      if (!adv.holds_chunk(ctx, i)) {
+  const audit::Prover* prover = dep.prover.get();
+  storage::EncodedFile held;  // the transient prover's chunks
+  std::optional<audit::Prover> transient;
+  if (prover == nullptr || action == attack::AdversaryAction::CorruptProof) {
+    // Regenerate the held chunks (fault corruption applied); for a cheating
+    // answer, zero every chunk the strategy does not actually hold, so the
+    // proof fails exactly when the challenge touches one.
+    const std::size_t o = dep.placement.owner;
+    held = regenerate_held(dep_index);
+    if (action == attack::AdversaryAction::CorruptProof) {
+      for (std::size_t i = 0; i < held.chunks.size(); ++i) {
+        if (adv->holds_chunk(ctx, i)) continue;
         for (auto& b : held.chunks[i]) b = audit::Fr::zero();
       }
     }
+    prover = &transient.emplace(key_of(o).pk, held, dep.tag, prover_key_of(o));
   }
-  audit::Prover prover(key_of(o).pk, held, dep.tag, prover_key_of(o));
   std::vector<std::uint8_t> bytes;
-  if (action == attack::AdversaryAction::GrindProof && config_.private_proofs) {
-    // Grind the masking randomness: several VALID proofs, submit the
-    // lexicographically smallest serialization (a bid to bias the batch
-    // transcript and, through it, the Fiat–Shamir weight seed). The grinder
-    // pays candidates-1 extra provings for it. Basic proofs are
-    // deterministic — nothing to grind; the strategy degenerates to an
-    // honest (valid) answer.
-    const std::size_t g = std::max<std::size_t>(1, adv.grind_candidates());
+  if (config_.private_proofs) {
+    // Grinding submits the lexicographically smallest of several VALID
+    // proofs (a bid to bias the batch transcript and, through it, the
+    // Fiat–Shamir weight seed), paying candidates-1 extra provings. Basic
+    // proofs are deterministic: nothing to grind, the answer is honest.
+    const std::size_t g =
+        action == attack::AdversaryAction::GrindProof
+            ? std::max<std::size_t>(1, adv->grind_candidates())
+            : 1;
     for (std::size_t c = 0; c < g; ++c) {
-      auto candidate = audit::serialize(prover.prove_private(chal, rng));
+      auto candidate =
+          audit::serialize(prover->prove_private(chal, *dep.prover_rng));
       if (bytes.empty() || candidate < bytes) bytes = std::move(candidate);
     }
   } else {
-    bytes = prove_bytes(prover, chal, rng);
+    bytes = audit::serialize(prover->prove(chal));
   }
   if (action == attack::AdversaryAction::MalformedProof) {
     bytes = attack::corpus::corrupt_proof(
@@ -389,112 +381,85 @@ void NetworkSim::install_contract(Deployment& dep, std::size_t dep_index,
       chain_, *beacon_, terms, *verifiers_[key_slot(o)], dep.name,
       dep.num_chunks, dep.file_ctx.get());
   if (batch_) dep.contract->enable_deferred_settlement(*batch_);
-  // A challenge issued while the provider is crashed, exited or inside an
-  // offline/proof-fault gap goes unanswered — adversaries included; the
-  // round times out (and retries, if the terms allow).
-  const FaultView* faults = have_faults_ ? &fault_view_ : nullptr;
-  primitives::SecureRng* rng = dep.prover_rng.get();
-  const std::size_t pidx = hot_provider_[dep_index];
+  const attack::AdversaryContext ctx = adversary_context(dep_index);
+  dep.contract->set_responder(
+      [this, dep_index, ctx](const audit::Challenge& chal) {
+        return respond(dep_index, ctx, chal);
+      });
   const attack::AdversaryStrategy* adv = adversary_of(dep_index);
-  if (adv != nullptr) {
-    // Byzantine responder: the strategy decides, the sim executes. Decisions
-    // are pure functions of (ctx, challenge), so the concurrent prepare
-    // stages here, the sequential classification in on_round below and the
-    // stats_by_walk() oracle always agree on what this round was.
-    const attack::AdversaryContext ctx = adversary_context(dep_index);
-    dep.contract->set_responder(
-        [this, dep_index, ctx, adv, rng, faults, pidx](
-            const audit::Challenge& chal)
-            -> std::optional<std::vector<std::uint8_t>> {
-          if (faults && !faults->available(pidx, chain_.now())) {
-            return std::nullopt;
-          }
-          return adversarial_prove(dep_index, ctx, *adv, chal, *rng);
-        });
-  } else {
-    // Full retention answers from the prepared prover; streaming (null
-    // prover) regenerates per challenge.
-    const audit::Prover* prover = dep.prover.get();
-    dep.contract->set_responder(
-        [this, dep_index, prover, rng, faults, pidx](
-            const audit::Challenge& chal)
-            -> std::optional<std::vector<std::uint8_t>> {
-          if (faults && !faults->available(pidx, chain_.now())) {
-            return std::nullopt;
-          }
-          if (prover == nullptr) return streaming_prove(dep_index, chal, *rng);
-          return prove_bytes(*prover, chal, *rng);
-        });
-  }
-  // Incremental population aggregates: every terminal round folds in here,
-  // so stats() never walks history (which streaming mode trims anyway).
+  // The live record: every terminal round folds in here, so stats() never
+  // walks history (which streaming mode trims anyway).
   dep.contract->set_on_round(
-      [this, dep_index, adv](const contract::RoundRecord& r) {
+      [this, dep_index, adv, ctx](const contract::RoundRecord& r) {
         if (r.outcome != contract::RoundOutcome::Aborted) {
-          ++agg_.total_rounds;
+          ++live_.total_rounds;
           switch (r.outcome) {
-            case contract::RoundOutcome::Pass: ++agg_.passes; break;
-            case contract::RoundOutcome::Fail: ++agg_.fails; break;
-            default: ++agg_.timeouts; break;
+            case contract::RoundOutcome::Pass: ++live_.passes; break;
+            case contract::RoundOutcome::Fail: ++live_.fails; break;
+            default: ++live_.timeouts; break;
           }
           // Adversary bookkeeping, in the sequential action phase. The
           // strategy's decision is re-derived from the settled challenge —
           // pure, so it matches what the responder actually did.
           const bool corrupted = flag(dep_index, kZeroed);
           const attack::AdversaryAction action =
-              adv ? adv->decide(adversary_context(dep_index), r.challenge)
+              adv ? adv->decide(ctx, r.challenge)
                   : attack::AdversaryAction::Honest;
           if (adv && action != attack::AdversaryAction::Honest) {
-            ++advc_.attempted;
-            if (r.outcome != contract::RoundOutcome::Pass) ++advc_.detected;
+            ++live_.attacks_attempted;
+            if (r.outcome != contract::RoundOutcome::Pass) {
+              ++live_.attacks_detected;
+            }
           } else if (r.outcome == contract::RoundOutcome::Fail && !corrupted) {
             // An honest answer over intact data can never fail — a Fail
             // here means a penalty was misattributed to an honest round.
-            ++advc_.misattributed_fails;
+            ++misattributed_fails_;
           }
           if (adv) {
             const auto& t = deployments_[dep_index]->contract->terms();
             if (r.outcome == contract::RoundOutcome::Pass) {
-              advc_.profit += static_cast<std::int64_t>(t.reward_per_audit);
+              live_.attacker_profit +=
+                  static_cast<std::int64_t>(t.reward_per_audit);
             } else {
-              advc_.profit -= static_cast<std::int64_t>(t.penalty_per_fail);
+              live_.attacker_profit -=
+                  static_cast<std::int64_t>(t.penalty_per_fail);
             }
             // The seed-grinding adversary also attacks the settlement layer:
             // replay the last settled window's Fiat–Shamir weight seed
             // against the freshness registry. Every attempt must be refused.
             if (adv->kind() == attack::StrategyKind::SeedGrinding && batch_) {
               if (auto seed = batch_->last_weight_seed()) {
-                ++advc_.replay_attempts;
+                ++live_.seed_replays_attempted;
                 if (batch_->consume_weight_seed(*seed)) {
-                  ++advc_.replays_accepted;
+                  ++live_.seed_replays_accepted;
                 }
               }
             }
           }
         }
-        agg_.total_gas += r.gas_used;
-        agg_.timeout_retries += r.retries;
+        live_.total_gas += r.gas_used;
+        live_.timeout_retries += r.retries;
         hot_next_due_[dep_index] = r.challenged_at + config_.audit_period_s;
       });
   dep.contract->set_on_closed(
       [this, dep_index, adv](contract::CloseReason reason) {
-        if (reason == contract::CloseReason::Slashed) ++churn_.slashes;
+        if (reason == contract::CloseReason::Slashed) ++live_.slashes;
         if (reason == contract::CloseReason::ProviderExit) {
-          ++churn_.provider_exits;
+          ++live_.provider_exits;
         }
         if (adv) {
           const auto& c = *deployments_[dep_index]->contract;
           const auto& t = c.terms();
           const std::uint64_t misses = c.fails() + c.timeouts();
           if (reason == contract::CloseReason::Slashed) {
-            ++advc_.slashed;
+            ++live_.attacks_slashed;
             // Forfeited collateral: the full lock minus per-round penalties
             // already paid out (slash_and_close drains the rest to the
             // owner).
-            advc_.profit -= static_cast<std::int64_t>(
+            live_.attacker_profit -= static_cast<std::int64_t>(
                 t.penalty_per_fail * (t.num_audits - misses));
           } else if (reason == contract::CloseReason::ProviderExit) {
-            advc_.profit -= static_cast<std::int64_t>(
+            live_.attacker_profit -= static_cast<std::int64_t>(
                 std::min(t.penalty_per_fail,
                          t.penalty_per_fail * t.num_audits -
                              t.penalty_per_fail * misses));
@@ -532,7 +497,7 @@ void NetworkSim::apply_fault(const FaultEvent& ev, chain::Timestamp now) {
   };
   switch (ev.kind) {
     case FaultKind::Crash: {
-      ++churn_.crashes;
+      ++live_.crashes;
       if (ring_.contains(provider_ids_[ev.provider])) {
         ring_.leave(provider_ids_[ev.provider]);
       }
@@ -544,15 +509,15 @@ void NetworkSim::apply_fault(const FaultEvent& ev, chain::Timestamp now) {
       break;
     }
     case FaultKind::Offline: {
-      ++churn_.offline_events;
+      ++live_.offline_events;
       // Availability itself is served from the precomputed FaultView gap;
       // the scheduled tick is the observable rejoin (churn bookkeeping).
       chain_.schedule(now + ev.duration_s,
-                      [this](chain::Timestamp) { ++churn_.rejoins; });
+                      [this](chain::Timestamp) { ++live_.rejoins; });
       break;
     }
     case FaultKind::ShardLoss: {
-      ++churn_.shard_losses;
+      ++live_.shard_losses;
       each_live_dep([&](std::size_t i, Deployment& d) {
         clear_flag(i, kShardOk);
         set_flag(i, kNeedsRepair);
@@ -603,7 +568,7 @@ void NetworkSim::schedule_repair(std::size_t dep_index) {
 void NetworkSim::declare_data_loss(std::size_t owner) {
   if (data_lost_[owner]) return;
   data_lost_[owner] = true;
-  ++churn_.data_loss_events;
+  ++live_.data_loss_events;
 }
 
 void NetworkSim::run_repair(std::size_t dep_index, chain::Timestamp now) {
@@ -614,30 +579,11 @@ void NetworkSim::run_repair(std::size_t dep_index, chain::Timestamp now) {
   set_flag(dep_index, kRetired);
   const std::size_t o = old.placement.owner;
   const std::size_t sh = old.placement.shard;
-  const std::size_t shards_per_owner =
-      config_.erasure_data + config_.erasure_parity;
   if (data_lost_[o]) return;  // shards only die; a declared loss is final
 
-  // Owner bytes/shards: stored under full retention, regenerated from the
-  // owner seed under streaming (repairs are rare — the regeneration cost is
-  // one erasure encode, not a per-round cost).
-  const auto odata = owner_data_of(o);
-  const auto oshards = owner_shards_of(o);
-
-  // Gather the surviving shards of this owner — sparse and indexed, through
-  // the duplicate/range-checked reconstruct overload the repair path owns.
-  std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>> survivors;
-  for (std::size_t j = 0; j < shards_per_owner; ++j) {
-    const std::size_t di = current_dep_[o][j];
-    if (flag(di, kRetired) || !flag(di, kShardOk)) continue;
-    survivors.emplace_back(j, oshards[j]);
-  }
-  storage::ReedSolomon rs(config_.erasure_data, config_.erasure_parity);
-  std::optional<std::vector<std::uint8_t>> rec;
-  if (survivors.size() >= config_.erasure_data) {
-    rec = rs.reconstruct(survivors, odata.size());
-  }
-  if (!rec || *rec != odata || churn_.repairs >= config_.max_repairs) {
+  // Repair needs the original bytes back from the surviving shards — the
+  // same check the recoverability invariant runs.
+  if (live_.repairs >= config_.max_repairs || !owner_can_recover(o)) {
     declare_data_loss(o);
     return;
   }
@@ -668,7 +614,7 @@ void NetworkSim::run_repair(std::size_t dep_index, chain::Timestamp now) {
     return;
   }
 
-  ++churn_.repairs;
+  ++live_.repairs;
   auto nd = std::make_unique<Deployment>();
   nd->placement = {o, sh, "provider-" + std::to_string(*target)};
   // One fresh RNG per repair, derived from the network seed and the repair
@@ -680,26 +626,26 @@ void NetworkSim::run_repair(std::size_t dep_index, chain::Timestamp now) {
           config_.rng_seed ^ (0xD1B54A32D192ED03ULL * (repair_seq_ + 1))));
   ++repair_seq_;
   nd->name = audit::Fr::random(*nd->prover_rng);
-  auto shards = rs.encode(*rec);
-  churn_.bytes_repaired += shards[sh].size();
+  // The reconstruction equals the original, and Reed–Solomon is
+  // deterministic: the replacement shard is the original shard's bytes.
+  const auto shard = owner_shards_of(o)[sh];
+  live_.bytes_repaired += shard.size();
   // Re-tag only the replacement shard, under its fresh name. Streaming keeps
-  // the tag and chunk count; the shard bytes themselves are reproducible
-  // from the owner seed (reconstruction equality was just checked), so
-  // streaming_prove serves repair deployments through the same regeneration.
-  materialize(*nd, storage::encode_file(shards[sh], config_.s));
+  // the tag and chunk count and respond() regenerates the bytes, as for any
+  // other deployment.
+  materialize(*nd, storage::encode_file(shard, config_.s));
 
   // The repair tx: the replacement shard's tag set plus the placement record
   // go on chain, priced by the econ repair row (kept out of the round-based
   // total_gas figure; NetworkStats reports it separately).
-  econ::AuditCostModel cost;
   const std::size_t tag_bytes = nd->tag.sigmas.size() * 32;
   chain::Transaction tx;
   tx.from = owner_name;
   tx.description = "repair";
   tx.payload_bytes = tag_bytes + 40;
-  tx.gas_used = cost.repair_gas(tag_bytes);
+  tx.gas_used = econ::kCostModel.repair_gas(tag_bytes);
   chain_.submit(tx);
-  churn_.repair_gas += tx.gas_used;
+  live_.repair_gas += tx.gas_used;
 
   // A fresh contract audits the replacement shard for whatever rounds the
   // failed one never delivered; zero left means placement-only repair.
@@ -762,17 +708,7 @@ void NetworkSim::run_to_completion() {
 }
 
 NetworkStats NetworkSim::stats() const {
-  NetworkStats st;
-  st.total_rounds = agg_.total_rounds;
-  st.passes = agg_.passes;
-  st.fails = agg_.fails;
-  st.timeouts = agg_.timeouts;
-  st.total_gas = agg_.total_gas;
-  st.timeout_retries = agg_.timeout_retries;
-  st.attacks_attempted = advc_.attempted;
-  st.attacks_detected = advc_.detected;
-  st.attacks_slashed = advc_.slashed;
-  st.attacker_profit = advc_.profit;
+  NetworkStats st = live_;
   fill_shared_stats(st);
   return st;
 }
@@ -783,7 +719,13 @@ NetworkStats NetworkSim::stats_by_walk() const {
         "NetworkSim::stats_by_walk requires full retention (streaming trims "
         "the round records it would walk)");
   }
-  NetworkStats st;
+  // The churn and replay counters have no record to walk: start from the
+  // live record, then re-derive every round and adversary field below.
+  NetworkStats st = live_;
+  st.total_rounds = st.passes = st.fails = st.timeouts = st.total_gas =
+      st.timeout_retries = 0;
+  st.attacks_attempted = st.attacks_detected = st.attacks_slashed = 0;
+  st.attacker_profit = 0;
   for (const auto& dep : deployments_) {
     if (!dep->contract) continue;
     st.total_rounds += dep->contract->rounds_completed();
@@ -795,9 +737,7 @@ NetworkStats NetworkSim::stats_by_walk() const {
   }
   // Adversary counters, re-derived post hoc from the retained round records
   // by replaying every strategy decision — the differential oracle for the
-  // incremental advc_ accounting above. (Replay attempts are interactions
-  // with the settlement registry, not round outcomes; they have no record
-  // to walk and come from fill_shared_stats.)
+  // incremental accounting in on_round / on_closed.
   for (std::size_t i = 0; i < deployments_.size(); ++i) {
     const auto& dep = *deployments_[i];
     const attack::AdversaryStrategy* adv = adversary_of(i);
@@ -833,27 +773,14 @@ NetworkStats NetworkSim::stats_by_walk() const {
   return st;
 }
 
-/// The fields no history walk can re-derive, so stats() and the
-/// stats_by_walk() oracle both read them from one source: chain bytes, the
-/// USD price of the (already filled) gas total, the churn counters, the
-/// weight-seed replay counters, and the aggregate-settlement telemetry,
-/// which comes straight from the engine's own counters (the engine posts
-/// the txs, so it is the source of truth).
+/// The figures the live record does not carry, read by stats() and the
+/// stats_by_walk() oracle alike: chain bytes, the USD price of the (already
+/// filled) gas total, and the aggregate-settlement telemetry, which comes
+/// straight from the engine's own counters (the engine posts the txs, so it
+/// is the source of truth).
 void NetworkSim::fill_shared_stats(NetworkStats& st) const {
   st.chain_bytes = chain_.total_chain_bytes();
   st.total_usd = chain::PriceModel{}.usd(st.total_gas);
-  st.crashes = churn_.crashes;
-  st.offline_events = churn_.offline_events;
-  st.rejoins = churn_.rejoins;
-  st.shard_losses = churn_.shard_losses;
-  st.slashes = churn_.slashes;
-  st.provider_exits = churn_.provider_exits;
-  st.repairs = churn_.repairs;
-  st.bytes_repaired = churn_.bytes_repaired;
-  st.data_loss_events = churn_.data_loss_events;
-  st.repair_gas = churn_.repair_gas;
-  st.seed_replays_attempted = advc_.replay_attempts;
-  st.seed_replays_accepted = advc_.replays_accepted;
   if (!batch_) return;
   const auto bs = batch_->stats();
   st.aggregate_txs = bs.aggregate_txs;
@@ -886,12 +813,12 @@ bool NetworkSim::owner_can_recover(std::size_t owner) const {
   storage::ReedSolomon rs(config_.erasure_data, config_.erasure_parity);
   std::size_t shards_per_owner = config_.erasure_data + config_.erasure_parity;
   const auto odata = owner_data_of(owner);
-  const auto oshards = owner_shards_of(owner);
+  auto shards = owner_shards_of(owner);
   std::vector<std::optional<std::vector<std::uint8_t>>> available(shards_per_owner);
   for (std::size_t j = 0; j < shards_per_owner; ++j) {
     const std::size_t di = current_dep_[owner][j];
     if (flag(di, kRetired) || !flag(di, kShardOk)) continue;
-    available[j] = oshards[j];
+    available[j] = std::move(shards[j]);
   }
   auto rec = rs.reconstruct(available, odata.size());
   return rec && *rec == odata;
@@ -997,12 +924,12 @@ void NetworkSim::check_invariants() const {
   // Any Fail charged to a provider whose strategy chose Honest for that
   // challenge (and whose data the fault engine never touched) would slash
   // an innocent round — the attack engine's core safety property.
-  if (advc_.misattributed_fails != 0) {
+  if (misattributed_fails_ != 0) {
     fail("honest uncorrupted round charged as Fail (bisection over-slash)");
   }
   // Replay safety: the settlement registry must refuse every reused weight
   // seed the grinding adversary replays.
-  if (advc_.replays_accepted != 0) {
+  if (live_.seed_replays_accepted != 0) {
     fail("settlement accepted a replayed weight seed");
   }
   // Recoverability or declared loss, per owner.

@@ -26,26 +26,36 @@
 //
 // Memory model (NetworkConfig::retention):
 //
-//   chain::Retention::Full      (default) — every byte materialized: owner
-//     data and shards, each deployment's held EncodedFile, prepared Provers
-//     and per-file verifier contexts, per-contract round history, the full
-//     tx / block vectors. Bit-identical to the historical simulator; the
-//     oracle mode for every exact-constant test.
+//   chain::Retention::Full      (default) — owner data, each deployment's
+//     held EncodedFile, prepared Provers and per-file verifier contexts,
+//     per-contract round history, the full tx / block vectors. Shards are
+//     never stored: they are re-encoded from the owner data when needed
+//     (deploy, repair, recoverability checks). The oracle mode for every
+//     exact-constant test.
 //
-//   chain::Retention::Streaming — O(1) memory per user/round. Owner data and
-//     shard chunks are regenerated on demand from per-owner deterministic
-//     seeds (the same Fr values flow through tagging and proving; the bytes
-//     are never stored), provers are built transiently per challenge behind
-//     the same responder interface, contracts keep bounded round rings, the
-//     chain folds history into rolling aggregates, and stats()/
-//     check_invariants() serve from incrementally maintained counters.
-//     Everything observable that both modes define — NetworkStats, ledger
-//     balances, chain bytes/gas/digest, fault counters — is identical
+//   chain::Retention::Streaming — O(1) memory per user/round. Owner data is
+//     regenerated on demand from per-owner deterministic seeds (the same Fr
+//     values flow through tagging and proving; the bytes are never stored),
+//     provers are built transiently per challenge, contracts keep bounded
+//     round rings, the chain folds history into rolling aggregates, and
+//     stats()/check_invariants() serve from incrementally maintained
+//     counters. Everything observable that both modes define — NetworkStats,
+//     ledger balances, chain bytes/gas/digest, fault counters — is identical
 //     between the two, because every byte/gas figure derives from sizes and
 //     every outcome from behavior, never from the (different) data bytes.
 //
+// The responder: every contract answers its challenges through respond(),
+// one path for honest and adversarial providers in both retention modes.
+// A fault gap answers nothing; otherwise the strategy (Honest without one)
+// picks the action, the retained prepared prover answers when there is one
+// and the action is not CorruptProof, and a transient prover over the
+// regenerated held chunks (unheld chunks zeroed for CorruptProof) answers
+// otherwise. Proofs are exact group elements and private proofs draw their
+// masking randomness from the deployment's own RNG, so which prover answers
+// never changes a byte.
+//
 // Key layout: one prepared Verifier and one audit::ProverKey per key (per
-// owner, or per pool slot with key_pool). Every contract of the key borrows
+// owner, or per pool slot with key_pool; never more keys than owners). Every contract of the key borrows
 // the Verifier; every prover of it — retained, transient or adversarial —
 // shares the ProverKey's psi tables.
 //
@@ -310,10 +320,8 @@ class NetworkSim {
   static constexpr std::uint8_t kZeroed = 16;
 
   /// Index into keys_/verifiers_/prover_keys_ serving this owner: its own,
-  /// or its pool slot.
-  std::size_t key_slot(std::size_t owner) const {
-    return config_.key_pool ? owner % config_.key_pool : owner;
-  }
+  /// or its pool slot (deploy() builds min(key_pool, num_owners) keys).
+  std::size_t key_slot(std::size_t owner) const { return owner % keys_.size(); }
   const audit::KeyPair& key_of(std::size_t owner) const {
     return keys_[key_slot(owner)];
   }
@@ -324,25 +332,16 @@ class NetworkSim {
   /// Owner file bytes: the stored copy under full retention, regenerated
   /// from the owner's deterministic seed under streaming.
   std::vector<std::uint8_t> owner_data_of(std::size_t owner) const;
-  /// The owner's erasure-coded shards (same sourcing rule).
+  /// The owner's erasure-coded shards, encoded from owner_data_of.
   std::vector<std::vector<std::uint8_t>> owner_shards_of(std::size_t owner) const;
   /// Tag `file` (this deployment's shard, encoded) under dep's name and
   /// owner key; under full retention also keep it as dep.held and build the
   /// prepared prover and per-file verifier context. Shared by deploy (in
   /// parallel: it writes only to `dep`) and the repair path.
   void materialize(Deployment& dep, storage::EncodedFile file) const;
-  /// What this deployment's provider actually holds, regenerated from the
-  /// owner seed (or the stored shards) with the kZeroed state applied.
+  /// What this deployment's provider actually holds, re-encoded from the
+  /// owner data with the kZeroed state applied.
   storage::EncodedFile regenerate_held(std::size_t dep_index) const;
-  /// Serialize a basic or private proof, as config_.private_proofs says.
-  std::vector<std::uint8_t> prove_bytes(const audit::Prover& prover,
-                                        const audit::Challenge& chal,
-                                        primitives::SecureRng& rng) const;
-  /// Streaming responder backend: regenerate the held chunks, build a
-  /// transient table-less prover, and serialize the proof.
-  std::vector<std::uint8_t> streaming_prove(std::size_t dep_index,
-                                            const audit::Challenge& chal,
-                                            primitives::SecureRng& rng) const;
   /// The contract-value multiplier of this owner's tier (1, or 2 for
   /// premium owners under premium_owner_stride).
   std::uint64_t tier_multiplier(std::size_t owner) const {
@@ -359,18 +358,17 @@ class NetworkSim {
   /// The immutable per-deployment facts decide() sees; also rebuilt by the
   /// stats_by_walk() oracle, so it must derive only from stable state.
   attack::AdversaryContext adversary_context(std::size_t dep_index) const;
-  /// Adversarial responder backend: evaluate the strategy for this
-  /// challenge and produce its answer — honest proof, proof over data with
-  /// the strategy's unheld chunks zeroed, ground candidate set, corrupted
-  /// wire bytes, or silence. Proves over regenerate_held (identical Fr
-  /// values in both retention modes).
-  std::optional<std::vector<std::uint8_t>> adversarial_prove(
+  /// The one responder (see the header comment): silence inside a fault
+  /// gap or on NoAnswer, else a basic or private proof from the retained or
+  /// a transient prover — ground to the smallest candidate for GrindProof,
+  /// wire-corrupted for MalformedProof. Runs in the concurrent prepare
+  /// phase, so it reads only state that is stable there.
+  std::optional<std::vector<std::uint8_t>> respond(
       std::size_t dep_index, const attack::AdversaryContext& ctx,
-      const attack::AdversaryStrategy& adv, const audit::Challenge& chal,
-      primitives::SecureRng& rng) const;
+      const audit::Challenge& chal) const;
   /// Shared by deploy() and the repair path: terms from config (with
   /// `num_audits` rounds), the contract on its owner's shared verifier and
-  /// dep.file_ctx, deferred settlement, the fault-aware responder, the
+  /// dep.file_ctx, deferred settlement, respond() as the responder, the
   /// on-closed/on-round hooks, then negotiated/acked/freeze. dep.prover_rng
   /// must be set first.
   void install_contract(Deployment& dep, std::size_t dep_index,
@@ -402,9 +400,8 @@ class NetworkSim {
   std::vector<audit::KeyPair> keys_;
   std::vector<std::unique_ptr<audit::Verifier>> verifiers_;
   std::vector<std::shared_ptr<const audit::ProverKey>> prover_keys_;
-  // Full retention only; streaming regenerates via owner_data_of/_shards_of.
+  // Full retention only; streaming regenerates via owner_data_of.
   std::vector<std::vector<std::uint8_t>> owner_data_;
-  std::vector<std::vector<std::vector<std::uint8_t>>> owner_shards_;
   std::vector<Placement> placements_;
   std::vector<std::unique_ptr<Deployment>> deployments_;
 
@@ -413,12 +410,14 @@ class NetworkSim {
   std::vector<std::uint8_t> hot_flags_;          // kShardOk | kNeedsRepair...
   std::vector<chain::Timestamp> hot_next_due_;   // next challenge instant
 
-  // Incrementally maintained aggregates (fed by the contracts' on_round /
-  // on_closed callbacks; the streaming replacement for history walks).
-  struct RoundAgg {
-    std::uint64_t total_rounds = 0, passes = 0, fails = 0, timeouts = 0,
-                  total_gas = 0, timeout_retries = 0;
-  } agg_;
+  // The live counter record: round, churn and adversary counters, folded in
+  // as rounds settle (the contracts' on_round / on_closed callbacks) and as
+  // faults and repairs run. stats() adds the chain and engine figures.
+  NetworkStats live_;
+  /// Fail rounds with an Honest action over uncorrupted data — the "no
+  /// honest round is ever penalized" invariant counter (spans ALL
+  /// deployments, adversarial or not); must stay zero.
+  std::uint64_t misattributed_fails_ = 0;
   std::size_t open_contracts_ = 0;
 
   std::uint64_t initial_money_ = 0;
@@ -434,25 +433,10 @@ class NetworkSim {
   std::vector<std::vector<std::size_t>> current_dep_;
   std::vector<bool> data_lost_;
   std::size_t repair_seq_ = 0;  // derives each repair's RNG stream
-  struct Churn {
-    std::uint64_t crashes = 0, offline_events = 0, rejoins = 0,
-                  shard_losses = 0, slashes = 0, provider_exits = 0,
-                  repairs = 0, bytes_repaired = 0, data_loss_events = 0,
-                  repair_gas = 0;
-  } churn_;
 
   // Byzantine adversary engine (src/attack). Strategies are shared_ptr so a
   // roster and the sim can co-own them; they are immutable after install.
   std::vector<std::shared_ptr<const attack::AdversaryStrategy>> adversary_;
-  struct AdvCounters {
-    std::uint64_t attempted = 0, detected = 0, slashed = 0,
-                  replay_attempts = 0, replays_accepted = 0;
-    std::int64_t profit = 0;
-    /// Fail rounds with an Honest action over uncorrupted data — the
-    /// "no honest round is ever slashed/penalized" invariant counter
-    /// (spans ALL deployments, adversarial or not); must stay zero.
-    std::uint64_t misattributed_fails = 0;
-  } advc_;
 };
 
 }  // namespace dsaudit::sim

@@ -121,23 +121,4 @@ std::optional<std::vector<std::uint8_t>> ReedSolomon::reconstruct(
   return out;
 }
 
-std::optional<std::vector<std::uint8_t>> ReedSolomon::reconstruct(
-    const std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>>&
-        indexed_shards,
-    std::size_t original_size) const {
-  std::vector<std::optional<std::vector<std::uint8_t>>> positional(k_ + m_);
-  for (const auto& [index, data] : indexed_shards) {
-    if (index >= k_ + m_) {
-      throw std::invalid_argument(
-          "ReedSolomon::reconstruct: shard index out of range");
-    }
-    if (positional[index].has_value()) {
-      throw std::invalid_argument(
-          "ReedSolomon::reconstruct: duplicate shard index");
-    }
-    positional[index] = data;
-  }
-  return reconstruct(positional, original_size);
-}
-
 }  // namespace dsaudit::storage

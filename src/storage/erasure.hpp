@@ -9,7 +9,6 @@
 #include <cstdint>
 #include <optional>
 #include <span>
-#include <utility>
 #include <vector>
 
 namespace dsaudit::storage {
@@ -27,21 +26,13 @@ class ReedSolomon {
   std::vector<std::vector<std::uint8_t>> encode(
       std::span<const std::uint8_t> data) const;
 
-  /// Reconstruct the original data from any subset of >= k shards.
-  /// `shards[i]` must be nullopt for missing shards; `original_size` strips
-  /// padding. Returns nullopt if fewer than k shards are present.
+  /// Reconstruct the original data from any subset of >= k shards, indexed
+  /// by position: `shards[i]` is nullopt for a missing shard, and the vector
+  /// must hold exactly k+m entries (std::invalid_argument otherwise, as for
+  /// ragged shards). The first k present shards decode; `original_size`
+  /// strips padding. Returns nullopt if fewer than k shards are present.
   std::optional<std::vector<std::uint8_t>> reconstruct(
       const std::vector<std::optional<std::vector<std::uint8_t>>>& shards,
-      std::size_t original_size) const;
-
-  /// Sparse form for repair paths that gather surviving shards one by one:
-  /// each entry is (shard index, shard bytes). Throws std::invalid_argument
-  /// on a duplicate or out-of-range index — a buggy caller must get a clear
-  /// error, never a silently garbage decode. Returns nullopt when fewer
-  /// than k distinct shards are supplied.
-  std::optional<std::vector<std::uint8_t>> reconstruct(
-      const std::vector<std::pair<std::size_t, std::vector<std::uint8_t>>>&
-          indexed_shards,
       std::size_t original_size) const;
 
  private:

@@ -212,25 +212,38 @@ std::string sim_fingerprint(const NetworkSim& net, const NetworkConfig& c) {
       << " retries=" << st.timeout_retries << " repairs=" << st.repairs
       << " bytes_repaired=" << st.bytes_repaired
       << " data_loss=" << st.data_loss_events
-      << " repair_gas=" << st.repair_gas << "\n";
+      << " repair_gas=" << st.repair_gas << "\n"
+      << "attacks=" << st.attacks_attempted
+      << " detected=" << st.attacks_detected
+      << " attacks_slashed=" << st.attacks_slashed
+      << " attacker_profit=" << st.attacker_profit
+      << " seed_replays=" << st.seed_replays_attempted
+      << " replays_accepted=" << st.seed_replays_accepted << "\n";
   return out.str();
+}
+
+std::unique_ptr<NetworkSim> run_net(
+    NetworkConfig c, chain::Retention retention,
+    std::optional<std::uint64_t> fault_seed = std::nullopt,
+    const attack::AdversaryRoster& adversaries = {}) {
+  c.retention = retention;
+  auto net = std::make_unique<NetworkSim>(c);
+  net->set_adversaries(adversaries);
+  if (fault_seed) {
+    net->set_fault_schedule(sim::FaultSchedule::random(
+        *fault_seed, c.num_providers,
+        (c.num_audits + 2) * c.audit_period_s, 4));
+  }
+  net->deploy();
+  net->run_to_completion();
+  net->check_invariants();
+  return net;
 }
 
 std::string run_mode(NetworkConfig c, chain::Retention retention,
                      std::optional<std::uint64_t> fault_seed = std::nullopt,
                      const attack::AdversaryRoster& adversaries = {}) {
-  c.retention = retention;
-  NetworkSim net(c);
-  net.set_adversaries(adversaries);
-  if (fault_seed) {
-    net.set_fault_schedule(sim::FaultSchedule::random(
-        *fault_seed, c.num_providers,
-        (c.num_audits + 2) * c.audit_period_s, 4));
-  }
-  net.deploy();
-  net.run_to_completion();
-  net.check_invariants();
-  return sim_fingerprint(net, c);
+  return sim_fingerprint(*run_net(c, retention, fault_seed, adversaries), c);
 }
 
 TEST(ScaleSim, HonestRunMatchesFullRetention) {
@@ -273,6 +286,46 @@ TEST(ScaleSim, MisbehavingProvidersMatchFullRetention) {
   EXPECT_EQ(
       run_mode(c, chain::Retention::Full, std::nullopt, adversaries),
       run_mode(c, chain::Retention::Streaming, std::nullopt, adversaries));
+}
+
+TEST(ScaleSim, EveryStrategyMatchesFullRetention) {
+  // One provider per strategy, each in a regime where it cheats, plus one
+  // honest provider. Full retention answers Honest, GrindProof and
+  // MalformedProof rounds from the retained prover and streaming from a
+  // transient one; the bytes, and so every observable, must agree.
+  NetworkConfig c = scale_config();
+  c.num_owners = 6;
+  c.num_providers = 6;
+  c.private_proofs = true;  // grinding needs the randomized proof
+  c.batched_settlement = true;
+  c.settlement_window_s = 1800;  // settled windows: the replay target
+  c.slash_after_consecutive = 2;
+  attack::AdversaryRoster adversaries;
+  adversaries.by_provider = {
+      std::make_shared<attack::PartialStorageStrategy>(
+          7, 500, /*answer_uncovered=*/true),
+      std::make_shared<attack::ColludingStrategy>(7, 500),
+      // Contract value 10 * 3 = 30 is below the threshold: it cheats.
+      std::make_shared<attack::SelectiveStrategy>(7, /*value_threshold=*/45,
+                                                  1000),
+      std::make_shared<attack::SeedGrindingStrategy>(7, /*candidates=*/3),
+      std::make_shared<attack::MalformedBytesStrategy>(7, 500),
+      nullptr};
+  const auto full =
+      run_net(c, chain::Retention::Full, std::nullopt, adversaries);
+  EXPECT_EQ(sim_fingerprint(*full, c),
+            run_mode(c, chain::Retention::Streaming, std::nullopt, adversaries));
+  // Every provider serves contracts, and every kind of outcome occurred.
+  for (std::size_t p = 0; p < c.num_providers; ++p) {
+    EXPECT_FALSE(full->contracts_of("provider-" + std::to_string(p)).empty())
+        << "provider " << p;
+  }
+  const NetworkStats st = full->stats();
+  EXPECT_GT(st.attacks_detected, 0u);
+  EXPECT_LT(st.attacks_detected, st.attacks_attempted);  // grinds pass
+  EXPECT_GT(st.attacks_slashed, 0u);
+  EXPECT_GT(st.seed_replays_attempted, 0u);
+  EXPECT_EQ(st.seed_replays_accepted, 0u);
 }
 
 TEST(ScaleSim, ChaosSchedulesMatchFullRetention) {

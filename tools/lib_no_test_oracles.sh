@@ -29,15 +29,11 @@ fi
 allowed_guards='
 curve::g1_generator_table\(\)::table$
 curve::g2_generator_table\(\)::table$
-contract::\(anonymous namespace\)::cost\(\)::model$
-contract::BatchSettlement::flush\(.*\)::cost$
 pairing::multi_pairing\(.*::inf$'
 # Why each one stays:
 #  - the two generator tables are fixed-base window tables (heap vectors,
 #    479 KB for G1) built on first use, so a process that never multiplies
 #    a generator never pays for them;
-#  - AuditContract's and BatchSettlement's cost models hold a GasSchedule
-#    from the run-time calibration GasSchedule::calibrated();
 #  - multi_pairing's inf is an empty G2Prepared, whose coefficient chain is
 #    a std::vector.
 guards=$(printf '%s\n' "$syms" | grep 'guard variable for' | sort -u)
