@@ -76,6 +76,15 @@ constexpr MontParams make_mont_params(const U256& modulus) {
   return P;
 }
 
+/// k·m for the largest k with k·m < 2^256, by repeated addition (k = 5 for
+/// both BN254 moduli, static_asserted below): the bound under which
+/// PrimeField::random accepts a draw.
+constexpr U256 largest_multiple_below_2_256(const U256& m) {
+  U256 acc, next;
+  while (bigint::add_with_carry(acc, m, next) == 0) acc = next;
+  return acc;
+}
+
 namespace detail {
 
 /// CIOS with the "no-carry" optimization: the modulus' top limb is below
@@ -133,6 +142,8 @@ class PrimeField {
 
   static constexpr const MontParams& params() { return Tag::params(); }
   static constexpr const U256& modulus() { return params().modulus; }
+  /// random() accepts a 256-bit draw only below this multiple of p.
+  static constexpr U256 kRandomBound = largest_multiple_below_2_256(modulus());
 
   static constexpr PrimeField zero() { return PrimeField{}; }
   static constexpr PrimeField one() {
@@ -159,13 +170,16 @@ class PrimeField {
     return from_u256(U256::from_be_bytes(bytes));
   }
 
-  /// 256 uniform bits reduced mod p. Not uniform: 2^256 = 5p + s with
-  /// s ~ 0.29p, so values below s have six preimages and the rest five, a
-  /// statistical distance of 0.039. Rejection sampling would fix it, but it
-  /// changes every seeded key and with them the setup txs' calldata gas.
+  /// Exactly uniform on [0, p): a 256-bit draw is accepted only below 5p,
+  /// the largest multiple of p under 2^256 (2^256 = 5p + s with s < p), so
+  /// every residue has five preimages; it is then reduced by subtraction.
+  /// A draw at or above 5p (5.5% of draws, for either modulus) is redrawn.
   static PrimeField random(primitives::SecureRng& rng) {
-    auto b = rng.bytes32();
-    return from_be_bytes_mod(std::span<const std::uint8_t, 32>(b));
+    for (;;) {
+      const auto b = rng.bytes32();
+      const U256 v = U256::from_be_bytes(b);
+      if (bigint::lt(v, kRandomBound)) return from_u256(v);
+    }
   }
 
   /// Canonical (non-Montgomery) integer value in [0, p).
@@ -300,6 +314,9 @@ struct FrTag {
 using Fp = PrimeField<FpTag>;
 /// Scalar field (group order r): the paper's Z_p of data blocks/exponents.
 using Fr = PrimeField<FrTag>;
+// 2^256 = 5m + s with s < m for both moduli: random() accepts draws below 5m.
+static_assert(Fp::kRandomBound == bigint::mul_lo(Fp::modulus(), U256{5}) &&
+              Fr::kRandomBound == bigint::mul_lo(Fr::modulus(), U256{5}));
 
 /// The BN parameter t, with p = 36t^4+36t^3+24t^2+6t+1 and
 /// r = 36t^4+36t^3+18t^2+6t+1 (test_curve checks both against the moduli).

@@ -140,6 +140,35 @@ TYPED_TEST(PrimeFieldKernels, ReductionAgainstVarUInt) {
   }
 }
 
+// random() redraws a 256-bit value at or above 5m, the largest multiple of
+// m below 2^256, instead of reducing it. Replayed by hand from the first
+// seed whose first draw is rejected (5.5% of seeds).
+TYPED_TEST(PrimeFieldKernels, RandomRedrawsAtOrAboveFiveM) {
+  using F = TypeParam;
+  const VarUInt m{F::modulus()};
+  const VarUInt five_m = VarUInt{5} * m;
+  const VarUInt two256 = VarUInt{1}.shl(256);
+  ASSERT_LT(VarUInt::cmp(five_m, two256), 0);
+  ASSERT_GE(VarUInt::cmp(five_m + m, two256), 0);
+  auto draw = [](SecureRng& rng) {
+    const auto b = rng.bytes32();
+    return VarUInt{U256::from_be_bytes(b)};
+  };
+  auto rejected = [&](const VarUInt& v) { return VarUInt::cmp(v, five_m) >= 0; };
+  std::uint64_t seed = 0;
+  for (;; ++seed) {
+    ASSERT_LT(seed, 1000u);
+    auto probe = SecureRng::deterministic(seed);
+    if (rejected(draw(probe))) break;
+  }
+  auto replay = SecureRng::deterministic(seed);
+  VarUInt accepted = draw(replay);
+  while (rejected(accepted)) accepted = draw(replay);
+  auto rng = SecureRng::deterministic(seed);
+  EXPECT_EQ(F::random(rng).to_u256(), mod_reference(accepted, F::modulus()));
+  EXPECT_EQ(rng.bytes32(), replay.bytes32());  // no draw more, none fewer
+}
+
 U256 minus(const U256& a, const U256& b) {
   U256 r;
   bigint::sub_with_borrow(a, b, r);
