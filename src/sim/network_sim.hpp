@@ -55,9 +55,9 @@
 // never changes a byte.
 //
 // Key layout: one prepared Verifier and one audit::ProverKey per key (per
-// owner, or per pool slot with key_pool; never more keys than owners). Every contract of the key borrows
-// the Verifier; every prover of it — retained, transient or adversarial —
-// shares the ProverKey's psi tables.
+// owner, or per pool slot with key_pool; never more keys than owners).
+// Every contract of the key borrows the Verifier; every prover of it —
+// retained or transient — shares the ProverKey's psi tables.
 //
 // Hot per-deployment lifecycle state (provider index, shard/corruption
 // flags, next-due instant, settled-round count) lives in struct-of-arrays
@@ -358,11 +358,8 @@ class NetworkSim {
   /// The immutable per-deployment facts decide() sees; also rebuilt by the
   /// stats_by_walk() oracle, so it must derive only from stable state.
   attack::AdversaryContext adversary_context(std::size_t dep_index) const;
-  /// The one responder (see the header comment): silence inside a fault
-  /// gap or on NoAnswer, else a basic or private proof from the retained or
-  /// a transient prover — ground to the smallest candidate for GrindProof,
-  /// wire-corrupted for MalformedProof. Runs in the concurrent prepare
-  /// phase, so it reads only state that is stable there.
+  /// The one responder (see the header comment). Runs in the concurrent
+  /// prepare phase, so it reads only state that is stable there.
   std::optional<std::vector<std::uint8_t>> respond(
       std::size_t dep_index, const attack::AdversaryContext& ctx,
       const audit::Challenge& chal) const;
