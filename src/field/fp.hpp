@@ -322,8 +322,8 @@ static_assert(Fp::kRandomBound == bigint::mul_lo(Fp::modulus(), U256{5}) &&
 /// r = 36t^4+36t^3+18t^2+6t+1 (test_curve checks both against the moduli).
 inline constexpr u64 kBnParamT = 4965661367192848881ULL;
 
-/// 6t^2 = p - r (127 bits): Frobenius acts as [6t^2] on G2 and as the
-/// 6t^2-th power on GT, which is what both subgroup checks test.
+/// 6t^2 = p - r (127 bits): Frobenius acts as [6t^2] on G2's order-r
+/// subgroup, which is what g2_in_subgroup tests.
 inline constexpr U256 kSixTSquared = [] {
   const bigint::u128 v = bigint::u128{6} * kBnParamT * kBnParamT;
   return U256{static_cast<u64>(v), static_cast<u64>(v >> 64), 0, 0};

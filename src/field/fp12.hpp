@@ -178,11 +178,11 @@ class Fp12 {
   }
 
   /// GT exponentiation by an arbitrary 256-bit integer: multi_pow's n = 1
-  /// case, an MSB-first signed-window ladder (w = 4 for the 63-bit u and the
-  /// 127-bit 6u^2, 5 for a 254-bit scalar) of cyclotomic squarings whose
-  /// negative digits multiply by free conjugates. The one single-base GT
-  /// ladder: the final exponentiation's u-powers, gt_in_subgroup's 6u^2 and
-  /// the prover's R when it holds no ProverKey. Only valid on elements of
+  /// case, an MSB-first signed-window ladder (w = 4 for the 63-bit u, 5 for
+  /// a 254-bit scalar) of cyclotomic squarings whose negative digits
+  /// multiply by free conjugates. The one single-base GT ladder: the final
+  /// exponentiation's three u-powers, gt_in_subgroup's one and the prover's
+  /// R when it holds no ProverKey. Only valid on elements of
   /// the cyclotomic subgroup (every GT element qualifies); the textbook
   /// pow_u256 below is its oracle.
   Fp12 cyclotomic_pow_u256(const U256& e) const {
@@ -253,16 +253,6 @@ class Fp12 {
     Fp6 b{c1.c0.conjugate() * tc.gamma_p3[1], c1.c1.conjugate() * tc.gamma_p3[3],
           c1.c2.conjugate() * tc.gamma_p3[5]};
     return {a, b};
-  }
-
-  Fp12 frobenius_pow(int n) const {
-    int m = n % 12;
-    if (m < 0) m += 12;
-    Fp12 r = *this;
-    for (; m >= 3; m -= 3) r = r.frobenius3();
-    if (m == 2) return r.frobenius2();
-    if (m == 1) return r.frobenius();
-    return r;
   }
 
   /// Textbook LSB-first square-and-multiply with generic squarings, valid

@@ -317,12 +317,17 @@ bool gt_in_subgroup(const Fp12& g) {
   Fp12 gp2 = g.frobenius2();
   Fp12 gp4 = gp2.frobenius2();
   if (!(gp4 * g == gp2)) return false;
-  // Order r (Scott, eprint 2021/1130): for BN254, p(u) - r(u) = 6u^2
-  // exactly, so g^p == g^{6u^2} <=> g^{p - 6u^2} = g^r = 1 for every
-  // invertible g — an exact test, not a probabilistic one. Frobenius is
-  // nearly free, and inside the cyclotomic subgroup cyclotomic squarings are
-  // valid: 6u^2 is 127 bits with 70 set, against 254 bits with 101 for r.
-  return g.frobenius() == g.cyclotomic_pow_u256(ff::kSixTSquared);
+  // Order r through a short vector of the Frobenius lattice (Galbraith–Scott
+  // basis; Dai–Lin–Zhao–Zhou, eprint 2022/348): with
+  // f(p) = (u+1) + u p + u p^2 - 2u p^3, r divides f(p) and
+  // gcd(f(p), Phi_12(p)) = r, so on the cyclotomic subgroup g^{f(p)} = 1
+  // holds exactly when g^r = 1 — an exact test, not a probabilistic one.
+  // With y = g^u that is g * y * y^p * y^{p^2} == (y^{p^3})^2: one 63-bit
+  // u-ladder (the final exponentiation's) and nearly free Frobenius maps,
+  // against 127 bits for Scott's g^p == g^{6u^2} and 254 for r itself.
+  const Fp12 y = g.cyclotomic_pow_u256(ff::U256{ff::kBnParamT});
+  return g * y * y.frobenius() * y.frobenius2() ==
+         y.frobenius3().cyclotomic_square();
 }
 
 PairingCounters pairing_counters() {

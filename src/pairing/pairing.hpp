@@ -89,8 +89,10 @@ bool pairing_product_is_one(std::span<const PreparedPair> pairs);
 
 /// True iff g lies in GT, the order-r subgroup of Fp12^* hit by the pairing:
 /// first the cyclotomic-subgroup identity g^{p^4+1} == g^{p^2} (cheap, two
-/// Frobenius maps), then g^p == g^{6u^2}, which equals g^r == 1 because
-/// p - 6u^2 = r (a 127-bit cyclotomic ladder). Deserializers use this to
+/// Frobenius maps), then, with y = g^u (one 63-bit cyclotomic ladder),
+/// g * y * y^p * y^{p^2} == (y^{p^3})^2. That is g^{f(p)} == 1 for
+/// f = (u+1) + u p + u p^2 - 2u p^3, which equals g^r == 1 on the cyclotomic
+/// subgroup because gcd(f(p), p^4 - p^2 + 1) = r. Deserializers use this to
 /// reject unit-norm Fp12 values that are not pairing outputs.
 bool gt_in_subgroup(const Fp12& g);
 

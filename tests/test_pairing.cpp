@@ -344,8 +344,9 @@ TEST(Fp12Ops, SignedWindowLadderMatchesTextbookPow) {
   // cyclotomic_pow_u256 (multi_pow at n = 1: MSB-first signed windows with
   // a carry) against the textbook pow_u256 on digit and carry edges: small
   // values around one window, all-ones runs, 254 one-bits (the carry leaves
-  // the top window), u and 6u^2 (the final exponentiation's and
-  // gt_in_subgroup's exponents), r - 1 and random scalars.
+  // the top window), u (the exponent of the final exponentiation's three
+  // ladders and of gt_in_subgroup's one), the 127-bit 6u^2, r - 1 and
+  // random scalars.
   auto rng = SecureRng::deterministic(78);
   const Fp12 g = pairing(curve::g1_random(rng), curve::g2_random(rng));
   const VarUInt u{ff::kBnParamT};
@@ -374,8 +375,8 @@ TEST(Fp12Ops, DirectFrobeniusPowersMatchIterated) {
     Fp12 f = Fp12::random(rng);
     EXPECT_EQ(f.frobenius2(), f.frobenius().frobenius());
     EXPECT_EQ(f.frobenius3(), f.frobenius().frobenius().frobenius());
-    EXPECT_EQ(f.frobenius_pow(6), f.conjugate());
-    EXPECT_EQ(f.frobenius_pow(12), f);
+    EXPECT_EQ(f.frobenius3().frobenius3(), f.conjugate());  // p^6
+    EXPECT_EQ(f.frobenius3().frobenius3().conjugate(), f);  // p^12
   }
 }
 
@@ -388,11 +389,26 @@ bool in_gt_by_order_ladder(const Fp12& g) {
   return g.cyclotomic_pow_u256(Fr::modulus()).is_one();
 }
 
-TEST(GtSubgroup, FrobeniusExponentIsPMinusR) {
-  // gt_in_subgroup tests g^p == g^{6u^2}; that is g^r == 1 exactly because
-  // p - 6u^2 = r for the BN254 polynomials.
+TEST(GtSubgroup, ShortVectorMeetsPhi12ExactlyInR) {
+  // gt_in_subgroup tests g^{f(p)} == 1 for the short Frobenius-lattice
+  // vector f = (u+1) + u p + u p^2 - 2u p^3, negated here to stay unsigned.
+  // r | f(p) makes every GT element pass; gcd(f(p), Phi_12(p)) = r makes
+  // every other cyclotomic element (order dividing Phi_12(p), not r) fail.
   const VarUInt u{ff::kBnParamT};
-  EXPECT_EQ(VarUInt{Fp::modulus()} - VarUInt{6} * u * u, VarUInt{Fr::modulus()});
+  const VarUInt p{Fp::modulus()};
+  const VarUInt r{Fr::modulus()};
+  const VarUInt p2 = p * p;
+  const VarUInt two_u = VarUInt{2} * u;
+  const VarUInt f = two_u * p2 * p - u * p2 - u * p - (u + VarUInt{1});
+  EXPECT_TRUE(VarUInt::divmod(f, r).second.is_zero());
+  VarUInt a = p2 * p2 - p2 + VarUInt{1};
+  VarUInt b = f;
+  while (!b.is_zero()) {
+    VarUInt rem = VarUInt::divmod(a, b).second;
+    a = std::move(b);
+    b = std::move(rem);
+  }
+  EXPECT_EQ(a, r);
 }
 
 TEST(GtSubgroup, GenuinePairingOutputsPass) {
@@ -427,6 +443,29 @@ TEST(GtSubgroup, NaturalForgeriesAreRefusedByBothTests) {
   for (const auto& [what, x] : forgeries) {
     EXPECT_FALSE(gt_in_subgroup(x)) << what;
     EXPECT_FALSE(in_gt_by_order_ladder(x)) << what;
+  }
+}
+
+TEST(GtSubgroup, AgreesWithOrderLadderOnCofactorMixtures) {
+  // t^{r a} g^b for cyclotomic t, a pairing output g and small a, b: the
+  // element lies in GT exactly when a = 0, since t^r's order divides the
+  // cofactor (p^4 - p^2 + 1)/r, which has no prime factor below 2 * 10^6.
+  // Every mixture passes the Phi_12 guard, so only the order test decides.
+  auto rng = SecureRng::deterministic(86);
+  const Fp12 g = pairing(curve::g1_random(rng), curve::g2_random(rng));
+  for (int i = 0; i < 4; ++i) {
+    const Fp12 f = Fp12::random(rng);
+    const Fp12 t0 = f.conjugate() * f.inverse();
+    const Fp12 cofactor = (t0.frobenius2() * t0).cyclotomic_pow_u256(Fr::modulus());
+    Fp12 ca = Fp12::one();  // cofactor^a
+    for (int a = 0; a <= 6; ++a, ca = ca * cofactor) {
+      Fp12 x = ca;  // cofactor^a g^b
+      for (int b = 0; b <= 7; ++b, x = x * g) {
+        const bool in_gt = in_gt_by_order_ladder(x);
+        EXPECT_EQ(gt_in_subgroup(x), in_gt) << "t" << i << " a=" << a << " b=" << b;
+        EXPECT_EQ(in_gt, a == 0) << "t" << i << " a=" << a << " b=" << b;
+      }
+    }
   }
 }
 
