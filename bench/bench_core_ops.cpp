@@ -35,6 +35,42 @@ void BM_FpInverse(benchmark::State& state) {
 }
 BENCHMARK(BM_FpInverse);
 
+/// The square root and Legendre symbol on 64 random inputs in turn: the
+/// roots on squares (g1_decompress's case), the symbols on random elements
+/// (hash_to_g1's screen, half of them non-residues).
+void BM_FpSqrt(benchmark::State& state) {
+  std::array<ff::Fp, 64> squares;
+  for (auto& s : squares) s = ff::Fp::random(rng()).square();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(squares[i++ % squares.size()].sqrt());
+  }
+}
+BENCHMARK(BM_FpSqrt);
+
+void BM_FpLegendre(benchmark::State& state) {
+  std::array<ff::Fp, 64> xs;
+  for (auto& x : xs) x = ff::Fp::random(rng());
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xs[i++ % xs.size()].legendre());
+  }
+}
+BENCHMARK(BM_FpLegendre);
+
+/// One 32-byte G1 decode: the canonical-x check, x^3 + 3 and a square root.
+/// A basic proof carries two.
+void BM_G1Decompress(benchmark::State& state) {
+  std::array<std::array<std::uint8_t, 32>, 64> encodings;
+  for (auto& e : encodings) e = curve::g1_compress(curve::g1_random(rng()));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        curve::g1_decompress(encodings[i++ % encodings.size()]));
+  }
+}
+BENCHMARK(BM_G1Decompress);
+
 void BM_Fp12Mul(benchmark::State& state) {
   ff::Fp12 a = ff::Fp12::random(rng()), b = ff::Fp12::random(rng());
   for (auto _ : state) {

@@ -53,6 +53,19 @@ bool fr_canonical(const std::uint8_t* in) {
   return bigint::lt(v, Fr::modulus());
 }
 
+/// sigma || y || psi, the 96-byte head of both proof shapes. One
+/// batch_to_affine normalizes both points with a single inversion.
+void write_proof_head(const G1& sigma, const Fr& y, const G1& psi,
+                      std::uint8_t* out) {
+  const G1 points[2] = {sigma, psi};
+  const auto affine = G1::batch_to_affine(points);
+  const auto s = curve::g1_compress(affine[0]);
+  std::memcpy(out, s.data(), 32);
+  y.to_be_bytes(std::span<std::uint8_t, 32>(out + 32, 32));
+  const auto p = curve::g1_compress(affine[1]);
+  std::memcpy(out + 64, p.data(), 32);
+}
+
 }  // namespace
 
 const char* to_string(DecodeError error) {
@@ -103,11 +116,7 @@ DecodeResult<Fp12> gt_decode(std::span<const std::uint8_t, 192> bytes) {
 
 std::vector<std::uint8_t> serialize(const ProofBasic& proof) {
   std::vector<std::uint8_t> out(ProofBasic::kWireSize);
-  auto s = curve::g1_compress(proof.sigma);
-  std::memcpy(out.data(), s.data(), 32);
-  proof.y.to_be_bytes(std::span<std::uint8_t, 32>(out.data() + 32, 32));
-  auto p = curve::g1_compress(proof.psi);
-  std::memcpy(out.data() + 64, p.data(), 32);
+  write_proof_head(proof.sigma, proof.y, proof.psi, out.data());
   return out;
 }
 
@@ -134,11 +143,7 @@ std::optional<ProofBasic> deserialize_basic(std::span<const std::uint8_t> bytes)
 
 std::vector<std::uint8_t> serialize(const ProofPrivate& proof) {
   std::vector<std::uint8_t> out(ProofPrivate::kWireSize);
-  auto s = curve::g1_compress(proof.sigma);
-  std::memcpy(out.data(), s.data(), 32);
-  proof.y_prime.to_be_bytes(std::span<std::uint8_t, 32>(out.data() + 32, 32));
-  auto p = curve::g1_compress(proof.psi);
-  std::memcpy(out.data() + 64, p.data(), 32);
+  write_proof_head(proof.sigma, proof.y_prime, proof.psi, out.data());
   auto r = gt_compress(proof.big_r);
   std::memcpy(out.data() + 96, r.data(), 192);
   return out;

@@ -7,10 +7,13 @@
 // reduced below a BN254 modulus by reduce_by_subtraction (at most 5
 // subtractions), every other constant is a literal or a constexpr value, and
 // the tests' arbitrary-precision oracle (VarUInt, which also parses decimals)
-// lives in tests/support.
+// lives in tests/support. One binary-GCD kernel (u256.cpp) serves both
+// inv_mod and the Jacobi symbol; the tests check them against Fermat
+// inversion and the Euler criterion.
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -80,7 +83,7 @@ struct U256 {
   /// the top without clamping. This is the MSM window-digit extractor: one
   /// shift (or two, straddling a limb boundary) instead of `width` bit()
   /// probes.
-  u64 extract_window(unsigned bit_offset, unsigned width) const {
+  constexpr u64 extract_window(unsigned bit_offset, unsigned width) const {
     if (bit_offset >= 256 || width == 0) return 0;
     unsigned idx = bit_offset / 64;
     unsigned shift = bit_offset % 64;
@@ -91,7 +94,14 @@ struct U256 {
   }
 
   /// Number of significant bits (0 for zero).
-  unsigned bit_length() const;
+  constexpr unsigned bit_length() const {
+    for (int i = 3; i >= 0; --i) {
+      if (limb[i] != 0) {
+        return static_cast<unsigned>(64 * i + 64 - std::countl_zero(limb[i]));
+      }
+    }
+    return 0;
+  }
 
   friend bool operator==(const U256& a, const U256& b) = default;
 };
@@ -242,9 +252,19 @@ inline U256 abs2c(const U256& a, bool& negative) {
   return negative ? neg2c(a) : a;
 }
 
-/// Modular inverse of a mod m (m odd, gcd(a,m)=1) via the extended binary
-/// Euclidean algorithm. Throws std::domain_error if not invertible.
+/// a^{-1} mod m by Pornin's optimized binary GCD (eprint 2020/972, Alg. 2):
+/// passes of 31 steps on 64-bit approximations of the operands, each applied
+/// to the full values at once, with a Montgomery division by 2^31 folded
+/// into the coefficient update so the result needs no correction.
+/// Requires odd m, 3 <= m < 2^255. Variable-time: for public values only.
+/// Throws std::domain_error for a = 0, even m, or gcd(a, m) != 1.
 U256 inv_mod(const U256& a, const U256& m);
+
+/// Jacobi symbol (a / m) in {-1, 0, 1}, by the same passes as inv_mod (29
+/// steps each, so the 3 low bits the symbol rules read stay exact). For a
+/// prime m it is the Legendre symbol. Requires odd m < 2^255 (throws
+/// std::domain_error for even m). Variable-time.
+int jacobi(const U256& a, const U256& m);
 
 /// -m^{-1} mod 2^64, for Montgomery reduction (m must be odd; throws
 /// std::domain_error otherwise).

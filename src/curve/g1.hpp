@@ -52,6 +52,9 @@ G1 hash_to_g1(std::string_view s);
 
 /// 32-byte compressed encoding: big-endian x with bit 255 = infinity flag and
 /// bit 254 = parity of y (p is 254 bits, so both are free).
+/// The Affine overload lets a caller that normalizes several points with one
+/// G1::batch_to_affine encode them without a further inversion.
+std::array<std::uint8_t, 32> g1_compress(const G1::Affine& p);
 std::array<std::uint8_t, 32> g1_compress(const G1& p);
 /// Decompress; nullopt on any malformed encoding (x >= p, x not on curve,
 /// bad padding bits).

@@ -1,5 +1,5 @@
 // Montgomery's batch-inversion trick: invert n field elements with a single
-// field inversion plus 3(n-1) multiplications. One inversion costs ~280
+// field inversion plus 3(n-1) multiplications. One inversion costs ~100
 // multiplications at BN254 size, so this turns point-set normalization
 // (Jacobian -> affine) from "n inversions" into "essentially free".
 //

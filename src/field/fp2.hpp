@@ -89,10 +89,12 @@ class Fp2 {
     auto alpha = (c0.square() + c1.square()).sqrt();
     if (!alpha) return std::nullopt;
     // The two candidates multiply to -a1^2/4, a non-square, so exactly one
-    // of them is a square; neither is zero.
-    auto x0 = ((c0 + *alpha) * kFpHalf).sqrt();
-    if (!x0) x0 = ((c0 - *alpha) * kFpHalf).sqrt();
-    return Fp2{*x0, c1 * x0->dbl().inverse()};
+    // of them is a square; neither is zero. The Jacobi symbol picks it, so
+    // only one square root runs.
+    Fp t = (c0 + *alpha) * kFpHalf;
+    if (t.legendre() != 1) t = (c0 - *alpha) * kFpHalf;
+    const Fp x0 = *t.sqrt();
+    return Fp2{x0, c1 * x0.dbl().inverse()};
   }
 
   friend bool operator==(const Fp2& a, const Fp2& b) = default;

@@ -591,6 +591,40 @@ TEST(AuditWire, ProofRoundTrip) {
       verifier.verify_private(sc.name, sc.file.num_chunks(), chal, *priv2));
 }
 
+// serialize normalizes sigma and psi with one batch inversion. Its bytes must
+// equal the per-point g1_compress encodings, also when either point (or
+// both) is infinity, whose Z has no inverse.
+TEST(AuditWire, ProofHeadMatchesPerPointCompression) {
+  auto rng = SecureRng::deterministic(409);
+  const G1 a = curve::g1_random(rng) + curve::g1_random(rng);
+  const G1 b = curve::g1_random(rng);
+  const G1 inf = G1::infinity();
+  const Fp12 big_r =
+      ::dsaudit::pairing::pairing(curve::g1_random(rng), curve::g2_random(rng));
+  const auto r_bytes = gt_compress(big_r);
+  const std::pair<G1, G1> cases[] = {{a, b}, {inf, b}, {a, inf}, {inf, inf}};
+  for (const auto& [sigma, psi] : cases) {
+    const Fr y = Fr::random(rng);
+    std::vector<std::uint8_t> want(96);
+    const auto s = curve::g1_compress(sigma);
+    std::copy(s.begin(), s.end(), want.begin());
+    y.to_be_bytes(std::span<std::uint8_t, 32>(want.data() + 32, 32));
+    const auto p = curve::g1_compress(psi);
+    std::copy(p.begin(), p.end(), want.begin() + 64);
+    const std::string what = std::string(sigma.is_infinity() ? "inf" : "sigma") +
+                             "/" + (psi.is_infinity() ? "inf" : "psi");
+    EXPECT_EQ(serialize(ProofBasic{sigma, y, psi}), want) << what;
+    const auto priv = serialize(ProofPrivate{sigma, y, psi, big_r});
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), priv.begin())) << what;
+    EXPECT_TRUE(std::equal(r_bytes.begin(), r_bytes.end(), priv.begin() + 96))
+        << what;
+    const auto back = decode_basic(want);
+    ASSERT_TRUE(back.ok()) << what;
+    EXPECT_EQ(back->sigma, sigma) << what;
+    EXPECT_EQ(back->psi, psi) << what;
+  }
+}
+
 TEST(AuditWire, MalformedProofRejected) {
   std::vector<std::uint8_t> junk(96, 0xff);
   EXPECT_FALSE(deserialize_basic(junk).has_value());

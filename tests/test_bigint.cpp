@@ -1,6 +1,8 @@
 // Unit and property tests for the fixed-width and variable-width bigints.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "bigint/u256.hpp"
 #include "primitives/random.hpp"
 #include "support/varuint.hpp"
@@ -96,17 +98,105 @@ TEST(U256, MulWideMatchesVarUInt) {
 }
 
 TEST(U256, InvModCorrect) {
-  auto rng = SecureRng::deterministic(13);
-  U256 m = U256::from_hex(
-      "0x30644e72e131a029b85045b68181585d2833e84879b9709143e1f593f0000001");
-  const VarUInt vm{m};
-  for (int i = 0; i < 50; ++i) {
-    U256 a = VarUInt::divmod(VarUInt{random_u256(rng)}, vm).second.to_u256();
-    if (a.is_zero()) continue;
-    U256 inv = inv_mod(a, m);
-    EXPECT_EQ(VarUInt::divmod(VarUInt{a} * VarUInt{inv}, vm).second, VarUInt{1});
+  for (const char* hex :
+       {"0x30644e72e131a029b85045b68181585d97816a916871ca8d3c208c16d87cfd47",
+        "0x30644e72e131a029b85045b68181585d2833e84879b9709143e1f593f0000001"}) {
+    auto rng = SecureRng::deterministic(13);
+    const U256 m = U256::from_hex(hex);
+    const VarUInt vm{m};
+    for (int i = 0; i < 50; ++i) {
+      U256 a = VarUInt::divmod(VarUInt{random_u256(rng)}, vm).second.to_u256();
+      if (a.is_zero()) continue;
+      U256 inv = inv_mod(a, m);
+      EXPECT_EQ(VarUInt::divmod(VarUInt{a} * VarUInt{inv}, vm).second, VarUInt{1})
+          << hex;
+    }
+    EXPECT_THROW(inv_mod(U256{}, m), std::domain_error);
   }
-  EXPECT_THROW(inv_mod(U256{}, m), std::domain_error);
+  EXPECT_THROW(inv_mod(U256{3}, U256{1000}), std::domain_error);  // even m
+}
+
+// Mersenne primes: M61, M89 and M127, and the 216-bit composite M89 * M127,
+// moduli the field code never uses, so the binary-GCD passes meet operands
+// of other lengths than the BN254 moduli's.
+VarUInt mersenne(unsigned k) { return VarUInt{1}.shl(k) - VarUInt{1}; }
+
+// b^e mod m by square-and-multiply on VarUInt: the Euler criterion's oracle.
+VarUInt pow_mod(const VarUInt& b, const VarUInt& e, const VarUInt& m) {
+  VarUInt result{1};
+  for (int i = static_cast<int>(e.bit_length()) - 1; i >= 0; --i) {
+    result = VarUInt::divmod(result * result, m).second;
+    if (e.bit(i)) result = VarUInt::divmod(result * b, m).second;
+  }
+  return result;
+}
+
+TEST(U256, InvModOnOtherModuli) {
+  auto rng = SecureRng::deterministic(14);
+  const VarUInt composite = mersenne(89) * mersenne(127);
+  for (const VarUInt& vm : {VarUInt{3}, VarUInt{105}, mersenne(61), mersenne(127),
+                            composite}) {
+    const U256 m = vm.to_u256();
+    for (int i = 0; i < 40; ++i) {
+      const U256 a = VarUInt::divmod(VarUInt{random_u256(rng)}, vm).second.to_u256();
+      if (a.is_zero() || (m == U256{105} && std::gcd(a.limb[0], u64{105}) != 1)) {
+        continue;
+      }
+      const U256 inv = inv_mod(a, m);
+      EXPECT_LT(VarUInt::cmp(VarUInt{inv}, vm), 0);
+      EXPECT_EQ(VarUInt::divmod(VarUInt{a} * VarUInt{inv}, vm).second, VarUInt{1})
+          << vm.to_dec() << " " << a.to_hex();
+    }
+  }
+  EXPECT_THROW(inv_mod(U256{35}, U256{105}), std::domain_error);
+  EXPECT_THROW(inv_mod((VarUInt{5} * mersenne(89)).to_u256(), composite.to_u256()),
+               std::domain_error);
+}
+
+// (a / m) from m's factorization: the product of Euler's criterion over the
+// prime factors, with multiplicity.
+int jacobi_by_factoring(u64 a, u64 m) {
+  int result = 1;
+  for (u64 q = 3; m > 1; q += 2) {
+    for (; m % q == 0; m /= q) {
+      if (a % q == 0) return 0;
+      u64 e = (q - 1) / 2, base = a % q, power = 1;
+      for (; e; e >>= 1, base = base * base % q) {
+        if (e & 1) power = power * base % q;
+      }
+      result *= power == 1 ? 1 : -1;
+    }
+  }
+  return result;
+}
+
+TEST(U256, JacobiMatchesFactoringOnSmallModuli) {
+  for (u64 m = 1; m < 256; m += 2) {
+    for (u64 a = 0; a < m + 8; ++a) {
+      ASSERT_EQ(jacobi(U256{a}, U256{m}), jacobi_by_factoring(a, m))
+          << "(" << a << " / " << m << ")";
+    }
+  }
+  EXPECT_THROW(jacobi(U256{3}, U256{16}), std::domain_error);
+}
+
+TEST(U256, JacobiIsMultiplicativeInTheModulus) {
+  auto rng = SecureRng::deterministic(15);
+  const VarUInt p = mersenne(89), q = mersenne(127);
+  const VarUInt pq = p * q;
+  auto euler = [](const VarUInt& a, const VarUInt& prime) {
+    const VarUInt r = VarUInt::divmod(a, prime).second;
+    if (r.is_zero()) return 0;
+    return pow_mod(r, (prime - VarUInt{1}).shr(1), prime) == VarUInt{1} ? 1 : -1;
+  };
+  for (int i = 0; i < 8; ++i) {
+    const VarUInt a = VarUInt::divmod(VarUInt{random_u256(rng)}, pq).second;
+    const int jp = euler(a, p), jq = euler(a, q);
+    EXPECT_EQ(jacobi(a.to_u256(), p.to_u256()), jp);
+    EXPECT_EQ(jacobi(a.to_u256(), q.to_u256()), jq);
+    EXPECT_EQ(jacobi(a.to_u256(), pq.to_u256()), jp * jq);
+  }
+  EXPECT_EQ(jacobi((VarUInt{7} * p).to_u256(), pq.to_u256()), 0);
 }
 
 TEST(U256, MontN0Inv) {

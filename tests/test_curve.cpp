@@ -4,6 +4,7 @@
 #include "curve/g1.hpp"
 #include "curve/g2.hpp"
 #include "curve/glv.hpp"
+#include "primitives/keccak256.hpp"
 #include "support/varuint.hpp"
 
 namespace dsaudit::curve {
@@ -189,6 +190,25 @@ TEST(G1Hash, KnownAnswers) {
     }
     EXPECT_EQ(got, want) << "input '" << in << "'";
   }
+}
+
+// 10^4 outputs, Keccak-256 over their concatenated compressed encodings,
+// pinned from the map before the Jacobi screen: screening candidates by
+// their symbol must pick the same candidate and root for every input.
+TEST(G1Hash, DigestOfTenThousandOutputs) {
+  primitives::Keccak256 k;
+  for (int i = 0; i < 10000; ++i) {
+    k.update(g1_compress(hash_to_g1("h2g1-digest-" + std::to_string(i))));
+  }
+  const auto digest = k.finalize();
+  std::string got;
+  for (std::uint8_t b : digest) {
+    static const char* digits = "0123456789abcdef";
+    got += digits[b >> 4];
+    got += digits[b & 15];
+  }
+  EXPECT_EQ(got,
+            "7232c51409e37ba297bfc5c951eb853e909dc2e674be8f9f2e735acaa9022461");
 }
 
 TEST(G1Hash, ManyInputsAllValid) {

@@ -217,6 +217,139 @@ TYPED_TEST(PrimeFieldKernels, EdgeValuesAgainstReference) {
   }
 }
 
+// Values the binary-GCD kernel and the window ladder meet at their edges:
+// 1, 2, m - 1, R mod m, every 2^k below 2^254, and long runs of zero or one
+// bits (2^k - 1, the top k of 254 bits set, 2^253 + 2^k).
+template <typename F>
+std::vector<U256> kernel_edge_values() {
+  const U256 m = F::modulus();
+  std::vector<U256> out{U256{1}, U256{2}, minus(m, U256{1}), F::params().r_mod};
+  for (unsigned k = 0; k < 254; ++k) {
+    const VarUInt pow2 = VarUInt{1}.shl(k);
+    out.push_back(pow2.to_u256());
+    if (k > 0) out.push_back((pow2 - VarUInt{1}).to_u256());
+    out.push_back(((VarUInt{1}.shl(254) - VarUInt{1}) - (pow2 - VarUInt{1}))
+                      .to_u256());
+    if (k < 253) out.push_back((VarUInt{1}.shl(253) + pow2).to_u256());
+  }
+  for (U256& v : out) v = bigint::reduce_by_subtraction(v, m);
+  return out;
+}
+
+// The binary-GCD inverse against Fermat's a^(m-2), on the edge values as
+// field elements and as raw inv_mod inputs, and on 10^4 random elements.
+TYPED_TEST(PrimeFieldKernels, InverseAgreesWithFermat) {
+  using F = TypeParam;
+  const U256 m = F::modulus();
+  const U256 m_minus_2 = minus(m, U256{2});
+  std::vector<F> xs;
+  for (const U256& v : kernel_edge_values<F>()) {
+    if (v.is_zero()) continue;
+    xs.push_back(F::from_u256(v));
+    const U256 inv = bigint::inv_mod(v, m);
+    ASSERT_EQ(mul_mod_reference(v, inv, m), U256{1}) << v.to_hex();
+  }
+  auto rng = SecureRng::deterministic(1007);
+  for (int i = 0; i < 10000; ++i) xs.push_back(F::random(rng));
+  for (const F& a : xs) {
+    if (a.is_zero()) continue;
+    ASSERT_EQ(a.inverse(), a.pow_u256(m_minus_2)) << a.to_u256().to_hex();
+  }
+  EXPECT_TRUE(F::zero().inverse().is_zero());
+}
+
+// legendre() (the Jacobi symbol) against the Euler criterion a^((m-1)/2):
+// 0, +-1, the edge values, random elements, their squares (always +1) and
+// a known non-residue times those squares (always -1). -1 is a non-residue
+// for p = 3 mod 4; r = 1 mod 4 makes it a residue in Fr, where 5, the
+// multiplicative group's generator, is a non-residue.
+TYPED_TEST(PrimeFieldKernels, LegendreAgreesWithEuler) {
+  using F = TypeParam;
+  auto euler = [](const F& a) {
+    if (a.is_zero()) return 0;
+    return a.pow_u256(F::params().p_minus_1_over_2).is_one() ? 1 : -1;
+  };
+  const bool is_fp = std::is_same_v<F, Fp>;
+  const F non_residue = is_fp ? -F::one() : F::from_u64(5);
+  EXPECT_EQ(F::zero().legendre(), 0);
+  EXPECT_EQ(F::one().legendre(), 1);
+  EXPECT_EQ((-F::one()).legendre(), is_fp ? -1 : 1);
+  EXPECT_EQ(non_residue.legendre(), -1);
+  EXPECT_EQ(euler(non_residue), -1);
+  std::vector<F> xs{F::zero(), F::one(), -F::one(), F::from_u64(2),
+                    -F::from_u64(2)};
+  for (const U256& v : kernel_edge_values<F>()) xs.push_back(F::from_u256(v));
+  // Inputs where a pass of the kernel ends with a negative a, found by a
+  // search over m - d and (m-1)/2 +- d: the (-1 / |b|) correction after the
+  // pass decides their symbol.
+  const std::vector<const char*> negative_a =
+      is_fp ? std::vector<const char*>{
+                  "0x183227397098d014dc2822db40c0ac2ecbc0b548b438e5469e10460b6c3ed26b",
+                  "0x30644e72e131a029b85045b68181585d97816a91683e50915e18b879d51126df",
+                  "0x30644e72e131a029b85045b681813dfbde6b4403cb5783af2eb3c563e0ac13dd",
+                  "0x30644e72e1319f16a917c5cc6543704017977f94a6ead9821eed1c3ee991e0d3",
+                  "0x183227394430ef8ec720dffa3f63440aacfab61d8c747436572f5f0f38bdcc32"}
+            : std::vector<const char*>{
+                  "0x183227397098d014dc2822db40c0ac2e9419f4243ce5e86398b9e1749ba76440",
+                  "0x30644e72e131a029b85045b68181585d2833e8483a6b27b901d688b908fd9372",
+                  "0x30644e72e131a029b85045b68181585d28337756aa8d1d4ee12f1783385ff8bf",
+                  "0x183227397098d014dc2822db40c0ac2e943c3c7cda3443f1337bd6a648ff8067",
+                  "0x30644e72e131a029b84fd83cf89f02786ea97e7d993fb09ef3b25a35cf347791",
+                  "0x30644e72e131a029b752fb970e51316dad2e23d3ef45d5b3a9b95ba85b064a61"};
+  for (const char* hex : negative_a) {
+    const U256 v = U256::from_hex(hex);
+    xs.push_back(F::from_u256(v));
+    // legendre() runs on the Montgomery form; check the kernel on v itself.
+    EXPECT_EQ(bigint::jacobi(v, F::modulus()), euler(F::from_u256(v))) << hex;
+  }
+  auto rng = SecureRng::deterministic(1009);
+  int residues = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const F a = F::random(rng);
+    xs.push_back(a);
+    if (a.legendre() == 1) ++residues;
+    if (a.is_zero()) continue;
+    ASSERT_EQ(a.square().legendre(), 1);
+    ASSERT_EQ((non_residue * a.square()).legendre(), -1);
+  }
+  EXPECT_GT(residues, 900);  // half the elements are squares
+  EXPECT_LT(residues, 1100);
+  for (const F& a : xs) {
+    ASSERT_EQ(a.legendre(), euler(a)) << a.to_u256().to_hex();
+  }
+}
+
+// The sliding-window pow_u256 against pow_var's binary ladder, for the
+// exponents 0, 1, every 2^k and 2^k - 1 up to 2^256 - 1 (all ones), the
+// field's own exponents and 100 random values. sqrt's compile-time recoding
+// of (p+1)/4 must give the same power.
+TYPED_TEST(PrimeFieldKernels, PowAgainstBinaryLadder) {
+  using F = TypeParam;
+  auto rng = SecureRng::deterministic(1011);
+  const F base = F::random(rng);
+  std::vector<VarUInt> exps{VarUInt{0}, VarUInt{1},
+                            VarUInt{F::params().p_minus_1_over_2},
+                            VarUInt{minus(F::modulus(), U256{2})}};
+  for (unsigned k = 1; k <= 256; ++k) {
+    exps.push_back(VarUInt{1}.shl(k) - VarUInt{1});
+    if (k < 256) exps.push_back(VarUInt{1}.shl(k));
+  }
+  for (int i = 0; i < 100; ++i) {
+    const auto b = rng.bytes32();
+    exps.push_back(VarUInt{U256::from_be_bytes(b)});
+  }
+  for (const VarUInt& e : exps) {
+    ASSERT_EQ(base.pow_u256(e.to_u256()), pow_var(base, e)) << e.to_dec();
+  }
+  EXPECT_EQ(F::zero().pow_u256(U256{0}), F::one());
+  EXPECT_TRUE(F::zero().pow_u256(U256{5}).is_zero());
+  EXPECT_EQ(F::one().pow_u256(minus(U256{}, U256{1})), F::one());
+  if constexpr (F::params().has_fast_sqrt) {
+    const VarUInt e{F::params().p_plus_1_over_4};
+    EXPECT_EQ(base.pow_u256(F::kSqrtExponent), pow_var(base, e));
+  }
+}
+
 // Both parameter sets are compile-time constants: a return to a runtime
 // static (or any non-constexpr derivation) fails the build here.
 static_assert(Fp::params().n0_inv * Fp::modulus().limb[0] == ~u64{0});

@@ -22,6 +22,7 @@
 #include "attack/corpus.hpp"
 #include "audit/protocol.hpp"
 #include "audit/serialize.hpp"
+#include "pairing/pairing.hpp"
 #include "storage/codec.hpp"
 
 namespace dsaudit::audit {
@@ -122,6 +123,47 @@ std::size_t exercise(const std::vector<std::uint8_t>& valid,
   return mutations.size();
 }
 
+// Cofactor mixtures: `valid` with the GT element at `offset` (whose value is
+// `g`) replaced by the torus encoding of t^(r a) g for a cyclotomic t != 1
+// and a = 1..3, built as GtSubgroup.AgreesWithOrderLadderOnCofactorMixtures
+// builds them. They are unit-norm and pass the Phi_12 guard, so only
+// gt_in_subgroup's order test can refuse them: t^r != 1, since the cofactor
+// (p^4 - p^2 + 1)/r has no prime factor below 2 * 10^6.
+std::vector<attack::corpus::Mutation> gt_cofactor_mixtures(
+    const std::vector<std::uint8_t>& valid, std::size_t offset, const Fp12& g,
+    std::uint64_t seed) {
+  auto rng = primitives::SecureRng::deterministic(seed);
+  std::vector<attack::corpus::Mutation> out;
+  for (int i = 0; i < 2; ++i) {
+    const Fp12 f = Fp12::random(rng);
+    const Fp12 t0 = f.conjugate() * f.inverse();
+    const Fp12 t_r = (t0.frobenius2() * t0).cyclotomic_pow_u256(Fr::modulus());
+    Fp12 x = g;
+    for (int a = 1; a <= 3; ++a) {
+      x = x * t_r;
+      auto bytes = valid;
+      const auto enc = gt_compress(x);
+      std::copy(enc.begin(), enc.end(), bytes.begin() + offset);
+      out.push_back({"gt-cofactor-mixture-t" + std::to_string(i) + "-a" +
+                         std::to_string(a),
+                     std::move(bytes), true});
+    }
+  }
+  return out;
+}
+
+std::vector<attack::corpus::Mutation> proof_gt_mixtures(
+    const std::vector<std::uint8_t>& valid_private) {
+  return gt_cofactor_mixtures(valid_private, 96,
+                              decode_private(valid_private)->big_r, 0xF004);
+}
+
+std::vector<attack::corpus::Mutation> key_gt_mixtures(
+    const std::vector<std::uint8_t>& valid_pk) {
+  return gt_cofactor_mixtures(valid_pk, valid_pk.size() - kGtWireBytes,
+                              decode_public_key(valid_pk)->e_g1_epsilon, 0xF005);
+}
+
 TEST_F(FuzzDecode, CorpusExceedsTwoHundredMutationsAndAllAreRejected) {
   const std::size_t flips = flip_seeds(30);
   std::size_t total = 0;
@@ -137,6 +179,8 @@ TEST_F(FuzzDecode, CorpusExceedsTwoHundredMutationsAndAllAreRejected) {
     auto muts = attack::corpus::proof_mutations(valid_private_);
     auto more = attack::corpus::random_flips(valid_private_, 0xB2, flips);
     muts.insert(muts.end(), more.begin(), more.end());
+    auto mixtures = proof_gt_mixtures(valid_private_);
+    muts.insert(muts.end(), mixtures.begin(), mixtures.end());
     total += exercise(valid_private_, std::move(muts),
                       [](const auto& b) { return decode_private(b); },
                       "ProofPrivate");
@@ -145,6 +189,8 @@ TEST_F(FuzzDecode, CorpusExceedsTwoHundredMutationsAndAllAreRejected) {
     auto muts = attack::corpus::public_key_mutations(valid_pk_);
     auto more = attack::corpus::random_flips(valid_pk_, 0xB3, flips);
     muts.insert(muts.end(), more.begin(), more.end());
+    auto mixtures = key_gt_mixtures(valid_pk_);
+    muts.insert(muts.end(), mixtures.begin(), mixtures.end());
     total += exercise(valid_pk_, std::move(muts),
                       [](const auto& b) { return decode_public_key(b); },
                       "PublicKey");
@@ -258,6 +304,18 @@ TEST_F(FuzzDecode, RejectionReasonsAreTyped) {
     auto b = valid_aggregate_;
     b.back() |= 0xE0;  // bits past rounds=5 in the bitmap: non-canonical
     EXPECT_EQ(decode_aggregate_settlement(b).error, DecodeError::BadStructure);
+  }
+}
+
+// A cofactor mixture in R or in the key's GT element reaches the order test
+// and is refused as BadGtElement (ProofPrivate, PublicKey).
+TEST_F(FuzzDecode, GtCofactorMixturesAreBadGtElement) {
+  for (const auto& m : proof_gt_mixtures(valid_private_)) {
+    EXPECT_EQ(decode_private(m.bytes).error, DecodeError::BadGtElement) << m.label;
+  }
+  for (const auto& m : key_gt_mixtures(valid_pk_)) {
+    EXPECT_EQ(decode_public_key(m.bytes).error, DecodeError::BadGtElement)
+        << m.label;
   }
 }
 

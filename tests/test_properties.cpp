@@ -183,20 +183,6 @@ TEST(Properties, AuditPsiIsTheKzgWitness) {
   }
 }
 
-TEST(Properties, InverseAgreesWithFermat) {
-  // Fermat inversion a^{p-2}, the independent oracle for the binary-GCD
-  // inverse.
-  ff::U256 p_minus_2;
-  bigint::sub_with_borrow(ff::Fp::modulus(), ff::U256{2}, p_minus_2);
-  auto rng = SecureRng::deterministic(1007);
-  for (int i = 0; i < 50; ++i) {
-    ff::Fp a = ff::Fp::random(rng);
-    if (a.is_zero()) continue;
-    EXPECT_EQ(a.inverse(), a.pow_u256(p_minus_2));
-  }
-  EXPECT_TRUE(ff::Fp::zero().inverse().is_zero());
-}
-
 TEST(Properties, SparseLineMulMatchesGenericMul) {
   auto rng = SecureRng::deterministic(1008);
   for (int i = 0; i < 20; ++i) {
