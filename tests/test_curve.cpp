@@ -170,6 +170,16 @@ TEST(G1Hash, DeterministicAndOnCurve) {
   EXPECT_FALSE(a.is_infinity());
 }
 
+std::string hex(std::span<const std::uint8_t> bytes) {
+  static const char* digits = "0123456789abcdef";
+  std::string out;
+  for (std::uint8_t b : bytes) {
+    out += digits[b >> 4];
+    out += digits[b & 15];
+  }
+  return out;
+}
+
 // Pinned compressed outputs of the try-and-increment map. Every tag and
 // chi is built from H, so the map's output must never change.
 TEST(G1Hash, KnownAnswers) {
@@ -181,14 +191,7 @@ TEST(G1Hash, KnownAnswers) {
       {"the quick brown fox jumps over the lazy dog",
        "61f670526a96a3e7bd003852fd97b84f838645d89765a8578ba8be1feefd0e2d"}};
   for (const auto& [in, want] : kats) {
-    const auto c = g1_compress(hash_to_g1(in));
-    std::string got;
-    for (std::uint8_t b : c) {
-      static const char* digits = "0123456789abcdef";
-      got += digits[b >> 4];
-      got += digits[b & 15];
-    }
-    EXPECT_EQ(got, want) << "input '" << in << "'";
+    EXPECT_EQ(hex(g1_compress(hash_to_g1(in))), want) << "input '" << in << "'";
   }
 }
 
@@ -200,14 +203,7 @@ TEST(G1Hash, DigestOfTenThousandOutputs) {
   for (int i = 0; i < 10000; ++i) {
     k.update(g1_compress(hash_to_g1("h2g1-digest-" + std::to_string(i))));
   }
-  const auto digest = k.finalize();
-  std::string got;
-  for (std::uint8_t b : digest) {
-    static const char* digits = "0123456789abcdef";
-    got += digits[b >> 4];
-    got += digits[b & 15];
-  }
-  EXPECT_EQ(got,
+  EXPECT_EQ(hex(k.finalize()),
             "7232c51409e37ba297bfc5c951eb853e909dc2e674be8f9f2e735acaa9022461");
 }
 
