@@ -513,7 +513,8 @@ BENCHMARK(BM_GtDecode);
 
 void BM_DecodePrivate(benchmark::State& state) {
   audit::ProofPrivate proof{
-      curve::g1_random(rng()), ff::Fr::random(rng()), curve::g1_random(rng()),
+      curve::g1_random(rng()).to_affine_point(), ff::Fr::random(rng()),
+      curve::g1_random(rng()).to_affine_point(),
       pairing::pairing(curve::g1_random(rng()), curve::g2_random(rng()))};
   auto bytes = audit::serialize(proof);
   if (!audit::decode_private(bytes)) state.SkipWithError("decode refused");

@@ -197,28 +197,27 @@ Prover::Core Prover::core(const Challenge& chal, ProverTimings* timings) const {
   // ProverKey when the prover has one (both bit-identical to the cold MSMs,
   // which stay for one-shot provers and as the oracle).
   auto t1 = Clock::now();
-  Core c;
+  G1 points[2];  // sigma, psi
   if (sigma_key_) {
-    c.sigma = curve::msm_precomputed(*sigma_key_, ex.indices, ex.coefficients);
+    points[0] = curve::msm_precomputed(*sigma_key_, ex.indices, ex.coefficients);
   } else {
     std::vector<G1> sigma_pts(k);
     for (std::size_t j = 0; j < k; ++j) sigma_pts[j] = tag_.sigmas[ex.indices[j]];
-    c.sigma = curve::msm<G1>(sigma_pts, ex.coefficients);
+    points[0] = curve::msm<G1>(sigma_pts, ex.coefficients);
   }
-  c.y = y;
   auto qc = quotient.coefficients();
-  if (qc.empty()) {
-    c.psi = G1::infinity();
-  } else {
+  if (!qc.empty()) {
     if (qc.size() > pk_.g1_alpha_powers.size()) {
       throw std::logic_error("Prover: quotient exceeds SRS (corrupt input?)");
     }
-    c.psi = psi_key_ ? psi_key_->psi(qc)
-                     : curve::msm<G1>(
-                           std::span<const G1>(pk_.g1_alpha_powers.data(),
-                                               qc.size()),
-                           qc);
+    points[1] = psi_key_ ? psi_key_->psi(qc)
+                         : curve::msm<G1>(
+                               std::span<const G1>(pk_.g1_alpha_powers.data(),
+                                                   qc.size()),
+                               qc);
   }
+  const auto affine = G1::batch_to_affine(points);
+  const Core c{affine[0], y, affine[1]};
   if (timings) {
     timings->zp_ms = zp;
     timings->ecc_ms = ms_since(t1);
@@ -417,17 +416,17 @@ namespace {
 /// slots, where the cold path keeps its chunk hashes unaggregated so their
 /// coefficients fold into the same weights. The exact unweighted terms are
 /// only computed (from these components, with the identical formula/mul
-/// sequence) at bisection leaves and single-instance batches.
+/// sequence) at bisection leaves and single-instance batches. The proof's
+/// points, y and R stay in the instance; the terms point at them (104 B a
+/// round), and the challenge scalar and verifier are read from it too.
 struct SettleTerms {
-  bool valid = false;
-  bool is_private = false;
-  G1 sigma, psi;
-  Fr r_chal, y;           // challenge scalar; y (basic) or y' (private)
+  const G1::Affine* sigma = nullptr;  // null: implausible, never settled
+  const G1::Affine* psi = nullptr;
+  const Fr* y = nullptr;              // y (basic) or y' (private)
+  const Fp12* big_r = nullptr;        // R for private instances, null for basic
   Fr zeta = Fr::one();    // hash_gt_to_fr(R) for private, 1 for basic
-  Fp12 gt = Fp12::one();  // R for private instances, 1 for basic
   Fr rho = Fr::zero();    // random batch weight (zero when unweighted)
   std::size_t key = 0;    // verifier-group ordinal
-  const Verifier* v = nullptr;
 };
 
 /// rho_i = low 16 bytes of Keccak(seed || 'w' || i). 128-bit weights halve
@@ -483,7 +482,7 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     chi_off[i + 1] = chi_off[i] + slots;
   }
   const bool need_weights = plausible > 1;
-  std::vector<G1> chi_pts(chi_off.back());
+  std::vector<G1> chi_jac(chi_off.back());
   std::vector<Fr> chi_sc(chi_off.back());
 
   // Per-instance preparation — the chunk hashes (or a prepared file's chi)
@@ -496,7 +495,6 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
         for (std::size_t i = begin; i < end; ++i) {
           const SettlementInstance& inst = instances[i];
           SettleTerms& t = terms[i];
-          t.v = inst.verifier;
           const std::size_t at = chi_off[i];
           if (chi_off[i + 1] == at) continue;  // implausible shape or sizes
           const bool has_basic = inst.basic.has_value();
@@ -505,7 +503,7 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
               inst.file ? inst.file->num_chunks : inst.num_chunks;
           const ExpandedChallenge ex = expand_challenge(inst.challenge, d_chunks);
           if (inst.file) {
-            chi_pts[at] = curve::msm_precomputed(inst.file->hashes, ex.indices,
+            chi_jac[at] = curve::msm_precomputed(inst.file->hashes, ex.indices,
                                                  ex.coefficients);
             chi_sc[at] = Fr::one();
           } else {
@@ -515,30 +513,31 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
             parallel::parallel_for_ranges(
                 ex.indices.size(), [&](std::size_t jb, std::size_t je) {
                   for (std::size_t j = jb; j < je; ++j) {
-                    chi_pts[at + j] = chunk_hash(inst.name, ex.indices[j]);
+                    chi_jac[at + j] = chunk_hash(inst.name, ex.indices[j]);
                     chi_sc[at + j] = ex.coefficients[j];
                   }
                 });
           }
-          t.r_chal = inst.challenge.r;
           if (has_basic) {
             const ProofBasic& p = *inst.basic;
-            t.sigma = p.sigma;
-            t.psi = p.psi;
-            t.y = p.y;
+            t.sigma = &p.sigma;
+            t.psi = &p.psi;
+            t.y = &p.y;
           } else {
             const ProofPrivate& p = *inst.priv;
-            t.is_private = true;
-            t.sigma = p.sigma;
-            t.psi = p.psi;
-            t.y = p.y_prime;
+            t.sigma = &p.sigma;
+            t.psi = &p.psi;
+            t.y = &p.y_prime;
             t.zeta = hash_gt_to_fr(p.big_r);
-            t.gt = p.big_r;
+            t.big_r = &p.big_r;
           }
           if (need_weights) t.rho = weight_at(weight_seed, i);
-          t.valid = true;
         }
       });
+  // Every MSM below reads affine points: the proofs' are affine as decoded,
+  // and the chi slots are normalized here with one inversion.
+  const std::vector<G1::Affine> chi_pts = G1::batch_to_affine(chi_jac);
+  std::vector<G1>().swap(chi_jac);
 
   // Group the valid instances by verifying-key content so same-key terms
   // share one epsilon/delta pairing pair even across distinct contracts.
@@ -546,9 +545,10 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   std::map<std::array<std::uint8_t, 32>, std::size_t> ordinal;
   std::vector<std::size_t> idx;  // valid instance positions, input order
   for (std::size_t i = 0; i < terms.size(); ++i) {
-    if (!terms[i].valid) continue;
-    auto [it, fresh] = ordinal.try_emplace(terms[i].v->key_id(), groups.size());
-    if (fresh) groups.push_back(terms[i].v);
+    if (terms[i].sigma == nullptr) continue;
+    const Verifier* v = instances[i].verifier;
+    auto [it, fresh] = ordinal.try_emplace(v->key_id(), groups.size());
+    if (fresh) groups.push_back(v);
     terms[i].key = it->second;
     idx.push_back(i);
   }
@@ -560,13 +560,13 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   // psi. zeta rides along exactly as in the pairing slots, so the element
   // is committed to the private proofs' R values too.
   if (options.compute_aggregate_opening) {
-    std::vector<G1> agg_pts;
+    std::vector<G1::Affine> agg_pts;
     std::vector<Fr> agg_sc;
     agg_pts.reserve(idx.size());
     agg_sc.reserve(idx.size());
     for (std::size_t i : idx) {
       const SettleTerms& t = terms[i];
-      agg_pts.push_back(t.psi);
+      agg_pts.push_back(*t.psi);
       agg_sc.push_back(need_weights ? t.rho * t.zeta : t.zeta);
     }
     out.aggregated_opening = curve::msm<G1>(agg_pts, agg_sc);
@@ -579,30 +579,34 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   auto check_single = [&](std::size_t i) {
     ++out.single_checks;
     const SettleTerms& t = terms[i];
+    const SettlementInstance& inst = instances[i];
     const std::size_t at = chi_off[i], slots = chi_off[i + 1] - at;
-    const G1 chi = instances[i].file
-                       ? chi_pts[at]
-                       : curve::msm<G1>(std::span<const G1>(&chi_pts[at], slots),
-                                        std::span<const Fr>(&chi_sc[at], slots));
+    const G1 chi =
+        inst.file ? G1(chi_pts[at])
+                  : curve::msm<G1>(std::span<const G1::Affine>(&chi_pts[at], slots),
+                                   std::span<const Fr>(&chi_sc[at], slots));
+    const G1 sigma(*t.sigma), psi(*t.psi);
+    const Fr& r_chal = inst.challenge.r;
     G1 s, e, d;
-    if (t.is_private) {
-      G1 zeta_psi = t.psi.mul(t.zeta);
-      s = t.sigma.mul(t.zeta);
-      e = zeta_psi.mul(t.r_chal) - curve::g1_mul_generator(t.y) -
+    if (t.big_r) {
+      G1 zeta_psi = psi.mul(t.zeta);
+      s = sigma.mul(t.zeta);
+      e = zeta_psi.mul(r_chal) - curve::g1_mul_generator(*t.y) -
           chi.mul(t.zeta);
       d = -zeta_psi;
     } else {
-      s = t.sigma;
-      e = t.psi.mul(t.r_chal) - curve::g1_mul_generator(t.y) - chi;
-      d = -t.psi;
+      s = sigma;
+      e = psi.mul(r_chal) - curve::g1_mul_generator(*t.y) - chi;
+      d = -psi;
     }
+    const Verifier& v = *inst.verifier;
     std::array<pairing::PreparedPair, 3> pairs{
-        pairing::PreparedPair{s, &t.v->prepared_g2()},
-        pairing::PreparedPair{e, &t.v->prepared_epsilon()},
-        pairing::PreparedPair{d, &t.v->prepared_delta()},
+        pairing::PreparedPair{s, &v.prepared_g2()},
+        pairing::PreparedPair{e, &v.prepared_epsilon()},
+        pairing::PreparedPair{d, &v.prepared_delta()},
     };
     Fp12 lhs = pairing::multi_pairing(std::span<const pairing::PreparedPair>(pairs));
-    return (lhs * t.gt).is_one();
+    return (t.big_r ? lhs * *t.big_r : lhs).is_one();
   };
 
   // One direct weighted aggregate check of a contiguous sub-range of `idx`:
@@ -617,7 +621,7 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   auto check_batch = [&](std::size_t lo, std::size_t hi) {
     ++out.batch_checks;
     const std::size_t m = hi - lo;
-    std::vector<G1> sig_pts;
+    std::vector<G1::Affine> sig_pts;
     std::vector<Fr> sig_sc;
     sig_pts.reserve(m);
     sig_sc.reserve(m);
@@ -627,28 +631,43 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     // generator base carrying sum_i [-rho y_i]; delta slot per key:
     // [-rho zeta] psi_i. The folded weights are full 254-bit scalars, which
     // the MSM layer runs GLV-split.
-    std::vector<std::vector<G1>> eps_pts(groups.size()), delta_pts(groups.size());
+    std::vector<std::vector<G1::Affine>> eps_pts(groups.size()),
+        delta_pts(groups.size());
     std::vector<std::vector<Fr>> eps_sc(groups.size()), delta_sc(groups.size());
     std::vector<Fr> gen_sc(groups.size(), Fr::zero());
     std::vector<Fp12> gt_bases;
     std::vector<bigint::U256> gt_exps;
+    // Size every slot exactly first: grown by doubling, the vectors would
+    // hold up to twice the window's points.
+    std::vector<std::size_t> rounds_of(groups.size(), 0), eps_of(groups.size(), 1);
+    for (std::size_t j = lo; j < hi; ++j) {
+      const std::size_t i = idx[j];
+      ++rounds_of[terms[i].key];
+      eps_of[terms[i].key] += 1 + chi_off[i + 1] - chi_off[i];
+    }
+    for (std::size_t k = 0; k < groups.size(); ++k) {
+      eps_pts[k].reserve(eps_of[k]);
+      eps_sc[k].reserve(eps_of[k]);
+      delta_pts[k].reserve(rounds_of[k]);
+      delta_sc[k].reserve(rounds_of[k]);
+    }
     for (std::size_t j = lo; j < hi; ++j) {
       const std::size_t i = idx[j];
       const SettleTerms& t = terms[i];
       const Fr rz = t.rho * t.zeta;
-      sig_pts.push_back(t.sigma);
+      sig_pts.push_back(*t.sigma);
       sig_sc.push_back(rz);
-      eps_pts[t.key].push_back(t.psi);
-      eps_sc[t.key].push_back(rz * t.r_chal);
+      eps_pts[t.key].push_back(*t.psi);
+      eps_sc[t.key].push_back(rz * instances[i].challenge.r);
       for (std::size_t at = chi_off[i]; at < chi_off[i + 1]; ++at) {
         eps_pts[t.key].push_back(chi_pts[at]);
         eps_sc[t.key].push_back(-rz * chi_sc[at]);
       }
-      gen_sc[t.key] = gen_sc[t.key] - t.rho * t.y;
-      delta_pts[t.key].push_back(t.psi);
+      gen_sc[t.key] = gen_sc[t.key] - t.rho * *t.y;
+      delta_pts[t.key].push_back(*t.psi);
       delta_sc[t.key].push_back(-rz);
-      if (!t.gt.is_one()) {
-        gt_bases.push_back(t.gt);
+      if (t.big_r && !t.big_r->is_one()) {
+        gt_bases.push_back(*t.big_r);
         gt_exps.push_back(t.rho.to_u256());
       }
     }
@@ -658,7 +677,7 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     for (std::size_t k = 0; k < groups.size(); ++k) {
       // Untouched keys aggregate to infinity and cost no Miller chain.
       if (!eps_pts[k].empty()) {
-        eps_pts[k].push_back(G1::generator());
+        eps_pts[k].push_back(G1::generator().to_affine_point());
         eps_sc[k].push_back(gen_sc[k]);
       }
       pairs.push_back({curve::msm<G1>(eps_pts[k], eps_sc[k]),

@@ -143,11 +143,12 @@ class Prover {
 
  private:
   /// Shared non-private core: expands the challenge, aggregates
-  /// P_k coefficients and sigma, computes psi and y = P_k(r).
+  /// P_k coefficients and sigma, computes psi and y = P_k(r); the two
+  /// points come out affine, normalized together with one inversion.
   struct Core {
-    G1 sigma;
+    G1::Affine sigma;
     Fr y;
-    G1 psi;
+    G1::Affine psi;
   };
   Core core(const Challenge& chal, ProverTimings* timings) const;
 
@@ -247,10 +248,48 @@ class Verifier {
 // Batched round settlement (the block-level verification engine).
 // ---------------------------------------------------------------------------
 
+/// An optional T held behind one pointer, with value semantics: a copy
+/// copies the T, and an empty box is one null pointer. SettlementInstance
+/// keeps its Eq. 2 proof in one, so a basic round carries 8 bytes for the
+/// private shape instead of its 384-byte R.
+template <typename T>
+class Boxed {
+ public:
+  Boxed() = default;
+  Boxed(const Boxed& o) : p_(o.p_ ? std::make_unique<T>(*o.p_) : nullptr) {}
+  Boxed(Boxed&&) noexcept = default;
+  Boxed& operator=(const Boxed& o) {
+    if (this != &o) p_ = o.p_ ? std::make_unique<T>(*o.p_) : nullptr;
+    return *this;
+  }
+  Boxed& operator=(Boxed&&) noexcept = default;
+  Boxed& operator=(const T& v) {
+    p_ = std::make_unique<T>(v);
+    return *this;
+  }
+  Boxed& operator=(const std::optional<T>& v) {
+    p_ = v ? std::make_unique<T>(*v) : nullptr;
+    return *this;
+  }
+
+  bool has_value() const { return p_ != nullptr; }
+  explicit operator bool() const { return has_value(); }
+  T& operator*() { return *p_; }
+  const T& operator*() const { return *p_; }
+  T* operator->() { return p_.get(); }
+  const T* operator->() const { return p_.get(); }
+
+ private:
+  std::unique_ptr<T> p_;
+};
+
 /// One settlement-ready audit round: which prepared verifier (public key),
-/// which file context, the round's challenge and either proof shape (exactly
-/// one of `basic` / `priv` must be engaged). Non-owning: verifier and file
-/// must outlive the call. `file == nullptr` falls back to recomputing the
+/// which file context, the round's challenge and its decoded proof — an
+/// Eq. 1 proof inline in `basic` or an Eq. 2 proof boxed in `priv`; exactly
+/// one must be engaged. A window holds one of these per round until its
+/// flush, so the layout is kept small (see the static_assert below).
+/// Non-owning: verifier and file must outlive the call.
+/// `file == nullptr` falls back to recomputing the
 /// chunk hashes from `name` / `num_chunks` (the cold path of Verifier::
 /// verify, and of streaming settlement). The cold path never aggregates chi
 /// for a batch check: the k hashes enter the epsilon-slot MSM directly with
@@ -267,8 +306,11 @@ struct SettlementInstance {
   std::size_t num_chunks = 0;
   Challenge challenge;
   std::optional<ProofBasic> basic;
-  std::optional<ProofPrivate> priv;
+  Boxed<ProofPrivate> priv;
 };
+/// 16 B of pointers, 32 B name, 8 B size, 104 B challenge, 184 B optional
+/// basic proof (two 72-byte affine points and y), 8 B box.
+static_assert(sizeof(SettlementInstance) <= 352);
 
 /// Per-instance outcomes plus engine telemetry.
 struct SettlementOutcome {

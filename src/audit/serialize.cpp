@@ -53,16 +53,13 @@ bool fr_canonical(const std::uint8_t* in) {
   return bigint::lt(v, Fr::modulus());
 }
 
-/// sigma || y || psi, the 96-byte head of both proof shapes. One
-/// batch_to_affine normalizes both points with a single inversion.
-void write_proof_head(const G1& sigma, const Fr& y, const G1& psi,
-                      std::uint8_t* out) {
-  const G1 points[2] = {sigma, psi};
-  const auto affine = G1::batch_to_affine(points);
-  const auto s = curve::g1_compress(affine[0]);
+/// sigma || y || psi, the 96-byte head of both proof shapes.
+void write_proof_head(const G1::Affine& sigma, const Fr& y,
+                      const G1::Affine& psi, std::uint8_t* out) {
+  const auto s = curve::g1_compress(sigma);
   std::memcpy(out, s.data(), 32);
   y.to_be_bytes(std::span<std::uint8_t, 32>(out + 32, 32));
-  const auto p = curve::g1_compress(affine[1]);
+  const auto p = curve::g1_compress(psi);
   std::memcpy(out + 64, p.data(), 32);
 }
 

@@ -92,11 +92,13 @@ struct Challenge {
 };
 
 /// Non-private response (Eq. 1): 96 bytes on chain. Publishing y = P_k(r)
-/// is what the §V-C attack exploits.
+/// is what the §V-C attack exploits. Both proof shapes hold their points
+/// affine: the form the wire decodes to, the compressor encodes from and the
+/// settlement MSMs read (72 bytes a point against 96 Jacobian).
 struct ProofBasic {
-  G1 sigma;
+  G1::Affine sigma;
   Fr y;
-  G1 psi;
+  G1::Affine psi;
 
   static constexpr std::size_t kWireSize = 96;
 };
@@ -105,9 +107,9 @@ struct ProofBasic {
 /// sigma-protocol commitment R = e(g1, epsilon)^z. 288 bytes on chain
 /// (3 x 32 + 192 for the Fp6-compressed GT element), matching Table II.
 struct ProofPrivate {
-  G1 sigma;
+  G1::Affine sigma;
   Fr y_prime;
-  G1 psi;
+  G1::Affine psi;
   Fp12 big_r;
 
   static constexpr std::size_t kWireSize = 288;

@@ -10,6 +10,34 @@
 
 namespace dsaudit::contract {
 
+namespace {
+
+/// Puts both vectors into the order `perm` names (element j becomes the old
+/// element perm[j]) by following its cycles: each element moves once, and
+/// nothing beyond one element per vector and the visited marks is held.
+template <typename A, typename B>
+void permute_in_place(std::vector<A>& a, std::vector<B>& b,
+                      const std::vector<std::size_t>& perm) {
+  std::vector<bool> placed(perm.size(), false);
+  for (std::size_t start = 0; start < perm.size(); ++start) {
+    if (placed[start]) continue;
+    A a_start = std::move(a[start]);
+    B b_start = std::move(b[start]);
+    std::size_t j = start;
+    while (perm[j] != start) {
+      a[j] = std::move(a[perm[j]]);
+      b[j] = std::move(b[perm[j]]);
+      placed[j] = true;
+      j = perm[j];
+    }
+    a[j] = std::move(a_start);
+    b[j] = std::move(b_start);
+    placed[j] = true;
+  }
+}
+
+}  // namespace
+
 BatchSettlement::BatchSettlement(std::uint64_t seed_nonce)
     : nonce_rng_(primitives::SecureRng::deterministic(seed_nonce ^
                                                       0xB47C55E771E3E27FULL)) {}
@@ -111,11 +139,11 @@ std::optional<std::array<std::uint8_t, 32>> BatchSettlement::last_weight_seed()
 }
 
 void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
-  // Snapshot the open window under the lock: batch contents, identity and
+  // Take the open window under the lock: batch contents, identity and
   // seed material. Enqueues racing with the verification below start the
   // next window against a fresh batch id.
-  std::vector<audit::SettlementInstance> snapshot;
-  snapshot.swap(pending_);
+  std::vector<audit::SettlementInstance> window;
+  window.swap(pending_);
   std::vector<std::array<std::uint8_t, 32>> transcripts;
   transcripts.swap(transcripts_);
   const std::uint64_t batch_id = current_batch_++;
@@ -123,20 +151,14 @@ void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
   const std::uint64_t nonce = nonce_rng_.next_u64();
 
   // Canonical batch order: sort by transcript so the weight schedule and
-  // results are independent of the concurrent enqueue arrival order.
-  std::vector<std::size_t> perm(snapshot.size());
+  // results are independent of the concurrent enqueue arrival order. The
+  // window is permuted in place, so it is never held twice.
+  std::vector<std::size_t> perm(window.size());
   std::iota(perm.begin(), perm.end(), std::size_t{0});
   std::sort(perm.begin(), perm.end(), [&](std::size_t a, std::size_t b) {
     return transcripts[a] < transcripts[b];
   });
-  std::vector<audit::SettlementInstance> sorted;
-  sorted.reserve(snapshot.size());
-  std::vector<std::array<std::uint8_t, 32>> sorted_transcripts;
-  sorted_transcripts.reserve(snapshot.size());
-  for (std::size_t p : perm) {
-    sorted.push_back(std::move(snapshot[p]));
-    sorted_transcripts.push_back(transcripts[p]);
-  }
+  permute_in_place(window, transcripts, perm);
 
   // Fiat–Shamir weight seed over (fresh nonce || window boundary || every
   // round's transcript): weights are fixed only after all proofs across the
@@ -144,8 +166,7 @@ void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
   // and the nonce keeps the schedule fresh even for a byte-identical batch.
   // The derivation is shared with audit::verify_settlement_aggregate, which
   // re-runs it from the posted nonce to refuse self-chosen seeds.
-  const auto seed =
-      audit::derive_settlement_seed(nonce, deadline, sorted_transcripts);
+  const auto seed = audit::derive_settlement_seed(nonce, deadline, transcripts);
   if (!consume_weight_seed_locked(seed)) {
     throw std::logic_error("BatchSettlement: replayed weight seed");
   }
@@ -163,7 +184,7 @@ void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
   auto t0 = std::chrono::steady_clock::now();
   audit::SettlementOptions opts;
   opts.compute_aggregate_opening = aggregate;
-  audit::SettlementOutcome res = audit::verify_settlement(sorted, seed, opts);
+  audit::SettlementOutcome res = audit::verify_settlement(window, seed, opts);
   double ms = std::chrono::duration<double, std::milli>(
                   std::chrono::steady_clock::now() - t0)
                   .count();
@@ -195,7 +216,7 @@ void BatchSettlement::flush(std::unique_lock<std::mutex>& lock) {
     agg = std::move(tx);
   }
   lock.lock();
-  last_transcripts_ = std::move(sorted_transcripts);
+  last_transcripts_ = std::move(transcripts);
 
   BatchResult batch;
   batch.ok.assign(perm.size(), false);

@@ -60,7 +60,7 @@ std::array<std::uint8_t, 32> g1_compress(const G1& p) {
   return g1_compress(p.to_affine_point());
 }
 
-std::optional<G1> g1_decompress(std::span<const std::uint8_t, 32> bytes) {
+std::optional<G1::Affine> g1_decompress(std::span<const std::uint8_t, 32> bytes) {
   std::array<std::uint8_t, 32> buf;
   std::copy(bytes.begin(), bytes.end(), buf.begin());
   bool inf = (buf[0] & 0x80) != 0;
@@ -71,7 +71,7 @@ std::optional<G1> g1_decompress(std::span<const std::uint8_t, 32> bytes) {
       if (b != 0) return std::nullopt;
     }
     if (odd) return std::nullopt;
-    return G1::infinity();
+    return G1::Affine{};
   }
   ff::U256 xi = ff::U256::from_be_bytes(buf);
   if (!bigint::lt(xi, Fp::modulus())) return std::nullopt;  // non-canonical
@@ -80,7 +80,7 @@ std::optional<G1> g1_decompress(std::span<const std::uint8_t, 32> bytes) {
   auto y = rhs.sqrt();
   if (!y) return std::nullopt;
   Fp yy = (y->is_odd_canonical() == odd) ? *y : -*y;
-  return G1{x, yy};
+  return G1::Affine{x, yy};
 }
 
 }  // namespace dsaudit::curve

@@ -56,8 +56,8 @@ G1 hash_to_g1(std::string_view s);
 /// G1::batch_to_affine encode them without a further inversion.
 std::array<std::uint8_t, 32> g1_compress(const G1::Affine& p);
 std::array<std::uint8_t, 32> g1_compress(const G1& p);
-/// Decompress; nullopt on any malformed encoding (x >= p, x not on curve,
-/// bad padding bits).
-std::optional<G1> g1_decompress(std::span<const std::uint8_t, 32> bytes);
+/// Decompress to the affine point; nullopt on any malformed encoding (x >= p,
+/// x not on curve, bad padding bits).
+std::optional<G1::Affine> g1_decompress(std::span<const std::uint8_t, 32> bytes);
 
 }  // namespace dsaudit::curve

@@ -81,8 +81,8 @@ constexpr bool glv_split_pays(unsigned max_bits) {
   }
 }
 
-template <typename P>
-P msm_straus(std::span<const P> points, std::span<const U256> scalars);
+template <typename P, typename B>
+P msm_straus(std::span<const B> points, std::span<const U256> scalars);
 
 }  // namespace detail
 
@@ -125,10 +125,12 @@ class Point {
   static const Point& generator() { return Tag::generator(); }
   static constexpr const F& curve_b() { return Tag::kCurveB; }
 
-  static Point from_affine(const Affine& a) {
-    if (a.infinity) return infinity();
-    return Point(a.x, a.y);
-  }
+  /// An affine point is the Jacobian point with Z = 1 (infinity stays
+  /// infinity), so the conversion is free and implicit.
+  constexpr Point(const Affine& a)
+      : x_(a.infinity ? F::one() : a.x),
+        y_(a.infinity ? F::one() : a.y),
+        z_(a.infinity ? F::zero() : F::one()) {}
 
   bool is_infinity() const { return z_.is_zero(); }
 
@@ -223,7 +225,7 @@ class Point {
   /// the general add's 11M+5S.
   Point mixed_add(const Affine& q) const {
     if (q.infinity) return *this;
-    if (is_infinity()) return from_affine(q);
+    if (is_infinity()) return Point(q);
     F z1z1 = z_.square();
     F u2 = q.x * z1z1;
     F s2 = q.y * z_ * z1z1;
@@ -463,9 +465,10 @@ inline unsigned wnaf_digits(const U256& k, unsigned w, bool neg,
 /// with no bucket spaces or batch-inversion rounds, which is what beats
 /// Pippenger on a handful of bases. On endomorphism groups the scalars must
 /// be canonical (< r), as glv_decompose requires; on G2 any 256-bit integer
-/// works.
-template <typename P>
-P msm_straus(std::span<const P> points, std::span<const U256> scalars) {
+/// works. The bases are Jacobian (B = P) or affine (B = P::Affine); both
+/// give the same table and so the same result.
+template <typename P, typename B>
+P msm_straus(std::span<const B> points, std::span<const U256> scalars) {
   using A = typename P::Affine;
   constexpr unsigned w = 4;
   constexpr std::size_t ts = std::size_t{1} << (w - 2);
@@ -503,7 +506,7 @@ P msm_straus(std::span<const P> points, std::span<const U256> scalars) {
   std::vector<P> jac(m * ts);
   for (std::size_t c = 0; c < m; ++c) {
     P* t = &jac[c * ts];
-    t[0] = points[live[c]];
+    t[0] = P(points[live[c]]);
     const P twice = t[0].dbl();
     for (std::size_t j = 1; j < ts; ++j) t[j] = t[j - 1] + twice;
   }
@@ -828,13 +831,13 @@ P msm_sharded(const std::vector<std::int32_t>& digits, std::size_t n,
 
 }  // namespace detail
 
-/// Multi-scalar multiplication: returns sum scalars[i] * points[i]. The
-/// prover's two dominant ECC operations (aggregating sigma = prod
-/// sigma_i^{c_i} and computing psi from the SRS) are exactly this primitive.
+/// Multi-scalar multiplication over affine bases: returns sum scalars[i] *
+/// points[i]. The core of every cold MSM: the settlement engine hands it the
+/// window's affine proof points as they are, and the Jacobian overload below
+/// normalizes first.
 ///
 /// Up to kStrausMaxBases bases run detail::msm_straus. Larger inputs take
 /// Pippenger bucketing:
-///   - bases are pre-normalized to affine (one inversion for the whole set);
 ///   - window digits are signed (halving the bucket count) and extracted
 ///     limb-wise from the canonical scalars, scanning the 254-bit Fr width
 ///     instead of 256;
@@ -845,8 +848,10 @@ P msm_sharded(const std::vector<std::int32_t>& digits, std::size_t n,
 ///     row/column split of the bucket weight (w = u*K + v), which turns all
 ///     but ~2(sqrt-bucket-count) of the reduction into batched affine
 ///     additions too. That makes wide windows cheap, cutting total work.
+/// Unsplit scalars read the bases in place; a GLV split copies them once,
+/// with their phi images behind.
 template <typename P>
-P msm(std::span<const P> points, std::span<const Fr> scalars) {
+P msm(std::span<const typename P::Affine> points, std::span<const Fr> scalars) {
   using A = typename P::Affine;
   if (points.size() != scalars.size()) {
     throw std::invalid_argument("msm: size mismatch");
@@ -855,7 +860,7 @@ P msm(std::span<const P> points, std::span<const Fr> scalars) {
   if (n <= kStrausMaxBases) {
     std::vector<U256> ks(n);
     for (std::size_t i = 0; i < n; ++i) ks[i] = scalars[i].to_u256();
-    return detail::msm_straus<P>(points, ks);
+    return detail::msm_straus<P>(points, std::span<const U256>(ks));
   }
 
   // Window width c = log2(n)/2 + 4, measured optimum on this implementation
@@ -879,19 +884,41 @@ P msm(std::span<const P> points, std::span<const Fr> scalars) {
   const unsigned used = detail::extract_signed_digits(scalars, c, glv, digits);
   if (used == 0) return P::infinity();
 
-  // Split columns n + i read phi(B_i), appended behind the bases.
-  std::vector<A> base = P::batch_to_affine(points);
+  const A* base = points.data();
+  std::vector<A> split;
   if constexpr (HasEndomorphism<typename P::TagType>) {
     if (glv) {
-      base.resize(2 * n);
+      // Split columns n + i read phi(B_i), appended behind the bases.
+      split.resize(2 * n);
       for (std::size_t i = 0; i < n; ++i) {
-        base[n + i] = detail::endo_affine(base[i]);
+        split[i] = points[i];
+        split[n + i] = detail::endo_affine(points[i]);
       }
+      base = split.data();
     }
   }
   return detail::msm_sharded<P>(
-      digits, base.size(), used, c, /*per_position_buckets=*/true,
-      [&base](unsigned, std::size_t i) -> const A& { return base[i]; });
+      digits, glv ? 2 * n : n, used, c, /*per_position_buckets=*/true,
+      [base](unsigned, std::size_t i) -> const A& { return base[i]; });
+}
+
+/// The same over Jacobian bases. The prover's two dominant ECC operations
+/// (aggregating sigma = prod sigma_i^{c_i} and computing psi from the SRS)
+/// are exactly this primitive. Straus builds its tables from the Jacobian
+/// points as they are; above kStrausMaxBases one batch_to_affine normalizes
+/// them for the affine core.
+template <typename P>
+P msm(std::span<const P> points, std::span<const Fr> scalars) {
+  if (points.size() != scalars.size()) {
+    throw std::invalid_argument("msm: size mismatch");
+  }
+  if (points.size() <= kStrausMaxBases) {
+    std::vector<U256> ks(points.size());
+    for (std::size_t i = 0; i < ks.size(); ++i) ks[i] = scalars[i].to_u256();
+    return detail::msm_straus<P>(points, std::span<const U256>(ks));
+  }
+  const std::vector<typename P::Affine> affine = P::batch_to_affine(points);
+  return msm<P>(std::span<const typename P::Affine>(affine), scalars);
 }
 
 /// Precomputed shifted bases for repeated G1 MSMs over a fixed base set (a

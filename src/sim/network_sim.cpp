@@ -156,7 +156,7 @@ void NetworkSim::deploy() {
       dep->prover_rng = std::make_unique<primitives::SecureRng>(
           primitives::SecureRng::deterministic(
               config_.rng_seed ^
-              (0x9E3779B97F4A7C15ULL * (deployments_.size() + 1))));
+              stream_offset(kDeploymentStreamStep, deployments_.size())));
       current_dep_[o][sh] = deployments_.size();
       push_hot(static_cast<std::uint32_t>(provider_index_.at(provider)));
       deployments_.push_back(std::move(dep));
@@ -202,7 +202,7 @@ void NetworkSim::deploy() {
   prover_keys_.resize(num_keys);
   parallel::parallel_for(num_keys, [&](std::size_t k) {
     auto key_rng = primitives::SecureRng::deterministic(
-        config_.rng_seed ^ (0xC2B2AE3D27D4EB4FULL * (k + 1)));
+        config_.rng_seed ^ stream_offset(kKeyStreamStep, k));
     keys_[k] = audit::keygen(config_.s, key_rng);
     verifiers_[k] = std::make_unique<audit::Verifier>(keys_[k].pk);
     prover_keys_[k] = audit::ProverKey::build(keys_[k].pk);
@@ -623,7 +623,7 @@ void NetworkSim::run_repair(std::size_t dep_index, chain::Timestamp now) {
   // sequentially in action order — bit-identical at every thread count.
   nd->prover_rng = std::make_unique<primitives::SecureRng>(
       primitives::SecureRng::deterministic(
-          config_.rng_seed ^ (0xD1B54A32D192ED03ULL * (repair_seq_ + 1))));
+          config_.rng_seed ^ stream_offset(kRepairStreamStep, repair_seq_)));
   ++repair_seq_;
   nd->name = audit::Fr::random(*nd->prover_rng);
   // The reconstruction equals the original, and Reed–Solomon is

@@ -136,6 +136,20 @@ struct NetworkConfig {
   std::size_t premium_owner_stride = 0;
 };
 
+/// The per-stream RNG seeds are rng_seed ^ (step * (index + 1)), with one
+/// odd step per kind of stream: each deployment's prover (its private
+/// proofs' masking randomness), each key slot's keygen, and each repair's
+/// replacement prover. Odd steps make every family injective mod 2^64, and
+/// XOR with one shared seed keeps distinct offsets distinct, so no seed can
+/// make two streams coincide; test_sim checks that the three families are
+/// pairwise distinct at the sizes the simulator is run at.
+inline constexpr std::uint64_t kDeploymentStreamStep = 0x9E3779B97F4A7C15ULL;
+inline constexpr std::uint64_t kKeyStreamStep = 0xC2B2AE3D27D4EB4FULL;
+inline constexpr std::uint64_t kRepairStreamStep = 0xD1B54A32D192ED03ULL;
+constexpr std::uint64_t stream_offset(std::uint64_t step, std::uint64_t index) {
+  return step * (index + 1);
+}
+
 struct Placement {
   std::size_t owner = 0;
   std::size_t shard = 0;

@@ -216,7 +216,7 @@ TEST_F(AuditSoundness, TamperedProofElementsFail) {
   ASSERT_TRUE(verifier_->verify(sc_.name, sc_.file.num_chunks(), chal, good));
 
   ProofBasic bad = good;
-  bad.sigma = bad.sigma + curve::G1::generator();
+  bad.sigma = (G1(bad.sigma) + curve::G1::generator()).to_affine_point();
   EXPECT_FALSE(verifier_->verify(sc_.name, sc_.file.num_chunks(), chal, bad));
 
   bad = good;
@@ -224,7 +224,7 @@ TEST_F(AuditSoundness, TamperedProofElementsFail) {
   EXPECT_FALSE(verifier_->verify(sc_.name, sc_.file.num_chunks(), chal, bad));
 
   bad = good;
-  bad.psi = bad.psi.dbl();
+  bad.psi = G1(bad.psi).dbl().to_affine_point();
   EXPECT_FALSE(verifier_->verify(sc_.name, sc_.file.num_chunks(), chal, bad));
 }
 
@@ -613,8 +613,9 @@ TEST(AuditWire, ProofHeadMatchesPerPointCompression) {
     std::copy(p.begin(), p.end(), want.begin() + 64);
     const std::string what = std::string(sigma.is_infinity() ? "inf" : "sigma") +
                              "/" + (psi.is_infinity() ? "inf" : "psi");
-    EXPECT_EQ(serialize(ProofBasic{sigma, y, psi}), want) << what;
-    const auto priv = serialize(ProofPrivate{sigma, y, psi, big_r});
+    const G1::Affine sa = sigma.to_affine_point(), pa = psi.to_affine_point();
+    EXPECT_EQ(serialize(ProofBasic{sa, y, pa}), want) << what;
+    const auto priv = serialize(ProofPrivate{sa, y, pa, big_r});
     EXPECT_TRUE(std::equal(want.begin(), want.end(), priv.begin())) << what;
     EXPECT_TRUE(std::equal(r_bytes.begin(), r_bytes.end(), priv.begin() + 96))
         << what;

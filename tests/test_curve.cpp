@@ -411,7 +411,7 @@ TYPED_TEST(GroupLaw, BatchToAffineMatchesElementwise) {
   ASSERT_EQ(affs.size(), pts.size());
   for (std::size_t i = 0; i < pts.size(); ++i) {
     EXPECT_EQ(affs[i].is_infinity(), pts[i].is_infinity());
-    EXPECT_EQ(TypeParam::from_affine(affs[i]), pts[i]);
+    EXPECT_EQ(TypeParam(affs[i]), pts[i]);
   }
 }
 
@@ -647,6 +647,8 @@ TYPED_TEST(GroupLaw, MsmSweepAcrossStrausCrossoverMatchesNaive) {
   // P / -P pairs with equal scalars that cancel, r - 1, the GLV edge
   // scalars, and sets whose scalars are all <= 128 bits (the unsplit
   // regime). The pattern is rotated by n so small sizes hit every class.
+  // Both overloads run every input: Jacobian bases and their affine forms
+  // (the core the Jacobian one normalizes into above the crossover).
   // Oracle: the sum of mul_naive.
   using G = TypeParam;
   auto rng = SecureRng::deterministic(68);
@@ -682,6 +684,9 @@ TYPED_TEST(GroupLaw, MsmSweepAcrossStrausCrossoverMatchesNaive) {
       }
       EXPECT_EQ(msm<G>(pts, sc), expect)
           << "n=" << n << (short_scalars ? " (<=128-bit)" : " (full width)");
+      const std::vector<typename G::Affine> affine = G::batch_to_affine(pts);
+      EXPECT_EQ(msm<G>(std::span<const typename G::Affine>(affine), sc), expect)
+          << "affine, n=" << n << (short_scalars ? " (<=128-bit)" : " (full width)");
     }
   }
 }

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <memory>
 #include <stdexcept>
+#include <thread>
 
 #include "attack/adversary.hpp"
 #include "audit/protocol.hpp"
@@ -97,21 +98,38 @@ TEST(ThreadPool, ExceptionsPropagateToTheCaller) {
 TEST(ThreadPool, FailFastStopsClaimingIndicesAfterAThrow) {
   // A failed task must not just propagate — remaining unclaimed indices are
   // abandoned, so a huge parallel_for dies promptly instead of grinding on.
+  // What no schedule can move: the thread whose task threw records the
+  // failure before it could claim again, so it runs no further index. Index
+  // 0 is claimed first; its task throws only once indices 1..3 run on the
+  // three other threads, and those block until the throw, so the thrower is
+  // free to claim while almost the whole range is still unclaimed.
   parallel::set_thread_count(4);
   constexpr std::size_t n = 100'000;
-  std::atomic<std::size_t> executed{0};
-  EXPECT_THROW(parallel::parallel_for(n,
-                                      [&](std::size_t i) {
-                                        if (i == 0) throw std::runtime_error("first");
-                                        executed.fetch_add(1);
-                                      }),
+  std::atomic<std::size_t> blocked{0}, on_thrower{0};
+  std::atomic<bool> thrown{false};
+  std::atomic<std::thread::id> thrower{};
+  EXPECT_THROW(parallel::parallel_for(
+                   n,
+                   [&](std::size_t i) {
+                     if (i == 0) {
+                       while (blocked.load() < 3) std::this_thread::yield();
+                       thrower = std::this_thread::get_id();
+                       thrown = true;
+                       throw std::runtime_error("first");
+                     }
+                     if (i <= 3) {
+                       blocked.fetch_add(1);
+                       while (!thrown.load()) std::this_thread::yield();
+                     }
+                     if (std::this_thread::get_id() == thrower.load()) {
+                       on_thrower.fetch_add(1);
+                     }
+                   }),
                std::runtime_error);
-  // Workers in flight when the flag flips may finish their current index,
-  // but the bulk of the range must never start.
-  EXPECT_LT(executed.load(), n / 2);
+  EXPECT_EQ(on_thrower.load(), 0u);
   // The single-thread inline path fails fast trivially (index order).
   parallel::set_thread_count(1);
-  executed = 0;
+  std::atomic<std::size_t> executed{0};
   EXPECT_THROW(parallel::parallel_for(n,
                                       [&](std::size_t i) {
                                         if (i == 0) throw std::runtime_error("first");

@@ -222,7 +222,8 @@ TEST(Settlement, BisectionIsolatesMultipleCulprits) {
   }
   // Three cheaters in different halves, plus adjacent honest rounds.
   instances[0].basic->y += Fr::one();
-  instances[6].basic->sigma = instances[6].basic->sigma + curve::G1::generator();
+  instances[6].basic->sigma =
+      (curve::G1(instances[6].basic->sigma) + curve::G1::generator()).to_affine_point();
   instances[11].basic->psi = -instances[11].basic->psi;
 
   SettlementOutcome out = audit::verify_settlement(instances, seed_of(rng));
@@ -239,7 +240,7 @@ TEST(Settlement, MalformedInstancesFailWithoutPoisoningTheBatch) {
   PreparedFile ctx = audit::prepare_file(sc.name, sc.file.num_chunks());
   Prover prover(sc.kp.pk, sc.file, sc.tag);
 
-  std::vector<SettlementInstance> instances(4);
+  std::vector<SettlementInstance> instances(5);
   for (auto& inst : instances) {
     inst.verifier = &verifier;
     inst.file = &ctx;
@@ -249,12 +250,16 @@ TEST(Settlement, MalformedInstancesFailWithoutPoisoningTheBatch) {
   instances[0].verifier = nullptr;              // no key
   instances[1].basic.reset();                   // no proof at all
   instances[2].priv = audit::ProofPrivate{};    // both shapes engaged
+  instances[3].basic.reset();                   // a private proof whose R is zero
+  instances[3].priv = prover.prove_private(instances[3].challenge, rng);
+  instances[3].priv->big_r = ff::Fp12::zero();
 
   SettlementOutcome out = audit::verify_settlement(instances, seed_of(rng));
   EXPECT_FALSE(out.ok[0]);
   EXPECT_FALSE(out.ok[1]);
   EXPECT_FALSE(out.ok[2]);
-  EXPECT_TRUE(out.ok[3]);
+  EXPECT_FALSE(out.ok[3]);
+  EXPECT_TRUE(out.ok[4]);
 
   // And the empty batch is trivially clean.
   EXPECT_TRUE(audit::verify_settlement({}, seed_of(rng)).all_ok());
@@ -369,7 +374,8 @@ TEST(Settlement, MixedShapeWindowPairingCountAcrossKeys) {
   EXPECT_EQ(counters.final_exps, 1u);
 
   // One cheater per key, different shapes: exactly those two rounds fail.
-  instances[3].basic->sigma = instances[3].basic->sigma + curve::G1::generator();
+  instances[3].basic->sigma =
+      (curve::G1(instances[3].basic->sigma) + curve::G1::generator()).to_affine_point();
   instances[8].priv->y_prime += Fr::one();
   out = audit::verify_settlement(instances, seed_of(rng));
   for (std::size_t i = 0; i < instances.size(); ++i) {
@@ -686,12 +692,15 @@ TEST(Settlement, DerivedHalfBisectionSweepMatchesPerRoundVerdicts) {
       }
       if (tamper[j]) {
         const std::uint64_t field = rng.uniform(3);
-        curve::G1& sigma = is_private ? inst.priv->sigma : inst.basic->sigma;
-        curve::G1& psi = is_private ? inst.priv->psi : inst.basic->psi;
+        curve::G1::Affine& sigma = is_private ? inst.priv->sigma : inst.basic->sigma;
+        curve::G1::Affine& psi = is_private ? inst.priv->psi : inst.basic->psi;
         Fr& y = is_private ? inst.priv->y_prime : inst.basic->y;
+        auto shift = [](curve::G1::Affine& p) {
+          p = (curve::G1(p) + curve::G1::generator()).to_affine_point();
+        };
         if (field == 0) y += Fr::one();
-        if (field == 1) sigma = sigma + curve::G1::generator();
-        if (field == 2) psi = psi + curve::G1::generator();
+        if (field == 1) shift(sigma);
+        if (field == 2) shift(psi);
       }
       expected[j] = is_private
                         ? inst.verifier->verify_private(ctxs[k], inst.challenge,
@@ -759,8 +768,10 @@ TEST(Settlement, CancellingPairInsideDerivedHalfIsIsolated) {
       auto corrupt = [&](SettlementInstance& inst, bool plus) {
         if (!is_private) {
           if (sigma_pair) {
-            inst.basic->sigma = plus ? inst.basic->sigma + curve::G1::generator()
-                                     : inst.basic->sigma - curve::G1::generator();
+            const curve::G1 sigma(inst.basic->sigma);
+            inst.basic->sigma = (plus ? sigma + curve::G1::generator()
+                                      : sigma - curve::G1::generator())
+                                    .to_affine_point();
           } else {
             inst.basic->y += plus ? Fr::one() : -Fr::one();
           }
@@ -771,7 +782,8 @@ TEST(Settlement, CancellingPairInsideDerivedHalfIsIsolated) {
           // zeta⁻¹ so the pair's terms are exactly ±G.
           const Fr inv_zeta = audit::hash_gt_to_fr(inst.priv->big_r).inverse();
           const curve::G1 err = curve::G1::generator().mul(inv_zeta);
-          inst.priv->sigma = plus ? inst.priv->sigma + err : inst.priv->sigma - err;
+          const curve::G1 sigma(inst.priv->sigma);
+          inst.priv->sigma = (plus ? sigma + err : sigma - err).to_affine_point();
         } else {
           inst.priv->y_prime += plus ? Fr::one() : -Fr::one();
         }

@@ -4,6 +4,8 @@
 // schedules (the randomized sweep lives in test_chaos.cpp).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -46,6 +48,30 @@ NetworkConfig small_config() {
   c.challenged_chunks = 999;  // challenge every chunk: deterministic outcomes
   c.private_proofs = true;
   return c;
+}
+
+// Every deployment's and repair's prover stream (the private proofs'
+// masking randomness) and every key slot's keygen stream is seeded
+// rng_seed ^ offset. XOR with one seed is a bijection, so the streams are
+// distinct for every seed iff the offsets are: check all three families
+// together, at 10^6 deployments and keys and 10^4 repairs.
+TEST(NetworkSim, RngStreamOffsetsArePairwiseDistinct) {
+  constexpr std::uint64_t kDeployments = 1'000'000, kKeys = 1'000'000,
+                          kRepairs = 10'000;
+  std::vector<std::uint64_t> offsets;
+  offsets.reserve(kDeployments + kKeys + kRepairs);
+  for (std::uint64_t i = 0; i < kDeployments; ++i) {
+    offsets.push_back(stream_offset(kDeploymentStreamStep, i));
+  }
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    offsets.push_back(stream_offset(kKeyStreamStep, k));
+  }
+  for (std::uint64_t r = 0; r < kRepairs; ++r) {
+    offsets.push_back(stream_offset(kRepairStreamStep, r));
+  }
+  std::sort(offsets.begin(), offsets.end());
+  EXPECT_EQ(std::adjacent_find(offsets.begin(), offsets.end()), offsets.end());
+  EXPECT_NE(offsets.front(), 0u);  // no stream runs on the bare seed
 }
 
 TEST(NetworkSim, AllHonestEveryAuditPasses) {

@@ -4,9 +4,12 @@
 # the BN254 parameter re-derivation, Tonelli-Shanks) live in tests/, and the
 # library derives no constant at run time. Fails if any oracle symbol or a
 # deleted run-time derivation (long-division mod, the slow modmul/modpow, the
-# GLV derivation, decimal parsing) is linked back into the library, or if a
-# function-local static outside the allow-list below appears: a constant
-# belongs in a constexpr variable, not behind an init guard.
+# GLV derivation, decimal parsing) is linked back into the library, if the
+# tests' counting heap or any other replacement of the global operator
+# new/delete is defined in it (a library must not swap its users'
+# allocator), or if a function-local static outside the allow-list below
+# appears: a constant belongs in a constexpr variable, not behind an init
+# guard.
 #
 #   usage: lib_no_test_oracles.sh /path/to/libdsaudit.a
 set -eu
@@ -22,6 +25,14 @@ pattern='VarUInt|pow_var|_textbook|final_exponentiation_slow|g2_in_subgroup_naiv
 pattern="$pattern"'|bigint::mod\(|mul_mod_slow|pow_mod_slow|glv_params|from_dec'
 if found=$(printf '%s\n' "$syms" | grep -E "$pattern"); then
   echo "lib-no-test-oracles: test-only or deleted symbols in $lib:" >&2
+  printf '%s\n' "$found" | sort -u >&2
+  status=1
+fi
+# The library only calls the global allocator: a defined (T/W) operator new
+# or delete, or any counting_heap symbol, is a replacement linked in.
+if found=$(printf '%s\n' "$syms" |
+           grep -E ' [TtWw] operator (new|delete)(\[\])?\(|counting_heap'); then
+  echo "lib-no-test-oracles: allocator replacement in $lib:" >&2
   printf '%s\n' "$found" | sort -u >&2
   status=1
 fi
