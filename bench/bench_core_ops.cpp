@@ -152,10 +152,43 @@ void BM_MsmG1(benchmark::State& state) {
     benchmark::DoNotOptimize(curve::msm<curve::G1>(pts, sc));
   }
 }
-// 1-32 straddle the Straus/Pippenger crossover (curve::kStrausMaxBases).
+// 1-32 straddle the Straus/Pippenger crossover at curve::kStrausMaxBases
+// (16) through the dispatching msm; BM_MsmRoute times each route alone.
 BENCHMARK(BM_MsmG1)
     ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
     ->Arg(50)->Arg(256)->Arg(1024)->Arg(4096);
+
+// Each G1 MSM route called directly on the same affine bases: route 0 is
+// curve::detail::msm_straus, route 1 curve::detail::msm_pippenger, at
+// full-width (254-bit) and 128-bit scalars. curve::kStrausMaxBases is read
+// from these rows.
+void BM_MsmRoute(benchmark::State& state) {
+  const bool pippenger = state.range(0) != 0;
+  const bool short_scalars = state.range(1) == 128;
+  const auto n = static_cast<std::size_t>(state.range(2));
+  std::vector<curve::G1> pts;
+  std::vector<ff::Fr> sc;
+  for (std::size_t i = 0; i < n; ++i) {
+    pts.push_back(curve::g1_random(rng()));
+    sc.push_back(short_scalars ? ff::Fr::from_u256(ff::U256{
+                                     rng().next_u64(), rng().next_u64(), 0, 0})
+                               : ff::Fr::random(rng()));
+  }
+  const std::vector<curve::G1::Affine> affine = curve::G1::batch_to_affine(pts);
+  const std::span<const curve::G1::Affine> bases(affine);
+  const std::span<const ff::Fr> scalars(sc);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        pippenger ? curve::detail::msm_pippenger<curve::G1>(bases, scalars)
+                  : curve::detail::msm_straus<curve::G1>(bases, scalars));
+  }
+}
+BENCHMARK(BM_MsmRoute)
+    ->ArgNames({"route", "bits", "n"})
+    ->ArgsProduct({{0, 1},
+                   {254, 128},
+                   {1, 2, 4, 6, 8, 10, 12, 14, 16, 17, 18, 19, 20, 22, 24, 28,
+                    32, 48, 64}});
 
 void BM_Pairing(benchmark::State& state) {
   curve::G1 p = curve::g1_random(rng());

@@ -37,8 +37,8 @@ KeyPair keygen(std::size_t s, primitives::SecureRng& rng) {
   while (kp.sk.alpha.is_zero()) kp.sk.alpha = Fr::random(rng);
 
   kp.pk.s = s;
-  kp.pk.epsilon = curve::g2_mul_generator(kp.sk.x);
-  kp.pk.delta = curve::g2_mul_generator(kp.sk.alpha * kp.sk.x);
+  kp.pk.epsilon = G2::generator().mul(kp.sk.x);
+  kp.pk.delta = G2::generator().mul(kp.sk.alpha * kp.sk.x);
   // Powers g1^{alpha^j}: j = 0..s-2 suffice for the prover's quotient
   // commitment (degree <= s-2). For s = 1 we still publish g1 (= alpha^0)
   // so the tag-acceptance check has a base point.

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -105,6 +106,32 @@ struct U256 {
 
   friend bool operator==(const U256& a, const U256& b) = default;
 };
+
+/// The one signed-window recoder (Brickell-Gordon-McCurley-Wilson,
+/// EUROCRYPT 1992) behind the Pippenger MSMs, the G1 fixed-base tables and
+/// the GT multi-exponentiation. For w in [1, 16], window t of k plus the
+/// carry out of window t - 1 gives raw; raw > 2^{w-1} becomes the digit
+/// raw - 2^w and carries one into window t + 1. Every digit lies in
+/// [-(2^{w-1} - 1), 2^{w-1}], and sum_t d_t * 2^{wt} = k once `positions`
+/// windows cover k's bits plus the last carry. Writes position t's digit,
+/// negated when `neg`, to out[t * stride] for every t < positions, and
+/// returns one past the top nonzero digit (0 when k = 0).
+template <typename Digit>
+constexpr unsigned signed_window_digits(const U256& k, unsigned w,
+                                        unsigned positions, bool neg,
+                                        Digit* out, std::size_t stride = 1) {
+  const u64 half = u64{1} << (w - 1);
+  u64 carry = 0;
+  unsigned used = 0;
+  for (unsigned t = 0; t < positions; ++t) {
+    const u64 raw = k.extract_window(t * w, w) + carry;
+    carry = raw > half;
+    const auto d = static_cast<std::int32_t>(raw - (carry << w));
+    out[std::size_t{t} * stride] = static_cast<Digit>(neg ? -d : d);
+    if (d != 0) used = t + 1;
+  }
+  return used;
+}
 
 // The carry/borrow/compare primitives and add_mod/sub_mod below are the inner
 // loop of every Montgomery field operation. A plain `inline` let GCC emit them

@@ -18,15 +18,8 @@ bool lex_greater(const Fp2& a, const Fp2& b) {
 
 }  // namespace
 
-const FixedBaseTable<G2>& g2_generator_table() {
-  static const FixedBaseTable<G2> table(G2::generator());
-  return table;
-}
-
-G2 g2_mul_generator(const ff::Fr& k) { return g2_generator_table().mul(k); }
-
 G2 g2_random(primitives::SecureRng& rng) {
-  return g2_mul_generator(Fr::random(rng));
+  return G2::generator().mul(Fr::random(rng));
 }
 
 bool g2_in_subgroup(const G2& p) {

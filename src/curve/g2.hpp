@@ -7,7 +7,6 @@
 #include <optional>
 #include <string_view>
 
-#include "curve/fixed_base.hpp"
 #include "curve/point.hpp"
 #include "field/fp2.hpp"
 
@@ -44,11 +43,8 @@ inline constexpr G2 kG2Generator{
         "0x090689d0585ff075ec9e99ad690c3395bc4b313370b38ef355acdadcd122975b")};
 inline const G2& G2Tag::generator() { return kG2Generator; }
 
-/// Process-wide fixed-base window table for the G2 generator (built lazily,
-/// thread-safe). Use g2_mul_generator for k * g2 on any hot path.
-const FixedBaseTable<G2>& g2_generator_table();
-G2 g2_mul_generator(const ff::Fr& k);
-
+/// A random scalar times the generator, by Point::mul: G2 keeps no
+/// fixed-base table.
 G2 g2_random(primitives::SecureRng& rng);
 
 /// True iff the point is on the twist AND in the order-r subgroup, by the

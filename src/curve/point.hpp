@@ -15,15 +15,17 @@
 //     {P, phi(P)}), all tables normalized in one inversion, one doubling
 //     chain shared by every digit string. Point::mul is its one-base case
 //     (Point::mul_naive keeps the double-and-add reference);
-//   - msm: Straus up to kStrausMaxBases bases; above that, Pippenger bucketing
-//     over affine bases with signed windows (half the buckets), limb-wise
-//     digit extraction, and batched affine bucket accumulation that amortizes
-//     one inversion over thousands of additions;
+//   - msm: a dispatch between detail::msm_straus, up to kStrausMaxBases
+//     bases, and detail::msm_pippenger above: bucketing over affine bases
+//     with signed windows (half the buckets), limb-wise digit extraction,
+//     and batched affine bucket accumulation that amortizes one inversion
+//     over thousands of additions;
 //   - all three Pippenger entry points shard their signed-digit window
 //     positions across the parallel::thread_pool (see detail::msm_sharded),
 //     falling back to the identical sequential pipeline at one thread.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <span>
@@ -47,24 +49,14 @@ using ff::Fr;
 using ff::U256;
 
 /// Largest MSM that msm() runs through the Straus kernel instead of
-/// Pippenger. Measured crossover on G1, random bases, us per MSM (one
-/// thread, g++ -O3, 4-core shared x86-64 host; each route called directly,
-/// best of 9 batches, mean of two passes):
-///
-///     n    254-bit scalars        128-bit scalars
-///          Straus  Pippenger      Straus  Pippenger
-///     1      127      265            97      187
-///     2      167      359           128      270
-///     4      266      512           180      368
-///     8      490      793           300      583
-///    16      916     1040           526      790
-///    18     1013     1038           571      778
-///    20     1091     1035           511      839
-///    24     1345     1209           691      930
-///    32     1757     1521          1030     1089
-///
-/// Full-width scalars cross at n ~ 18-20, 128-bit ones (the basic batch
-/// weights) beyond 32; 16 keeps both shapes on the faster side.
+/// Pippenger, read from bench_core_ops' BM_MsmRoute rows (each G1 route
+/// called directly on affine bases: route:0 is detail::msm_straus, route:1
+/// detail::msm_pippenger). At full-width scalars, the shape of every MSM the
+/// audit runs at this size, route:0 wins at BM_MsmRoute/route:0/bits:254/n:16
+/// and route:1 at BM_MsmRoute/route:1/bits:254/n:20, with n:17 to n:19
+/// within run-to-run noise. 128-bit scalars cross later, near
+/// BM_MsmRoute/route:0/bits:128/n:28, so one constant at the full-width
+/// crossover keeps both shapes on the faster route.
 inline constexpr std::size_t kStrausMaxBases = 16;
 
 namespace detail {
@@ -536,15 +528,15 @@ P msm_straus(std::span<const B> points, std::span<const U256> scalars) {
   return acc;
 }
 
-/// Signed window digit extraction shared by msm and msm_precomputed, in one
-/// of two column layouts over n scalars:
+/// Signed window digits (bigint::signed_window_digits) for msm_pippenger and
+/// msm_precomputed, in one of two column layouts over n scalars:
 ///   - unsplit: column i holds scalar i's digits over the 254-bit Fr width;
 ///   - `glv`: scalar i GLV-decomposes into k = k1 + k2 * lambda, column i
 ///     holds k1's signed digits (sign-folded) and column n + i k2's. Since
 ///     |k1|, |k2| < 2^kGlvHalfBits, the same digit entries fit in half the
 ///     window positions — half the bucket spaces and half the Horner
 ///     doublings downstream.
-/// digits[t * columns + i] is column i's signed digit in [-half, half] at
+/// digits[t * columns + i] is column i's signed digit at
 /// window position t (position-major so every later pass is a linear scan;
 /// digit 0 never touches a bucket). Returns the number of positions actually
 /// used — the highest position holding any nonzero digit plus one, 0 when
@@ -555,45 +547,33 @@ inline unsigned extract_signed_digits(std::span<const Fr> scalars, unsigned c,
   const std::size_t n = scalars.size();
   const std::size_t columns = glv ? 2 * n : n;
   const unsigned positions = signed_digit_positions(c, glv);
-  const bigint::u64 half = bigint::u64{1} << (c - 1);
   digits.resize(std::size_t{positions} * columns);
   unsigned used = 0;
-  auto emit = [&](const U256& mag, bool neg, std::size_t col) {
-    bigint::u64 carry = 0;
-    for (unsigned t = 0; t < positions; ++t) {
-      bigint::u64 raw = mag.extract_window(t * c, c) + carry;
-      std::int32_t d;
-      if (raw > half) {
-        d = static_cast<std::int32_t>(raw) - (1 << c);
-        carry = 1;
-      } else {
-        d = static_cast<std::int32_t>(raw);
-        carry = 0;
-      }
-      if (neg) d = -d;
-      digits[std::size_t{t} * columns + col] = d;
-      if (d != 0 && t + 1 > used) used = t + 1;
-    }
-  };
   for (std::size_t i = 0; i < n; ++i) {
+    const U256 k = scalars[i].to_u256();
     if (!glv) {
-      emit(scalars[i].to_u256(), false, i);
+      used = std::max(used, bigint::signed_window_digits(
+                                k, c, positions, false, &digits[i], columns));
       continue;
     }
-    const GlvDecomposed dec = glv_decompose(scalars[i].to_u256());
-    emit(dec.k1, dec.neg1, i);
-    emit(dec.k2, dec.neg2, n + i);
+    const GlvDecomposed dec = glv_decompose(k);
+    used = std::max(
+        {used,
+         bigint::signed_window_digits(dec.k1, c, positions, dec.neg1,
+                                      &digits[i], columns),
+         bigint::signed_window_digits(dec.k2, c, positions, dec.neg2,
+                                      &digits[n + i], columns)});
   }
   return used;
 }
 
-/// The whole bucket pipeline shared by msm and msm_precomputed, from signed
-/// digits to the final point: counting-sort of the nonzero digits into bucket
-/// runs, shared-round batched-affine tree reduction, the row/column
-/// (w_d = u*K + v) gather and reduction, and the final combine. Operates on
-/// the digit positions [t_begin, t_end) of the position-major digit array —
-/// the sequential paths pass the full range, the sharded driver below hands
-/// each pool task a contiguous sub-range.
+/// The whole bucket pipeline shared by msm_pippenger and msm_precomputed,
+/// from signed digits to the final point: counting-sort of the nonzero
+/// digits into bucket runs, shared-round batched-affine tree reduction, the
+/// row/column (w_d = u*K + v) gather and reduction, and the final combine.
+/// Operates on the digit positions [t_begin, t_end) of the position-major
+/// digit array — the sequential paths pass the full range, the sharded
+/// driver below hands each pool task a contiguous sub-range.
 ///
 /// Parameterized by the two things that differ between the callers:
 ///   - runs per position: with `per_position_buckets` every window position
@@ -829,15 +809,21 @@ P msm_sharded(const std::vector<std::int32_t>& digits, std::size_t n,
   return total;
 }
 
-}  // namespace detail
+/// msm_straus over Fr scalars, which are canonical, so the G1 split applies
+/// as it is; msm's route for n <= kStrausMaxBases.
+template <typename P, typename B>
+P msm_straus(std::span<const B> points, std::span<const Fr> scalars) {
+  if (points.size() != scalars.size()) {
+    throw std::invalid_argument("msm: size mismatch");
+  }
+  std::vector<U256> ks(scalars.size());
+  for (std::size_t i = 0; i < ks.size(); ++i) ks[i] = scalars[i].to_u256();
+  return msm_straus<P>(points, std::span<const U256>(ks));
+}
 
-/// Multi-scalar multiplication over affine bases: returns sum scalars[i] *
-/// points[i]. The core of every cold MSM: the settlement engine hands it the
-/// window's affine proof points as they are, and the Jacobian overload below
-/// normalizes first.
-///
-/// Up to kStrausMaxBases bases run detail::msm_straus. Larger inputs take
-/// Pippenger bucketing:
+/// Pippenger bucketing over affine bases, the core of every cold MSM above
+/// kStrausMaxBases (the settlement engine hands it the window's affine proof
+/// points as they are):
 ///   - window digits are signed (halving the bucket count) and extracted
 ///     limb-wise from the canonical scalars, scanning the 254-bit Fr width
 ///     instead of 256;
@@ -851,17 +837,13 @@ P msm_sharded(const std::vector<std::int32_t>& digits, std::size_t n,
 /// Unsplit scalars read the bases in place; a GLV split copies them once,
 /// with their phi images behind.
 template <typename P>
-P msm(std::span<const typename P::Affine> points, std::span<const Fr> scalars) {
+P msm_pippenger(std::span<const typename P::Affine> points,
+                std::span<const Fr> scalars) {
   using A = typename P::Affine;
   if (points.size() != scalars.size()) {
     throw std::invalid_argument("msm: size mismatch");
   }
   const std::size_t n = points.size();
-  if (n <= kStrausMaxBases) {
-    std::vector<U256> ks(n);
-    for (std::size_t i = 0; i < n; ++i) ks[i] = scalars[i].to_u256();
-    return detail::msm_straus<P>(points, std::span<const U256>(ks));
-  }
 
   // Window width c = log2(n)/2 + 4, measured optimum on this implementation
   // across n = 64..16384: total additions ~ (254/c + 1)*n + nonempty-buckets
@@ -878,10 +860,10 @@ P msm(std::span<const typename P::Affine> points, std::span<const Fr> scalars) {
   for (const Fr& s : scalars) {
     max_bits = std::max(max_bits, s.to_u256().bit_length());
   }
-  const bool glv = detail::glv_split_pays<typename P::TagType>(max_bits);
+  const bool glv = glv_split_pays<typename P::TagType>(max_bits);
 
   std::vector<std::int32_t> digits;
-  const unsigned used = detail::extract_signed_digits(scalars, c, glv, digits);
+  const unsigned used = extract_signed_digits(scalars, c, glv, digits);
   if (used == 0) return P::infinity();
 
   const A* base = points.data();
@@ -892,33 +874,41 @@ P msm(std::span<const typename P::Affine> points, std::span<const Fr> scalars) {
       split.resize(2 * n);
       for (std::size_t i = 0; i < n; ++i) {
         split[i] = points[i];
-        split[n + i] = detail::endo_affine(points[i]);
+        split[n + i] = endo_affine(points[i]);
       }
       base = split.data();
     }
   }
-  return detail::msm_sharded<P>(
+  return msm_sharded<P>(
       digits, glv ? 2 * n : n, used, c, /*per_position_buckets=*/true,
       [base](unsigned, std::size_t i) -> const A& { return base[i]; });
+}
+
+}  // namespace detail
+
+/// Multi-scalar multiplication over affine bases: returns sum scalars[i] *
+/// points[i], by detail::msm_straus up to kStrausMaxBases bases and by
+/// detail::msm_pippenger above. Both throw on a size mismatch.
+template <typename P>
+P msm(std::span<const typename P::Affine> points, std::span<const Fr> scalars) {
+  return points.size() <= kStrausMaxBases
+             ? detail::msm_straus<P>(points, scalars)
+             : detail::msm_pippenger<P>(points, scalars);
 }
 
 /// The same over Jacobian bases. The prover's two dominant ECC operations
 /// (aggregating sigma = prod sigma_i^{c_i} and computing psi from the SRS)
 /// are exactly this primitive. Straus builds its tables from the Jacobian
 /// points as they are; above kStrausMaxBases one batch_to_affine normalizes
-/// them for the affine core.
+/// them for Pippenger.
 template <typename P>
 P msm(std::span<const P> points, std::span<const Fr> scalars) {
-  if (points.size() != scalars.size()) {
-    throw std::invalid_argument("msm: size mismatch");
-  }
   if (points.size() <= kStrausMaxBases) {
-    std::vector<U256> ks(points.size());
-    for (std::size_t i = 0; i < ks.size(); ++i) ks[i] = scalars[i].to_u256();
-    return detail::msm_straus<P>(points, std::span<const U256>(ks));
+    return detail::msm_straus<P>(points, scalars);
   }
   const std::vector<typename P::Affine> affine = P::batch_to_affine(points);
-  return msm<P>(std::span<const typename P::Affine>(affine), scalars);
+  return detail::msm_pippenger<P>(std::span<const typename P::Affine>(affine),
+                                  scalars);
 }
 
 /// Precomputed shifted bases for repeated G1 MSMs over a fixed base set (a

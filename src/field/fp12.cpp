@@ -16,37 +16,6 @@ namespace dsaudit::ff {
 
 namespace {
 
-/// Signed window digits of every exponent, position-major (digit of base i
-/// at position pos is digits[pos * n + i]): windows of w bits plus a carry,
-/// so each digit lies in [-(2^{w-1} - 1), 2^{w-1}] and the carry can push
-/// one position past bits / w. Returns the number of positions up to the
-/// highest nonzero digit (0 when every exponent is zero).
-unsigned signed_digits(std::span<const U256> exps, unsigned w, unsigned bits,
-                       std::vector<std::int16_t>& digits) {
-  const std::size_t n = exps.size();
-  const std::uint64_t half = std::uint64_t{1} << (w - 1);
-  const unsigned positions = (bits + w - 1) / w + 1;
-  digits.assign(std::size_t{positions} * n, 0);
-  unsigned used = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::uint64_t carry = 0;
-    for (unsigned pos = 0; pos < positions; ++pos) {
-      const std::uint64_t raw = exps[i].extract_window(pos * w, w) + carry;
-      std::int16_t d;
-      if (raw > half) {
-        d = static_cast<std::int16_t>(static_cast<int>(raw) - (1 << w));
-        carry = 1;
-      } else {
-        d = static_cast<std::int16_t>(raw);
-        carry = 0;
-      }
-      digits[std::size_t{pos} * n + i] = d;
-      if (d != 0 && pos + 1 > used) used = pos + 1;
-    }
-  }
-  return used;
-}
-
 /// acc *= x, where an accumulator still at one takes x by assignment.
 void fold(Fp12& acc, bool& is_one, const Fp12& x) {
   if (is_one) {
@@ -80,12 +49,10 @@ unsigned straus_window(std::size_t n, unsigned bits) {
 
 /// Straus: per base a table of its powers 1..2^{w-1}, one shared squaring
 /// chain, one table multiply per nonzero digit.
-Fp12 pow_straus(std::span<const Fp12> bases, std::span<const U256> exps,
-                unsigned bits) {
+Fp12 pow_straus(std::span<const Fp12> bases,
+                const std::vector<std::int16_t>& digits, unsigned used,
+                unsigned w) {
   const std::size_t n = bases.size();
-  const unsigned w = straus_window(n, bits);
-  std::vector<std::int16_t> digits;
-  const unsigned used = signed_digits(exps, w, bits, digits);
   const std::size_t tsize = std::size_t{1} << (w - 1);
   // table[i * tsize + (d - 1)] = bases[i]^d for d = 1..2^{w-1}.
   std::vector<Fp12> table(n * tsize);
@@ -137,12 +104,10 @@ unsigned bucket_window(std::size_t n, unsigned bits) {
 /// of its digit's magnitude (conjugated for a negative digit), and the
 /// running product prod_{k >= j} B_k over j = 2^{c-1}..1 weights bucket k
 /// by k.
-Fp12 pow_buckets(std::span<const Fp12> bases, std::span<const U256> exps,
-                 unsigned bits) {
+Fp12 pow_buckets(std::span<const Fp12> bases,
+                 const std::vector<std::int16_t>& digits, unsigned used,
+                 unsigned c) {
   const std::size_t n = bases.size();
-  const unsigned c = bucket_window(n, bits);
-  std::vector<std::int16_t> digits;
-  const unsigned used = signed_digits(exps, c, bits, digits);
   const std::size_t nb = std::size_t{1} << (c - 1);
   std::vector<Fp12> bucket(nb);
   std::vector<char> filled(nb);
@@ -177,8 +142,20 @@ Fp12 pow_serial(std::span<const Fp12> bases, std::span<const U256> exps) {
   unsigned bits = 0;
   for (const U256& e : exps) bits = std::max(bits, e.bit_length());
   if (bits == 0) return Fp12::one();  // also the empty input
-  return bases.size() <= kGtStrausMaxBases ? pow_straus(bases, exps, bits)
-                                           : pow_buckets(bases, exps, bits);
+  const std::size_t n = bases.size();
+  const bool straus = n <= kGtStrausMaxBases;
+  const unsigned w = straus ? straus_window(n, bits) : bucket_window(n, bits);
+  // Position-major signed digits (base i's digit at position pos is
+  // digits[pos * n + i]); the carry can push one position past bits / w.
+  const unsigned positions = (bits + w - 1) / w + 1;
+  std::vector<std::int16_t> digits(std::size_t{positions} * n);
+  unsigned used = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    used = std::max(used, bigint::signed_window_digits(exps[i], w, positions,
+                                                       false, &digits[i], n));
+  }
+  return straus ? pow_straus(bases, digits, used, w)
+                : pow_buckets(bases, digits, used, w);
 }
 
 }  // namespace

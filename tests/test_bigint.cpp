@@ -237,6 +237,63 @@ TEST(U256, ExtractWindowEdges) {
   EXPECT_EQ(v.extract_window(60, 8), (5u << 4) | 0x8u);
 }
 
+TEST(U256, SignedWindowDigitsRecodeExactlyAtEveryWidth) {
+  // At w = 2..16, on values below 2^254 (Fr-width scalars, GT exponents) and
+  // below 2^127 (GLV halves): zero, one, 2^{bits-1}, 2^bits - 1, a value
+  // whose every window holds 2^{w-1} + 1 (a carry out of every window), and
+  // random values. Checks sum_t d_t * 2^{wt} = k, the digit range, that
+  // `used` is one past the top nonzero digit, and that the negated call
+  // writes the negated digits at its stride.
+  auto rng = SecureRng::deterministic(16);
+  for (unsigned bits : {254u, 127u}) {
+    U256 mask;
+    for (unsigned b = 0; b < bits; ++b) mask.limb[b / 64] |= u64{1} << (b % 64);
+    for (unsigned w = 2; w <= 16; ++w) {
+      const std::int32_t half = std::int32_t{1} << (w - 1);
+      const unsigned positions = (bits + w - 1) / w + 1;
+      U256 top, carries;
+      top.limb[(bits - 1) / 64] = u64{1} << ((bits - 1) % 64);
+      for (unsigned t = 0; (t + 1) * w <= bits; ++t) {
+        const u64 v = static_cast<u64>(half) + 1;
+        for (unsigned b = 0; b < w; ++b) {
+          if ((v >> b) & 1) carries.limb[(t * w + b) / 64] |= u64{1} << ((t * w + b) % 64);
+        }
+      }
+      std::vector<U256> ks = {U256{}, U256{1}, top, mask, carries};
+      for (int i = 0; i < 20; ++i) {
+        U256 k = random_u256(rng);
+        for (int l = 0; l < 4; ++l) k.limb[l] &= mask.limb[l];
+        ks.push_back(k);
+      }
+      for (const U256& k : ks) {
+        std::vector<std::int32_t> d(positions, 7);
+        const unsigned used = signed_window_digits(k, w, positions, false, d.data());
+        VarUInt pos, neg;
+        for (unsigned t = 0; t < positions; ++t) {
+          EXPECT_GE(d[t], -(half - 1)) << "w=" << w << " t=" << t;
+          EXPECT_LE(d[t], half) << "w=" << w << " t=" << t;
+          if (d[t] > 0) pos = pos + VarUInt(static_cast<u64>(d[t])).shl(w * t);
+          if (d[t] < 0) neg = neg + VarUInt(static_cast<u64>(-d[t])).shl(w * t);
+          if (t >= used) EXPECT_EQ(d[t], 0) << "w=" << w << " t=" << t;
+        }
+        EXPECT_EQ(pos, VarUInt(k) + neg) << "w=" << w << " k=" << k.to_hex();
+        if (k.is_zero()) {
+          EXPECT_EQ(used, 0u);
+        } else {
+          ASSERT_GT(used, 0u);
+          EXPECT_NE(d[used - 1], 0) << "w=" << w << " k=" << k.to_hex();
+        }
+        std::vector<std::int32_t> negated(3 * positions, 7);
+        EXPECT_EQ(signed_window_digits(k, w, positions, true, negated.data(), 3), used);
+        for (unsigned t = 0; t < positions; ++t) {
+          EXPECT_EQ(negated[3 * t], -d[t]) << "w=" << w << " t=" << t;
+          EXPECT_EQ(negated[3 * t + 1], 7);  // the stride skips the rest
+        }
+      }
+    }
+  }
+}
+
 TEST(U256, BitPastTopReadsZero) {
   // A comb whose rows * columns exceed 256 probes bits past the top; they
   // read as zero, as extract_window's do, instead of past the limb array.

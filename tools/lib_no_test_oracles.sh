@@ -39,12 +39,11 @@ fi
 # Function-local statics that are not constants, one pattern a line:
 allowed_guards='
 curve::g1_generator_table\(\)::table$
-curve::g2_generator_table\(\)::table$
 pairing::multi_pairing\(.*::inf$'
 # Why each one stays:
-#  - the two generator tables are fixed-base window tables (heap vectors,
-#    479 KB for G1) built on first use, so a process that never multiplies
-#    a generator never pays for them;
+#  - the G1 generator table is a fixed-base window table (a 479 KB heap
+#    vector) built on first use, so a process that never multiplies the
+#    generator never pays for it;
 #  - multi_pairing's inf is an empty G2Prepared, whose coefficient chain is
 #    a std::vector.
 guards=$(printf '%s\n' "$syms" | grep 'guard variable for' | sort -u)
