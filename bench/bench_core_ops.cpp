@@ -152,8 +152,9 @@ void BM_MsmG1(benchmark::State& state) {
     benchmark::DoNotOptimize(curve::msm<curve::G1>(pts, sc));
   }
 }
-// 1-32 straddle the Straus/Pippenger crossover at curve::kStrausMaxBases
-// (16) through the dispatching msm; BM_MsmRoute times each route alone.
+// 1-32 straddle the full-width Straus/Pippenger crossover at
+// curve::kStrausMaxBases (16) through the dispatching msm; BM_MsmRoute times
+// each route alone.
 BENCHMARK(BM_MsmG1)
     ->Arg(1)->Arg(2)->Arg(3)->Arg(4)->Arg(8)->Arg(16)->Arg(32)
     ->Arg(50)->Arg(256)->Arg(1024)->Arg(4096);

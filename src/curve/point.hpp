@@ -15,8 +15,9 @@
 //     {P, phi(P)}), all tables normalized in one inversion, one doubling
 //     chain shared by every digit string. Point::mul is its one-base case
 //     (Point::mul_naive keeps the double-and-add reference);
-//   - msm: a dispatch between detail::msm_straus, up to kStrausMaxBases
-//     bases, and detail::msm_pippenger above: bucketing over affine bases
+//   - msm: a dispatch (detail::straus_route) between detail::msm_straus, up
+//     to 2 * kStrausMaxBases digit columns, and detail::msm_pippenger above:
+//     bucketing over affine bases
 //     with signed windows (half the buckets), limb-wise digit extraction,
 //     and batched affine bucket accumulation that amortizes one inversion
 //     over thousands of additions;
@@ -48,15 +49,19 @@ concept HasEndomorphism = requires { Tag::endo_beta(); };
 using ff::Fr;
 using ff::U256;
 
-/// Largest MSM that msm() runs through the Straus kernel instead of
-/// Pippenger, read from bench_core_ops' BM_MsmRoute rows (each G1 route
-/// called directly on affine bases: route:0 is detail::msm_straus, route:1
-/// detail::msm_pippenger). At full-width scalars, the shape of every MSM the
-/// audit runs at this size, route:0 wins at BM_MsmRoute/route:0/bits:254/n:16
-/// and route:1 at BM_MsmRoute/route:1/bits:254/n:20, with n:17 to n:19
-/// within run-to-run noise. 128-bit scalars cross later, near
-/// BM_MsmRoute/route:0/bits:128/n:28, so one constant at the full-width
-/// crossover keeps both shapes on the faster route.
+/// Largest full-width MSM that msm() runs through the Straus kernel instead
+/// of Pippenger. Both routes cost about the same per digit column, and a G1
+/// base is two columns when glv_split_pays for the set's widest scalar, one
+/// otherwise; so a set that does not split (scalars up to ~190 bits, such as
+/// the 128-bit batch weights of basic rounds, and every G2 set) stays on
+/// Straus up to 2 * kStrausMaxBases bases (detail::straus_route). Read from
+/// bench_core_ops' BM_MsmRoute rows (each G1 route called directly on affine
+/// bases: route:0 is detail::msm_straus, route:1 detail::msm_pippenger).
+/// Full width: route:0 wins at BM_MsmRoute/route:0/bits:254/n:16 and route:1
+/// at BM_MsmRoute/route:1/bits:254/n:20, with n:17 to n:19 within run-to-run
+/// noise. 128 bits: route:0 wins at BM_MsmRoute/route:0/bits:128/n:24 and
+/// route:1 at BM_MsmRoute/route:1/bits:128/n:48, with n:28 and n:32 within
+/// noise.
 inline constexpr std::size_t kStrausMaxBases = 16;
 
 namespace detail {
@@ -810,7 +815,7 @@ P msm_sharded(const std::vector<std::int32_t>& digits, std::size_t n,
 }
 
 /// msm_straus over Fr scalars, which are canonical, so the G1 split applies
-/// as it is; msm's route for n <= kStrausMaxBases.
+/// as it is; msm's route while straus_route holds.
 template <typename P, typename B>
 P msm_straus(std::span<const B> points, std::span<const Fr> scalars) {
   if (points.size() != scalars.size()) {
@@ -821,8 +826,8 @@ P msm_straus(std::span<const B> points, std::span<const Fr> scalars) {
   return msm_straus<P>(points, std::span<const U256>(ks));
 }
 
-/// Pippenger bucketing over affine bases, the core of every cold MSM above
-/// kStrausMaxBases (the settlement engine hands it the window's affine proof
+/// Pippenger bucketing over affine bases, the core of every cold MSM past
+/// straus_route (the settlement engine hands it the window's affine proof
 /// points as they are):
 ///   - window digits are signed (halving the bucket count) and extracted
 ///     limb-wise from the canonical scalars, scanning the 254-bit Fr width
@@ -884,14 +889,30 @@ P msm_pippenger(std::span<const typename P::Affine> points,
       [base](unsigned, std::size_t i) -> const A& { return base[i]; });
 }
 
+/// msm()'s route: Straus while the MSM has at most 2 * kStrausMaxBases digit
+/// columns (two per base when glv_split_pays for the widest scalar, one
+/// otherwise), Pippenger above. Only sizes between the two crossovers read
+/// the scalars.
+template <typename P>
+bool straus_route(std::span<const Fr> scalars) {
+  const std::size_t n = scalars.size();
+  if (n <= kStrausMaxBases) return true;
+  if (n > 2 * kStrausMaxBases) return false;
+  unsigned max_bits = 0;
+  for (const Fr& s : scalars) {
+    max_bits = std::max(max_bits, s.to_u256().bit_length());
+  }
+  return !glv_split_pays<typename P::TagType>(max_bits);
+}
+
 }  // namespace detail
 
 /// Multi-scalar multiplication over affine bases: returns sum scalars[i] *
-/// points[i], by detail::msm_straus up to kStrausMaxBases bases and by
+/// points[i], by detail::msm_straus while detail::straus_route holds and by
 /// detail::msm_pippenger above. Both throw on a size mismatch.
 template <typename P>
 P msm(std::span<const typename P::Affine> points, std::span<const Fr> scalars) {
-  return points.size() <= kStrausMaxBases
+  return detail::straus_route<P>(scalars)
              ? detail::msm_straus<P>(points, scalars)
              : detail::msm_pippenger<P>(points, scalars);
 }
@@ -899,11 +920,11 @@ P msm(std::span<const typename P::Affine> points, std::span<const Fr> scalars) {
 /// The same over Jacobian bases. The prover's two dominant ECC operations
 /// (aggregating sigma = prod sigma_i^{c_i} and computing psi from the SRS)
 /// are exactly this primitive. Straus builds its tables from the Jacobian
-/// points as they are; above kStrausMaxBases one batch_to_affine normalizes
-/// them for Pippenger.
+/// points as they are; past detail::straus_route one batch_to_affine
+/// normalizes them for Pippenger.
 template <typename P>
 P msm(std::span<const P> points, std::span<const Fr> scalars) {
-  if (points.size() <= kStrausMaxBases) {
+  if (detail::straus_route<P>(scalars)) {
     return detail::msm_straus<P>(points, scalars);
   }
   const std::vector<typename P::Affine> affine = P::batch_to_affine(points);

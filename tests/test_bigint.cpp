@@ -238,7 +238,7 @@ TEST(U256, ExtractWindowEdges) {
 }
 
 TEST(U256, SignedWindowDigitsRecodeExactlyAtEveryWidth) {
-  // At w = 2..16, on values below 2^254 (Fr-width scalars, GT exponents) and
+  // At w = 1..16, on values below 2^254 (Fr-width scalars, GT exponents) and
   // below 2^127 (GLV halves): zero, one, 2^{bits-1}, 2^bits - 1, a value
   // whose every window holds 2^{w-1} + 1 (a carry out of every window), and
   // random values. Checks sum_t d_t * 2^{wt} = k, the digit range, that
@@ -248,7 +248,7 @@ TEST(U256, SignedWindowDigitsRecodeExactlyAtEveryWidth) {
   for (unsigned bits : {254u, 127u}) {
     U256 mask;
     for (unsigned b = 0; b < bits; ++b) mask.limb[b / 64] |= u64{1} << (b % 64);
-    for (unsigned w = 2; w <= 16; ++w) {
+    for (unsigned w = 1; w <= 16; ++w) {
       const std::int32_t half = std::int32_t{1} << (w - 1);
       const unsigned positions = (bits + w - 1) / w + 1;
       U256 top, carries;

@@ -638,10 +638,10 @@ std::vector<ff::U256> glv_edge_scalars() {
 }
 
 TYPED_TEST(GroupLaw, MsmSweepAcrossStrausCrossoverMatchesNaive) {
-  // Every size from 1 to kStrausMaxBases + 2, so the dispatching msm takes
-  // the Straus kernel (up to the crossover, and Point::mul at n = 1) and
-  // Pippenger (above it), and both routes, called directly, run at every
-  // size. They meet the same input classes: infinity bases, zero scalars,
+  // Every size from 1 to 2 * kStrausMaxBases + 2, so the dispatching msm
+  // takes the Straus kernel (up to the crossover of each scalar width, and
+  // Point::mul at n = 1) and Pippenger (above it), and both routes, called
+  // directly, run at every size. They meet the same input classes: infinity bases, zero scalars,
   // duplicate bases, P / -P pairs with equal scalars that cancel, r - 1, the
   // GLV edge scalars, and sets whose scalars are all <= 128 bits (the
   // unsplit regime). The pattern is rotated by n so small sizes hit every
@@ -653,7 +653,7 @@ TYPED_TEST(GroupLaw, MsmSweepAcrossStrausCrossoverMatchesNaive) {
   const auto edges = glv_edge_scalars();
   const Fr r_minus_1 = Fr::zero() - Fr::one();
   const Fr max128 = Fr::from_u256(ff::U256{~0ULL, ~0ULL, 0, 0});
-  for (std::size_t n = 1; n <= kStrausMaxBases + 2; ++n) {
+  for (std::size_t n = 1; n <= 2 * kStrausMaxBases + 2; ++n) {
     for (bool short_scalars : {false, true}) {
       std::vector<G> pts;
       std::vector<Fr> sc;
@@ -865,6 +865,36 @@ TEST(G2Subgroup, PsiCheckAgreesWithOrderLadder) {
     ++found;
   }
   EXPECT_GE(found, 1) << "no twist point found (sqrt broken?)";
+}
+
+TEST(Msm, RouteCountsDigitColumns) {
+  // straus_route keeps an MSM on Straus while it has at most
+  // 2 * kStrausMaxBases digit columns: two per G1 base once the widest
+  // scalar reaches the GLV split (191 bits), one below it and on G2.
+  const Fr r_minus_1 = Fr::zero() - Fr::one();
+  const Fr max128 = Fr::from_u256(ff::U256{~0ULL, ~0ULL, 0, 0});
+  const Fr below_split = Fr::from_u256(ff::U256{~0ULL, ~0ULL, (1ULL << 62) - 1, 0});
+  const Fr at_split = Fr::from_u256(ff::U256{0, 0, 1ULL << 62, 0});
+  // n scalars of 128 bits with `widest` last.
+  auto set = [&](std::size_t n, const Fr& widest) {
+    std::vector<Fr> sc(n, max128);
+    if (n > 0) sc.back() = widest;
+    return sc;
+  };
+  auto g1 = [](const std::vector<Fr>& sc) { return detail::straus_route<G1>(sc); };
+  auto g2 = [](const std::vector<Fr>& sc) { return detail::straus_route<G2>(sc); };
+  constexpr std::size_t m = kStrausMaxBases;
+  EXPECT_TRUE(g1(set(0, max128)));
+  EXPECT_TRUE(g1(set(m, r_minus_1)));
+  EXPECT_FALSE(g1(set(m + 1, r_minus_1)));
+  EXPECT_FALSE(g1(set(m + 1, at_split)));
+  EXPECT_TRUE(g1(set(m + 1, below_split)));
+  EXPECT_TRUE(g1(set(2 * m, max128)));
+  EXPECT_TRUE(g1(set(2 * m, below_split)));
+  EXPECT_FALSE(g1(set(2 * m, at_split)));
+  EXPECT_FALSE(g1(set(2 * m + 1, max128)));
+  EXPECT_TRUE(g2(set(2 * m, r_minus_1)));
+  EXPECT_FALSE(g2(set(2 * m + 1, max128)));
 }
 
 TEST(Msm, WorksOnG2) {

@@ -817,7 +817,8 @@ TEST(Settlement, ColdChiFoldMatchesPreparedFile) {
   // with the checks equal to the bisection the culprits force.
   // Sweep k in {1, 3, 8}, basic / private, 1-3 keys, culprits none / first /
   // last / a y+1, y-1 pair that cancels in the unweighted product, and
-  // windows wider than kStrausMaxBases, whose MSMs leave the Straus kernel.
+  // windows wider than 2 * kStrausMaxBases, whose MSMs leave the Straus
+  // kernel at either scalar width (basic rounds weigh sigma by 128-bit rho).
   auto rng = SecureRng::deterministic(918);
   constexpr std::size_t kKeys = 3;
   std::vector<Scenario> keys;
@@ -840,7 +841,7 @@ TEST(Settlement, ColdChiFoldMatchesPreparedFile) {
     bool is_private;
     Culprits culprits;
   };
-  constexpr std::size_t kWide = curve::kStrausMaxBases + 4;
+  constexpr std::size_t kWide = 2 * curve::kStrausMaxBases + 4;
   const Case cases[] = {
       {1, 6, 1, false, kNone},         {1, 6, 2, true, kFirst},
       {1, 7, 3, false, kLast},         {1, 6, 1, true, kCancellingPair},
