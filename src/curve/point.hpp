@@ -892,17 +892,14 @@ P msm_pippenger(std::span<const typename P::Affine> points,
 /// msm()'s route: Straus while the MSM has at most 2 * kStrausMaxBases digit
 /// columns (two per base when glv_split_pays for the widest scalar, one
 /// otherwise), Pippenger above. Only sizes between the two crossovers read
-/// the scalars.
+/// the scalars, up to the first one that splits.
 template <typename P>
 bool straus_route(std::span<const Fr> scalars) {
-  const std::size_t n = scalars.size();
-  if (n <= kStrausMaxBases) return true;
-  if (n > 2 * kStrausMaxBases) return false;
-  unsigned max_bits = 0;
-  for (const Fr& s : scalars) {
-    max_bits = std::max(max_bits, s.to_u256().bit_length());
-  }
-  return !glv_split_pays<typename P::TagType>(max_bits);
+  if (scalars.size() <= kStrausMaxBases) return true;
+  if (scalars.size() > 2 * kStrausMaxBases) return false;
+  return std::none_of(scalars.begin(), scalars.end(), [](const Fr& s) {
+    return glv_split_pays<typename P::TagType>(s.to_u256().bit_length());
+  });
 }
 
 }  // namespace detail
