@@ -17,10 +17,9 @@
 //     (Point::mul_naive keeps the double-and-add reference);
 //   - msm: a dispatch (detail::straus_route) between detail::msm_straus, up
 //     to 2 * kStrausMaxBases digit columns, and detail::msm_pippenger above:
-//     bucketing over affine bases
-//     with signed windows (half the buckets), limb-wise digit extraction,
-//     and batched affine bucket accumulation that amortizes one inversion
-//     over thousands of additions;
+//     bucketing over affine bases with signed windows (half the buckets),
+//     limb-wise digit extraction, and batched affine bucket accumulation
+//     that amortizes one inversion over thousands of additions;
 //   - all three Pippenger entry points shard their signed-digit window
 //     positions across the parallel::thread_pool (see detail::msm_sharded),
 //     falling back to the identical sequential pipeline at one thread.
