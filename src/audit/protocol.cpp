@@ -274,7 +274,7 @@ std::array<std::uint8_t, 32> key_id_of(const G2& epsilon, const G2& delta) {
 
 /// Settles one round through verify_settlement, the one implementation of
 /// the Eq. 1 / Eq. 2 checks: a one-instance batch draws no weights (the
-/// all-zero seed is never read) and reaches the exact unweighted check.
+/// all-zero seed is never read) and runs its one round at unit weight.
 /// `file` may be null (the engine then hashes chunks from name/num_chunks).
 template <typename Proof>
 bool settle_one(const Verifier* verifier, const PreparedFile* file,
@@ -414,9 +414,9 @@ namespace {
 /// GLV split those 254-bit folded weights run at half-length anyway. chi
 /// itself is not a term member: it lives in verify_settlement's flat chi
 /// slots, where the cold path keeps its chunk hashes unaggregated so their
-/// coefficients fold into the same weights. The exact unweighted terms are
-/// only computed (from these components, with the identical formula/mul
-/// sequence) at bisection leaves and single-instance batches. The proof's
+/// coefficients fold into the same weights. A one-round range (a bisection
+/// leaf or a single-instance batch) runs the same slot MSMs at unit weight,
+/// which computes exactly that round's unweighted equation. The proof's
 /// points, y and R stay in the instance; the terms point at them (104 B a
 /// round), and the challenge scalar and verifier are read from it too.
 struct SettleTerms {
@@ -425,7 +425,7 @@ struct SettleTerms {
   const Fr* y = nullptr;              // y (basic) or y' (private)
   const Fp12* big_r = nullptr;        // R for private instances, null for basic
   Fr zeta = Fr::one();    // hash_gt_to_fr(R) for private, 1 for basic
-  Fr rho = Fr::zero();    // random batch weight (zero when unweighted)
+  Fr rho = Fr::one();     // random batch weight (one when unweighted)
   std::size_t key = 0;    // verifier-group ordinal
 };
 
@@ -456,16 +456,16 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   out.ok.assign(instances.size(), false);
   if (instances.empty()) return out;
 
-  // A single-instance batch settles by its exact check alone — skip the
-  // random-weight material entirely. This is the path Verifier::verify* and
-  // the contract's per-round settlement take.
+  // A single-instance batch draws no random weights: its one round runs the
+  // batch check at unit weight. This is the path Verifier::verify* and the
+  // contract's per-round settlement take.
   //
   // chi = sum_s chi_sc[s] * chi_pts[s] over instance i's slots
   // [chi_off[i], chi_off[i + 1]): a prepared file's one msm_precomputed chi
   // with coefficient one, or on the cold path (file == nullptr) the k chunk
   // hashes H(name||i_j) with their challenge coefficients c_j. The batch
   // check folds those coefficients into its epsilon-slot weights, so a cold
-  // chi is aggregated only at a bisection leaf.
+  // chi is never aggregated on its own.
   std::size_t plausible = 0;
   std::vector<std::size_t> chi_off(instances.size() + 1, 0);
   for (std::size_t i = 0; i < instances.size(); ++i) {
@@ -487,8 +487,8 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
 
   // Per-instance preparation — the chunk hashes (or a prepared file's chi)
   // and the zeta hash — is embarrassingly parallel; all scalar weighting is
-  // deferred to the batch check's MSMs (or a leaf's exact check), so no
-  // arbitrary scalar muls happen here.
+  // deferred to the batch check's MSMs, so no arbitrary scalar muls happen
+  // here.
   std::vector<SettleTerms> terms(instances.size());
   parallel::parallel_for_ranges(
       instances.size(), [&](std::size_t begin, std::size_t end) {
@@ -567,47 +567,10 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     for (std::size_t i : idx) {
       const SettleTerms& t = terms[i];
       agg_pts.push_back(*t.psi);
-      agg_sc.push_back(need_weights ? t.rho * t.zeta : t.zeta);
+      agg_sc.push_back(t.rho * t.zeta);
     }
     out.aggregated_opening = curve::msm<G1>(agg_pts, agg_sc);
   }
-
-  // Exact unweighted check for one instance: materializes chi and s/e/d
-  // with the same formulas (and the same multiplication sequence) the
-  // per-instance prep used before the weights were folded into the batch
-  // MSMs. Only paid at bisection leaves and single-instance batches.
-  auto check_single = [&](std::size_t i) {
-    ++out.single_checks;
-    const SettleTerms& t = terms[i];
-    const SettlementInstance& inst = instances[i];
-    const std::size_t at = chi_off[i], slots = chi_off[i + 1] - at;
-    const G1 chi =
-        inst.file ? G1(chi_pts[at])
-                  : curve::msm<G1>(std::span<const G1::Affine>(&chi_pts[at], slots),
-                                   std::span<const Fr>(&chi_sc[at], slots));
-    const G1 sigma(*t.sigma), psi(*t.psi);
-    const Fr& r_chal = inst.challenge.r;
-    G1 s, e, d;
-    if (t.big_r) {
-      G1 zeta_psi = psi.mul(t.zeta);
-      s = sigma.mul(t.zeta);
-      e = zeta_psi.mul(r_chal) - curve::g1_mul_generator(*t.y) -
-          chi.mul(t.zeta);
-      d = -zeta_psi;
-    } else {
-      s = sigma;
-      e = psi.mul(r_chal) - curve::g1_mul_generator(*t.y) - chi;
-      d = -psi;
-    }
-    const Verifier& v = *inst.verifier;
-    std::array<pairing::PreparedPair, 3> pairs{
-        pairing::PreparedPair{s, &v.prepared_g2()},
-        pairing::PreparedPair{e, &v.prepared_epsilon()},
-        pairing::PreparedPair{d, &v.prepared_delta()},
-    };
-    Fp12 lhs = pairing::multi_pairing(std::span<const pairing::PreparedPair>(pairs));
-    return (t.big_r ? lhs * *t.big_r : lhs).is_one();
-  };
 
   // One direct weighted aggregate check of a contiguous sub-range of `idx`:
   // the generator term is shared across every key, epsilon/delta aggregate
@@ -618,9 +581,13 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   // instead of a per-round R^rho ladder (the old per-round GT exp was the
   // private batch's ~0.55 ms floor). Returns the range's GT value, the
   // product of its rounds' weighted terms; the range passes iff it is one.
+  // A one-round range (a bisection leaf, or a one-instance batch) runs at
+  // unit weight: its value is then that round's own unweighted Eq. 1 /
+  // Eq. 2 value, so a leaf names its culprit by the round's own equation.
   auto check_batch = [&](std::size_t lo, std::size_t hi) {
-    ++out.batch_checks;
     const std::size_t m = hi - lo;
+    const bool unit = m == 1;
+    ++(unit ? out.single_checks : out.batch_checks);
     std::vector<G1::Affine> sig_pts;
     std::vector<Fr> sig_sc;
     sig_pts.reserve(m);
@@ -654,7 +621,8 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
     for (std::size_t j = lo; j < hi; ++j) {
       const std::size_t i = idx[j];
       const SettleTerms& t = terms[i];
-      const Fr rz = t.rho * t.zeta;
+      const Fr rho = unit ? Fr::one() : t.rho;
+      const Fr rz = rho * t.zeta;
       sig_pts.push_back(*t.sigma);
       sig_sc.push_back(rz);
       eps_pts[t.key].push_back(*t.psi);
@@ -663,12 +631,12 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
         eps_pts[t.key].push_back(chi_pts[at]);
         eps_sc[t.key].push_back(-rz * chi_sc[at]);
       }
-      gen_sc[t.key] = gen_sc[t.key] - t.rho * *t.y;
+      gen_sc[t.key] = gen_sc[t.key] - rho * *t.y;
       delta_pts[t.key].push_back(*t.psi);
       delta_sc[t.key].push_back(-rz);
       if (t.big_r && !t.big_r->is_one()) {
         gt_bases.push_back(*t.big_r);
-        gt_exps.push_back(t.rho.to_u256());
+        gt_exps.push_back(rho.to_u256());
       }
     }
     std::vector<pairing::PreparedPair> pairs;
@@ -691,29 +659,26 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
   };
 
   // Settle recursively: a passing aggregate clears its whole range at once;
-  // a failing one bisects, so each cheater is isolated by an exact per-round
-  // check and honest rounds in the same block always settle Pass. Law–Matt
-  // quick binary search: a range's value is the product of its halves'
-  // values, so of a failing range only the left half is checked directly
-  // and the right half's value is value * conj(left) — one Fp12 multiply,
-  // passed down as `known`. conj is the inverse because every factor lies
-  // in GT (final-exponentiation outputs, and R, which gt_decode
+  // a failing one bisects, so each cheater is isolated by its one-round,
+  // unit-weight check and honest rounds in the same block always settle
+  // Pass. Law–Matt quick binary search: a range's value is the product of
+  // its halves' values, so of a failing range only the left half is checked
+  // directly and the right half's value is value * conj(left) — one Fp12
+  // multiply, passed down as `known`. conj is the inverse because every
+  // factor lies in GT (final-exponentiation outputs, and R, which gt_decode
   // subgroup-checks), so the derived value is, as a group element, the one
   // a direct check of the right half would compute.
   std::function<void(std::size_t, std::size_t, std::optional<Fp12>)> settle =
       [&](std::size_t lo, std::size_t hi, std::optional<Fp12> known) {
-        if (hi - lo == 1) {
-          out.ok[idx[lo]] = check_single(idx[lo]);
-          return;
-        }
         const Fp12 value = known ? *known : check_batch(lo, hi);
         if (value.is_one()) {
           for (std::size_t j = lo; j < hi; ++j) out.ok[idx[j]] = true;
           return;
         }
+        if (hi - lo == 1) return;  // a failing leaf: its round stays Fail
         const std::size_t mid = lo + (hi - lo) / 2;
         if (mid - lo == 1) {
-          // A one-round left half is checked exactly, which yields no
+          // A one-round left half is checked at unit weight, which yields no
           // weighted value to derive the right half from.
           settle(lo, mid, std::nullopt);
           settle(mid, hi, std::nullopt);
@@ -726,11 +691,6 @@ SettlementOutcome verify_settlement(std::span<const SettlementInstance> instance
       };
   settle(0, idx.size(), std::nullopt);
   return out;
-}
-
-SettlementOutcome verify_settlement(std::span<const SettlementInstance> instances,
-                                    const std::array<std::uint8_t, 32>& weight_seed) {
-  return verify_settlement(instances, weight_seed, SettlementOptions{});
 }
 
 std::array<std::uint8_t, 32> derive_settlement_seed(

@@ -293,8 +293,9 @@ class Boxed {
 /// chunk hashes from `name` / `num_chunks` (the cold path of Verifier::
 /// verify, and of streaming settlement). The cold path never aggregates chi
 /// for a batch check: the k hashes enter the epsilon-slot MSM directly with
-/// their challenge coefficients folded into the weights, and only a
-/// bisection leaf or a one-round batch computes chi = sum_j c_j H(name||i_j).
+/// their challenge coefficients folded into the weights (a one-round range
+/// folds them at unit weight), so chi = sum_j c_j H(name||i_j) is never
+/// aggregated on its own.
 /// A ProofPrivate's big_r must be a genuine GT element — the wire
 /// decoder guarantees this (gt_decode subgroup-checks); hand-built
 /// structs are the caller's responsibility. Bisection relies on it: it
@@ -322,7 +323,9 @@ struct SettlementOutcome {
   /// conj(left) — one Fp12 multiply each, no pairing. batch_checks +
   /// derived_checks is the number of ranges of >= 2 rounds bisection visits.
   std::size_t derived_checks = 0;
-  std::size_t single_checks = 0; // bisection leaves re-verified individually
+  /// One-round ranges (bisection leaves and one-instance batches), each
+  /// checked at unit weight against its round's own equation.
+  std::size_t single_checks = 0;
   /// The window's aggregated KZG opening — sum_i [w_i * zeta_i] psi_i over
   /// the plausible instances, where w_i is the instance's Fiat–Shamir batch
   /// weight (1 when the batch is a single unweighted instance). Only
@@ -372,10 +375,11 @@ struct SettlementOptions {
 /// multi-exp, a multi-pairing and a final exponentiation. conj is the
 /// inverse only on unitary elements, which is why every private R must lie
 /// in GT (see SettlementInstance). A failing range whose left half is a
-/// single round checks that leaf exactly and its right half directly.
-/// Leaves always run the exact, weight-free check, so every culprit is
-/// named by its own equation; the verdicts equal those of checking both
-/// halves directly.
+/// single round checks that leaf and its right half directly. A one-round
+/// range — a leaf, or a one-instance batch — runs the same weighted check
+/// at unit weight, which is that round's own unweighted Eq. 1 / Eq. 2, so
+/// every culprit is named by its own equation; the verdicts equal those of
+/// checking both halves directly.
 ///
 /// Deterministic in (instances, weight_seed, options) at every thread
 /// count. The caller must use a FRESH weight_seed per batch (derive it from
@@ -383,9 +387,7 @@ struct SettlementOptions {
 /// an adversary has seen would let them craft cancelling forgeries.
 SettlementOutcome verify_settlement(std::span<const SettlementInstance> instances,
                                     const std::array<std::uint8_t, 32>& weight_seed,
-                                    const SettlementOptions& options);
-SettlementOutcome verify_settlement(std::span<const SettlementInstance> instances,
-                                    const std::array<std::uint8_t, 32>& weight_seed);
+                                    const SettlementOptions& options = {});
 
 /// The canonical window weight seed: Keccak(nonce || boundary || every
 /// round's 32-byte transcript, in the window's canonical transcript-sorted

@@ -85,7 +85,7 @@ class BatchSettlement {
     std::uint64_t instants = 0;       // distinct chain instants that enqueued
     std::uint64_t batch_checks = 0;   // direct weighted checks (incl. bisection)
     std::uint64_t derived_checks = 0; // bisection halves derived, not checked
-    std::uint64_t single_checks = 0;  // bisection leaves re-verified exactly
+    std::uint64_t single_checks = 0;  // one-round ranges, at unit weight
     std::uint64_t culprits = 0;       // rounds isolated as failing
     // Aggregate-tx telemetry (zero unless enable_aggregate_tx).
     std::uint64_t aggregate_txs = 0;       // window txs posted

@@ -7,6 +7,8 @@
 
 #include <cstring>
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "attack/adversary.hpp"
 #include "audit/protocol.hpp"
@@ -16,6 +18,7 @@
 #include "pairing/pairing.hpp"
 #include "primitives/keccak256.hpp"
 #include "sim/network_sim.hpp"
+#include "support/audit_textbook.hpp"
 
 namespace dsaudit {
 namespace {
@@ -624,8 +627,9 @@ TEST(Settlement, DerivedHalfBisectionPinnedCost) {
 TEST(Settlement, DerivedHalfBisectionSweepMatchesPerRoundVerdicts) {
   // Seeded sweep over window sizes 1..40, 1..3 keys, mixed Eq. 1 / Eq. 2
   // rounds and culprit sets (none, first, last, an adjacent pair, all, a
-  // random quarter). Every round's verdict must equal its own exact
-  // Verifier::verify* check, and the work must be exactly the two-sided
+  // random quarter). Every round's verdict must equal its own textbook
+  // Eq. 1 / Eq. 2 (audit::eq1_textbook / eq2_textbook, which share no code
+  // with the engine), and the work must be exactly the two-sided
   // bisection's ranges, split into direct and derived values.
   auto rng = SecureRng::deterministic(916);
   constexpr std::size_t kKeys = 3, kMaxRounds = 40, kTrials = 24;
@@ -702,11 +706,12 @@ TEST(Settlement, DerivedHalfBisectionSweepMatchesPerRoundVerdicts) {
         if (field == 1) shift(sigma);
         if (field == 2) shift(psi);
       }
+      const std::size_t d = keys[k].file.num_chunks();
       expected[j] = is_private
-                        ? inst.verifier->verify_private(ctxs[k], inst.challenge,
-                                                        *inst.priv)
-                        : inst.verifier->verify(ctxs[k], inst.challenge,
-                                                *inst.basic);
+                        ? audit::eq2_textbook(keys[k].kp.pk, keys[k].name, d,
+                                              inst.challenge, *inst.priv)
+                        : audit::eq1_textbook(keys[k].kp.pk, keys[k].name, d,
+                                              inst.challenge, *inst.basic);
       culprit[j] = !expected[j];
       EXPECT_EQ(culprit[j], tamper[j]) << "trial " << trial << ", round " << j;
     }
@@ -814,7 +819,8 @@ TEST(Settlement, ColdChiFoldMatchesPreparedFile) {
   // contributes its one precomputed chi with coefficient one. Both are the
   // same group element, so the same window must settle identically either
   // way: verdicts, direct / derived / leaf checks and the aggregated opening,
-  // with the checks equal to the bisection the culprits force.
+  // with the verdicts equal to each round's textbook equation and the checks
+  // equal to the bisection the culprits force.
   // Sweep k in {1, 3, 8}, basic / private, 1-3 keys, culprits none / first /
   // last / a y+1, y-1 pair that cancels in the unweighted product, and
   // windows wider than 2 * kStrausMaxBases, whose MSMs leave the Straus
@@ -887,7 +893,15 @@ TEST(Settlement, ColdChiFoldMatchesPreparedFile) {
     const SettlementOutcome a = audit::verify_settlement(prepared, seed, opts);
     const SettlementOutcome b = audit::verify_settlement(cold, seed, opts);
     for (std::size_t j = 0; j < cs.rounds; ++j) {
-      EXPECT_EQ(a.ok[j], !culprit[j]) << "case " << c << ", round " << j;
+      const SettlementInstance& inst = prepared[j];
+      const audit::PublicKey& pk = inst.verifier->pk();
+      const bool textbook =
+          cs.is_private ? audit::eq2_textbook(pk, inst.name, inst.num_chunks,
+                                              inst.challenge, *inst.priv)
+                        : audit::eq1_textbook(pk, inst.name, inst.num_chunks,
+                                              inst.challenge, *inst.basic);
+      EXPECT_EQ(textbook, !culprit[j]) << "case " << c << ", round " << j;
+      EXPECT_EQ(a.ok[j], textbook) << "case " << c << ", round " << j;
     }
     // Both paths share the batch check's chi fold, so pin its work against
     // the bisection it must run, not only against each other.
@@ -901,6 +915,107 @@ TEST(Settlement, ColdChiFoldMatchesPreparedFile) {
     EXPECT_EQ(b.derived_checks, a.derived_checks) << "case " << c;
     EXPECT_EQ(b.single_checks, a.single_checks) << "case " << c;
     EXPECT_EQ(b.aggregated_opening, a.aggregated_opening) << "case " << c;
+  }
+}
+
+TEST(Settlement, SingleRoundForgeriesMatchTheTextbookEquation) {
+  // A one-round range is the only place a round is refused, and it runs the
+  // batch check at unit weight. Its verdict must be the round's own Eq. 1 /
+  // Eq. 2 exactly: for the honest round and each natural forgery — y (y')
+  // + 1, sigma + g1, psi + g1, the challenge's r replaced and, for Eq. 2, R
+  // replaced by another GT element (which changes zeta too) — a one-instance
+  // batch, the same round as a bisection leaf of an 8-round batch and the
+  // textbook equation must agree. Basic and private rounds, each with and
+  // without a PreparedFile.
+  auto rng = SecureRng::deterministic(919);
+  Scenario sc = make_scenario(3000, 5, rng);
+  Verifier verifier(sc.kp.pk);
+  PreparedFile ctx = audit::prepare_file(sc.name, sc.file.num_chunks());
+  Prover prover(sc.kp.pk, sc.file, sc.tag);
+  // Round 4 is the other culprit: [4,6) then fails whatever round 5 holds,
+  // so round 5 always settles as a leaf. Direct: [0,8) [0,4) [4,6); derived:
+  // [4,8) [6,8); leaves: rounds 4 and 5.
+  constexpr std::size_t kRounds = 8, kCulprit = 4, kProbe = 5;
+
+  for (bool is_private : {false, true}) {
+    for (bool with_file : {true, false}) {
+      const std::string tag = std::string(is_private ? "private" : "basic") +
+                              (with_file ? ", prepared" : ", cold");
+      auto round = [&] {
+        SettlementInstance inst;
+        inst.verifier = &verifier;
+        inst.file = with_file ? &ctx : nullptr;
+        inst.name = sc.name;
+        inst.num_chunks = sc.file.num_chunks();
+        inst.challenge = make_challenge(rng, 4);
+        if (is_private) {
+          inst.priv = prover.prove_private(inst.challenge, rng);
+        } else {
+          inst.basic = prover.prove(inst.challenge);
+        }
+        return inst;
+      };
+      std::vector<SettlementInstance> window(kRounds);
+      for (SettlementInstance& inst : window) inst = round();
+      if (is_private) {
+        window[kCulprit].priv->y_prime += Fr::one();
+      } else {
+        window[kCulprit].basic->y += Fr::one();
+      }
+
+      const SettlementInstance honest = window[kProbe];
+      auto shift = [](curve::G1::Affine& p) {
+        p = (curve::G1(p) + curve::G1::generator()).to_affine_point();
+      };
+      std::vector<std::pair<std::string, SettlementInstance>> inputs;
+      inputs.emplace_back("honest", honest);
+      inputs.emplace_back("y + 1", honest);
+      inputs.emplace_back("sigma + g1", honest);
+      inputs.emplace_back("psi + g1", honest);
+      inputs.emplace_back("r replaced", honest);
+      if (is_private) {
+        SettlementInstance& r_swap = inputs.emplace_back("R replaced", honest).second;
+        r_swap.priv->big_r =
+            prover.prove_private(honest.challenge, rng).big_r;
+        ASSERT_FALSE(r_swap.priv->big_r == honest.priv->big_r);
+      }
+      for (std::size_t f = 1; f < 4; ++f) {
+        SettlementInstance& inst = inputs[f].second;
+        Fr& y = is_private ? inst.priv->y_prime : inst.basic->y;
+        curve::G1::Affine& sigma = is_private ? inst.priv->sigma : inst.basic->sigma;
+        curve::G1::Affine& psi = is_private ? inst.priv->psi : inst.basic->psi;
+        if (f == 1) y += Fr::one();
+        if (f == 2) shift(sigma);
+        if (f == 3) shift(psi);
+      }
+      inputs[4].second.challenge.r = Fr::random(rng);
+
+      for (const auto& [name, inst] : inputs) {
+        const bool textbook =
+            is_private ? audit::eq2_textbook(sc.kp.pk, sc.name, inst.num_chunks,
+                                             inst.challenge, *inst.priv)
+                       : audit::eq1_textbook(sc.kp.pk, sc.name, inst.num_chunks,
+                                             inst.challenge, *inst.basic);
+        EXPECT_EQ(textbook, name == "honest") << tag << ", " << name;
+
+        const SettlementOutcome alone = audit::verify_settlement(
+            std::span<const SettlementInstance>(&inst, 1), seed_of(rng));
+        EXPECT_EQ(alone.ok[0], textbook) << tag << ", " << name;
+        EXPECT_EQ(alone.batch_checks, 0u) << tag << ", " << name;
+        EXPECT_EQ(alone.single_checks, 1u) << tag << ", " << name;
+
+        std::vector<SettlementInstance> batch = window;
+        batch[kProbe] = inst;
+        const SettlementOutcome out = audit::verify_settlement(batch, seed_of(rng));
+        for (std::size_t i = 0; i < kRounds; ++i) {
+          const bool want = i == kProbe ? textbook : i != kCulprit;
+          EXPECT_EQ(out.ok[i], want) << tag << ", " << name << ", round " << i;
+        }
+        EXPECT_EQ(out.batch_checks, 3u) << tag << ", " << name;
+        EXPECT_EQ(out.derived_checks, 2u) << tag << ", " << name;
+        EXPECT_EQ(out.single_checks, 2u) << tag << ", " << name;
+      }
+    }
   }
 }
 
